@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+_ETA_SIGNS = np.outer(np.diag(ETA), np.diag(ETA))
 
 
 def _canonical_boost_batch(P: np.ndarray, m: float) -> np.ndarray:
@@ -18,7 +19,7 @@ def _canonical_boost_batch(P: np.ndarray, m: float) -> np.ndarray:
     L[:, 0, 0] = P[:, 0] / m
     L[:, 0, 1:] = P[:, 1:] / m
     L[:, 1:, 0] = P[:, 1:] / m
-    L[:, 1:, 1:] = np.eye(3) + np.einsum("ni,nj->nij", P[:, 1:], P[:, 1:]) / (
+    L[:, 1:, 1:] = np.eye(3) + P[:, 1:, None] * P[:, None, 1:] / (
         m * (m + P[:, 0])
     )[:, None, None]
     return L
@@ -78,9 +79,11 @@ def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float):
     Q = P @ lam.T
     LP = _canonical_boost_batch(P, m)
     LQ = _canonical_boost_batch(Q, m)
-    # inverse of a boost: eta L^T eta
-    LQinv = np.einsum("ab,ncb,cd->nad", ETA, LQ, ETA)
-    W = np.einsum("nab,bc,ncd->nad", LQinv, lam, LP)
+    # inverse of a boost: eta L^T eta, a sign flip of the transpose (in
+    # place on the view: one (N,4,4) temporary fewer)
+    LQinv = np.swapaxes(LQ, 1, 2)
+    LQinv *= _ETA_SIGNS
+    W = LQinv @ (lam @ LP)
     q = _quaternion_batch(W[:, 1:, 1:])
     D = np.empty((P.shape[0], 2, 2), dtype=complex)
     D[:, 0, 0] = q[:, 0] - 1j * q[:, 3]

@@ -663,7 +663,8 @@ def chsh_optimize(rho, method: str = "analytic") -> tuple:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _polar_grid(n_theta: int, n_phi: int, center=None, spread=None):
+def _polar_grid(n_theta: int, n_phi: int, center=None, spread=None) -> tuple:
+    """Unit vectors (n,3) and their (theta, phi) pairs (n,2), theta-major."""
     if center is None:
         thetas = np.linspace(0.0, np.pi, n_theta)
         phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
@@ -671,35 +672,34 @@ def _polar_grid(n_theta: int, n_phi: int, center=None, spread=None):
         t0, p0 = center
         thetas = np.linspace(max(0.0, t0 - spread), min(np.pi, t0 + spread), n_theta)
         phis = np.linspace(p0 - spread, p0 + spread, n_phi)
-    out = []
-    for t in thetas:
-        for p in phis:
-            out.append((np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p),
-                                  np.cos(t)]), (t, p)))
-    return out
+    t, p = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
+    vecs = np.column_stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
+    return vecs, np.column_stack([t, p])
 
 
 def _chsh_grid(T: np.ndarray) -> tuple:
-    def zeta_of(b1, b2):
-        # optimal first-party response: a_i along T(b1 +- b2)
-        return 0.5 * (np.linalg.norm(T @ (b1 + b2)) + np.linalg.norm(T @ (b1 - b2)))
+    def norm_T(b):
+        # |T b| per pair as a stack of matrix-vector and dot products, the
+        # same BLAS calls (and bits) as T @ b and np.linalg.norm on one pair
+        x = T @ b[..., None]
+        return np.sqrt((np.swapaxes(x, -1, -2) @ x)[..., 0, 0])
+
+    def best_pair(g1, g2):
+        # optimal first-party response: a_i along T(b1 +- b2); the first
+        # maximum in row-major order, as a scan over (b1, b2) would keep
+        b1, b2 = g1[0][:, None, :], g2[0][None, :, :]
+        z = 0.5 * (norm_T(b1 + b2) + norm_T(b1 - b2))
+        i, j = np.unravel_index(np.argmax(z), z.shape)
+        return z[i, j], tuple(g1[1][i]), tuple(g2[1][j])
 
     grid = _polar_grid(17, 33)
-    best = (-1.0, None, None)
-    for b1, ang1 in grid:
-        for b2, ang2 in grid:
-            z = zeta_of(b1, b2)
-            if z > best[0]:
-                best = (z, ang1, ang2)
+    best = best_pair(grid, grid)
     spread = np.pi / 16
     for _ in range(2):
-        g1 = _polar_grid(9, 9, center=best[1], spread=spread)
-        g2 = _polar_grid(9, 9, center=best[2], spread=spread)
-        for b1, ang1 in g1:
-            for b2, ang2 in g2:
-                z = zeta_of(b1, b2)
-                if z > best[0]:
-                    best = (z, ang1, ang2)
+        cand = best_pair(_polar_grid(9, 9, center=best[1], spread=spread),
+                         _polar_grid(9, 9, center=best[2], spread=spread))
+        if cand[0] > best[0]:
+            best = cand
         spread /= 8
     z, ang1, ang2 = best
     b1 = np.array([np.sin(ang1[0]) * np.cos(ang1[1]),

@@ -51,15 +51,37 @@ def minkowski_dot(p: FourVector, q: FourVector) -> float:
     return float(p[0] * q[0] - p[1:] @ q[1:])
 
 
+def _check_mass_shells(P: np.ndarray, m: float, tol: float = 1e-10) -> None:
+    """check_mass_shell for every row of an (N,4) array."""
+    if P.ndim != 2 or P.shape[1] != 4:
+        raise DimensionError(f"four-vectors must have shape (N, 4), got {P.shape}")
+    p0 = P[:, 0]
+    if (p0 <= 0).any():
+        raise ValidationError("energy component must be positive")
+    shell = p0 * p0 - np.einsum("ni,ni->n", P[:, 1:], P[:, 1:])
+    if (np.abs(shell - m * m) > tol * np.maximum(1.0, p0 ** 2)).any():
+        raise ValidationError(f"momentum off shell for mass {m}")
+
+
 def check_mass_shell(p: FourVector, m: float, tol: float = 1e-10) -> None:
     """Raise unless p*p = m**2 (relative to p0**2) and p0 > 0."""
     p = np.asarray(p, dtype=float)
     if p.shape != (4,):
         raise DimensionError(f"four-vector must have shape (4,), got {p.shape}")
-    if p[0] <= 0:
-        raise ValidationError("energy component must be positive")
-    if abs(minkowski_dot(p, p) - m * m) > tol * max(1.0, p[0] ** 2):
-        raise ValidationError(f"momentum off shell for mass {m}")
+    _check_mass_shells(p[None], m, tol)
+
+
+_ETA_SIGNS = np.outer(np.diag(ETA), np.diag(ETA))
+
+
+def _check_transforms(L: np.ndarray) -> None:
+    """Raise unless every (4,4) matrix of an (N,4,4) stack preserves the
+    metric and is proper orthochronous."""
+    gap = np.abs(np.swapaxes(L, 1, 2) @ ETA @ L - ETA)
+    if (gap > _TOL_GROUP * 1e2).any():
+        raise ValidationError("matrix does not preserve the metric")
+    if (np.linalg.det(L) < 0).any() or (L[:, 0, 0] < 1.0 - 1e-12).any():
+        raise ValidationError("matrix is not proper orthochronous")
 
 
 @dataclass(frozen=True)
@@ -72,10 +94,7 @@ class LorentzTransform:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise DimensionError(f"Lorentz matrix must be 4x4, got {m.shape}")
-        if np.abs(m.T @ ETA @ m - ETA).max() > _TOL_GROUP * 1e2:
-            raise ValidationError("matrix does not preserve the metric")
-        if np.linalg.det(m) < 0 or m[0, 0] < 1.0 - 1e-12:
-            raise ValidationError("matrix is not proper orthochronous")
+        _check_transforms(m[None])
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -166,25 +185,38 @@ def standard_boost_massive(p: FourVector, m: float) -> LorentzTransform:
     return LorentzTransform(L)
 
 
-def _angles_of(khat: np.ndarray) -> tuple:
-    theta = np.arccos(np.clip(khat[2], -1.0, 1.0))
-    phi = np.arctan2(khat[1], khat[0]) if theta > 0 else 0.0
-    return float(theta), float(phi)
+def _standard_boosts_massless(K: np.ndarray) -> np.ndarray:
+    """Null standard boosts of an (N,4) array of momenta, shape (N,4,4):
+    z-boost to energy k0, then rotate the z axis onto the propagation
+    direction, so L(k) (1,0,0,1) = k. Checks every row as check_mass_shell
+    and every boost as LorentzTransform does."""
+    K = np.asarray(K, dtype=float)
+    _check_mass_shells(K, 0.0)
+    k0 = K[:, 0]
+    chi = np.log(k0)
+    ch, sh = np.cosh(chi), np.sinh(chi)
+    khat = K[:, 1:] / k0[:, None]
+    theta = np.arccos(np.clip(khat[:, 2], -1.0, 1.0))
+    phi = np.where(theta > 0, np.arctan2(khat[:, 1], khat[:, 0]), 0.0)
+    R = _rotation_to_khat_batch(theta, phi)
+    # R @ Bz written out (R acting on x, y, z): Bz mixes only t and z
+    L = np.zeros((K.shape[0], 4, 4))
+    L[:, 0, 0] = ch
+    L[:, 0, 3] = sh
+    L[:, 1:, 0] = R[:, :, 2] * sh[:, None]
+    L[:, 1:, 1:3] = R[:, :, :2]
+    L[:, 1:, 3] = R[:, :, 2] * ch[:, None]
+    _check_transforms(L)
+    return L
 
 
 def standard_boost_massless(k: FourVector) -> LorentzTransform:
     """Standard boost for null momenta: z-boost to energy k0, then rotate
     the z axis onto the propagation direction, so L(k) (1,0,0,1) = k."""
-    check_mass_shell(k, 0.0)
     k = np.asarray(k, dtype=float)
-    chi = np.log(k[0])
-    Bz = np.eye(4)
-    Bz[0, 0] = Bz[3, 3] = np.cosh(chi)
-    Bz[0, 3] = Bz[3, 0] = np.sinh(chi)
-    theta, phi = _angles_of(k[1:] / k[0])
-    R = np.eye(4)
-    R[1:, 1:] = rotation_to_khat(theta, phi)
-    return LorentzTransform(R @ Bz)
+    if k.shape != (4,):
+        raise DimensionError(f"four-vector must have shape (4,), got {k.shape}")
+    return LorentzTransform(_standard_boosts_massless(k[None])[0])
 
 
 def _quaternion_from_rotation(R: np.ndarray) -> np.ndarray:
@@ -328,15 +360,14 @@ def helicity_phase(lam: LorentzTransform, k: FourVector) -> HelicityPhase:
 
 
 def helicity_phase_batch(lam: LorentzTransform, ks: np.ndarray) -> np.ndarray:
-    """Vectorized helicity_phase for an (N,4) array of null momenta."""
+    """helicity_phase's xi for an (N,4) array of null momenta, in one pass
+    over E = L^{-1}(lam k) lam L(k)."""
     ks = np.asarray(ks, dtype=float)
-    qs = ks @ lam.matrix.T
-    xi = np.empty(ks.shape[0])
-    for i in range(ks.shape[0]):
-        E = (standard_boost_massless(qs[i]).inverse().matrix
-             @ lam.matrix @ standard_boost_massless(ks[i]).matrix)
-        xi[i] = np.arctan2(E[2, 1], E[1, 1])
-    return xi
+    Lk = _standard_boosts_massless(ks)
+    Lq = _standard_boosts_massless(ks @ lam.matrix.T)
+    # exact group inverse: eta L^T eta
+    E = (np.swapaxes(Lq, 1, 2) * _ETA_SIGNS) @ lam.matrix @ Lk
+    return np.arctan2(E[:, 2, 1], E[:, 1, 1])
 
 
 def aberrate(theta: float, phi: float, v: float) -> tuple:
@@ -357,12 +388,24 @@ def aberrate(theta: float, phi: float, v: float) -> tuple:
     return float(theta_p), float(g * denom)
 
 
-def rotation_to_khat(theta: float, phi: float) -> np.ndarray:
-    """Standard rotation carrying (0,0,1) onto the (theta, phi) direction."""
+def _rotation_to_khat_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """rotation_to_khat for arrays of directions, shape (N,3,3)."""
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
-    return np.array([
-        [ct * cp, -sp, cp * st],
-        [ct * sp, cp, sp * st],
-        [-st, 0.0, ct],
-    ])
+    R = np.empty((np.size(theta), 3, 3))
+    R[:, 0, 0] = ct * cp
+    R[:, 0, 1] = -sp
+    R[:, 0, 2] = cp * st
+    R[:, 1, 0] = ct * sp
+    R[:, 1, 1] = cp
+    R[:, 1, 2] = sp * st
+    R[:, 2, 0] = -st
+    R[:, 2, 1] = 0.0
+    R[:, 2, 2] = ct
+    return R
+
+
+def rotation_to_khat(theta: float, phi: float) -> np.ndarray:
+    """Standard rotation carrying (0,0,1) onto the (theta, phi) direction."""
+    return _rotation_to_khat_batch(np.array([theta], dtype=float),
+                                   np.array([phi], dtype=float))[0]

@@ -14,8 +14,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._errors import DimensionError, ValidationError
-from .lorentz import (LorentzTransform, boost, helicity_phase_batch,
-                      rotation_to_khat)
+from .lorentz import (LorentzTransform, _rotation_to_khat_batch, boost,
+                      helicity_phase_batch, rotation_to_khat)
 from .qstate import hermitize
 
 __all__ = [
@@ -46,19 +46,7 @@ def helicity_vectors(theta: float, phi: float) -> tuple:
 
 
 def _helicity_vectors_batch(theta: np.ndarray, phi: np.ndarray) -> tuple:
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    n = theta.size
-    R = np.empty((n, 3, 3))
-    R[:, 0, 0] = ct * cp
-    R[:, 0, 1] = -sp
-    R[:, 0, 2] = cp * st
-    R[:, 1, 0] = ct * sp
-    R[:, 1, 1] = cp
-    R[:, 1, 2] = sp * st
-    R[:, 2, 0] = -st
-    R[:, 2, 1] = 0.0
-    R[:, 2, 2] = ct
+    R = _rotation_to_khat_batch(theta, phi)
     return R @ _EPS_P_STD, R @ _EPS_M_STD
 
 

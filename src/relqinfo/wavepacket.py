@@ -266,6 +266,16 @@ def packet_error_scaling(delta_over_m: float, gamma_list, theta: float = np.pi /
 # ---------------------------------------------------------------------------
 # bipartite packets
 
+# Rows of the first particle's grid per block when streaming over the
+# (N1, N2, 2, 2) amplitude array: bounds the temporaries of the boost and
+# the reductions to a few MB, whatever the grid size.
+_BLOCK_ROWS = 64
+
+
+def _row_blocks(n: int):
+    return (slice(s, s + _BLOCK_ROWS) for s in range(0, n, _BLOCK_ROWS))
+
+
 @dataclass(frozen=True)
 class BipartitePacket:
     """Two-particle packet on a product momentum grid.
@@ -291,8 +301,11 @@ class BipartitePacket:
             raise ValidationError(f"bipartite norm^2 {norm} differs from 1")
 
     def norm_squared(self) -> float:
-        return float(np.einsum("i,j,ijab,ijab->", self.weights1, self.weights2,
-                               self.amplitudes, self.amplitudes.conj()).real)
+        a, total = np.asarray(self.amplitudes), 0.0
+        for blk in _row_blocks(a.shape[0]):
+            mod2 = (a[blk].real ** 2 + a[blk].imag ** 2).sum(axis=(2, 3))
+            total += float(self.weights1[blk] @ mod2 @ self.weights2)
+        return total
 
 
 def singlet_packet(delta_over_m: float, points: int = 9,
@@ -312,7 +325,17 @@ def boost_bipartite(packet: BipartitePacket, lam: LorentzTransform) -> Bipartite
     """Boost both particles: separate little-group rotation per factor."""
     q1, d1 = kernels.wigner_su2_batch(lam.matrix, packet.momenta1, packet.masses[0])
     q2, d2 = kernels.wigner_su2_batch(lam.matrix, packet.momenta2, packet.masses[1])
-    amps = np.einsum("iac,jbd,ijcd->ijab", d1, d2, packet.amplitudes)
+    a = packet.amplitudes
+    n2 = a.shape[1]
+    d2t = np.swapaxes(d2, 1, 2)
+    amps = np.empty(a.shape, dtype=complex)
+    for blk in _row_blocks(a.shape[0]):
+        nb = a[blk].shape[0]
+        # d1_i on the first spin index: (2,2) @ (2, N2*2) per row i
+        t = d1[blk] @ a[blk].transpose(0, 2, 1, 3).reshape(nb, 2, 2 * n2)
+        # d2_j on the second: (nb*2, 2) @ d2_j^T per column j
+        t = t.reshape(nb, 2, n2, 2).transpose(2, 0, 1, 3).reshape(n2, 2 * nb, 2)
+        amps[blk] = (t @ d2t).reshape(n2, nb, 2, 2).transpose(1, 0, 2, 3)
     return BipartitePacket(masses=packet.masses, momenta1=q1, momenta2=q2,
                            weights1=packet.weights1, weights2=packet.weights2,
                            amplitudes=amps)
@@ -320,8 +343,13 @@ def boost_bipartite(packet: BipartitePacket, lam: LorentzTransform) -> Bipartite
 
 def reduced_spin_pair(packet: BipartitePacket) -> DensityMatrix:
     """4x4 spin-spin marginal over the product grid."""
-    rho = np.einsum("i,j,ijab,ijcd->abcd", packet.weights1, packet.weights2,
-                    packet.amplitudes, packet.amplitudes.conj()).reshape(4, 4)
+    a, w1, w2 = packet.amplitudes, packet.weights1, packet.weights2
+    rho = np.zeros((4, 4), dtype=complex)
+    for blk in _row_blocks(a.shape[0]):
+        # rho = F^T conj(F), F = sqrt(w_i w_j) a_ij as (rows, 4); kept complex
+        # so the concurrence near 1 sees no extra round-off
+        F = (a[blk] * np.sqrt(w1[blk, None] * w2)[:, :, None, None]).reshape(-1, 4)
+        rho += F.T @ F.conj()
     return DensityMatrix(hermitize(rho))
 
 

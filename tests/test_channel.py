@@ -309,6 +309,25 @@ class TestChsh:
         assert abs(zeta - z_grid) < 1e-3
         assert abs(zeta - 0.7071067811865476) < 1e-9
 
+    def test_grid_maximum_against_per_pair_formula(self):
+        # the per-pair loop the grid search replaces, on a sample of pairs:
+        # the returned value is that formula's, bit for bit, at the returned
+        # settings, and no coarse-grid pair beats it
+        from relqinfo import channel
+        rng = np.random.default_rng(31)
+        rho = DensityMatrix.from_pure(qstate.haar_state(4, rng))
+        T = channel._correlation_matrix(rho.matrix)
+        z, st = chsh_optimize(rho, method="grid")
+
+        def zeta_of(b1, b2):
+            return 0.5 * (np.linalg.norm(T @ (b1 + b2)) + np.linalg.norm(T @ (b1 - b2)))
+
+        assert z == zeta_of(st["b1"], st["b2"])
+        assert abs(chsh_value(rho, *settings_to_observables(st)) - z) < 1e-12
+        vecs, _ = channel._polar_grid(17, 33)
+        for i, j in rng.integers(0, len(vecs), size=(300, 2)):
+            assert zeta_of(vecs[i], vecs[j]) <= z
+
     def test_observable_spectrum_enforced(self):
         rho = DensityMatrix.maximally_mixed(4)
         with pytest.raises(ValidationError):

@@ -1,17 +1,25 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import relqinfo
 from relqinfo import cli
 
 RUN = [sys.executable, "-m", "relqinfo.cli"]
+# the directory holding the package under test, absolute, so the child
+# process imports the same code from any working directory
+SRC = str(Path(relqinfo.__file__).resolve().parent.parent)
 
 
 def invoke(args, tmp_path, **kw):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(RUN + args, capture_output=True, text=True,
-                          cwd=tmp_path, **kw)
+                          cwd=tmp_path, env=env, **kw)
 
 
 class TestExitCodes:

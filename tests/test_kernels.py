@@ -30,6 +30,15 @@ class TestKernelContract:
             assert np.abs(D[i] - w.su2).max() < 1e-12
             assert np.abs(Q[i] - lam.apply(P[i])).max() < 1e-12
 
+    def test_numpy_kernel_matches_single_point_reference(self):
+        rng = np.random.default_rng(65)
+        for m in (1.0, 0.3):
+            P = random_grid(rng, 80, m)
+            lam = random_lambda(rng)
+            _, D = numpy_kernel(lam.matrix, P, m)
+            ref = np.array([lorentz.wigner_rotation(lam, p, m).su2 for p in P])
+            assert np.abs(D - ref).max() < 1e-12
+
     def test_su2_unitary_unit_determinant(self):
         rng = np.random.default_rng(62)
         m = 0.7

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relqinfo import lorentz
-from relqinfo._errors import ValidationError
+from relqinfo._errors import DimensionError, ValidationError
 from relqinfo.lorentz import (ETA, aberrate, boost, compose,
                               helicity_phase, minkowski_dot, rotation,
                               rotation_from_su2, rotation_to_khat,
@@ -218,6 +218,62 @@ class TestHelicityPhase:
     def test_non_null_momentum_rejected(self):
         with pytest.raises(ValidationError):
             helicity_phase(boost([0, 0, 0.5]), np.array([1.0, 0, 0, 0.5]))
+
+
+def general_lambda(rng):
+    """A boost off the z axis after a rotation: a z boost alone gives
+    xi = 0 on every ray and would hide a wrong phase formula."""
+    return compose(boost(0.8 * rng.uniform(-1, 1, 3) / np.sqrt(3)),
+                   rotation(rng.normal(size=3), rng.uniform(0, np.pi)))
+
+
+def wrapped(dxi):
+    return np.abs(np.angle(np.exp(1j * dxi)))
+
+
+class TestHelicityPhaseBatch:
+    def rays(self, rng, n):
+        nvec = rng.normal(size=(n, 3))
+        nvec /= np.linalg.norm(nvec, axis=1, keepdims=True)
+        nvec = np.vstack([nvec, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        e = rng.uniform(0.1, 5.0, size=nvec.shape[0])
+        return np.column_stack([e, e[:, None] * nvec])
+
+    def test_matches_scalar_phase(self):
+        rng = np.random.default_rng(81)
+        for _ in range(5):
+            lam = general_lambda(rng)
+            ks = self.rays(rng, 60)
+            xi = lorentz.helicity_phase_batch(lam, ks)
+            ref = np.array([helicity_phase(lam, k).xi for k in ks])
+            assert wrapped(xi - ref).max() < 1e-12
+
+    def test_rotate_packet_phases_match_scalar(self):
+        from relqinfo.photon import collimated_packet, rotate_packet
+        rng = np.random.default_rng(82)
+        pk = collimated_packet(0.4, n_theta=6, n_phi=8)
+        lam = rotation(rng.normal(size=3), 2.1)
+        out = rotate_packet(pk, lam)
+        ref = np.array([helicity_phase(lam, k).xi for k in pk.four_momenta()])
+        assert np.abs(out.alpha[:, 0] - pk.alpha[:, 0] * np.exp(-1j * ref)).max() < 1e-12
+        assert np.abs(out.alpha[:, 1] - pk.alpha[:, 1] * np.exp(1j * ref)).max() < 1e-12
+
+    def test_bad_rows_rejected(self):
+        lam = general_lambda(np.random.default_rng(83))
+        good = np.array([[1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 2.0, 0.0]])
+        off_shell = np.vstack([good, [1.0, 0.0, 0.0, 0.5]])
+        with pytest.raises(ValidationError):
+            lorentz.helicity_phase_batch(lam, off_shell)
+        past = np.vstack([good, [-1.0, 0.0, 0.0, -1.0]])
+        with pytest.raises(ValidationError):
+            lorentz.helicity_phase_batch(lam, past)
+        with pytest.raises(DimensionError):
+            lorentz.helicity_phase_batch(lam, good[0])
+
+    def test_null_standard_boost_along_minus_z(self):
+        k = np.array([2.0, 0.0, 0.0, -2.0])
+        lam = standard_boost_massless(k)
+        assert np.abs(lam.apply([1.0, 0, 0, 1.0]) - k).max() < 1e-12
 
 
 class TestAberration:

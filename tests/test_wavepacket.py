@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from relqinfo import lorentz, qstate
+from relqinfo import lorentz, qstate, wavepacket
 from relqinfo._errors import ValidationError
 from relqinfo.lorentz import boost, compose, rotation
-from relqinfo.wavepacket import (PacketSpec, beta_for_gamma,
+from relqinfo.wavepacket import (BipartitePacket, PacketSpec, beta_for_gamma,
                                  bipartite_boost_concurrence, boost_bipartite,
                                  boost_packet, cp_failure_witness,
                                  entropy_surface, gamma_parameter,
@@ -213,6 +213,43 @@ class TestBipartite:
         oracle = np.einsum("i,j,ijab,ijcd->abcd", w, w, g, g.conj()).reshape(4, 4)
         oracle /= np.trace(oracle).real
         assert np.abs(rho - oracle).max() < 1e-10
+
+
+class TestBipartiteStreaming:
+    """The row-blocked boost, reduce and norm against the plain einsum
+    formulas over the whole grid."""
+
+    def random_packet(self, rng, points):
+        base = singlet_packet(0.3, points=points)
+        a = rng.normal(size=base.amplitudes.shape) + 1j * rng.normal(size=base.amplitudes.shape)
+        a /= np.sqrt(np.einsum("i,j,ijab,ijab->", base.weights1, base.weights2,
+                               a, a.conj()).real)
+        return BipartitePacket(masses=base.masses, momenta1=base.momenta1,
+                               momenta2=base.momenta2, weights1=base.weights1,
+                               weights2=base.weights2, amplitudes=a)
+
+    @pytest.mark.parametrize("points", [3, 5])
+    def test_matches_einsum_formulas(self, points):
+        from relqinfo import kernels
+        # neither grid is a whole number of row blocks: a short block runs
+        assert points ** 3 % wavepacket._BLOCK_ROWS != 0
+        rng = np.random.default_rng(90 + points)
+        pk = self.random_packet(rng, points)
+        lam = compose(boost([0.3, -0.4, 0.5]), rotation(rng.normal(size=3), 1.3))
+        out = boost_bipartite(pk, lam)
+
+        _, d1 = kernels.wigner_su2_batch(lam.matrix, pk.momenta1, 1.0)
+        _, d2 = kernels.wigner_su2_batch(lam.matrix, pk.momenta2, 1.0)
+        amps = np.einsum("iac,jbd,ijcd->ijab", d1, d2, pk.amplitudes)
+        scale = np.abs(amps).max()
+        assert np.abs(out.amplitudes - amps).max() < 1e-12 * scale
+
+        for p in (pk, out):
+            a, w1, w2 = p.amplitudes, p.weights1, p.weights2
+            norm = np.einsum("i,j,ijab,ijab->", w1, w2, a, a.conj()).real
+            assert abs(p.norm_squared() - norm) < 1e-12
+            rho = np.einsum("i,j,ijab,ijcd->abcd", w1, w2, a, a.conj()).reshape(4, 4)
+            assert np.abs(reduced_spin_pair(p).matrix - rho).max() < 1e-12
 
 
 class TestWitnesses:
