@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Benchmark the batched little-group kernel: compiled extension vs the
-vectorized NumPy fallback, across grid sizes typical for packet work.
+NumPy kernel in relqinfo.lorentz, across grid sizes typical for packet work.
 
 Usage: python benchmarks/bench_wigner.py [--repeats 5]
 """
@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from relqinfo import kernels, lorentz
-from relqinfo._wigner_np import wigner_su2_batch as numpy_kernel
+from relqinfo.lorentz import wigner_su2_batch as numpy_kernel
 
 try:
     from relqinfo._wigner_cy import wigner_su2_batch as compiled_kernel

@@ -354,28 +354,15 @@ _PAULI_FAMILY = (
 )
 
 
-def is_semicausal(T: BipartiteOperation, direction: str = "B->A",
-                  probe_states: Sequence | None = None, tol: float = 1e-9,
-                  haar_probes: int = 200, seed: int = 77) -> SemicausalVerdict:
-    """Probe whether the sending side can signal through the summed operation.
-
-    direction 'B->A' asks whether Bob, acting just before the global
-    operation, can change Alice's marginal (and vice versa for 'A->B').
-    The sender's pre-operations run over the Pauli family plus seeded Haar
-    unitaries; probe states default to computational products, Bell states
-    and seeded Haar states. A verdict of semicausal means no witness was
-    found over the probe family, not a proof. When a witness exists it
-    reports the optimal discrimination probability 1 - P_E of the two
-    receiver marginals.
-    """
-    if direction not in ("B->A", "A->B"):
-        raise ValueError("direction must be 'B->A' or 'A->B'")
+def _receiver_marginals(T: BipartiteOperation, direction: str, rng,
+                        haar_probes: int, probe_states: Sequence | None = None):
+    """Per probe state, yield (index, [(pre-op name, receiver marginal)]):
+    the receiver's marginal after a sender pre-op (identity first) and T.
+    Default probe states draw from rng before the Haar pre-ops do."""
     da, db = T.dims
     d = da * db
     sender_dim = db if direction == "B->A" else da
     receiver_idx = 0 if direction == "B->A" else 1
-
-    rng = np.random.default_rng(seed)
     if probe_states is None:
         probe_states = []
         for i in range(min(d, 4)):
@@ -397,7 +384,6 @@ def is_semicausal(T: BipartiteOperation, direction: str = "B->A",
             return np.kron(np.eye(da, dtype=complex), u)
         return np.kron(u, np.eye(db, dtype=complex))
 
-    best = {"advantage": 0.5, "witness": None}
     for s_idx, v in enumerate(probe_states):
         v = np.asarray(v, dtype=complex).ravel()
         rho0 = np.outer(v, v.conj())
@@ -406,6 +392,29 @@ def is_semicausal(T: BipartiteOperation, direction: str = "B->A",
             ue = embed_pre(u)
             out = _sum_channel(T.kraus, ue @ rho0 @ ue.conj().T)
             marginals.append((name, _marginal(out, T.dims, receiver_idx)))
+        yield s_idx, marginals
+
+
+def is_semicausal(T: BipartiteOperation, direction: str = "B->A",
+                  probe_states: Sequence | None = None, tol: float = 1e-9,
+                  haar_probes: int = 200, seed: int = 77) -> SemicausalVerdict:
+    """Probe whether the sending side can signal through the summed operation.
+
+    direction 'B->A' asks whether Bob, acting just before the global
+    operation, can change Alice's marginal (and vice versa for 'A->B').
+    The sender's pre-operations run over the Pauli family plus seeded Haar
+    unitaries; probe states default to computational products, Bell states
+    and seeded Haar states. A verdict of semicausal means no witness was
+    found over the probe family, not a proof. When a witness exists it
+    reports the optimal discrimination probability 1 - P_E of the two
+    receiver marginals.
+    """
+    if direction not in ("B->A", "A->B"):
+        raise ValueError("direction must be 'B->A' or 'A->B'")
+    best = {"advantage": 0.5, "witness": None}
+    probes = _receiver_marginals(T, direction, np.random.default_rng(seed),
+                                 haar_probes, probe_states)
+    for s_idx, marginals in probes:
         base_name, base = marginals[0]
         for name, marg in marginals[1:]:
             pe = qstate.error_probability(hermitize(base), hermitize(marg))

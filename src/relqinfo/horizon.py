@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as _codata
 
 from ._errors import DimensionError, ValidationError
 from . import qstate
@@ -44,10 +43,10 @@ __all__ = [
 class PhysicalConstants:
     """hbar, c, G, k_B; SI (CODATA) or geometric (all ones)."""
 
-    hbar: float = _codata.hbar
-    c: float = _codata.c
-    G: float = _codata.G
-    k_B: float = _codata.k
+    hbar: float = 1.0545718176461565e-34  # J s
+    c: float = 299792458.0  # m / s
+    G: float = 6.6743e-11  # m^3 / (kg s^2)
+    k_B: float = 1.380649e-23  # J / K
 
     def __post_init__(self):
         if min(self.hbar, self.c, self.G, self.k_B) <= 0:

@@ -1,30 +1,19 @@
 """Selects the batched little-group kernel at import time.
 
 Prefers the compiled Cython extension when it was built; otherwise the
-vectorized NumPy twin. Both expose the same wigner_su2_batch signature
-and conventions, so callers never branch. Set RELQINFO_FORCE_NUMPY_KERNEL=1
-to pin the fallback (benchmarks, fallback CI runs).
+NumPy kernel relqinfo.lorentz.wigner_su2_batch. Both expose the same
+wigner_su2_batch signature and conventions, so callers never branch.
 """
 from __future__ import annotations
 
-import os
+try:
+    from ._wigner_cy import wigner_su2_batch
 
-from . import _wigner_np
+    BACKEND = "compiled"
+except ImportError:  # extension not built
+    from .lorentz import wigner_su2_batch
 
-if os.environ.get("RELQINFO_FORCE_NUMPY_KERNEL"):
-    _impl = _wigner_np
     BACKEND = "numpy"
-else:
-    try:
-        from . import _wigner_cy as _impl
-
-        BACKEND = "compiled"
-    except ImportError:  # extension not built
-        _impl = _wigner_np
-        BACKEND = "numpy"
-
-wigner_su2_batch = _impl.wigner_su2_batch
-wigner_su2_batch_numpy = _wigner_np.wigner_su2_batch
 
 
 def backend_name() -> str:

@@ -6,6 +6,9 @@ signature (+,-,-,-). The module builds boosts and rotations, the canonical
 rotate standard boost for null momenta, little-group elements for both
 cases (spatial rotation with its SU(2) image, or the rotation angle of a
 null-momentum stabilizer), and the aberration/Doppler map.
+
+The little-group math is batched over (N,4) momentum arrays and the scalar
+functions call it with a batch of one; wigner_su2_batch is the NumPy kernel.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DimensionError, ValidationError
+from .qstate import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 __all__ = [
     "ETA",
@@ -31,6 +35,7 @@ __all__ = [
     "wigner_rotation",
     "helicity_phase",
     "helicity_phase_batch",
+    "wigner_su2_batch",
     "aberrate",
     "rotation_to_khat",
     "su2_from_rotation",
@@ -171,18 +176,26 @@ def compose(lam2: LorentzTransform, lam1: LorentzTransform) -> LorentzTransform:
     return lam2 @ lam1
 
 
+def _canonical_boosts(P: np.ndarray, m: float) -> np.ndarray:
+    """Canonical rotation-free boosts of an (N,4) array of momenta of mass
+    m, shape (N,4,4): L(p) (m,0,0,0) = p. No checks."""
+    n = P.shape[0]
+    L = np.zeros((n, 4, 4))
+    L[:, 0, 0] = P[:, 0] / m
+    L[:, 0, 1:] = P[:, 1:] / m
+    L[:, 1:, 0] = P[:, 1:] / m
+    L[:, 1:, 1:] = np.eye(3) + P[:, 1:, None] * P[:, None, 1:] / (
+        m * (m + P[:, 0])
+    )[:, None, None]
+    return L
+
+
 def standard_boost_massive(p: FourVector, m: float) -> LorentzTransform:
     """Canonical rotation-free boost L(p) with L(p) (m,0,0,0) = p."""
     if m <= 0:
         raise ValidationError("mass must be positive")
     check_mass_shell(p, m)
-    p = np.asarray(p, dtype=float)
-    L = np.empty((4, 4))
-    L[0, 0] = p[0] / m
-    L[0, 1:] = p[1:] / m
-    L[1:, 0] = p[1:] / m
-    L[1:, 1:] = np.eye(3) + np.outer(p[1:], p[1:]) / (m * (m + p[0]))
-    return LorentzTransform(L)
+    return LorentzTransform(_canonical_boosts(np.asarray(p, dtype=float)[None], m)[0])
 
 
 def _standard_boosts_massless(K: np.ndarray) -> np.ndarray:
@@ -219,51 +232,68 @@ def standard_boost_massless(k: FourVector) -> LorentzTransform:
     return LorentzTransform(_standard_boosts_massless(k[None])[0])
 
 
-def _quaternion_from_rotation(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) with w >= 0; stable near angle 0 and pi."""
-    t = np.trace(R)
-    cand = np.array([1.0 + t,
-                     1.0 + R[0, 0] - R[1, 1] - R[2, 2],
-                     1.0 - R[0, 0] + R[1, 1] - R[2, 2],
-                     1.0 - R[0, 0] - R[1, 1] + R[2, 2]])
-    b = int(np.argmax(cand))
-    r = np.sqrt(max(cand[b], 0.0)) / 2.0
-    if b == 0:
-        q = np.array([r, (R[2, 1] - R[1, 2]) / (4 * r),
-                      (R[0, 2] - R[2, 0]) / (4 * r),
-                      (R[1, 0] - R[0, 1]) / (4 * r)])
-    elif b == 1:
-        q = np.array([(R[2, 1] - R[1, 2]) / (4 * r), r,
-                      (R[0, 1] + R[1, 0]) / (4 * r),
-                      (R[0, 2] + R[2, 0]) / (4 * r)])
-    elif b == 2:
-        q = np.array([(R[0, 2] - R[2, 0]) / (4 * r),
-                      (R[0, 1] + R[1, 0]) / (4 * r), r,
-                      (R[1, 2] + R[2, 1]) / (4 * r)])
-    else:
-        q = np.array([(R[1, 0] - R[0, 1]) / (4 * r),
-                      (R[0, 2] + R[2, 0]) / (4 * r),
-                      (R[1, 2] + R[2, 1]) / (4 * r), r])
-    q /= np.linalg.norm(q)
-    return q if q[0] >= 0 else -q
+def _quaternions(R: np.ndarray) -> np.ndarray:
+    """Unit quaternions (w, x, y, z), w >= 0, of an (N,3,3) stack of
+    rotations (Shepperd 1978: divide by the largest of the four diagonal
+    combinations, so angles near 0 and pi stay stable)."""
+    n = R.shape[0]
+    cand = np.empty((n, 4))
+    t = np.einsum("nii->n", R)
+    cand[:, 0] = 1.0 + t
+    cand[:, 1] = 1.0 + R[:, 0, 0] - R[:, 1, 1] - R[:, 2, 2]
+    cand[:, 2] = 1.0 - R[:, 0, 0] + R[:, 1, 1] - R[:, 2, 2]
+    cand[:, 3] = 1.0 - R[:, 0, 0] - R[:, 1, 1] + R[:, 2, 2]
+    best = np.argmax(cand, axis=1)
+    r = np.sqrt(np.maximum(cand[np.arange(n), best], 0.0)) / 2.0
+    q = np.empty((n, 4))
+    f = 1.0 / (4.0 * r)
+
+    m0 = best == 0
+    q[m0, 0] = r[m0]
+    q[m0, 1] = (R[m0, 2, 1] - R[m0, 1, 2]) * f[m0]
+    q[m0, 2] = (R[m0, 0, 2] - R[m0, 2, 0]) * f[m0]
+    q[m0, 3] = (R[m0, 1, 0] - R[m0, 0, 1]) * f[m0]
+
+    m1 = best == 1
+    q[m1, 0] = (R[m1, 2, 1] - R[m1, 1, 2]) * f[m1]
+    q[m1, 1] = r[m1]
+    q[m1, 2] = (R[m1, 0, 1] + R[m1, 1, 0]) * f[m1]
+    q[m1, 3] = (R[m1, 0, 2] + R[m1, 2, 0]) * f[m1]
+
+    m2 = best == 2
+    q[m2, 0] = (R[m2, 0, 2] - R[m2, 2, 0]) * f[m2]
+    q[m2, 1] = (R[m2, 0, 1] + R[m2, 1, 0]) * f[m2]
+    q[m2, 2] = r[m2]
+    q[m2, 3] = (R[m2, 1, 2] + R[m2, 2, 1]) * f[m2]
+
+    m3 = best == 3
+    q[m3, 0] = (R[m3, 1, 0] - R[m3, 0, 1]) * f[m3]
+    q[m3, 1] = (R[m3, 0, 2] + R[m3, 2, 0]) * f[m3]
+    q[m3, 2] = (R[m3, 1, 2] + R[m3, 2, 1]) * f[m3]
+    q[m3, 3] = r[m3]
+
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q[q[:, 0] < 0] *= -1.0
+    return q
 
 
-def _su2_from_quaternion(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([[w - 1j * z, -1j * x - y],
-                     [-1j * x + y, w + 1j * z]], dtype=complex)
+def _su2_from_quaternions(q: np.ndarray) -> np.ndarray:
+    """SU(2) images, shape (N,2,2), of an (N,4) array of unit quaternions."""
+    D = np.empty((q.shape[0], 2, 2), dtype=complex)
+    D[:, 0, 0] = q[:, 0] - 1j * q[:, 3]
+    D[:, 0, 1] = -1j * q[:, 1] - q[:, 2]
+    D[:, 1, 0] = -1j * q[:, 1] + q[:, 2]
+    D[:, 1, 1] = q[:, 0] + 1j * q[:, 3]
+    return D
 
 
 def su2_from_rotation(R: np.ndarray) -> np.ndarray:
     """SU(2) element covering a 3x3 rotation; branch with angle in [0, pi]."""
-    return _su2_from_quaternion(_quaternion_from_rotation(np.asarray(R, dtype=float)))
+    R = np.asarray(R, dtype=float)
+    return _su2_from_quaternions(_quaternions(R[None]))[0]
 
 
-_PAULIS = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
+_PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def rotation_from_su2(u: np.ndarray) -> np.ndarray:
@@ -287,20 +317,45 @@ class WignerRotation:
     su2: np.ndarray
 
 
+def _massive_little_group(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
+    """(Q, W) for an (N,4) momentum grid P of mass m: Q = lam P and the
+    little-group elements W = L^{-1}(lam p) lam L(p), (N,4,4). No checks."""
+    lam = np.asarray(lam, dtype=float)
+    P = np.asarray(P, dtype=float)
+    Q = P @ lam.T
+    LP = _canonical_boosts(P, m)
+    LQ = _canonical_boosts(Q, m)
+    # inverse of a boost: eta L^T eta, a sign flip of the transpose (in
+    # place on the view: one (N,4,4) temporary fewer)
+    LQinv = np.swapaxes(LQ, 1, 2)
+    LQinv *= _ETA_SIGNS
+    return Q, LQinv @ (lam @ LP)
+
+
+def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
+    """The NumPy little-group kernel: (Q, D) for an (N,4) on-shell grid P,
+    with Q = lam P and D the complex (N,2,2) SU(2) images of the little-group
+    elements W = L^{-1}(lam p) lam L(p), canonical branch (rotation angle in
+    [0, pi]). No checks."""
+    Q, W = _massive_little_group(lam, P, m)
+    return Q, _su2_from_quaternions(_quaternions(W[:, 1:, 1:]))
+
+
 def wigner_rotation(lam: LorentzTransform, p: FourVector, m: float) -> WignerRotation:
     """W = L^{-1}(lam p) lam L(p); fixes (m,0,0,0), so it is a rotation."""
+    if m <= 0:
+        raise ValidationError("mass must be positive")
     check_mass_shell(p, m)
-    q = lam.apply(p)
-    W = (standard_boost_massive(q, m).inverse() @ lam
-         @ standard_boost_massive(p, m)).matrix
-    R = W[1:, 1:]
+    Q, W = _massive_little_group(lam.matrix, np.asarray(p, dtype=float)[None], m)
+    _check_mass_shells(Q, m)
+    R = W[0, 1:, 1:]
     if np.abs(R @ R.T - np.eye(3)).max() > 1e-10:
         raise ValidationError("little-group element is not a rotation")
-    quat = _quaternion_from_rotation(R)
+    quat = _quaternions(R[None])[0]
     angle = 2.0 * np.arctan2(np.linalg.norm(quat[1:]), quat[0])
     axis = quat[1:] / np.linalg.norm(quat[1:]) if angle > 1e-15 else np.array([0.0, 0.0, 1.0])
     return WignerRotation(rotation=R, axis=axis, angle=float(angle),
-                          su2=_su2_from_quaternion(quat))
+                          su2=_su2_from_quaternions(quat[None])[0])
 
 
 @dataclass(frozen=True)
@@ -321,16 +376,17 @@ def _null_translation(alpha: float, beta: float) -> np.ndarray:
     ])
 
 
-def _rz4(xi: float) -> np.ndarray:
-    c, s = np.cos(xi), np.sin(xi)
-    R = np.eye(4)
-    R[1, 1] = R[2, 2] = c
-    R[1, 2] = -s
-    R[2, 1] = s
-    return R
-
-
 _EPS_STD = np.array([0.0, 1.0, 1.0j, 0.0]) / np.sqrt(2.0)
+
+
+def _null_little_group(lam: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """E = L^{-1}(lam k) lam L(k), (N,4,4), for an (N,4) array of null
+    momenta; _standard_boosts_massless checks k and lam k."""
+    K = np.asarray(K, dtype=float)
+    Lk = _standard_boosts_massless(K)
+    Lq = _standard_boosts_massless(K @ lam.T)
+    # exact group inverse: eta L^T eta
+    return (np.swapaxes(Lq, 1, 2) * _ETA_SIGNS) @ lam @ Lk
 
 
 def helicity_phase(lam: LorentzTransform, k: FourVector) -> HelicityPhase:
@@ -341,13 +397,11 @@ def helicity_phase(lam: LorentzTransform, k: FourVector) -> HelicityPhase:
     the null momentum itself (a gauge direction); this is asserted before
     xi is returned.
     """
-    check_mass_shell(k, 0.0)
-    q = lam.apply(k)
-    E = (standard_boost_massless(q).inverse() @ lam
-         @ standard_boost_massless(k)).matrix
+    E = _null_little_group(lam.matrix, np.asarray(k, dtype=float)[None])[0]
     xi = float(np.arctan2(E[2, 1], E[1, 1]))
     alpha, beta = float(E[1, 0]), float(E[2, 0])
-    if np.abs(_null_translation(alpha, beta) @ _rz4(xi) - E).max() > 1e-10:
+    rz = rotation([0.0, 0.0, 1.0], xi).matrix
+    if np.abs(_null_translation(alpha, beta) @ rz - E).max() > 1e-10:
         raise ValidationError("element does not factor as translation * rotation")
     # residual translation acts on the standard transversal polarization
     # only along k_S = (1,0,0,1)
@@ -362,11 +416,7 @@ def helicity_phase(lam: LorentzTransform, k: FourVector) -> HelicityPhase:
 def helicity_phase_batch(lam: LorentzTransform, ks: np.ndarray) -> np.ndarray:
     """helicity_phase's xi for an (N,4) array of null momenta, in one pass
     over E = L^{-1}(lam k) lam L(k)."""
-    ks = np.asarray(ks, dtype=float)
-    Lk = _standard_boosts_massless(ks)
-    Lq = _standard_boosts_massless(ks @ lam.matrix.T)
-    # exact group inverse: eta L^T eta
-    E = (np.swapaxes(Lq, 1, 2) * _ETA_SIGNS) @ lam.matrix @ Lk
+    E = _null_little_group(lam.matrix, ks)
     return np.arctan2(E[:, 2, 1], E[:, 1, 1])
 
 

@@ -15,7 +15,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ._errors import DimensionError, ValidationError
 from .lorentz import (LorentzTransform, _rotation_to_khat_batch, boost,
-                      helicity_phase_batch, rotation_to_khat)
+                      helicity_phase_batch)
 from .qstate import hermitize
 
 __all__ = [
@@ -38,16 +38,17 @@ _EPS_P_STD = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0)
 _EPS_M_STD = np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0)
 
 
-def helicity_vectors(theta: float, phi: float) -> tuple:
-    """Right/left circular polarization 3-vectors at direction (theta, phi):
-    the standard rotation applied to (1, +-i, 0)/sqrt(2)."""
-    R = rotation_to_khat(theta, phi)
-    return R @ _EPS_P_STD, R @ _EPS_M_STD
-
-
 def _helicity_vectors_batch(theta: np.ndarray, phi: np.ndarray) -> tuple:
     R = _rotation_to_khat_batch(theta, phi)
     return R @ _EPS_P_STD, R @ _EPS_M_STD
+
+
+def helicity_vectors(theta: float, phi: float) -> tuple:
+    """Right/left circular polarization 3-vectors at direction (theta, phi):
+    the standard rotation applied to (1, +-i, 0)/sqrt(2)."""
+    ep, em = _helicity_vectors_batch(np.array([theta], dtype=float),
+                                     np.array([phi], dtype=float))
+    return ep[0], em[0]
 
 
 def transversal_decomposition(direction, theta: float, phi: float) -> tuple:

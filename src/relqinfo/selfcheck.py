@@ -70,7 +70,7 @@ DEFAULT_GRIDS = {
     "momentum_draws": 1000,
 }
 
-# constants-derived pins, recomputed from scipy.constants CODATA values
+# constants-derived pins, recomputed from the CODATA values of horizon.SI
 HAWKING_T_SOLAR_KG = 1.989e30
 HAWKING_T_SOLAR_K = 6.168429716410344e-08
 
@@ -124,30 +124,14 @@ def _check_incomplete_bell(tols, grids):
 
 
 def _marginal_shift(T, direction, rng, n_haar=25):
-    da, db = T.dims
-    sender_dim = db if direction == "B->A" else da
-    receiver = 0 if direction == "B->A" else 1
-    pre = [u for _, u in channel._PAULI_FAMILY]
-    pre += [qstate.haar_unitary(sender_dim, rng) for _ in range(n_haar)]
-    states = [np.zeros(da * db, dtype=complex) for _ in range(4)]
-    for i, s in enumerate(states):
-        s[i] = 1.0
-    states += [channel.bell_state(n) for n in ("phi+", "phi-", "psi+", "psi-")]
-    states += [qstate.haar_state(da * db, rng) for _ in range(8)]
+    """Largest trace distance between the receiver's marginal with and
+    without a sender pre-operation, over the semicausality probes."""
     worst = 0.0
-    for v in states:
-        rho0 = np.outer(v, v.conj())
-        base = None
-        for u in pre:
-            ue = (np.kron(np.eye(da, dtype=complex), u) if direction == "B->A"
-                  else np.kron(u, np.eye(db, dtype=complex)))
-            out = channel._sum_channel(T.kraus, ue @ rho0 @ ue.conj().T)
-            marg = channel._marginal(out, T.dims, receiver)
-            if base is None:
-                base = marg
-            else:
-                ev = np.linalg.eigvalsh(hermitize(marg - base))
-                worst = max(worst, 0.5 * np.abs(ev).sum())
+    for _, marginals in channel._receiver_marginals(T, direction, rng, n_haar):
+        base = marginals[0][1]
+        for _, marg in marginals[1:]:
+            ev = np.linalg.eigvalsh(hermitize(marg - base))
+            worst = max(worst, 0.5 * np.abs(ev).sum())
     return worst
 
 

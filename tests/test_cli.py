@@ -15,11 +15,24 @@ RUN = [sys.executable, "-m", "relqinfo.cli"]
 SRC = str(Path(relqinfo.__file__).resolve().parent.parent)
 
 
-def invoke(args, tmp_path, **kw):
+def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def invoke(args, tmp_path, **kw):
     return subprocess.run(RUN + args, capture_output=True, text=True,
-                          cwd=tmp_path, env=env, **kw)
+                          cwd=tmp_path, env=child_env(), **kw)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    code = ("import sys, relqinfo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, cwd=tmp_path, env=child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 class TestExitCodes:

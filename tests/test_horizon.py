@@ -11,7 +11,7 @@ from relqinfo.horizon import (GEOMETRIC, SI, BlackHole, PhysicalConstants,
                               rindler_mode_state, superscattering,
                               surface_gravity, unruh_temperature)
 
-# pins recomputed from scipy.constants CODATA values
+# pins recomputed from the CODATA values of horizon.SI
 UNRUH_T_AT_G = 3.973913254725219e-20      # a = 9.8 m/s^2
 HAWKING_T_SOLAR = 6.168429716410344e-08   # M = 1.989e30 kg
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relqinfo import kernels, lorentz
-from relqinfo._wigner_np import wigner_su2_batch as numpy_kernel
+from relqinfo.lorentz import wigner_su2_batch as numpy_kernel
 
 
 def random_grid(rng, n, m):
@@ -18,6 +18,25 @@ def random_lambda(rng):
     return lam
 
 
+def velocity_form_little_group(lam, p):
+    """Oracle for W = L^{-1}(lam p) lam L(p): the canonical boost L(p) is
+    the pure boost with velocity p/p0, built here from lorentz.boost's
+    velocity form and inverted as a general matrix."""
+    q = lam.apply(p)
+    Lp = lorentz.boost(p[1:] / p[0]).matrix
+    Lq = lorentz.boost(q[1:] / q[0]).matrix
+    return np.linalg.inv(Lq) @ lam.matrix @ Lp
+
+
+def assert_little_group_images(D, lam, P, tol):
+    """Each D covers the rotation block of the oracle W (adjoint map, not
+    a quaternion extraction) on the canonical branch Re tr D >= 0."""
+    for d, p in zip(D, P):
+        W = velocity_form_little_group(lam, p)
+        assert np.abs(lorentz.rotation_from_su2(d) - W[1:, 1:]).max() < tol
+        assert np.trace(d).real >= 0.0
+
+
 class TestKernelContract:
     def test_matches_single_point_reference(self):
         rng = np.random.default_rng(61)
@@ -25,9 +44,8 @@ class TestKernelContract:
         P = random_grid(rng, 50, m)
         lam = random_lambda(rng)
         Q, D = kernels.wigner_su2_batch(lam.matrix, P, m)
+        assert_little_group_images(D, lam, P, 1e-12)
         for i in range(P.shape[0]):
-            w = lorentz.wigner_rotation(lam, P[i], m)
-            assert np.abs(D[i] - w.su2).max() < 1e-12
             assert np.abs(Q[i] - lam.apply(P[i])).max() < 1e-12
 
     def test_numpy_kernel_matches_single_point_reference(self):
@@ -36,8 +54,7 @@ class TestKernelContract:
             P = random_grid(rng, 80, m)
             lam = random_lambda(rng)
             _, D = numpy_kernel(lam.matrix, P, m)
-            ref = np.array([lorentz.wigner_rotation(lam, p, m).su2 for p in P])
-            assert np.abs(D - ref).max() < 1e-12
+            assert_little_group_images(D, lam, P, 1e-12)
 
     def test_su2_unitary_unit_determinant(self):
         rng = np.random.default_rng(62)
@@ -56,6 +73,52 @@ class TestKernelContract:
         Q, _ = kernels.wigner_su2_batch(random_lambda(rng).matrix, P, m)
         shell = Q[:, 0] ** 2 - np.sum(Q[:, 1:] ** 2, axis=1)
         assert np.abs(shell - m * m).max() < 1e-9
+
+
+def expected_su2(axis, angle):
+    """cos(angle/2) - i sin(angle/2) n.sigma, from the axis-angle form."""
+    n = np.asarray(axis, dtype=float)
+    n_sigma = sum(c * s for c, s in zip(n, lorentz._PAULIS))
+    return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * n_sigma
+
+
+NEAR_PI = [(axis, angle) for axis in ([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0])
+           for angle in (np.pi, np.pi - 1e-4)]
+
+
+@pytest.mark.parametrize("axis,angle", NEAR_PI)
+class TestShepperdNearPi:
+    """Rotations about x, y and z at and just below pi take the three
+    non-trace branches of the quaternion extraction; about -x, -y and -z
+    the extracted w comes out negative and must be flipped to w >= 0."""
+
+    def check(self, d, axis, angle, tol):
+        R = lorentz._rotation3(axis, angle)
+        assert np.abs(lorentz.rotation_from_su2(d) - R).max() < tol
+        assert np.trace(d).real >= 0.0
+        ref = expected_su2(axis, angle)
+        if angle < np.pi:
+            assert np.abs(d - ref).max() < tol
+        else:  # w ~ 0: either sheet of the double cover is canonical
+            assert min(np.abs(d - ref).max(), np.abs(d + ref).max()) < tol
+
+    def test_su2_from_rotation(self, axis, angle):
+        for n in (np.array(axis), -np.array(axis)):
+            d = lorentz.su2_from_rotation(lorentz._rotation3(n, angle))
+            self.check(d, n, angle, 1e-12)
+            # the same rotation written about the opposite axis
+            flipped = lorentz.su2_from_rotation(lorentz._rotation3(-n, -angle))
+            assert np.abs(flipped - d).max() < 1e-12
+
+    def test_numpy_kernel(self, axis, angle):
+        # a pure rotation is its own little-group element at every momentum
+        m = 1.0
+        P = np.array([[m, 0.0, 0.0, 0.0],
+                      [np.cosh(1.0) * m, *(np.sinh(1.0) * m * np.array([0.6, 0.0, 0.8]))]])
+        for n in (np.array(axis), -np.array(axis)):
+            _, D = numpy_kernel(lorentz.rotation(n, angle).matrix, P, m)
+            for d in D:
+                self.check(d, n, angle, 1e-10)
 
 
 @pytest.mark.skipif(kernels.backend_name() != "compiled",

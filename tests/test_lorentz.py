@@ -227,8 +227,31 @@ def general_lambda(rng):
                    rotation(rng.normal(size=3), rng.uniform(0, np.pi)))
 
 
-def wrapped(dxi):
-    return np.abs(np.angle(np.exp(1j * dxi)))
+def null_standard_boost(k):
+    """Oracle for L(k): the z-boost to energy k0 by matrix exponential, then
+    Rz(phi) Ry(theta) from lorentz.rotation, carrying z onto k/k0."""
+    khat = k[1:] / k[0]
+    theta = np.arccos(np.clip(khat[2], -1.0, 1.0))
+    phi = np.arctan2(khat[1], khat[0]) if theta > 0 else 0.0
+    R = rotation([0, 0, 1], phi).matrix @ rotation([0, 1, 0], theta).matrix
+    return R @ expm_boost(np.log(k[0]), [0, 0, 1])
+
+
+def null_little_group(lam, k):
+    """Oracle for E = L^{-1}(lam k) lam L(k), inverted as a general matrix."""
+    return (np.linalg.inv(null_standard_boost(lam.apply(k))) @ lam.matrix
+            @ null_standard_boost(k))
+
+
+def assert_xi_is_oracle_angle(lam, ks, xi, tol):
+    """E fixes k_S = (1,0,0,1) and its transverse block is the rotation by
+    xi."""
+    k_std = np.array([1.0, 0.0, 0.0, 1.0])
+    for k, x in zip(ks, xi):
+        E = null_little_group(lam, k)
+        assert np.abs(E @ k_std - k_std).max() < tol
+        rz = np.array([[np.cos(x), -np.sin(x)], [np.sin(x), np.cos(x)]])
+        assert np.abs(E[1:3, 1:3] - rz).max() < tol
 
 
 class TestHelicityPhaseBatch:
@@ -239,22 +262,24 @@ class TestHelicityPhaseBatch:
         e = rng.uniform(0.1, 5.0, size=nvec.shape[0])
         return np.column_stack([e, e[:, None] * nvec])
 
-    def test_matches_scalar_phase(self):
+    def test_matches_inverse_matrix_oracle(self):
         rng = np.random.default_rng(81)
         for _ in range(5):
             lam = general_lambda(rng)
             ks = self.rays(rng, 60)
             xi = lorentz.helicity_phase_batch(lam, ks)
-            ref = np.array([helicity_phase(lam, k).xi for k in ks])
-            assert wrapped(xi - ref).max() < 1e-12
+            assert_xi_is_oracle_angle(lam, ks, xi, 1e-12)
 
-    def test_rotate_packet_phases_match_scalar(self):
+    def test_rotate_packet_phases_match_oracle(self):
         from relqinfo.photon import collimated_packet, rotate_packet
         rng = np.random.default_rng(82)
         pk = collimated_packet(0.4, n_theta=6, n_phi=8)
         lam = rotation(rng.normal(size=3), 2.1)
         out = rotate_packet(pk, lam)
-        ref = np.array([helicity_phase(lam, k).xi for k in pk.four_momenta()])
+        ks = pk.four_momenta()
+        ref = np.array([np.arctan2(E[2, 1], E[1, 1])
+                        for E in (null_little_group(lam, k) for k in ks)])
+        assert_xi_is_oracle_angle(lam, ks, ref, 1e-12)
         assert np.abs(out.alpha[:, 0] - pk.alpha[:, 0] * np.exp(-1j * ref)).max() < 1e-12
         assert np.abs(out.alpha[:, 1] - pk.alpha[:, 1] * np.exp(1j * ref)).max() < 1e-12
 
