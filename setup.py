@@ -24,21 +24,21 @@ class optional_build_ext(build_ext):
             print(f"warning: building {ext.name} failed ({exc}); using NumPy fallback")
 
 
+def kernel_extension(source):
+    return Extension(
+        "relqinfo._wigner_cy",
+        [source],
+        include_dirs=[numpy.get_include()],
+        extra_compile_args=["-O3"],
+    )
+
+
 try:
     from Cython.Build import cythonize
 
-    ext_modules = cythonize(
-        [
-            Extension(
-                "relqinfo._wigner_cy",
-                ["src/relqinfo/_wigner_cy.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    ext_modules = []
+    ext_modules = cythonize([kernel_extension("src/relqinfo/_wigner_cy.pyx")],
+                            language_level=3)
+except ImportError:  # no Cython: compile the tracked generated C file
+    ext_modules = [kernel_extension("src/relqinfo/_wigner_cy.c")]
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

@@ -81,9 +81,10 @@ _ETA_SIGNS = np.outer(np.diag(ETA), np.diag(ETA))
 
 def _check_transforms(L: np.ndarray) -> None:
     """Raise unless every (4,4) matrix of an (N,4,4) stack preserves the
-    metric and is proper orthochronous."""
-    gap = np.abs(np.swapaxes(L, 1, 2) @ ETA @ L - ETA)
-    if (gap > _TOL_GROUP * 1e2).any():
+    metric (relative to L00**2, the scale of its round-off) and is proper
+    orthochronous."""
+    gap = np.abs(np.swapaxes(L, 1, 2) @ ETA @ L - ETA).max(axis=(1, 2))
+    if (gap > _TOL_GROUP * 1e2 * np.maximum(1.0, L[:, 0, 0] ** 2)).any():
         raise ValidationError("matrix does not preserve the metric")
     if (np.linalg.det(L) < 0).any() or (L[:, 0, 0] < 1.0 - 1e-12).any():
         raise ValidationError("matrix is not proper orthochronous")
@@ -318,18 +319,27 @@ class WignerRotation:
 
 
 def _massive_little_group(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
-    """(Q, W) for an (N,4) momentum grid P of mass m: Q = lam P and the
-    little-group elements W = L^{-1}(lam p) lam L(p), (N,4,4). No checks."""
+    """(Q, R) for an (N,4) momentum grid P of mass m: Q = lam P and R, (N,3,3),
+    the rotation blocks of the little-group elements W = L^{-1}(lam p) lam L(p).
+    No checks.
+
+    Closed form, no (N,4,4) boost built: the spatial columns of lam L(p) are
+    M_j = lam_j + p_j u with u = (lam_0 + q/m) / (m + p0), and L^{-1}(q) takes
+    q_i s_j / (m (m + q0)) off M_ij, with s_j = (m + q0) M_0j - q.M_j. Works on
+    component rows (P and Q transposed), so every operation runs over N.
+    """
     lam = np.asarray(lam, dtype=float)
     P = np.asarray(P, dtype=float)
     Q = P @ lam.T
-    LP = _canonical_boosts(P, m)
-    LQ = _canonical_boosts(Q, m)
-    # inverse of a boost: eta L^T eta, a sign flip of the transpose (in
-    # place on the view: one (N,4,4) temporary fewer)
-    LQinv = np.swapaxes(LQ, 1, 2)
-    LQinv *= _ETA_SIGNS
-    return Q, LQinv @ (lam @ LP)
+    p, q = np.ascontiguousarray(P.T), np.ascontiguousarray(Q.T)
+    u = (lam[:, :1] + q / m) / (m + p[0])
+    mq = m + q[0]
+    R = np.empty((3, 3, P.shape[0]))
+    for j in (1, 2, 3):
+        Mj = lam[:, j, None] + u * p[j]
+        s = mq * Mj[0] - (q[1] * Mj[1] + q[2] * Mj[2] + q[3] * Mj[3])
+        R[:, j - 1] = Mj[1:] - q[1:] * (s / (m * mq))
+    return Q, R.transpose(2, 0, 1)
 
 
 def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
@@ -337,19 +347,23 @@ def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
     with Q = lam P and D the complex (N,2,2) SU(2) images of the little-group
     elements W = L^{-1}(lam p) lam L(p), canonical branch (rotation angle in
     [0, pi]). No checks."""
-    Q, W = _massive_little_group(lam, P, m)
-    return Q, _su2_from_quaternions(_quaternions(W[:, 1:, 1:]))
+    Q, R = _massive_little_group(lam, P, m)
+    return Q, _su2_from_quaternions(_quaternions(R))
 
 
 def wigner_rotation(lam: LorentzTransform, p: FourVector, m: float) -> WignerRotation:
-    """W = L^{-1}(lam p) lam L(p); fixes (m,0,0,0), so it is a rotation."""
+    """W = L^{-1}(lam p) lam L(p); fixes (m,0,0,0), so it is a rotation.
+
+    Round-off in W grows like p0 q0 / m**2, so the rotation check is relative
+    to that scale."""
     if m <= 0:
         raise ValidationError("mass must be positive")
     check_mass_shell(p, m)
-    Q, W = _massive_little_group(lam.matrix, np.asarray(p, dtype=float)[None], m)
+    p = np.asarray(p, dtype=float)
+    Q, R = _massive_little_group(lam.matrix, p[None], m)
     _check_mass_shells(Q, m)
-    R = W[0, 1:, 1:]
-    if np.abs(R @ R.T - np.eye(3)).max() > 1e-10:
+    R = R[0]
+    if np.abs(R @ R.T - np.eye(3)).max() > 1e-10 * max(1.0, p[0] * Q[0, 0] / m ** 2):
         raise ValidationError("little-group element is not a rotation")
     quat = _quaternions(R[None])[0]
     angle = 2.0 * np.arctan2(np.linalg.norm(quat[1:]), quat[0])
@@ -376,9 +390,6 @@ def _null_translation(alpha: float, beta: float) -> np.ndarray:
     ])
 
 
-_EPS_STD = np.array([0.0, 1.0, 1.0j, 0.0]) / np.sqrt(2.0)
-
-
 def _null_little_group(lam: np.ndarray, K: np.ndarray) -> np.ndarray:
     """E = L^{-1}(lam k) lam L(k), (N,4,4), for an (N,4) array of null
     momenta; _standard_boosts_massless checks k and lam k."""
@@ -394,8 +405,8 @@ def helicity_phase(lam: LorentzTransform, k: FourVector) -> HelicityPhase:
     (1,0,0,1) and factors as null-translation times z-rotation.
 
     The translation part moves transversal polarization vectors only along
-    the null momentum itself (a gauge direction); this is asserted before
-    xi is returned.
+    the null momentum itself (a gauge direction) for every (alpha, beta), so
+    only the factorization is checked before xi is returned.
     """
     E = _null_little_group(lam.matrix, np.asarray(k, dtype=float)[None])[0]
     xi = float(np.arctan2(E[2, 1], E[1, 1]))
@@ -403,13 +414,6 @@ def helicity_phase(lam: LorentzTransform, k: FourVector) -> HelicityPhase:
     rz = rotation([0.0, 0.0, 1.0], xi).matrix
     if np.abs(_null_translation(alpha, beta) @ rz - E).max() > 1e-10:
         raise ValidationError("element does not factor as translation * rotation")
-    # residual translation acts on the standard transversal polarization
-    # only along k_S = (1,0,0,1)
-    moved = _null_translation(alpha, beta) @ _EPS_STD - _EPS_STD
-    ks = np.array([1.0, 0.0, 0.0, 1.0])
-    coeff = moved[0]
-    if np.abs(moved - coeff * ks).max() > 1e-10:
-        raise ValidationError("translation part is not a pure gauge move")
     return HelicityPhase(xi=xi)
 
 

@@ -175,13 +175,23 @@ def beta_for_gamma(gamma: float, delta: float, m: float) -> float:
     return float(2 * u / (1 + u * u))
 
 
+def _boost_shared(packets, lam: LorentzTransform) -> list:
+    """boost_packet for packets on one momentum grid (same mass and
+    momenta), with one kernel call whose D rotates every packet's spinors."""
+    first = packets[0]
+    if any(pk.mass != first.mass or not np.array_equal(pk.momenta, first.momenta)
+           for pk in packets[1:]):
+        raise ValidationError("packets do not share one momentum grid")
+    q, d = kernels.wigner_su2_batch(lam.matrix, first.momenta, first.mass)
+    return [SpinorPacket(mass=pk.mass, momenta=q, weights=pk.weights,
+                         amplitudes=np.einsum("nab,nb->na", d, pk.amplitudes))
+            for pk in packets]
+
+
 def boost_packet(packet: SpinorPacket, lam: LorentzTransform) -> SpinorPacket:
     """Exact boost: relabel grid momenta and rotate each spinor by the
     little-group SU(2) element; invariant weights carry over unchanged."""
-    q, d = kernels.wigner_su2_batch(lam.matrix, packet.momenta, packet.mass)
-    amps = np.einsum("nab,nb->na", d, packet.amplitudes)
-    return SpinorPacket(mass=packet.mass, momenta=q, weights=packet.weights,
-                        amplitudes=amps)
+    return _boost_shared([packet], lam)[0]
 
 
 def reduced_spin(packet: SpinorPacket) -> DensityMatrix:
@@ -206,11 +216,10 @@ def entropy_surface(delta_over_m: float, beta_list, theta_list,
     """
     if len(beta_list) == 0 or len(theta_list) == 0:
         raise ValidationError("parameter lists must be nonempty")
+    packet = gaussian_packet(PacketSpec(mass=1.0, spread=delta_over_m,
+                                        points=points, extent=extent))
     rows = []
     for theta in theta_list:
-        spec = PacketSpec(mass=1.0, spread=delta_over_m, points=points,
-                          extent=extent)
-        packet = gaussian_packet(spec)
         for beta in beta_list:
             gamma = gamma_parameter(delta_over_m, 1.0, beta)
             if beta == 0.0:
@@ -246,12 +255,11 @@ def packet_error_scaling(delta_over_m: float, gamma_list, theta: float = np.pi /
     for g in gammas:
         beta = beta_for_gamma(g, delta_over_m, 1.0)
         lam = _boost_at_angle(beta, theta)
-        bu, bd = boost_packet(up, lam), boost_packet(down, lam)
+        bu, bd = _boost_shared([up, down], lam)
         pes.append(qstate.error_probability(reduced_spin(bu), reduced_spin(bd)))
-        inv = lam.inverse()
-        pe_restored.append(qstate.error_probability(
-            reduced_spin(boost_packet(bu, inv)),
-            reduced_spin(boost_packet(bd, inv))))
+        ru, rd = _boost_shared([bu, bd], lam.inverse())
+        pe_restored.append(qstate.error_probability(reduced_spin(ru),
+                                                    reduced_spin(rd)))
     slope = (float(np.polyfit(np.log(gammas), np.log(pes), 1)[0])
              if len(gammas) > 1 else None)
     return {

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relqinfo import kernels, lorentz
 from relqinfo.lorentz import wigner_su2_batch as numpy_kernel
+from relqinfo.wavepacket import PacketSpec, gaussian_packet
 
 
 def random_grid(rng, n, m):
@@ -73,6 +76,69 @@ class TestKernelContract:
         Q, _ = kernels.wigner_su2_batch(random_lambda(rng).matrix, P, m)
         shell = Q[:, 0] ** 2 - np.sum(Q[:, 1:] ** 2, axis=1)
         assert np.abs(shell - m * m).max() < 1e-9
+
+
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 0.1)
+rapidities = st.floats(0.0, 5.0)
+masses = st.floats(0.1, 10.0)
+
+
+def hypothesis_lambda(rapidity, boost_axis, rot_axis, angle):
+    return lorentz.compose(lorentz.boost(rapidity=rapidity, axis=boost_axis),
+                           lorentz.rotation(rot_axis, angle))
+
+
+def single_point_grid(m, rapidity, direction):
+    """The one momentum of a PacketSpec(points=1) packet at rapidity
+    `rapidity` along `direction`, shape (1,4)."""
+    n = np.asarray(direction) / np.linalg.norm(direction)
+    spec = PacketSpec(mass=m, mean_momentum=tuple(m * np.sinh(rapidity) * n),
+                      points=1)
+    return gaussian_packet(spec).momenta
+
+
+def round_off_scale(P, Q, m):
+    """Round-off in W grows like p0 q0 / m**2."""
+    return float((P[:, 0] * Q[:, 0]).max()) / m ** 2
+
+
+class TestKernelProperties:
+    """The closed-form NumPy kernel against the velocity-form oracle and the
+    group law, over rapidities up to 5 (bounds scaled by p0 q0 / m**2)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=masses, chi_p=rapidities, p_dir=unit_vectors, chi=rapidities,
+           boost_axis=unit_vectors, rot_axis=unit_vectors,
+           angle=st.floats(0.0, np.pi))
+    def test_single_point_grid_matches_oracle(self, m, chi_p, p_dir, chi,
+                                              boost_axis, rot_axis, angle):
+        lam = hypothesis_lambda(chi, boost_axis, rot_axis, angle)
+        P = single_point_grid(m, chi_p, p_dir)
+        Q, D = numpy_kernel(lam.matrix, P, m)
+        assert np.abs(Q[0] - lam.apply(P[0])).max() < 1e-14 * Q[0, 0]
+        assert_little_group_images(D, lam, P, 2e-13 * round_off_scale(P, Q, m))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(m=masses, chi_p=st.floats(0.0, 2.0), p_dir=unit_vectors,
+           chi1=rapidities, axis1=unit_vectors, rot1=unit_vectors,
+           chi2=rapidities, axis2=unit_vectors, rot2=unit_vectors,
+           angles=st.tuples(st.floats(0.0, np.pi), st.floats(0.0, np.pi)))
+    def test_representation_law(self, m, chi_p, p_dir, chi1, axis1, rot1,
+                                chi2, axis2, rot2, angles):
+        """D(lam2 lam1, p) = +-D(lam2, lam1 p) D(lam1, p): the canonical
+        branch of the product may sit on the other sheet."""
+        lam1 = hypothesis_lambda(chi1, axis1, rot1, angles[0])
+        lam2 = hypothesis_lambda(chi2, axis2, rot2, angles[1])
+        P = single_point_grid(m, chi_p, p_dir)
+        Q1, D1 = numpy_kernel(lam1.matrix, P, m)
+        Q2, D2 = numpy_kernel(lam2.matrix, Q1, m)
+        _, D21 = numpy_kernel((lam2 @ lam1).matrix, P, m)
+        prod = D2[0] @ D1[0]
+        gap = min(np.abs(D21[0] - prod).max(), np.abs(D21[0] + prod).max())
+        scale = (round_off_scale(P, Q1, m) + round_off_scale(Q1, Q2, m)
+                 + round_off_scale(P, Q2, m))
+        assert gap < 2e-13 * scale
 
 
 def expected_su2(axis, angle):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relqinfo import lorentz
 from relqinfo._errors import DimensionError, ValidationError
@@ -47,6 +49,12 @@ class TestConstructors:
     def test_superluminal_rejected(self):
         with pytest.raises(ValidationError):
             boost([1.0, 0, 0])
+
+    def test_small_metric_defect_rejected(self):
+        L = boost([0.1, 0, 0]).matrix.copy()
+        L[1, 1] += 1e-6
+        with pytest.raises(ValidationError, match="metric"):
+            lorentz.LorentzTransform(L)
 
     def test_metric_preserved_and_inverse(self):
         rng = np.random.default_rng(1)
@@ -118,6 +126,27 @@ class TestStandardBoosts:
             assert np.abs(got - k).max() < 1e-10
 
 
+def extended_little_group(lam, p, m):
+    """Oracle for the rotation block of W = L^{-1}(lam p) lam L(p) in
+    extended precision (np.longdouble): full 4x4 canonical boosts, p0 and
+    q0 recomputed on shell, exact inverse eta L^T eta."""
+    ld = np.longdouble
+    lam, m = np.asarray(lam, dtype=ld), ld(m)
+    pvec = np.asarray(p[1:], dtype=ld)
+
+    def canonical(v):
+        e = np.sqrt(m * m + v @ v)
+        L = np.empty((4, 4), dtype=ld)
+        L[0, 0], L[0, 1:], L[1:, 0] = e / m, v / m, v / m
+        L[1:, 1:] = np.eye(3, dtype=ld) + np.outer(v, v) / (m * (m + e))
+        return L
+
+    Lp = canonical(pvec)
+    Lq = canonical((lam @ Lp[:, 0] * m)[1:])
+    eta = np.diag(np.array([1, -1, -1, -1], dtype=ld))
+    return (eta @ Lq.T @ eta @ lam @ Lp)[1:, 1:].astype(float)
+
+
 class TestWignerRotation:
     def test_pure_rotation_passes_through(self):
         rng = np.random.default_rng(4)
@@ -160,6 +189,25 @@ class TestWignerRotation:
                           rotation(rng.normal(size=3), rng.uniform(0, np.pi)))
             w = wigner_rotation(lam, random_onshell(rng, 1.0), 1.0)
             assert np.abs(w.rotation @ w.rotation.T - np.eye(3)).max() < 1e-10
+
+    @pytest.mark.parametrize("pmag", [1e2, 1e3, 3e3, 1e4])
+    def test_large_momenta_accepted_and_match_extended_oracle(self, pmag):
+        """Round-off grows like p0 q0 / m**2; the checks scale with it, so
+        valid on-shell momenta up to |p| = 1e4 at m = 1 are accepted."""
+        rng = np.random.default_rng(7)
+        m = 1.0
+        for lam in (boost([0.5, 0, 0]),
+                    compose(boost([0.3, -0.4, 0.2]), rotation([1, 2, 3], 2.0))):
+            for _ in range(5):
+                n = rng.normal(size=3)
+                p = np.array([np.sqrt(m * m + pmag ** 2), *(pmag * n / np.linalg.norm(n))])
+                w = wigner_rotation(lam, p, m)
+                scale = p[0] * lam.apply(p)[0] / m ** 2
+                W = extended_little_group(lam.matrix, p, m)
+                assert np.abs(w.rotation - W).max() < 1e-13 * scale
+                assert np.abs(rotation_from_su2(w.su2) - W).max() < 1e-13 * scale
+                L = standard_boost_massive(p, m).matrix
+                assert np.abs(L @ [m, 0, 0, 0] - p).max() < 1e-15 * p[0]
 
     def test_su2_double_cover_properties(self):
         rng = np.random.default_rng(6)
@@ -218,6 +266,18 @@ class TestHelicityPhase:
     def test_non_null_momentum_rejected(self):
         with pytest.raises(ValidationError):
             helicity_phase(boost([0, 0, 0.5]), np.array([1.0, 0, 0, 0.5]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(alpha=st.floats(-100.0, 100.0), beta=st.floats(-100.0, 100.0))
+    def test_null_translation_is_pure_gauge_move(self, alpha, beta):
+        """The translation part of E moves the standard transversal
+        polarization only along k_S = (1,0,0,1), by (alpha + i beta)/sqrt 2,
+        for every (alpha, beta); helicity_phase relies on this."""
+        eps = np.array([0.0, 1.0, 1.0j, 0.0]) / np.sqrt(2.0)
+        moved = lorentz._null_translation(alpha, beta) @ eps - eps
+        assert moved[1] == 0 and moved[2] == 0 and moved[0] == moved[3]
+        assert abs(moved[0] - (alpha + 1j * beta) / np.sqrt(2.0)) <= 1e-15 * (
+            abs(alpha) + abs(beta))
 
 
 def general_lambda(rng):

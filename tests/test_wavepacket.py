@@ -167,6 +167,44 @@ class TestErrorScaling:
         assert 1.8 <= report["fitted_exponent"] <= 2.2
         assert max(report["pe_restored"]) < 1e-8
 
+    def test_one_kernel_call_per_boost_matches_separate_boosts(self, monkeypatch):
+        """The up and down packets share a grid, so each boost (forward and
+        back) is one kernel call whose D rotates both; the report is bit for
+        bit the one from boosting each packet on its own."""
+        gammas, delta, theta = [0.0125, 0.025, 0.05], 0.1, 1.1
+        ref_pes, ref_restored = [], []
+        up, down = (small_packet(spread=delta, spin_axis=axis, points=5)
+                    for axis in ((0, 0, 1), (0, 0, -1)))
+        for g in gammas:
+            lam = wavepacket._boost_at_angle(beta_for_gamma(g, delta, 1.0), theta)
+            bu, bd = boost_packet(up, lam), boost_packet(down, lam)
+            ref_pes.append(qstate.error_probability(reduced_spin(bu), reduced_spin(bd)))
+            inv = lam.inverse()
+            ref_restored.append(qstate.error_probability(
+                reduced_spin(boost_packet(bu, inv)), reduced_spin(boost_packet(bd, inv))))
+
+        calls = []
+        kernel = wavepacket.kernels.wigner_su2_batch
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(wavepacket.kernels, "wigner_su2_batch", counting)
+        report = packet_error_scaling(delta, gammas, theta=theta, points=5)
+        assert len(calls) == 2 * len(gammas)
+        assert report["pe_rest"] == qstate.error_probability(reduced_spin(up),
+                                                             reduced_spin(down))
+        assert report["pe_boosted"] == ref_pes
+        assert report["pe_restored"] == ref_restored
+        assert report["fitted_exponent"] == float(
+            np.polyfit(np.log(gammas), np.log(ref_pes), 1)[0])
+
+    def test_shared_boost_rejects_different_grids(self):
+        with pytest.raises(ValidationError, match="grid"):
+            wavepacket._boost_shared([small_packet(), small_packet(spread=0.3)],
+                                     boost([0.3, 0, 0]))
+
     def test_halving_gamma_quarters_error(self):
         report = packet_error_scaling(0.1, [0.02, 0.04], points=11)
         ratio = report["pe_boosted"][1] / report["pe_boosted"][0]
