@@ -639,86 +639,30 @@ def _bloch_obs(n: np.ndarray) -> np.ndarray:
     return n[0] * qstate.SIGMA_X + n[1] * qstate.SIGMA_Y + n[2] * qstate.SIGMA_Z
 
 
-def chsh_optimize(rho, method: str = "analytic") -> tuple:
+def chsh_optimize(rho) -> tuple:
     """Maximum of chsh_value over two-qubit measurement settings.
 
-    'analytic': the two largest singular values s1, s2 of the correlation
-    matrix give sqrt(s1^2 + s2^2) together with explicit optimal Bloch
-    settings. 'grid': deterministic polar grid over the second party's
-    settings (17 x 33, two refinement levels) with the first party's
-    response computed analytically; used as the independent cross-check.
+    The two largest singular values s1, s2 of the correlation matrix give
+    sqrt(s1^2 + s2^2) together with explicit optimal Bloch settings.
     Returns (zeta_max, settings dict).
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if m.shape != (4, 4):
         raise DimensionError("CHSH optimization is defined for two qubits")
     T = _correlation_matrix(m)
-    if method == "analytic":
-        U, s, Vt = np.linalg.svd(T)
-        c1, c2 = Vt[0], Vt[1]
-        tc1, tc2 = T @ c1, T @ c2
-        n1 = np.linalg.norm(tc1)
-        n2 = np.linalg.norm(tc2)
-        a1 = tc1 / n1 if n1 > 1e-14 else np.array([0.0, 0.0, 1.0])
-        a2 = tc2 / n2 if n2 > 1e-14 else np.array([1.0, 0.0, 0.0])
-        phi = np.arctan2(s[1], s[0])
-        b1 = np.cos(phi) * c1 + np.sin(phi) * c2
-        b2 = np.cos(phi) * c1 - np.sin(phi) * c2
-        zeta = float(np.sqrt(s[0] ** 2 + s[1] ** 2))
-        settings = {"a1": a1, "a2": a2, "b1": b1, "b2": b2}
-        return zeta, settings
-    if method == "grid":
-        return _chsh_grid(T)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _polar_grid(n_theta: int, n_phi: int, center=None, spread=None) -> tuple:
-    """Unit vectors (n,3) and their (theta, phi) pairs (n,2), theta-major."""
-    if center is None:
-        thetas = np.linspace(0.0, np.pi, n_theta)
-        phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    else:
-        t0, p0 = center
-        thetas = np.linspace(max(0.0, t0 - spread), min(np.pi, t0 + spread), n_theta)
-        phis = np.linspace(p0 - spread, p0 + spread, n_phi)
-    t, p = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
-    vecs = np.column_stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
-    return vecs, np.column_stack([t, p])
-
-
-def _chsh_grid(T: np.ndarray) -> tuple:
-    def norm_T(b):
-        # |T b| per pair as a stack of matrix-vector and dot products, the
-        # same BLAS calls (and bits) as T @ b and np.linalg.norm on one pair
-        x = T @ b[..., None]
-        return np.sqrt((np.swapaxes(x, -1, -2) @ x)[..., 0, 0])
-
-    def best_pair(g1, g2):
-        # optimal first-party response: a_i along T(b1 +- b2); the first
-        # maximum in row-major order, as a scan over (b1, b2) would keep
-        b1, b2 = g1[0][:, None, :], g2[0][None, :, :]
-        z = 0.5 * (norm_T(b1 + b2) + norm_T(b1 - b2))
-        i, j = np.unravel_index(np.argmax(z), z.shape)
-        return z[i, j], tuple(g1[1][i]), tuple(g2[1][j])
-
-    grid = _polar_grid(17, 33)
-    best = best_pair(grid, grid)
-    spread = np.pi / 16
-    for _ in range(2):
-        cand = best_pair(_polar_grid(9, 9, center=best[1], spread=spread),
-                         _polar_grid(9, 9, center=best[2], spread=spread))
-        if cand[0] > best[0]:
-            best = cand
-        spread /= 8
-    z, ang1, ang2 = best
-    b1 = np.array([np.sin(ang1[0]) * np.cos(ang1[1]),
-                   np.sin(ang1[0]) * np.sin(ang1[1]), np.cos(ang1[0])])
-    b2 = np.array([np.sin(ang2[0]) * np.cos(ang2[1]),
-                   np.sin(ang2[0]) * np.sin(ang2[1]), np.cos(ang2[0])])
-    tb1, tb2 = T @ (b1 + b2), T @ (b1 - b2)
-    a1 = tb1 / np.linalg.norm(tb1) if np.linalg.norm(tb1) > 1e-14 else np.array([0, 0, 1.0])
-    a2 = tb2 / np.linalg.norm(tb2) if np.linalg.norm(tb2) > 1e-14 else np.array([1.0, 0, 0])
-    return float(z), {"a1": a1, "a2": a2, "b1": b1, "b2": b2}
+    U, s, Vt = np.linalg.svd(T)
+    c1, c2 = Vt[0], Vt[1]
+    tc1, tc2 = T @ c1, T @ c2
+    n1 = np.linalg.norm(tc1)
+    n2 = np.linalg.norm(tc2)
+    a1 = tc1 / n1 if n1 > 1e-14 else np.array([0.0, 0.0, 1.0])
+    a2 = tc2 / n2 if n2 > 1e-14 else np.array([1.0, 0.0, 0.0])
+    phi = np.arctan2(s[1], s[0])
+    b1 = np.cos(phi) * c1 + np.sin(phi) * c2
+    b2 = np.cos(phi) * c1 - np.sin(phi) * c2
+    zeta = float(np.sqrt(s[0] ** 2 + s[1] ** 2))
+    settings = {"a1": a1, "a2": a2, "b1": b1, "b2": b2}
+    return zeta, settings
 
 
 def settings_to_observables(settings: dict) -> tuple:

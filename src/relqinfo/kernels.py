@@ -1,21 +1,15 @@
-"""Selects the batched little-group kernel at import time.
+"""The batched little-group kernel under the name every call site uses.
 
-Prefers the compiled Cython extension when it was built; otherwise the
-NumPy kernel relqinfo.lorentz.wigner_su2_batch. Both expose the same
-wigner_su2_batch signature and conventions, so callers never branch.
+wigner_su2_batch is relqinfo.lorentz.wigner_su2_batch, the SL(2,C) spinor
+form in NumPy; there is no other backend.
 """
 from __future__ import annotations
 
-try:
-    from ._wigner_cy import wigner_su2_batch
+from .lorentz import wigner_su2_batch
 
-    BACKEND = "compiled"
-except ImportError:  # extension not built
-    from .lorentz import wigner_su2_batch
-
-    BACKEND = "numpy"
+__all__ = ["wigner_su2_batch", "backend_name"]
 
 
 def backend_name() -> str:
-    """Which kernel implementation is active: 'compiled' or 'numpy'."""
-    return BACKEND
+    """Which kernel implementation is active: always 'numpy'."""
+    return "numpy"

@@ -210,7 +210,8 @@ def _standard_boosts_massless(K: np.ndarray) -> np.ndarray:
     chi = np.log(k0)
     ch, sh = np.cosh(chi), np.sinh(chi)
     khat = K[:, 1:] / k0[:, None]
-    theta = np.arccos(np.clip(khat[:, 2], -1.0, 1.0))
+    # arctan2, not arccos(khat_z): arccos loses ~1e-8 of theta near the z axis
+    theta = np.arctan2(np.hypot(khat[:, 0], khat[:, 1]), khat[:, 2])
     phi = np.where(theta > 0, np.arctan2(khat[:, 1], khat[:, 0]), 0.0)
     R = _rotation_to_khat_batch(theta, phi)
     # R @ Bz written out (R acting on x, y, z): Bz mixes only t and z
@@ -233,78 +234,43 @@ def standard_boost_massless(k: FourVector) -> LorentzTransform:
     return LorentzTransform(_standard_boosts_massless(k[None])[0])
 
 
-def _quaternions(R: np.ndarray) -> np.ndarray:
-    """Unit quaternions (w, x, y, z), w >= 0, of an (N,3,3) stack of
-    rotations (Shepperd 1978: divide by the largest of the four diagonal
-    combinations, so angles near 0 and pi stay stable)."""
-    n = R.shape[0]
-    cand = np.empty((n, 4))
-    t = np.einsum("nii->n", R)
-    cand[:, 0] = 1.0 + t
-    cand[:, 1] = 1.0 + R[:, 0, 0] - R[:, 1, 1] - R[:, 2, 2]
-    cand[:, 2] = 1.0 - R[:, 0, 0] + R[:, 1, 1] - R[:, 2, 2]
-    cand[:, 3] = 1.0 - R[:, 0, 0] - R[:, 1, 1] + R[:, 2, 2]
-    best = np.argmax(cand, axis=1)
-    r = np.sqrt(np.maximum(cand[np.arange(n), best], 0.0)) / 2.0
-    q = np.empty((n, 4))
-    f = 1.0 / (4.0 * r)
+_PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-    m0 = best == 0
-    q[m0, 0] = r[m0]
-    q[m0, 1] = (R[m0, 2, 1] - R[m0, 1, 2]) * f[m0]
-    q[m0, 2] = (R[m0, 0, 2] - R[m0, 2, 0]) * f[m0]
-    q[m0, 3] = (R[m0, 1, 0] - R[m0, 0, 1]) * f[m0]
-
-    m1 = best == 1
-    q[m1, 0] = (R[m1, 2, 1] - R[m1, 1, 2]) * f[m1]
-    q[m1, 1] = r[m1]
-    q[m1, 2] = (R[m1, 0, 1] + R[m1, 1, 0]) * f[m1]
-    q[m1, 3] = (R[m1, 0, 2] + R[m1, 2, 0]) * f[m1]
-
-    m2 = best == 2
-    q[m2, 0] = (R[m2, 0, 2] - R[m2, 2, 0]) * f[m2]
-    q[m2, 1] = (R[m2, 0, 1] + R[m2, 1, 0]) * f[m2]
-    q[m2, 2] = r[m2]
-    q[m2, 3] = (R[m2, 1, 2] + R[m2, 2, 1]) * f[m2]
-
-    m3 = best == 3
-    q[m3, 0] = (R[m3, 1, 0] - R[m3, 0, 1]) * f[m3]
-    q[m3, 1] = (R[m3, 0, 2] + R[m3, 2, 0]) * f[m3]
-    q[m3, 2] = (R[m3, 1, 2] + R[m3, 2, 1]) * f[m3]
-    q[m3, 3] = r[m3]
-
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    q[q[:, 0] < 0] *= -1.0
-    return q
+# _SANDWICH[c, a, b] = sigma_a sigma_c sigma_b, with sigma_0 = 1
+_SIGMAS4 = np.array([np.eye(2), *_PAULIS])
+_SANDWICH = np.einsum("aij,cjk,bkl->cabil", _SIGMAS4, _SIGMAS4, _SIGMAS4)
 
 
-def _su2_from_quaternions(q: np.ndarray) -> np.ndarray:
-    """SU(2) images, shape (N,2,2), of an (N,4) array of unit quaternions."""
-    D = np.empty((q.shape[0], 2, 2), dtype=complex)
-    D[:, 0, 0] = q[:, 0] - 1j * q[:, 3]
-    D[:, 0, 1] = -1j * q[:, 1] - q[:, 2]
-    D[:, 1, 0] = -1j * q[:, 1] + q[:, 2]
-    D[:, 1, 1] = q[:, 0] + 1j * q[:, 3]
-    return D
+def _det2(X: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., 2, 2) stack."""
+    return X[..., 0, 0] * X[..., 1, 1] - X[..., 0, 1] * X[..., 1, 0]
+
+
+def _sl2c(lam: np.ndarray) -> np.ndarray:
+    """SL(2,C) image M of a 4x4 Lorentz matrix, up to sign: M X(x) M† =
+    X(lam x) with X(x) = x0 + x.sigma.
+
+    Each candidate M_c = sum_ab lam_ab sigma_a sigma_c sigma_b equals
+    2 tr(M† sigma_c) M. The c = 0 one vanishes at rotations by pi, so the
+    candidate with the largest |det| is kept and divided by sqrt(det)."""
+    cand = np.einsum("ab,cabij->cij", lam, _SANDWICH)
+    det = _det2(cand)
+    c = np.argmax(np.abs(det))
+    return cand[c] / np.sqrt(det[c])
 
 
 def su2_from_rotation(R: np.ndarray) -> np.ndarray:
     """SU(2) element covering a 3x3 rotation; branch with angle in [0, pi]."""
-    R = np.asarray(R, dtype=float)
-    return _su2_from_quaternions(_quaternions(R[None]))[0]
-
-
-_PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    L = np.eye(4)
+    L[1:, 1:] = R
+    u = _sl2c(L)
+    return -u if np.trace(u).real < 0 else u
 
 
 def rotation_from_su2(u: np.ndarray) -> np.ndarray:
     """Adjoint (double-cover) map R_ij = tr(sigma_i U sigma_j U†)/2."""
     u = np.asarray(u, dtype=complex)
-    R = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            R[i, j] = np.trace(_PAULIS[i] @ u @ _PAULIS[j] @ u.conj().T).real / 2.0
-    return R
+    return np.einsum("iab,bc,jcd,da->ij", _PAULIS, u, _PAULIS, u.conj().T).real / 2.0
 
 
 @dataclass(frozen=True)
@@ -318,58 +284,50 @@ class WignerRotation:
     su2: np.ndarray
 
 
-def _massive_little_group(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
-    """(Q, R) for an (N,4) momentum grid P of mass m: Q = lam P and R, (N,3,3),
-    the rotation blocks of the little-group elements W = L^{-1}(lam p) lam L(p).
-    No checks.
+def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
+    """The little-group kernel: (Q, D) for an (N,4) on-shell grid P of mass
+    m, with Q = lam P and D the complex (N,2,2) SU(2) images of the
+    little-group elements W = L^{-1}(lam p) lam L(p), canonical branch
+    (Re tr D >= 0, rotation angle in [0, pi]). No checks.
 
-    Closed form, no (N,4,4) boost built: the spatial columns of lam L(p) are
-    M_j = lam_j + p_j u with u = (lam_0 + q/m) / (m + p0), and L^{-1}(q) takes
-    q_i s_j / (m (m + q0)) off M_ij, with s_j = (m + q0) M_0j - q.M_j. Works on
-    component rows (P and Q transposed), so every operation runs over N.
+    Spinor form D = A(q)^{-1} M A(p), with M = _sl2c(lam) and the canonical
+    boost images A(p) = (m + p0 + p.sigma)/sqrt(2m(m + p0)) and A(q)^{-1} =
+    (m + q0 - q.sigma)/sqrt(2m(m + q0)), evaluated on component rows (P and
+    Q transposed). Their scales are left out: D is divided by sqrt(det D).
     """
     lam = np.asarray(lam, dtype=float)
     P = np.asarray(P, dtype=float)
     Q = P @ lam.T
-    p, q = np.ascontiguousarray(P.T), np.ascontiguousarray(Q.T)
-    u = (lam[:, :1] + q / m) / (m + p[0])
-    mq = m + q[0]
-    R = np.empty((3, 3, P.shape[0]))
-    for j in (1, 2, 3):
-        Mj = lam[:, j, None] + u * p[j]
-        s = mq * Mj[0] - (q[1] * Mj[1] + q[2] * Mj[2] + q[3] * Mj[3])
-        R[:, j - 1] = Mj[1:] - q[1:] * (s / (m * mq))
-    return Q, R.transpose(2, 0, 1)
-
-
-def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
-    """The NumPy little-group kernel: (Q, D) for an (N,4) on-shell grid P,
-    with Q = lam P and D the complex (N,2,2) SU(2) images of the little-group
-    elements W = L^{-1}(lam p) lam L(p), canonical branch (rotation angle in
-    [0, pi]). No checks."""
-    Q, R = _massive_little_group(lam, P, m)
-    return Q, _su2_from_quaternions(_quaternions(R))
+    p, q = P.T, Q.T
+    sp, sq = m + p[0], m + q[0]
+    a = np.array([[sp + p[3], p[1] - 1j * p[2]], [p[1] + 1j * p[2], sp - p[3]]])
+    b = np.array([[sq - q[3], -q[1] + 1j * q[2]], [-q[1] - 1j * q[2], sq + q[3]]])
+    D = np.einsum("ijn,jk,kln->nil", b, _sl2c(lam), a)
+    r = np.sqrt(_det2(D))
+    r[(D[:, 0, 0] + D[:, 1, 1]).real < 0] *= -1.0
+    return Q, D / r[:, None, None]
 
 
 def wigner_rotation(lam: LorentzTransform, p: FourVector, m: float) -> WignerRotation:
     """W = L^{-1}(lam p) lam L(p); fixes (m,0,0,0), so it is a rotation.
 
-    Round-off in W grows like p0 q0 / m**2, so the rotation check is relative
-    to that scale."""
+    The kernel with a batch of one: D = w - i (x, y, z).sigma gives the
+    axis and angle, the adjoint map the rotation. The unitarity check is
+    relative to p0 q0 / m**2, the round-off scale of W."""
     if m <= 0:
         raise ValidationError("mass must be positive")
     check_mass_shell(p, m)
     p = np.asarray(p, dtype=float)
-    Q, R = _massive_little_group(lam.matrix, p[None], m)
+    Q, D = wigner_su2_batch(lam.matrix, p[None], m)
     _check_mass_shells(Q, m)
-    R = R[0]
-    if np.abs(R @ R.T - np.eye(3)).max() > 1e-10 * max(1.0, p[0] * Q[0, 0] / m ** 2):
+    d = D[0]
+    if np.abs(d @ d.conj().T - np.eye(2)).max() > 1e-10 * max(1.0, p[0] * Q[0, 0] / m ** 2):
         raise ValidationError("little-group element is not a rotation")
-    quat = _quaternions(R[None])[0]
-    angle = 2.0 * np.arctan2(np.linalg.norm(quat[1:]), quat[0])
-    axis = quat[1:] / np.linalg.norm(quat[1:]) if angle > 1e-15 else np.array([0.0, 0.0, 1.0])
-    return WignerRotation(rotation=R, axis=axis, angle=float(angle),
-                          su2=_su2_from_quaternions(quat[None])[0])
+    v = -np.array([d[0, 1].imag, d[0, 1].real, d[0, 0].imag])
+    angle = 2.0 * np.arctan2(np.linalg.norm(v), d[0, 0].real)
+    axis = v / np.linalg.norm(v) if angle > 1e-15 else np.array([0.0, 0.0, 1.0])
+    return WignerRotation(rotation=rotation_from_su2(d), axis=axis,
+                          angle=float(angle), su2=d)
 
 
 @dataclass(frozen=True)
@@ -390,14 +348,16 @@ def _null_translation(alpha: float, beta: float) -> np.ndarray:
     ])
 
 
-def _null_little_group(lam: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """E = L^{-1}(lam k) lam L(k), (N,4,4), for an (N,4) array of null
-    momenta; _standard_boosts_massless checks k and lam k."""
+def _helicity_phases(lam: np.ndarray, K: np.ndarray) -> tuple:
+    """(xi, E) for an (N,4) array of null momenta: E = L^{-1}(lam k) lam L(k),
+    (N,4,4), and its rotation angles xi; _standard_boosts_massless checks k
+    and lam k."""
     K = np.asarray(K, dtype=float)
     Lk = _standard_boosts_massless(K)
     Lq = _standard_boosts_massless(K @ lam.T)
     # exact group inverse: eta L^T eta
-    return (np.swapaxes(Lq, 1, 2) * _ETA_SIGNS) @ lam @ Lk
+    E = (np.swapaxes(Lq, 1, 2) * _ETA_SIGNS) @ lam @ Lk
+    return np.arctan2(E[:, 2, 1], E[:, 1, 1]), E
 
 
 def helicity_phase(lam: LorentzTransform, k: FourVector) -> HelicityPhase:
@@ -406,13 +366,18 @@ def helicity_phase(lam: LorentzTransform, k: FourVector) -> HelicityPhase:
 
     The translation part moves transversal polarization vectors only along
     the null momentum itself (a gauge direction) for every (alpha, beta), so
-    only the factorization is checked before xi is returned.
+    only the factorization is checked before xi is returned. Round-off in E
+    grows like the product of the sizes of its three factors, cosh(ln q0)
+    lam00 cosh(ln k0) with q = lam k (about lam00 k0 q0 / 4 at high energy),
+    so the check is relative to that scale.
     """
-    E = _null_little_group(lam.matrix, np.asarray(k, dtype=float)[None])[0]
-    xi = float(np.arctan2(E[2, 1], E[1, 1]))
-    alpha, beta = float(E[1, 0]), float(E[2, 0])
+    k = np.asarray(k, dtype=float)
+    xi, E = _helicity_phases(lam.matrix, k[None])
+    xi, E = float(xi[0]), E[0]
+    k0, q0 = k[0], lam.matrix[0] @ k
+    scale = (q0 + 1.0 / q0) * lam.matrix[0, 0] * (k0 + 1.0 / k0) / 4.0
     rz = rotation([0.0, 0.0, 1.0], xi).matrix
-    if np.abs(_null_translation(alpha, beta) @ rz - E).max() > 1e-10:
+    if np.abs(_null_translation(E[1, 0], E[2, 0]) @ rz - E).max() > 1e-10 * scale:
         raise ValidationError("element does not factor as translation * rotation")
     return HelicityPhase(xi=xi)
 
@@ -420,8 +385,7 @@ def helicity_phase(lam: LorentzTransform, k: FourVector) -> HelicityPhase:
 def helicity_phase_batch(lam: LorentzTransform, ks: np.ndarray) -> np.ndarray:
     """helicity_phase's xi for an (N,4) array of null momenta, in one pass
     over E = L^{-1}(lam k) lam L(k)."""
-    E = _null_little_group(lam.matrix, ks)
-    return np.arctan2(E[:, 2, 1], E[:, 1, 1])
+    return _helicity_phases(lam.matrix, ks)[0]
 
 
 def aberrate(theta: float, phi: float, v: float) -> tuple:

@@ -215,13 +215,15 @@ def error_probability(rho1, rho2) -> float:
     return float(min(max(pe, 0.0), 0.5))
 
 
+_SYY = np.kron(SIGMA_Y, SIGMA_Y)
+
+
 def spin_flip(rho) -> DensityMatrix:
     """(sigma_y x sigma_y) rho* (sigma_y x sigma_y) on a two-qubit state."""
     m = _as_matrix(rho)
     if m.shape != (4, 4):
         raise DimensionError("spin flip is defined for 4x4 two-qubit states")
-    syy = np.kron(SIGMA_Y, SIGMA_Y)
-    return DensityMatrix(syy @ m.conj() @ syy)
+    return DensityMatrix(_SYY @ m.conj() @ _SYY)
 
 
 def _sqrtm_psd(m: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
@@ -236,15 +238,16 @@ def concurrence(rho) -> float:
     """Two-qubit concurrence max(0, l1 - l2 - l3 - l4).
 
     The l_i are the descending eigenvalues of [sqrt(rho) rho~ sqrt(rho)]^(1/2)
-    with rho~ the spin-flipped state.
+    with rho~ the spin-flipped state. With S = sqrt(rho) and Y = sigma_y x
+    sigma_y, rho~ = (Y S* Y)^2, so the l_i are the singular values of
+    (Y S* Y) S (Wootters 1998), found without the square root of a
+    round-off-sized eigenvalue.
     """
     m = _as_matrix(rho)
     if m.shape != (4, 4):
         raise DimensionError("concurrence is defined for 4x4 two-qubit states")
-    root = _sqrtm_psd(m)
-    flipped = spin_flip(m).matrix
-    inner = hermitize(root @ flipped @ root)
-    lam = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None))[::-1]
+    root = _sqrtm_psd(DensityMatrix(m).matrix)
+    lam = np.linalg.svd(_SYY @ root.conj() @ _SYY @ root, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

@@ -32,8 +32,8 @@ def velocity_form_little_group(lam, p):
 
 
 def assert_little_group_images(D, lam, P, tol):
-    """Each D covers the rotation block of the oracle W (adjoint map, not
-    a quaternion extraction) on the canonical branch Re tr D >= 0."""
+    """Each D covers the rotation block of the oracle W (through the
+    adjoint map) on the canonical branch Re tr D >= 0."""
     for d, p in zip(D, P):
         W = velocity_form_little_group(lam, p)
         assert np.abs(lorentz.rotation_from_su2(d) - W[1:, 1:]).max() < tol
@@ -104,7 +104,7 @@ def round_off_scale(P, Q, m):
 
 
 class TestKernelProperties:
-    """The closed-form NumPy kernel against the velocity-form oracle and the
+    """The spinor kernel against the velocity-form oracle and the
     group law, over rapidities up to 5 (bounds scaled by p0 q0 / m**2)."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -154,9 +154,10 @@ NEAR_PI = [(axis, angle) for axis in ([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0])
 
 @pytest.mark.parametrize("axis,angle", NEAR_PI)
 class TestShepperdNearPi:
-    """Rotations about x, y and z at and just below pi take the three
-    non-trace branches of the quaternion extraction; about -x, -y and -z
-    the extracted w comes out negative and must be flipped to w >= 0."""
+    """Rotations about x, y and z at and just below pi, where the trace
+    candidate sigma_a sigma_0 sigma_b of the SL(2,C) image vanishes and one
+    of the three others must be taken; about -x, -y and -z the image comes
+    out with Re tr D < 0 and must be flipped to the canonical branch."""
 
     def check(self, d, axis, angle, tol):
         R = lorentz._rotation3(axis, angle)
@@ -186,27 +187,27 @@ class TestShepperdNearPi:
             for d in D:
                 self.check(d, n, angle, 1e-10)
 
-
-@pytest.mark.skipif(kernels.backend_name() != "compiled",
-                    reason="compiled kernel not built")
-class TestCompiledAgainstNumpy:
-    def test_backends_agree(self):
-        rng = np.random.default_rng(64)
+    def test_off_axis_boost_after_rotation(self, axis, angle):
+        # the boost moves the grid off the rotation's fixed points, so D is
+        # no longer the rotation's own image
         m = 1.0
-        for _ in range(5):
-            P = random_grid(rng, 400, m)
-            lam = random_lambda(rng).matrix
-            q1, d1 = kernels.wigner_su2_batch(lam, P, m)
-            q2, d2 = numpy_kernel(lam, P, m)
-            assert np.abs(q1 - q2).max() < 1e-12
-            assert np.abs(d1 - d2).max() < 1e-12
+        P = random_grid(np.random.default_rng(66), 20, m)
+        for n in (np.array(axis), -np.array(axis)):
+            lam = lorentz.compose(lorentz.boost(rapidity=1.0, axis=(1.0, -2.0, 0.5)),
+                                  lorentz.rotation(n, angle))
+            _, D = numpy_kernel(lam.matrix, P, m)
+            assert_little_group_images(D, lam, P, 1e-12)
 
-    def test_near_pi_rotation_branch(self):
-        # exercise the non-trace quaternion branches
-        m = 1.0
-        p = np.array([[np.cosh(3.0) * m, 0.0, 0.0, np.sinh(3.0) * m]])
-        lam = lorentz.compose(lorentz.rotation([1, 0, 0], np.pi - 1e-4),
-                              lorentz.boost([0.99, 0, 0])).matrix
-        q1, d1 = kernels.wigner_su2_batch(lam, p, m)
-        q2, d2 = numpy_kernel(lam, p, m)
-        assert np.abs(d1 - d2).max() < 1e-10
+
+@pytest.mark.parametrize("axis", [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+def test_rotation_just_below_pi_keeps_full_precision(axis):
+    """At pi - 1e-8 the trace candidate of the SL(2,C) image is ~1e-8 and
+    would cost 8 digits; the largest-determinant candidate keeps them."""
+    m, angle = 1.0, np.pi - 1e-8
+    P = np.array([[m, 0.0, 0.0, 0.0],
+                  [np.cosh(1.0) * m, *(np.sinh(1.0) * m * np.array([0.6, 0.0, 0.8]))]])
+    for n in (np.array(axis), -np.array(axis)):
+        ref = expected_su2(n, angle)
+        _, D = numpy_kernel(lorentz.rotation(n, angle).matrix, P, m)
+        assert np.abs(D - ref).max() < 1e-14
+        assert np.abs(lorentz.su2_from_rotation(lorentz._rotation3(n, angle)) - ref).max() < 1e-14

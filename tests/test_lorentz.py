@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relqinfo import lorentz
@@ -262,6 +262,21 @@ class TestHelicityPhase:
             ep2, em2 = helicity_vectors(th2, ph2)
             assert np.abs(R @ ep - np.exp(-1j * hp.xi) * ep2).max() < 1e-10
             assert np.abs(R @ em - np.exp(+1j * hp.xi) * em2).max() < 1e-10
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(log_k0=st.floats(-2.0, 4.0), k_dir=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+           chi=st.floats(0.0, 5.0), boost_axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+           rot_axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3), angle=st.floats(0.0, np.pi))
+    def test_valid_rays_accepted_at_large_energy_and_rapidity(
+            self, log_k0, k_dir, chi, boost_axis, rot_axis, angle):
+        """Round-off in E grows with k0 and (lam k)0; the factorization check
+        scales with it, so every valid null ray up to k0 = 1e4 at rapidity 5
+        is accepted, with the batch path's xi."""
+        assume(min(np.linalg.norm(v) for v in (k_dir, boost_axis, rot_axis)) > 0.1)
+        lam = compose(boost(rapidity=chi, axis=boost_axis), rotation(rot_axis, angle))
+        k0 = 10.0 ** log_k0
+        k = np.array([k0, *(k0 * np.asarray(k_dir) / np.linalg.norm(k_dir))])
+        assert helicity_phase(lam, k).xi == lorentz.helicity_phase_batch(lam, k[None])[0]
 
     def test_non_null_momentum_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relqinfo import qstate
 from relqinfo.qstate import (DensityMatrix, DimensionError, PureState,
@@ -185,6 +187,25 @@ class TestConcurrence:
             u = np.kron(qstate.haar_unitary(2, rng), qstate.haar_unitary(2, rng))
             rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
             assert abs(concurrence(rotated) - concurrence(rho)) < 1e-10
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), noise=st.floats(0.0, 1.0))
+    @example(seed=0, noise=0.0)
+    def test_local_unitary_invariance_up_to_purity_one(self, seed, noise):
+        """A pure state (noise 0) has three zero l_i; none of them may turn
+        round-off into a sqrt(eps)-sized error."""
+        rng = np.random.default_rng(seed)
+        v = qstate.haar_state(4, rng)
+        rho = (1 - noise) * np.outer(v, v.conj()) + noise * np.eye(4) / 4
+        u = np.kron(qstate.haar_unitary(2, rng), qstate.haar_unitary(2, rng))
+        rotated = DensityMatrix(u @ rho @ u.conj().T)
+        assert abs(concurrence(rotated) - concurrence(DensityMatrix(rho))) < 1e-13
+
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.2, 0.5, 2 / 3, 0.9, 1.0])
+    def test_noisy_singlet_against_closed_form(self, p):
+        psim = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+        rho = DensityMatrix((1 - p) * np.outer(psim, psim.conj()) + p * np.eye(4) / 4)
+        assert abs(concurrence(rho) - max(0.0, 1 - 1.5 * p)) < 1e-13
 
     def test_non_psd_raw_input_rejected(self):
         with pytest.raises(ValidationError):
