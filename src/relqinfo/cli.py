@@ -401,7 +401,10 @@ def _extract_dotted(argv: list) -> tuple:
             if i >= len(argv):
                 raise ValidationError(f"flag {tok} is missing a value")
             raw = argv[i]
-        target[key] = float(raw)
+        try:
+            target[key] = float(raw)
+        except ValueError:
+            raise ValidationError(f"flag {tok} needs a number, got {raw!r}") from None
         i += 1
     return tols, grids, rest
 
@@ -463,12 +466,18 @@ def main(argv: list | None = None) -> int:
 
 
 def _run_selfcheck(args, tol_overrides, grid_overrides, config) -> int:
+    try:
+        selfcheck._tols(tol_overrides)
+        selfcheck._grids(grid_overrides)
+    except KeyError as exc:
+        print(json.dumps({"error": "usage", "detail": exc.args[0]}))
+        return USAGE_EXIT
     # config may corrupt constants deliberately; guard before any numerics
     try:
         _constants_from(config)
         results = selfcheck.run_all(tol_overrides or None,
                                     grid_overrides or None)
-    except (ValidationError, DimensionError, KeyError) as exc:
+    except (ValidationError, DimensionError) as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}))
         return VALIDATION_EXIT
     report = selfcheck.report_dict(results)

@@ -302,13 +302,12 @@ def boost_packet(packet: PhotonPacket, v: float) -> PhotonPacket:
 def rotate_packet(packet: PhotonPacket, lam: LorentzTransform) -> PhotonPacket:
     """Rigid rotation of the packet: directions move geometrically and
     helicity amplitudes acquire the little-group phases."""
-    R = lam.matrix[1:, 1:]
     if np.abs(lam.matrix[0] - np.array([1.0, 0, 0, 0])).max() > 1e-12:
         raise ValidationError("rotate_packet expects a pure rotation")
     k = packet.four_momenta()
     kr = k @ lam.matrix.T
     khat = kr[:, 1:] / kr[:, :1]
-    theta_p = np.arccos(np.clip(khat[:, 2], -1.0, 1.0))
+    theta_p = np.arctan2(np.hypot(khat[:, 0], khat[:, 1]), khat[:, 2])
     phi_p = np.arctan2(khat[:, 1], khat[:, 0])
     xi = helicity_phase_batch(lam, k)
     phases = np.column_stack([np.exp(-1j * xi), np.exp(1j * xi)])

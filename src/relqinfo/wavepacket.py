@@ -153,6 +153,14 @@ def gaussian_packet(spec: PacketSpec) -> SpinorPacket:
                         amplitudes=amps)
 
 
+def _spin_z_pair(spread: float, points: int, extent: float) -> tuple:
+    """Unit-mass Gaussian packets at rest with spin along +z and -z."""
+    return tuple(gaussian_packet(PacketSpec(mass=1.0, spread=spread,
+                                            spin_axis=(0.0, 0.0, s),
+                                            points=points, extent=extent))
+                 for s in (1.0, -1.0))
+
+
 def gamma_parameter(delta: float, m: float, beta: float) -> float:
     """Boost-distortion scale (spread/m) (1 - sqrt(1 - beta^2)) / beta,
     with the analytic limit 0 at beta = 0."""
@@ -175,17 +183,22 @@ def beta_for_gamma(gamma: float, delta: float, m: float) -> float:
     return float(2 * u / (1 + u * u))
 
 
-def _boost_shared(packets, lam: LorentzTransform) -> list:
-    """boost_packet for packets on one momentum grid (same mass and
-    momenta), with one kernel call whose D rotates every packet's spinors."""
+def _check_shared_grid(packets) -> SpinorPacket:
     first = packets[0]
     if any(pk.mass != first.mass or not np.array_equal(pk.momenta, first.momenta)
            for pk in packets[1:]):
         raise ValidationError("packets do not share one momentum grid")
+    return first
+
+
+def _boost_shared(packets, lam: LorentzTransform) -> tuple:
+    """boost_packet for packets on one momentum grid (same mass and
+    momenta), with one kernel call whose D rotates every packet's spinors."""
+    first = _check_shared_grid(packets)
     q, d = kernels.wigner_su2_batch(lam.matrix, first.momenta, first.mass)
-    return [SpinorPacket(mass=pk.mass, momenta=q, weights=pk.weights,
-                         amplitudes=np.einsum("nab,nb->na", d, pk.amplitudes))
-            for pk in packets]
+    return tuple(SpinorPacket(mass=pk.mass, momenta=q, weights=pk.weights,
+                              amplitudes=np.einsum("nab,nb->na", d, pk.amplitudes))
+                 for pk in packets)
 
 
 def boost_packet(packet: SpinorPacket, lam: LorentzTransform) -> SpinorPacket:
@@ -194,11 +207,17 @@ def boost_packet(packet: SpinorPacket, lam: LorentzTransform) -> SpinorPacket:
     return _boost_shared([packet], lam)[0]
 
 
+def _spin_gram(packets) -> np.ndarray:
+    """G[b, c, s, t] = sum_i w_i a^b_i[s] conj(a^c_i[t]) over packets on one
+    grid."""
+    a = np.stack([pk.amplitudes for pk in packets])
+    return np.einsum("n,bns,cnt->bcst", _check_shared_grid(packets).weights,
+                     a, a.conj())
+
+
 def reduced_spin(packet: SpinorPacket) -> DensityMatrix:
     """2x2 spin marginal sum_i w_i a_i a_i†."""
-    tau = np.einsum("n,na,nb->ab", packet.weights, packet.amplitudes,
-                    packet.amplitudes.conj())
-    return DensityMatrix(hermitize(tau))
+    return DensityMatrix(hermitize(_spin_gram([packet])[0, 0]))
 
 
 def _boost_at_angle(beta: float, theta: float) -> LorentzTransform:
@@ -244,12 +263,7 @@ def packet_error_scaling(delta_over_m: float, gamma_list, theta: float = np.pi /
     gammas = np.asarray(sorted(gamma_list), dtype=float)
     if (gammas <= 0).any():
         raise ValidationError("gamma values must be positive")
-    up = gaussian_packet(PacketSpec(mass=1.0, spread=delta_over_m,
-                                    spin_axis=(0, 0, 1), points=points,
-                                    extent=extent))
-    down = gaussian_packet(PacketSpec(mass=1.0, spread=delta_over_m,
-                                      spin_axis=(0, 0, -1), points=points,
-                                      extent=extent))
+    up, down = _spin_z_pair(delta_over_m, points, extent)
     pe_rest = qstate.error_probability(reduced_spin(up), reduced_spin(down))
     pes, pe_restored = [], []
     for g in gammas:
@@ -274,91 +288,57 @@ def packet_error_scaling(delta_over_m: float, gamma_list, theta: float = np.pi /
 # ---------------------------------------------------------------------------
 # bipartite packets
 
-# Rows of the first particle's grid per block when streaming over the
-# (N1, N2, 2, 2) amplitude array: bounds the temporaries of the boost and
-# the reductions to a few MB, whatever the grid size.
-_BLOCK_ROWS = 64
-
-
-def _row_blocks(n: int):
-    return (slice(s, s + _BLOCK_ROWS) for s in range(0, n, _BLOCK_ROWS))
-
-
 @dataclass(frozen=True)
 class BipartitePacket:
-    """Two-particle packet on a product momentum grid.
+    """Two-particle packet sum_bc amplitudes[b, c] first[b] (x) second[c]:
+    two SpinorPackets on one grid per particle, coupled by a complex 2x2
+    spin block."""
 
-    amplitudes[i, j] is the 2x2 spin block g(sigma1 sigma2, p1_i, p2_j)
-    against the product invariant measure.
-    """
-
-    masses: tuple
-    momenta1: np.ndarray
-    momenta2: np.ndarray
-    weights1: np.ndarray
-    weights2: np.ndarray
+    first: tuple
+    second: tuple
     amplitudes: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex)
-        n1, n2 = self.momenta1.shape[0], self.momenta2.shape[0]
-        if a.shape != (n1, n2, 2, 2):
-            raise DimensionError("amplitude block has wrong shape")
+        if a.shape != (2, 2) or len(self.first) != 2 or len(self.second) != 2:
+            raise DimensionError("a bipartite packet is a 2x2 block over two "
+                                 "packets per particle")
+        a.setflags(write=False)
+        object.__setattr__(self, "amplitudes", a)
         norm = self.norm_squared()
         if abs(norm - 1.0) > 1e-6:
             raise ValidationError(f"bipartite norm^2 {norm} differs from 1")
 
+    def _spin_matrix(self) -> np.ndarray:
+        """4x4 spin-spin marginal, the amplitude block contracted with each
+        particle's spin Gram tensor."""
+        a = self.amplitudes
+        rho = np.einsum("bc,de,bdsu,cetv->stuv", a, a.conj(),
+                        _spin_gram(self.first), _spin_gram(self.second))
+        return rho.reshape(4, 4)
+
     def norm_squared(self) -> float:
-        a, total = np.asarray(self.amplitudes), 0.0
-        for blk in _row_blocks(a.shape[0]):
-            mod2 = (a[blk].real ** 2 + a[blk].imag ** 2).sum(axis=(2, 3))
-            total += float(self.weights1[blk] @ mod2 @ self.weights2)
-        return total
+        return float(np.trace(self._spin_matrix()).real)
 
 
 def singlet_packet(delta_over_m: float, points: int = 9,
                    extent: float = 4.0) -> BipartitePacket:
     """Spin-singlet pair of identical Gaussian packets at rest."""
-    spec = PacketSpec(mass=1.0, spread=delta_over_m, points=points, extent=extent)
-    single = gaussian_packet(spec)
-    prof = np.sqrt(np.sum(np.abs(single.amplitudes) ** 2, axis=1))
+    pair = _spin_z_pair(delta_over_m, points, extent)
     chi = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex) / np.sqrt(2.0)
-    amps = np.einsum("i,j,ab->ijab", prof, prof, chi)
-    return BipartitePacket(masses=(1.0, 1.0), momenta1=single.momenta,
-                           momenta2=single.momenta, weights1=single.weights,
-                           weights2=single.weights, amplitudes=amps)
+    return BipartitePacket(first=pair, second=pair, amplitudes=chi)
 
 
 def boost_bipartite(packet: BipartitePacket, lam: LorentzTransform) -> BipartitePacket:
-    """Boost both particles: separate little-group rotation per factor."""
-    q1, d1 = kernels.wigner_su2_batch(lam.matrix, packet.momenta1, packet.masses[0])
-    q2, d2 = kernels.wigner_su2_batch(lam.matrix, packet.momenta2, packet.masses[1])
-    a = packet.amplitudes
-    n2 = a.shape[1]
-    d2t = np.swapaxes(d2, 1, 2)
-    amps = np.empty(a.shape, dtype=complex)
-    for blk in _row_blocks(a.shape[0]):
-        nb = a[blk].shape[0]
-        # d1_i on the first spin index: (2,2) @ (2, N2*2) per row i
-        t = d1[blk] @ a[blk].transpose(0, 2, 1, 3).reshape(nb, 2, 2 * n2)
-        # d2_j on the second: (nb*2, 2) @ d2_j^T per column j
-        t = t.reshape(nb, 2, n2, 2).transpose(2, 0, 1, 3).reshape(n2, 2 * nb, 2)
-        amps[blk] = (t @ d2t).reshape(n2, nb, 2, 2).transpose(1, 0, 2, 3)
-    return BipartitePacket(masses=packet.masses, momenta1=q1, momenta2=q2,
-                           weights1=packet.weights1, weights2=packet.weights2,
-                           amplitudes=amps)
+    """Boost both particles: each one's basis packets share a kernel call;
+    the spin block carries over unchanged."""
+    return BipartitePacket(_boost_shared(packet.first, lam),
+                           _boost_shared(packet.second, lam), packet.amplitudes)
 
 
 def reduced_spin_pair(packet: BipartitePacket) -> DensityMatrix:
     """4x4 spin-spin marginal over the product grid."""
-    a, w1, w2 = packet.amplitudes, packet.weights1, packet.weights2
-    rho = np.zeros((4, 4), dtype=complex)
-    for blk in _row_blocks(a.shape[0]):
-        # rho = F^T conj(F), F = sqrt(w_i w_j) a_ij as (rows, 4); kept complex
-        # so the concurrence near 1 sees no extra round-off
-        F = (a[blk] * np.sqrt(w1[blk, None] * w2)[:, :, None, None]).reshape(-1, 4)
-        rho += F.T @ F.conj()
-    return DensityMatrix(hermitize(rho))
+    return DensityMatrix(hermitize(packet._spin_matrix()))
 
 
 def bipartite_boost_concurrence(delta_over_m: float, rapidity_list,
@@ -367,11 +347,8 @@ def bipartite_boost_concurrence(delta_over_m: float, rapidity_list,
     packet = singlet_packet(delta_over_m, points=points, extent=extent)
     rows = []
     for chi in rapidity_list:
-        if chi == 0:
-            rho = reduced_spin_pair(packet)
-        else:
-            lam = boost(rapidity=float(chi), axis=(0.0, 0.0, 1.0))
-            rho = reduced_spin_pair(boost_bipartite(packet, lam))
+        lam = boost(rapidity=float(chi), axis=(0.0, 0.0, 1.0))
+        rho = reduced_spin_pair(boost_bipartite(packet, lam))
         rows.append((float(chi), qstate.concurrence(rho)))
     return rows
 

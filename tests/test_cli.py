@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import relqinfo
 from relqinfo import cli
@@ -43,6 +44,15 @@ class TestExitCodes:
     def test_missing_scenario_is_usage_error(self, tmp_path):
         out = invoke([], tmp_path)
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--scenario", "chsh", "--tol.doppler_ratio", "abc"],
+        ["--scenario", "chsh", "--grid.photon_theta=abc"],
+        ["--selfcheck", "--tol.bogus", "1"], ["--selfcheck", "--grid.bogus", "1"]])
+    def test_bad_dotted_flag_is_usage_error(self, tmp_path, flags):
+        out = invoke(flags, tmp_path)
+        assert out.returncode == 2, out.stderr
+        assert json.loads(out.stdout)["error"] == "usage"
 
     def test_corrupted_constants_are_validation_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -136,6 +136,15 @@ class TestEffectiveDensityMatrix:
         rho = effective_density_matrix(pk).matrix
         assert np.abs(rho_rot - R @ rho @ R.T).max() < 1e-10
 
+    def test_rotation_onto_near_axis_keeps_polar_angle(self):
+        # tilt ray 0 back about the axis z x khat until it sits 3e-9 rad from
+        # +z; arccos(khat_z) would round that angle to 0
+        pk = collimated_packet(0.4, n_theta=4, n_phi=4)
+        theta0, phi0, target = pk.theta[0], pk.phi[0], 3e-9
+        lam = lorentz.rotation([-np.sin(phi0), np.cos(phi0), 0.0], target - theta0)
+        rot = rotate_packet(pk, lam)
+        assert abs(rot.theta[0] - target) < 1e-15
+
 
 class TestBoost:
     def test_zero_velocity_identity(self):

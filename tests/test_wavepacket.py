@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relqinfo import lorentz, qstate, wavepacket
-from relqinfo._errors import ValidationError
+from relqinfo._errors import DimensionError, ValidationError
 from relqinfo.lorentz import boost, compose, rotation
 from relqinfo.wavepacket import (BipartitePacket, PacketSpec, beta_for_gamma,
                                  bipartite_boost_concurrence, boost_bipartite,
@@ -242,48 +242,69 @@ class TestBipartite:
         lam = boost(rapidity=0.8, axis=(0, 0, 1.0))
         rho = reduced_spin_pair(boost_bipartite(pk, lam)).matrix
 
-        _, d1 = kernels.wigner_su2_batch(lam.matrix, pk.momenta1, 1.0)
+        grid = pk.first[0]
+        _, d1 = kernels.wigner_su2_batch(lam.matrix, grid.momenta, 1.0)
         chi = np.array([[0, 1], [-1, 0]], dtype=complex) / np.sqrt(2)
-        # per-point profile mass recovered from the stored singlet block
-        prof_sq = np.abs(pk.amplitudes[:, 0, 0, 1]) ** 2 * 2.0
-        w = pk.weights1 * prof_sq
+        # per-point profile mass of the spin-factorized Gaussian
+        profile = gaussian_packet(PacketSpec(mass=1.0, spread=0.25, points=7))
+        w = grid.weights * np.sum(np.abs(profile.amplitudes) ** 2, axis=1)
         g = np.einsum("iac,jbd,cd->ijab", d1, d1, chi)
         oracle = np.einsum("i,j,ijab,ijcd->abcd", w, w, g, g.conj()).reshape(4, 4)
         oracle /= np.trace(oracle).real
         assert np.abs(rho - oracle).max() < 1e-10
 
+    def test_constructor_rejects_bad_blocks_and_grids(self):
+        pk = singlet_packet(0.3, points=3)
+        with pytest.raises(DimensionError):
+            BipartitePacket(pk.first, pk.second, np.eye(3) / np.sqrt(3))
+        with pytest.raises(ValidationError, match="norm"):
+            BipartitePacket(pk.first, pk.second, 2 * pk.amplitudes)
+        with pytest.raises(ValidationError, match="grid"):
+            BipartitePacket((pk.first[0], small_packet(points=3)), pk.second,
+                            pk.amplitudes)
 
-class TestBipartiteStreaming:
-    """The row-blocked boost, reduce and norm against the plain einsum
-    formulas over the whole grid."""
 
-    def random_packet(self, rng, points):
-        base = singlet_packet(0.3, points=points)
-        a = rng.normal(size=base.amplitudes.shape) + 1j * rng.normal(size=base.amplitudes.shape)
-        a /= np.sqrt(np.einsum("i,j,ijab,ijab->", base.weights1, base.weights2,
-                               a, a.conj()).real)
-        return BipartitePacket(masses=base.masses, momenta1=base.momenta1,
-                               momenta2=base.momenta2, weights1=base.weights1,
-                               weights2=base.weights2, amplitudes=a)
+def random_basis(rng, grid):
+    """Two packets with random normalized spinor fields on grid's momenta."""
+    fields = rng.normal(size=(2,) + grid.amplitudes.shape + (2,)) @ [1, 1j]
+    return [wavepacket.SpinorPacket(grid.mass, grid.momenta, grid.weights,
+                                    a / np.sqrt(grid.norm_squared(grid.weights, a)))
+            for a in fields]
+
+
+def dense_amplitudes(block, first, second):
+    """The (N1, N2, 2, 2) array sum_bc block[b, c] first[b] (x) second[c]."""
+    f, g = (np.stack([p.amplitudes for p in basis]) for basis in (first, second))
+    return np.einsum("bc,bia,cjd->ijad", block, f, g)
+
+
+class TestBipartiteProductForm:
+    """Boost, reduce and norm of the 2x2 block over basis packets against the
+    plain einsum formulas on the dense amplitude array."""
 
     @pytest.mark.parametrize("points", [3, 5])
     def test_matches_einsum_formulas(self, points):
         from relqinfo import kernels
-        # neither grid is a whole number of row blocks: a short block runs
-        assert points ** 3 % wavepacket._BLOCK_ROWS != 0
         rng = np.random.default_rng(90 + points)
-        pk = self.random_packet(rng, points)
+        first = random_basis(rng, small_packet(spread=0.3, points=points))
+        second = random_basis(rng, small_packet(mass=1.5, points=points,
+                                                mean_momentum=(0.1, 0.0, -0.2)))
+        w1, w2 = first[0].weights, second[0].weights
+        block = rng.normal(size=(2, 2, 2)) @ [1, 1j]
+        a = dense_amplitudes(block, first, second)
+        block /= np.sqrt(np.einsum("i,j,ijab,ijab->", w1, w2, a, a.conj()).real)
+        pk = BipartitePacket(first, second, block)
         lam = compose(boost([0.3, -0.4, 0.5]), rotation(rng.normal(size=3), 1.3))
         out = boost_bipartite(pk, lam)
 
-        _, d1 = kernels.wigner_su2_batch(lam.matrix, pk.momenta1, 1.0)
-        _, d2 = kernels.wigner_su2_batch(lam.matrix, pk.momenta2, 1.0)
-        amps = np.einsum("iac,jbd,ijcd->ijab", d1, d2, pk.amplitudes)
-        scale = np.abs(amps).max()
-        assert np.abs(out.amplitudes - amps).max() < 1e-12 * scale
+        _, d1 = kernels.wigner_su2_batch(lam.matrix, first[0].momenta, 1.0)
+        _, d2 = kernels.wigner_su2_batch(lam.matrix, second[0].momenta, 1.5)
+        a_in, a_out = (dense_amplitudes(p.amplitudes, p.first, p.second)
+                       for p in (pk, out))
+        amps = np.einsum("iac,jbd,ijcd->ijab", d1, d2, a_in)
+        assert np.abs(a_out - amps).max() < 1e-12 * np.abs(amps).max()
 
-        for p in (pk, out):
-            a, w1, w2 = p.amplitudes, p.weights1, p.weights2
+        for p, a in ((pk, a_in), (out, a_out)):
             norm = np.einsum("i,j,ijab,ijab->", w1, w2, a, a.conj()).real
             assert abs(p.norm_squared() - norm) < 1e-12
             rho = np.einsum("i,j,ijab,ijcd->abcd", w1, w2, a, a.conj()).reshape(4, 4)
