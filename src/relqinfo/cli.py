@@ -380,7 +380,10 @@ def run(scenario: str, config: dict, seed: int, out_path: Path, fmt: str,
 # argument handling
 
 def _extract_dotted(argv: list) -> tuple:
-    """Split --tol.NAME and --grid.NAME options from the raw argument list."""
+    """Split --tol.NAME and --grid.NAME options from the raw argument list.
+
+    Every value must be a number; a grid value must also be a finite whole
+    number >= 1 and is returned as an int."""
     tols, grids, rest = {}, {}, []
     i = 0
     while i < len(argv):
@@ -402,9 +405,15 @@ def _extract_dotted(argv: list) -> tuple:
                 raise ValidationError(f"flag {tok} is missing a value")
             raw = argv[i]
         try:
-            target[key] = float(raw)
+            value = float(raw)
         except ValueError:
             raise ValidationError(f"flag {tok} needs a number, got {raw!r}") from None
+        if target is grids:
+            if not (value.is_integer() and value >= 1):
+                raise ValidationError(
+                    f"flag {tok} needs a whole number >= 1, got {raw!r}")
+            value = int(value)
+        target[key] = value
         i += 1
     return tols, grids, rest
 

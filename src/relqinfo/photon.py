@@ -5,9 +5,14 @@ of momentum-independent polarization labels (whose longitudinal part is
 unphysical), the {E_x, E_y, E_z} polarization POVM, effective 3x3
 polarization density matrices, boosts along z with aberration and
 helicity phases, and the Doppler behavior of distinguishability.
+
+The packet math is batched over a leading packet axis: P packets of N
+rays are arrays of shape (P, N) (helicity amplitudes (P, N, 2)), and the
+single-packet functions call it with a batch of one.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +39,20 @@ __all__ = [
     "no_orthogonality_witness",
 ]
 
-_EPS_P_STD = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0)
-_EPS_M_STD = np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def _helicity_vectors_batch(theta: np.ndarray, phi: np.ndarray) -> tuple:
-    R = _rotation_to_khat_batch(theta, phi)
-    return R @ _EPS_P_STD, R @ _EPS_M_STD
+    """Helicity vectors at directions of any shape S, each S + (3,): the
+    standard rotation R applied to (1, +-i, 0)/sqrt(2), that is
+    (R e_x +- i R e_y)/sqrt(2), so eps- = conj(eps+)."""
+    theta = np.asarray(theta, dtype=float)
+    R = _rotation_to_khat_batch(theta.ravel(), np.ravel(phi))
+    R = R.reshape(theta.shape + (3, 3))
+    ep = np.empty(theta.shape + (3,), dtype=complex)
+    ep.real = R[..., 0] * _INV_SQRT2
+    ep.imag = R[..., 1] * _INV_SQRT2
+    return ep, ep.conj()
 
 
 def helicity_vectors(theta: float, phi: float) -> tuple:
@@ -105,6 +117,20 @@ class TransversalFrame:
         return cls(khat=khat, eps_plus=ep, eps_minus=em)
 
 
+def _checked_polarization(matrices: np.ndarray) -> np.ndarray:
+    """PolarizationMatrix's checks on a (P, 3, 3) stack: returns the
+    hermitized stack, each matrix PSD with trace at most 1, or raises for
+    the first matrix that fails."""
+    m = hermitize(matrices)
+    if (np.linalg.eigvalsh(m).min(axis=-1) < -1e-10).any():
+        raise ValidationError("polarization matrix is not PSD")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    over = tr > 1.0 + 1e-10
+    if over.any():
+        raise ValidationError(f"trace {tr[over][0]} exceeds 1")
+    return m
+
+
 @dataclass(frozen=True)
 class PolarizationMatrix:
     """Hermitian PSD 3x3 polarization matrix, trace at most 1 (a deficit
@@ -113,19 +139,27 @@ class PolarizationMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = hermitize(self.matrix)
+        m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (3, 3):
             raise DimensionError("polarization matrix must be 3x3")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise ValidationError("polarization matrix is not PSD")
-        tr = np.trace(m).real
-        if tr > 1.0 + 1e-10:
-            raise ValidationError(f"trace {tr} exceeds 1")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _checked_polarization(m[None])[0])
 
     @property
     def trace_deficit(self) -> float:
         return float(1.0 - np.trace(self.matrix).real)
+
+
+def _check_packets(masses: np.ndarray, alpha: np.ndarray) -> None:
+    """PhotonPacket's value checks on P packets at once, ray masses w |f|^2
+    (P, N) and alpha (P, N, 2): the masses sum to 1 per packet and the
+    helicity amplitudes are unit per ray. Raises for the first packet that
+    fails."""
+    norms = np.sum(masses, axis=-1)
+    off = np.abs(norms - 1.0) > 1e-8
+    if off.any():
+        raise ValidationError(f"profile norm^2 {float(norms[off][0])} differs from 1")
+    if (np.abs(np.sum(np.abs(alpha) ** 2, axis=-1) - 1.0) > 1e-12).any():
+        raise ValidationError("helicity amplitudes are not unit per point")
 
 
 @dataclass(frozen=True)
@@ -150,12 +184,7 @@ class PhotonPacket:
                   self.k0.shape)
         if any(s != (n,) for s in shapes) or self.alpha.shape != (n, 2):
             raise DimensionError("inconsistent packet arrays")
-        norm = float(np.sum(self.weights * np.abs(self.profile) ** 2))
-        if abs(norm - 1.0) > 1e-8:
-            raise ValidationError(f"profile norm^2 {norm} differs from 1")
-        helnorm = np.abs(np.sum(np.abs(self.alpha) ** 2, axis=1) - 1.0).max()
-        if helnorm > 1e-12:
-            raise ValidationError("helicity amplitudes are not unit per point")
+        _check_packets(self.masses[None], self.alpha[None])
 
     @property
     def masses(self) -> np.ndarray:  # per-ray probability masses w |f|^2
@@ -168,31 +197,68 @@ class PhotonPacket:
                                 self.k0 * ct])
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and shared read-only by every packet built on it."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _b_components(ep: np.ndarray, em: np.ndarray) -> np.ndarray:
+    """Helicity components b[..., m, +-] = <eps+-|e_m> = conj(eps+-[..., m])
+    of the transversal parts of the Cartesian polarization labels
+    m = x, y, z, from helicity vectors of shape S + (3,)."""
+    return np.stack([ep.conj(), em.conj()], axis=-1)
+
+
 def _polarization_alphas(theta: np.ndarray, phi: np.ndarray, polarization):
-    """Per-point helicity amplitudes for a named or explicit polarization."""
-    n = theta.size
+    """Per-ray helicity amplitudes (P, N, 2) on rays (P, N): a named
+    polarization shared by every packet, one helicity pair per packet
+    (P, 2), normalized, or explicit amplitudes (P, N, 2), passed through."""
     if isinstance(polarization, str):
-        if polarization == "plus":
-            a = np.zeros((n, 2), dtype=complex)
-            a[:, 0] = 1.0
+        if polarization in ("plus", "minus"):
+            a = np.zeros(theta.shape + (2,), dtype=complex)
+            a[..., 0 if polarization == "plus" else 1] = 1.0
             return a
-        if polarization == "minus":
-            a = np.zeros((n, 2), dtype=complex)
-            a[:, 1] = 1.0
-            return a
-        axis = {"linear-x": np.array([1.0, 0.0, 0.0]),
-                "linear-y": np.array([0.0, 1.0, 0.0])}.get(polarization)
-        if axis is None:
+        m = {"linear-x": 0, "linear-y": 1}.get(polarization)
+        if m is None:
             raise ValueError(f"unknown polarization {polarization!r}")
-        ep, em = _helicity_vectors_batch(theta, phi)
-        ap = ep.conj() @ axis
-        am = em.conj() @ axis
-        c = np.sqrt(np.abs(ap) ** 2 + np.abs(am) ** 2)
-        return np.column_stack([ap / c, am / c])
+        # the transversal part of the label, renormalized per ray
+        b = _b_components(*_helicity_vectors_batch(theta, phi))[..., m, :]
+        return b / np.sqrt(np.sum(np.abs(b) ** 2, axis=-1, keepdims=True))
     a = np.asarray(polarization, dtype=complex)
-    if a.shape == (2,):
-        a = np.tile(a / np.linalg.norm(a), (n, 1))
+    if a.shape == theta.shape[:-1] + (2,):
+        a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+        return np.repeat(a[..., None, :], theta.shape[-1], axis=-2)
     return a
+
+
+def _collimated_rays(apertures, polarization, n_theta: int, n_phi: int) -> tuple:
+    """Rays of P collimated packets (see collimated_packet), unchecked:
+    theta, phi, weights, profile of shape (P, N) and alpha (P, N, 2), with
+    N = n_theta * n_phi. `polarization` is read by _polarization_alphas."""
+    apertures = np.asarray(apertures, dtype=float)
+    if not np.all((apertures > 0) & (apertures < np.pi / 2)):
+        raise ValidationError("aperture must lie in (0, pi/2)")
+    x, wx = _gauss_legendre(n_theta)
+    c0 = np.cos(apertures)[:, None]
+    cost = 0.5 * (x + 1.0) * (1.0 - c0) + c0
+    w_theta = wx * 0.5 * (1.0 - c0)
+    phi1 = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
+    # ray index theta_index * n_phi + phi_index
+    th = np.repeat(np.arccos(cost), n_phi, axis=1)
+    ph = np.tile(phi1, (apertures.size, n_theta))
+    weights = np.repeat(w_theta, n_phi, axis=1) * (2.0 * np.pi / n_phi)
+
+    a = apertures[:, None]
+    t = np.clip((th - 0.9 * a) / (0.1 * a), 0.0, 1.0)
+    profile = (1.0 - (3.0 * t ** 2 - 2.0 * t ** 3)).astype(complex)
+    profile /= np.sqrt(np.sum(weights * np.abs(profile) ** 2, axis=1,
+                              keepdims=True))
+    return th, ph, weights, profile, _polarization_alphas(th, ph, polarization)
 
 
 def collimated_packet(aperture: float, polarization="linear-x",
@@ -202,41 +268,60 @@ def collimated_packet(aperture: float, polarization="linear-x",
 
     Quadrature is Gauss-Legendre in cos(theta) times uniform phi, accurate
     well below the packet tolerances for apertures down to ~0.01 rad.
+    `polarization` is 'plus', 'minus', 'linear-x', 'linear-y', one
+    helicity pair (2,) or per-ray helicity amplitudes (N, 2).
     """
-    if aperture <= 0 or aperture >= np.pi / 2:
-        raise ValidationError("aperture must lie in (0, pi/2)")
-    x, wx = leggauss(n_theta)
-    c0 = np.cos(aperture)
-    cost = 0.5 * (x + 1.0) * (1.0 - c0) + c0
-    w_theta = wx * 0.5 * (1.0 - c0)
-    theta1 = np.arccos(cost)
-    phi1 = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
-    th, ph = np.meshgrid(theta1, phi1, indexing="ij")
-    weights = np.outer(w_theta, np.full(n_phi, 2.0 * np.pi / n_phi)).ravel()
-    th, ph = th.ravel(), ph.ravel()
-
-    edge = 0.9 * aperture
-    t = np.clip((th - edge) / (0.1 * aperture), 0.0, 1.0)
-    profile = (1.0 - (3.0 * t ** 2 - 2.0 * t ** 3)).astype(complex)
-    norm = np.sum(weights * np.abs(profile) ** 2)
-    profile /= np.sqrt(norm)
-
-    alpha = _polarization_alphas(th, ph, polarization)
-    return PhotonPacket(theta=th, phi=ph, weights=weights, profile=profile,
-                        alpha=alpha, k0=np.ones_like(th))
+    if not isinstance(polarization, str):
+        polarization = np.asarray(polarization, dtype=complex)[None]
+    th, ph, weights, profile, alpha = _collimated_rays(
+        [aperture], polarization, n_theta, n_phi)
+    return PhotonPacket(theta=th[0], phi=ph[0], weights=weights[0],
+                        profile=profile[0], alpha=alpha[0], k0=np.ones_like(th[0]))
 
 
-def _b_components(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Helicity components b[axis, point, +-] of the transversal parts of
-    the Cartesian polarization labels x, y, z."""
-    ep, em = _helicity_vectors_batch(theta, phi)
-    b = np.empty((3, theta.size, 2), dtype=complex)
-    for m in range(3):
-        axis = np.zeros(3)
-        axis[m] = 1.0
-        b[m, :, 0] = ep.conj() @ axis
-        b[m, :, 1] = em.conj() @ axis
-    return b
+def _overlaps(alpha: np.ndarray, ep: np.ndarray, em: np.ndarray) -> np.ndarray:
+    """<b_m(k) | alpha> per ray and Cartesian axis m, shape (P, N, 3)."""
+    return np.einsum("pnmh,pnh->pnm", _b_components(ep, em).conj(), alpha)
+
+
+def _povm_expectations(masses: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """sum_i w_i |f_i|^2 |<b_m(k_i), alpha_i>|^2 per packet, shape (P, 3)."""
+    return np.einsum("pn,pnm->pm", masses, np.abs(overlaps) ** 2)
+
+
+def _cartesian_vectors(alpha: np.ndarray, ep: np.ndarray, em: np.ndarray) -> np.ndarray:
+    """Naive polarization 3-vectors alpha_+ eps_+ + alpha_- eps_-, (P, N, 3)."""
+    return alpha[..., :1] * ep + alpha[..., 1:] * em
+
+
+def _density_matrices(masses: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """sum_i w_i |f_i|^2 v_i v_i^dagger per packet, shape (P, 3, 3)."""
+    return np.einsum("pn,pnm,pnk->pmk", masses, vectors, vectors.conj())
+
+
+def _povm_batch(apertures, polarizations, n_theta: int, n_phi: int) -> tuple:
+    """POVM statistics of P collimated packets at once, one helicity basis
+    for the whole batch: the expectations of E_x, E_y, E_z (P, 3), and the
+    effective and naive matrices (P, 3, 3), hermitized and checked as
+    PolarizationMatrix checks them. The packets are checked as PhotonPacket
+    checks them; `polarizations` is one helicity pair per packet (P, 2)."""
+    th, ph, weights, profile, alpha = _collimated_rays(
+        apertures, polarizations, n_theta, n_phi)
+    masses = weights * np.abs(profile) ** 2
+    _check_packets(masses, alpha)
+    ep, em = _helicity_vectors_batch(th, ph)
+    ov = _overlaps(alpha, ep, em)
+    return (_povm_expectations(masses, ov),
+            _checked_polarization(_density_matrices(masses, ov)),
+            _checked_polarization(_density_matrices(
+                masses, _cartesian_vectors(alpha, ep, em))))
+
+
+def _batch_of_one(packet: PhotonPacket) -> tuple:
+    """A packet as a batch of one: masses (1, N), alpha (1, N, 2) and its
+    helicity vectors eps+, eps- (1, N, 3)."""
+    ep, em = _helicity_vectors_batch(packet.theta[None], packet.phi[None])
+    return packet.masses[None], packet.alpha[None], ep, em
 
 
 def povm_expectation(packet: PhotonPacket, axis: str) -> float:
@@ -245,9 +330,8 @@ def povm_expectation(packet: PhotonPacket, axis: str) -> float:
     idx = {"x": 0, "y": 1, "z": 2}.get(axis)
     if idx is None:
         raise ValueError("axis must be 'x', 'y' or 'z'")
-    b = _b_components(packet.theta, packet.phi)[idx]
-    overlap = np.sum(b.conj() * packet.alpha, axis=1)
-    return float(np.sum(packet.masses * np.abs(overlap) ** 2))
+    masses, alpha, ep, em = _batch_of_one(packet)
+    return float(_povm_expectations(masses, _overlaps(alpha, ep, em))[0, idx])
 
 
 def effective_density_matrix(packet: PhotonPacket) -> PolarizationMatrix:
@@ -255,18 +339,16 @@ def effective_density_matrix(packet: PhotonPacket) -> PolarizationMatrix:
     rho_mn = sum_i w|f|^2 <b_m, alpha><alpha, b_n>. Its diagonal entries
     are the povm_expectation values, and it coincides with the naive
     Cartesian construction."""
-    b = _b_components(packet.theta, packet.phi)
-    ov = np.einsum("mnh,nh->mn", b.conj(), packet.alpha)  # <b_m | alpha> per point
-    rho = np.einsum("n,mn,kn->mk", packet.masses, ov, ov.conj())
-    return PolarizationMatrix(matrix=rho)
+    masses, alpha, ep, em = _batch_of_one(packet)
+    ov = _overlaps(alpha, ep, em)
+    return PolarizationMatrix(matrix=_density_matrices(masses, ov)[0])
 
 
 def naive_density_matrix(packet: PhotonPacket) -> PolarizationMatrix:
     """Cartesian outer-product construction sum w|f|^2 alpha_m alpha_n*."""
-    ep, em = _helicity_vectors_batch(packet.theta, packet.phi)
-    avec = packet.alpha[:, :1] * ep + packet.alpha[:, 1:] * em
-    rho = np.einsum("n,nm,nk->mk", packet.masses, avec, avec.conj())
-    return PolarizationMatrix(matrix=rho)
+    masses, alpha, ep, em = _batch_of_one(packet)
+    vectors = _cartesian_vectors(alpha, ep, em)
+    return PolarizationMatrix(matrix=_density_matrices(masses, vectors)[0])
 
 
 def boost_packet(packet: PhotonPacket, v: float) -> PhotonPacket:

@@ -46,9 +46,12 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
-    """(M + M†)/2, suppressing round-off drift before spectral calls."""
+    """(M + M†)/2 of a matrix or of each matrix in a (..., d, d) stack,
+    suppressing round-off drift before spectral calls."""
     matrix = np.asarray(matrix, dtype=complex)
-    return (matrix + matrix.conj().T) / 2.0
+    if matrix.ndim < 2:
+        raise DimensionError(f"cannot hermitize an array of shape {matrix.shape}")
+    return (matrix + np.swapaxes(matrix, -1, -2).conj()) / 2.0
 
 
 @dataclass(frozen=True)

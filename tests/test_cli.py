@@ -48,7 +48,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags", [
         ["--scenario", "chsh", "--tol.doppler_ratio", "abc"],
         ["--scenario", "chsh", "--grid.photon_theta=abc"],
-        ["--selfcheck", "--tol.bogus", "1"], ["--selfcheck", "--grid.bogus", "1"]])
+        ["--selfcheck", "--tol.bogus", "1"], ["--selfcheck", "--grid.bogus", "1"],
+        ["--selfcheck", "--grid.povm_packets", "inf"],
+        ["--selfcheck", "--grid.povm_packets", "0"],
+        ["--scenario", "bipartite-concurrence", "--grid.bipartite_points", "5.9"],
+        ["--scenario", "bipartite-concurrence", "--grid.bipartite_points=nan"]])
     def test_bad_dotted_flag_is_usage_error(self, tmp_path, flags):
         out = invoke(flags, tmp_path)
         assert out.returncode == 2, out.stderr
@@ -189,7 +193,7 @@ class TestConfigParsing:
             ["--tol.doppler_ratio=0.05", "--grid.photon_theta", "16",
              "--scenario", "chsh"])
         assert tols == {"doppler_ratio": 0.05}
-        assert grids == {"photon_theta": 16.0}
+        assert grids == {"photon_theta": 16} and type(grids["photon_theta"]) is int
         assert rest == ["--scenario", "chsh"]
 
 

@@ -148,6 +148,11 @@ def expected_su2(axis, angle):
     return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * n_sigma
 
 
+# a pure rotation is its own little-group element at every momentum; the
+# rest momentum and a boosted one of mass 1
+NEAR_PI_GRID = np.array([[1.0, 0.0, 0.0, 0.0],
+                         [np.cosh(1.0), *(np.sinh(1.0) * np.array([0.6, 0.0, 0.8]))]])
+
 NEAR_PI = [(axis, angle) for axis in ([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0])
            for angle in (np.pi, np.pi - 1e-4)]
 
@@ -178,12 +183,8 @@ class TestShepperdNearPi:
             assert np.abs(flipped - d).max() < 1e-12
 
     def test_numpy_kernel(self, axis, angle):
-        # a pure rotation is its own little-group element at every momentum
-        m = 1.0
-        P = np.array([[m, 0.0, 0.0, 0.0],
-                      [np.cosh(1.0) * m, *(np.sinh(1.0) * m * np.array([0.6, 0.0, 0.8]))]])
         for n in (np.array(axis), -np.array(axis)):
-            _, D = numpy_kernel(lorentz.rotation(n, angle).matrix, P, m)
+            _, D = numpy_kernel(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)
             for d in D:
                 self.check(d, n, angle, 1e-10)
 
@@ -203,11 +204,29 @@ class TestShepperdNearPi:
 def test_rotation_just_below_pi_keeps_full_precision(axis):
     """At pi - 1e-8 the trace candidate of the SL(2,C) image is ~1e-8 and
     would cost 8 digits; the largest-determinant candidate keeps them."""
-    m, angle = 1.0, np.pi - 1e-8
-    P = np.array([[m, 0.0, 0.0, 0.0],
-                  [np.cosh(1.0) * m, *(np.sinh(1.0) * m * np.array([0.6, 0.0, 0.8]))]])
+    angle = np.pi - 1e-8
     for n in (np.array(axis), -np.array(axis)):
         ref = expected_su2(n, angle)
-        _, D = numpy_kernel(lorentz.rotation(n, angle).matrix, P, m)
+        _, D = numpy_kernel(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)
         assert np.abs(D - ref).max() < 1e-14
         assert np.abs(lorentz.su2_from_rotation(lorentz._rotation3(n, angle)) - ref).max() < 1e-14
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(axis=unit_vectors, gap=st.floats(0.0, 1e-3))
+def test_double_cover_near_pi(axis, gap):
+    """At angles in [pi - 1e-3, pi] about any axis, su2_from_rotation and
+    the kernel's image of the same pure rotation are cos(a/2) - i sin(a/2)
+    n.sigma to round-off, and the adjoint map returns the rotation. Where
+    cos(a/2) is below round-off, Re tr D >= 0 cannot pick a sheet, so
+    either sheet is accepted there."""
+    n = np.asarray(axis) / np.linalg.norm(axis)
+    angle = np.pi - gap
+    R = lorentz._rotation3(n, angle)
+    ref = expected_su2(n, angle)
+    sheets = (ref, -ref) if np.cos(angle / 2) < 1e-14 else (ref,)
+    _, D = numpy_kernel(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)
+    for d in (lorentz.su2_from_rotation(R), *D):
+        assert min(np.abs(d - s).max() for s in sheets) < 1e-14
+        assert np.abs(lorentz.rotation_from_su2(d) - R).max() < 1e-14
+        assert abs(np.linalg.det(d) - 1.0) < 1e-14

@@ -114,6 +114,23 @@ class TestStandardBoosts:
         R[1:, 1:] = rotation_to_khat(th, 0.0)
         assert np.abs(lam.matrix - R).max() < 1e-12
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(log_k0=st.floats(-2.0, 4.0), tilt=st.floats(0.0, 1e-6),
+           phi=st.floats(0.0, 2 * np.pi))
+    def test_massless_near_minus_z(self, log_k0, tilt, phi):
+        """Within 1e-6 rad of -z the null standard boost still carries
+        (1,0,0,1) onto k, to the round-off of its z boost (~cosh ln k0), and
+        its transverse columns stay orthonormal and transversal to k."""
+        k0, theta = 10.0 ** log_k0, np.pi - tilt
+        khat = np.array([np.sin(theta) * np.cos(phi),
+                         np.sin(theta) * np.sin(phi), np.cos(theta)])
+        k = k0 * np.array([1.0, *khat])
+        L = standard_boost_massless(k).matrix
+        assert np.abs(L @ [1.0, 0.0, 0.0, 1.0] - k).max() <= 1e-15 * (k0 + 1 / k0)
+        T = L[1:, 1:3]
+        assert np.abs(T.T @ T - np.eye(2)).max() < 1e-15
+        assert np.abs(khat @ T).max() < 1e-15
+
     def test_massless_carries_standard_momentum(self):
         rng = np.random.default_rng(3)
         ks = np.array([1.0, 0, 0, 1.0])

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from relqinfo import lorentz, photon, qstate
+from relqinfo import lorentz, photon, qstate, selfcheck
 from relqinfo._errors import ValidationError
 from relqinfo.photon import (PolarizationMatrix, boost_packet,
                              collimated_packet, doppler_error_ratio,
@@ -250,3 +252,77 @@ class TestTransversalFrame:
             photon.TransversalFrame(khat=frame.khat,
                                     eps_plus=frame.eps_plus * 1.5,
                                     eps_minus=frame.eps_minus)
+
+
+def random_packet_draws(n, seed):
+    rng = np.random.default_rng(seed)
+    apertures = rng.uniform(0.02, 0.6, size=n)
+    pairs = np.array([qstate.haar_state(2, rng) for _ in range(n)])
+    return apertures, pairs
+
+
+class TestPacketBatch:
+    """The packet-batched core against a loop over the single-packet API."""
+
+    N_THETA, N_PHI = 6, 8
+
+    @pytest.mark.parametrize("n", [1, 7, 50, 51, 500])
+    def test_batches_and_blocks_match_scalar_loop(self, n):
+        apertures, pairs = random_packet_draws(n, 48 + n)
+        whole = photon._povm_batch(apertures, pairs, self.N_THETA, self.N_PHI)
+        blocks = [np.concatenate(parts) for parts in zip(*selfcheck._photon_povm_blocks(
+            apertures, pairs, self.N_THETA, self.N_PHI))]
+        for i, (aperture, pair) in enumerate(zip(apertures, pairs)):
+            pk = collimated_packet(aperture, polarization=pair,
+                                   n_theta=self.N_THETA, n_phi=self.N_PHI)
+            scalar = (np.array([povm_expectation(pk, ax) for ax in "xyz"]),
+                      effective_density_matrix(pk).matrix,
+                      naive_density_matrix(pk).matrix)
+            for batched in (whole, blocks):
+                for got, want in zip(batched, scalar):
+                    assert np.abs(got[i] - want).max() < 1e-14
+
+    @pytest.mark.parametrize("fault", ["alpha", "profile"])
+    def test_bad_packet_in_block_raises_scalar_error(self, fault):
+        apertures, pairs = random_packet_draws(7, 49)
+        th, ph, weights, profile, alpha = photon._collimated_rays(
+            apertures, pairs, self.N_THETA, self.N_PHI)
+        if fault == "alpha":
+            alpha[3, 5] *= 1.01
+        else:
+            profile[3] *= 1.01
+        with pytest.raises(ValidationError) as scalar:
+            photon.PhotonPacket(theta=th[3], phi=ph[3], weights=weights[3],
+                                profile=profile[3], alpha=alpha[3],
+                                k0=np.ones_like(th[3]))
+        with pytest.raises(ValidationError) as batched:
+            photon._check_packets(weights * np.abs(profile) ** 2, alpha)
+        assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("bad", [np.eye(3), np.diag([0.8, 0.4, -0.2])])
+    def test_bad_matrix_in_block_raises_scalar_error(self, bad):
+        apertures, pairs = random_packet_draws(7, 50)
+        _, effective, _ = photon._povm_batch(apertures, pairs, self.N_THETA,
+                                             self.N_PHI)
+        effective[4] = bad
+        with pytest.raises(ValidationError) as scalar:
+            PolarizationMatrix(bad)
+        with pytest.raises(ValidationError) as batched:
+            photon._checked_polarization(effective)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_criterion_builds_one_helicity_basis_per_block(self, monkeypatch):
+        calls = []
+        basis = photon._helicity_vectors_batch
+
+        def counted(theta, phi):
+            calls.append(np.shape(theta))
+            return basis(theta, phi)
+
+        monkeypatch.setattr(photon, "_helicity_vectors_batch", counted)
+        grids = selfcheck._grids(None)
+        crit = next(c for c in selfcheck.CRITERIA if c.name == "11-photon-povm")
+        result = selfcheck.run_criterion(crit, selfcheck._tols(None), grids)
+        assert result.passed
+        assert grids["povm_packets"] == 500
+        assert 0 < len(calls) <= math.ceil(500 / selfcheck._POVM_BLOCK)
