@@ -409,7 +409,7 @@ def _extract_dotted(argv: list) -> tuple:
         except ValueError:
             raise ValidationError(f"flag {tok} needs a number, got {raw!r}") from None
         if target is grids:
-            if not (value.is_integer() and value >= 1):
+            if not selfcheck._is_count(value):
                 raise ValidationError(
                     f"flag {tok} needs a whole number >= 1, got {raw!r}")
             value = int(value)

@@ -191,12 +191,25 @@ def _canonical_boosts(P: np.ndarray, m: float) -> np.ndarray:
     return L
 
 
-def standard_boost_massive(p: FourVector, m: float) -> LorentzTransform:
-    """Canonical rotation-free boost L(p) with L(p) (m,0,0,0) = p."""
+def _standard_boosts_massive(P: np.ndarray, m: float) -> np.ndarray:
+    """Canonical rotation-free boosts of an (N,4) array of momenta of mass
+    m, shape (N,4,4), L(p) (m,0,0,0) = p. Checks m > 0, every row as
+    check_mass_shell and every boost as LorentzTransform does."""
     if m <= 0:
         raise ValidationError("mass must be positive")
-    check_mass_shell(p, m)
-    return LorentzTransform(_canonical_boosts(np.asarray(p, dtype=float)[None], m)[0])
+    P = np.asarray(P, dtype=float)
+    _check_mass_shells(P, m)
+    L = _canonical_boosts(P, m)
+    _check_transforms(L)
+    return L
+
+
+def standard_boost_massive(p: FourVector, m: float) -> LorentzTransform:
+    """Canonical rotation-free boost L(p) with L(p) (m,0,0,0) = p."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (4,):
+        raise DimensionError(f"four-vector must have shape (4,), got {p.shape}")
+    return LorentzTransform(_standard_boosts_massive(p[None], m)[0])
 
 
 def _standard_boosts_massless(K: np.ndarray) -> np.ndarray:

@@ -213,9 +213,14 @@ def error_probability(rho1, rho2) -> float:
     m1, m2 = _as_matrix(rho1), _as_matrix(rho2)
     if m1.shape != m2.shape:
         raise DimensionError(f"shape mismatch {m1.shape} vs {m2.shape}")
+    return float(_error_probabilities(m1, m2))
+
+
+def _error_probabilities(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """error_probability of each pair of (..., d, d) stacks that broadcast
+    together. No checks."""
     ev = np.linalg.eigvalsh(hermitize(m1 - m2))
-    pe = 0.5 - 0.25 * np.abs(ev).sum()
-    return float(min(max(pe, 0.0), 0.5))
+    return np.clip(0.5 - 0.25 * np.abs(ev).sum(axis=-1), 0.0, 0.5)
 
 
 _SYY = np.kron(SIGMA_Y, SIGMA_Y)

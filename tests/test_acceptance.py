@@ -4,7 +4,9 @@ Each test prints a PASS/FAIL line with the measured values (run pytest
 with -s to stream them), then asserts. The same table backs the CLI
 --selfcheck flag.
 """
-from relqinfo import selfcheck
+import pytest
+
+from relqinfo import lorentz, selfcheck
 
 _TOLS = selfcheck._tols(None)
 _GRIDS = selfcheck._grids(None)
@@ -82,3 +84,29 @@ def test_criterion_15_black_hole_thermodynamics():
 
 def test_criterion_16_noncovariance_cp_failure():
     _run("16-noncovariance-cp-failure")
+
+
+@pytest.mark.parametrize("overrides, names", [
+    ({"povm_packets": 0, "povm_theta": 2.7}, ["11-photon-povm"]),
+    ({"momentum_draws": 0}, ["07-wigner-machinery"]),
+])
+def test_grid_override_must_be_a_whole_count(overrides, names):
+    with pytest.raises(KeyError, match="whole numbers >= 1"):
+        selfcheck.run_all(grid_overrides=overrides, names=names)
+
+
+def test_criterion_07_checks_each_boost_stack_once(monkeypatch):
+    # one check per batched standard-boost stack; the rest are the 50
+    # rotations and the few transforms of the passthrough and packet checks
+    calls = []
+    check = lorentz._check_transforms
+
+    def counted(L):
+        calls.append(len(L))
+        return check(L)
+
+    monkeypatch.setattr(lorentz, "_check_transforms", counted)
+    _run("07-wigner-machinery")
+    assert _GRIDS["momentum_draws"] == 1000
+    assert calls.count(1000) == 2
+    assert len(calls) <= 60

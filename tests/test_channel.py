@@ -222,6 +222,78 @@ class TestSemicausality:
         assert report["witness_pre_op"] is not None
 
 
+def receiver_marginals_loop(T, direction, rng, haar_probes):
+    """Independent oracle for channel._receiver_marginals with the default
+    probe states, drawn from rng in the same order: for each (state,
+    pre-op) pair, embed the pre-op by kron, run the Kraus sum on the
+    density matrix and trace out the sender. Returns (names, (S, P, d_r,
+    d_r) marginals)."""
+    da, db = T.dims
+    d = da * db
+    sender_dim = db if direction == "B->A" else da
+    states = [np.eye(d, dtype=complex)[i] for i in range(min(d, 4))]
+    if (da, db) == (2, 2):
+        states += [bell_state(n) for n in ("phi+", "phi-", "psi+", "psi-")]
+    states += [qstate.haar_state(d, rng) for _ in range(8)]
+    pre_ops = [(n, u) for n, u in channel._PAULI_FAMILY if u.shape[0] == sender_dim]
+    if not pre_ops:
+        pre_ops = [("identity", np.eye(sender_dim, dtype=complex))]
+    pre_ops += [(f"haar_{i}", qstate.haar_unitary(sender_dim, rng))
+                for i in range(haar_probes)]
+    out = []
+    for v in states:
+        row = []
+        for _, u in pre_ops:
+            ue = (np.kron(np.eye(da), u) if direction == "B->A"
+                  else np.kron(u, np.eye(db)))
+            rho = ue @ np.outer(v, v.conj()) @ ue.conj().T
+            rho = sum(a @ rho @ a.conj().T for branch in T.kraus.ops for a in branch)
+            t = rho.reshape(da, db, da, db)
+            row.append(np.einsum("abcb->ac", t) if direction == "B->A"
+                       else np.einsum("abad->bd", t))
+        out.append(row)
+    return [n for n, _ in pre_ops], np.array(out)
+
+
+def qubit_qutrit_operation():
+    """A two-outcome instrument on C^2 (x) C^3 with two Kraus matrices in
+    its first outcome: blocks of a Haar isometry C^6 -> C^18."""
+    iso = qstate.haar_unitary(18, np.random.default_rng(5))[:, :6]
+    a0, a1, a2 = iso[:6], iso[6:12], iso[12:]
+    return BipartiteOperation(dims=(2, 3),
+                              kraus=KrausSet(dim_in=6, dim_out=6, ops=((a0, a1), (a2,))))
+
+
+class TestStackedProbes:
+    @pytest.mark.parametrize("make", [complete_bell_pvm, incomplete_bell_pvm,
+                                      qubit_qutrit_operation])
+    @pytest.mark.parametrize("direction", ["B->A", "A->B"])
+    def test_marginals_match_per_pair_loop(self, make, direction):
+        # the (2, 3) operation's B->A sender is a qutrit: identity-only pre-ops
+        T = make()
+        names, stacked = channel._receiver_marginals(
+            T, direction, np.random.default_rng(11), 7)
+        ref_names, ref = receiver_marginals_loop(
+            T, direction, np.random.default_rng(11), 7)
+        assert names == ref_names
+        assert stacked.shape == ref.shape
+        assert np.abs(stacked - ref).max() < 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 1, 31, 77, 20240901])
+    @pytest.mark.parametrize("probes", [10, 50, 200])
+    @pytest.mark.parametrize("make, direction", [(incomplete_bell_pvm, "B->A"),
+                                                 (incomplete_bell_pvm, "A->B"),
+                                                 (conditioned_basis_pvm, "A->B")])
+    def test_witness_is_first_pair_beating_the_best(self, seed, probes, make,
+                                                    direction):
+        # the values a state-major, pre-op-minor per-pair scan gives: pauli_x
+        # on probe 0 reaches 0.75 first, and later ties do not replace it
+        v = is_semicausal(make(), direction, haar_probes=probes, seed=seed)
+        assert v.advantage == 0.75
+        assert v.witness == {"pre_op": "pauli_x", "state": "probe_0",
+                             "versus": "identity"}
+
+
 class TestLocc:
     def test_zero_plus_input(self):
         rho = DensityMatrix.from_pure(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relqinfo import lorentz
+from relqinfo import lorentz, selfcheck
 from relqinfo._errors import DimensionError, ValidationError
 from relqinfo.lorentz import (ETA, aberrate, boost, compose,
                               helicity_phase, minkowski_dot, rotation,
@@ -93,6 +93,41 @@ class TestStandardBoosts:
     def test_off_shell_rejected(self):
         with pytest.raises(ValidationError):
             standard_boost_massive(np.array([1.0, 0, 0, 0.5]), 1.0)
+
+    @staticmethod
+    def criterion_07_momenta(n=1000, m=1.0):
+        """The massive draws of selfcheck criterion 07."""
+        rng = np.random.default_rng(selfcheck.SEED)
+        pvec = rng.normal(scale=0.8, size=(n, 3))
+        return np.column_stack([np.sqrt(m * m + selfcheck._row_dots(pvec)), pvec])
+
+    def test_batched_massive_core_matches_scalar_loop(self):
+        P = self.criterion_07_momenta()
+        scalar = np.array([standard_boost_massive(p, 1.0).matrix for p in P])
+        assert np.array_equal(lorentz._standard_boosts_massive(P, 1.0), scalar)
+
+    @pytest.mark.parametrize("row, m, exc", [
+        ([1.0, 0.0, 0.0, 0.5], 1.0, ValidationError),            # off shell
+        ([-np.sqrt(1.25), 0.0, 0.0, 0.5], 1.0, ValidationError),  # p0 <= 0
+        ([np.sqrt(1.25), 0.0, 0.0, 0.5], 0.0, ValidationError),   # m = 0
+        ([np.sqrt(1.25), 0.0, 0.0, 0.5], -1.0, ValidationError),  # m < 0
+        ([np.sqrt(1.25), 0.0, 0.5], 1.0, DimensionError),         # not (N, 4)
+    ])
+    def test_batched_massive_core_raises_scalar_error(self, row, m, exc):
+        P = self.criterion_07_momenta(n=6)
+        if len(row) == 4:
+            P[3] = row
+        else:
+            P = P[:, 1:]
+        with pytest.raises(exc) as scalar:
+            standard_boost_massive(np.array(row), m)
+        with pytest.raises(exc) as batched:
+            lorentz._standard_boosts_massive(P, m)
+        if exc is DimensionError:  # each names the shape it expects
+            assert "got (3,)" in str(scalar.value)
+            assert "got (6, 3)" in str(batched.value)
+        else:
+            assert str(batched.value) == str(scalar.value)
 
     def test_massless_standard_momentum_fixed(self):
         lam = standard_boost_massless(np.array([1.0, 0, 0, 1.0]))
