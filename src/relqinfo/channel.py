@@ -539,55 +539,69 @@ def _pi_rotation(axis: str) -> np.ndarray:
     return -1j * table[axis]
 
 
-# Unit phases making the Bell-basis expansion of |psi>|singlet> exact with
-# pi rotations exp(-i pi sigma_k/2); fixed constants, independent of psi.
-_TELEPORT_PHASES = {"id": -1.0, "z": -1.0j, "x": 1.0j, "y": 1.0}
+# Bell outcomes of registers 0, 1 in the order of the expansion, the pi
+# rotation exp(-i pi sigma_k/2) that corrects each, and the unit phases making
+# the Bell-basis expansion of |psi>|singlet> exact; fixed constants,
+# independent of psi.
+_TELEPORT_BELL = np.array([bell_state(n) for n in ("psi-", "psi+", "phi-", "phi+")])
+_TELEPORT_CORRECTIONS = np.array([np.eye(2, dtype=complex), _pi_rotation("z"),
+                                  _pi_rotation("x"), _pi_rotation("y")])
+_TELEPORT_PHASES = np.array([-1.0, -1.0j, 1.0j, 1.0])
+
+
+def _teleport_batch(psi: np.ndarray) -> tuple:
+    """Teleportation of an (S, 2) stack of input amplitudes, one row each:
+    (residuals (S,), probabilities (S, 4), fidelities (S, 4)), branches in
+    _TELEPORT_BELL order.
+
+    The residual is the Frobenius distance of the rank-1 projectors of
+    |psi>|singlet> and of its four-term Bell expansion, whose third-register
+    states are the phased pi rotations of |psi> (so a global phase cannot
+    contribute). The protocol measures registers 0, 1 in the Bell basis and
+    corrects register 2 by the outcome's pi rotation; the fidelities compare
+    the corrected states with psi / |psi|. Raises ValidationError unless
+    every row has norm 1 within 1e-9."""
+    psi = np.asarray(psi, dtype=complex)
+    nrm = np.linalg.norm(psi, axis=1)
+    if not (np.abs(nrm - 1.0) <= 1e-9).all():
+        raise ValidationError("input amplitudes must be normalized")
+    singlet = _TELEPORT_BELL[0]
+    lhs = (psi[:, :, None] * singlet).reshape(-1, 8)
+    moved = np.einsum("kcd,sd->skc", _TELEPORT_CORRECTIONS, psi) * _TELEPORT_PHASES[:, None]
+    rhs = 0.5 * np.einsum("ka,skc->sac", _TELEPORT_BELL, moved).reshape(-1, 8)
+    gap = (lhs[:, :, None] * lhs[:, None, :].conj()
+           - rhs[:, :, None] * rhs[:, None, :].conj())
+    residuals = np.linalg.norm(gap, axis=(1, 2))
+
+    # Bob's conditional state per outcome: the Bell bra contracted off
+    # registers 0, 1, then the outcome's correction
+    unit = psi / nrm[:, None]
+    state = (unit[:, :, None] * singlet).reshape(-1, 4, 2)
+    bob = np.einsum("ka,sab->skb", _TELEPORT_BELL.conj(), state)
+    probabilities = np.sum(np.abs(bob) ** 2, axis=-1)
+    bob = np.einsum("kbc,skc->skb", _TELEPORT_CORRECTIONS, bob)
+    norms = np.sum(np.abs(bob) ** 2, axis=-1)
+    overlaps = np.abs(np.einsum("sb,skb->sk", unit.conj(), bob)) ** 2
+    fidelities = np.divide(overlaps, norms, out=np.zeros_like(norms), where=norms > 0)
+    return residuals, probabilities, fidelities
 
 
 def teleport_identity_residual(alpha: complex, beta: complex) -> float:
-    """Residual of the Bell-basis teleportation identity for (alpha, beta).
-
-    Builds |psi>|singlet> and its four-term Bell expansion, whose third-
-    register states are pi-rotated copies of |psi| with fixed unit phases,
-    and returns the Frobenius distance of the two rank-1 projectors (so a
-    global phase cannot contribute).
-    """
-    nrm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValidationError("input amplitudes must be normalized")
-    psi = np.array([alpha, beta], dtype=complex)
-    lhs = np.kron(psi, bell_state("psi-"))
-    rhs = 0.5 * (
-        np.kron(bell_state("psi-"), _TELEPORT_PHASES["id"] * psi)
-        + np.kron(bell_state("psi+"), _TELEPORT_PHASES["z"] * (_pi_rotation("z") @ psi))
-        + np.kron(bell_state("phi-"), _TELEPORT_PHASES["x"] * (_pi_rotation("x") @ psi))
-        + np.kron(bell_state("phi+"), _TELEPORT_PHASES["y"] * (_pi_rotation("y") @ psi))
-    )
-    return float(np.linalg.norm(np.outer(lhs, lhs.conj()) - np.outer(rhs, rhs.conj())))
+    """Residual of the Bell-basis teleportation identity for (alpha, beta):
+    _teleport_batch's residual on a batch of one (raises ValidationError
+    unless the amplitudes are normalized)."""
+    return float(_teleport_batch([[alpha, beta]])[0][0])
 
 
 def simulate_teleportation(alpha: complex, beta: complex) -> dict:
     """Full teleportation: Bell measurement on registers 0,1 plus the
-    outcome-conditioned pi rotation on register 2. Returns the worst-case
-    fidelity of the corrected state with the input over the four outcomes."""
+    outcome-conditioned pi rotation on register 2, on (alpha, beta) scaled
+    to unit norm. Returns the worst-case fidelity of the corrected state
+    with the input over the four outcomes, and the outcome probabilities."""
     psi = np.array([alpha, beta], dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    state = np.kron(psi, bell_state("psi-"))
-    corrections = {"psi-": np.eye(2, dtype=complex), "psi+": _pi_rotation("z"),
-                   "phi-": _pi_rotation("x"), "phi+": _pi_rotation("y")}
-    fidelities, probs = [], []
-    for name, corr in corrections.items():
-        proj = np.kron(np.outer(bell_state(name), bell_state(name).conj()),
-                       np.eye(2, dtype=complex))
-        branch = proj @ state
-        p = float(np.vdot(branch, branch).real)
-        probs.append(p)
-        # Bob's conditional state: contract the Bell outcome off registers 0,1
-        bob = np.einsum("a,ab->b", bell_state(name).conj(), branch.reshape(4, 2))
-        bob = corr @ bob
-        nb = np.linalg.norm(bob)
-        fidelities.append(abs(np.vdot(psi, bob / nb)) ** 2 if nb > 0 else 0.0)
-    return {"min_fidelity": float(min(fidelities)), "probabilities": probs}
+    _, probabilities, fidelities = _teleport_batch([psi / np.linalg.norm(psi)])
+    return {"min_fidelity": float(fidelities[0].min()),
+            "probabilities": probabilities[0].tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -607,19 +621,61 @@ def chsh_value(rho, A1, A2, B1, B2) -> float:
     return float(0.5 * np.trace(m @ op).real)
 
 
-def _correlation_matrix(m: np.ndarray) -> np.ndarray:
-    T = np.empty((3, 3))
-    for i, si in enumerate(_SIGMAS):
-        for j, sj in enumerate(_SIGMAS):
-            T[i, j] = np.trace(m @ np.kron(si, sj)).real
-    return T
-
-
 _SIGMAS = (qstate.SIGMA_X, qstate.SIGMA_Y, qstate.SIGMA_Z)
+
+# _PAULI_PAIRS[i, j] = sigma_i (x) sigma_j, i, j over x, y, z, laid out for
+# one matmul that gives the diagonal of m sigma_i (x) sigma_j:
+# _PAULI_DIAGONALS[(c, b), (i, j, a)] = _PAULI_PAIRS[i, j, b, a] if c == a
+_PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in _SIGMAS] for si in _SIGMAS])
+_PAULI_DIAGONALS = np.einsum("ijba,ca->cbija", _PAULI_PAIRS, np.eye(4)).reshape(16, 36)
+
+
+def _correlation_matrix(m: np.ndarray) -> np.ndarray:
+    """Correlation matrices T_ij = tr(m sigma_i (x) sigma_j) of a (..., 4, 4)
+    stack, shape (..., 3, 3), from one contraction against the Pauli pairs.
+
+    Each diagonal entry of m sigma_i (x) sigma_j is one entry of m times a
+    unit (0, +-1 or +-i), so exact; the four are summed in np.trace's order,
+    (d0 + d1) + (d2 + d3), so T is the per-pair trace bit for bit."""
+    lead = m.shape[:-2]
+    d = (m.reshape(*lead, 16) @ _PAULI_DIAGONALS).real.reshape(*lead, 3, 3, 4)
+    return (d[..., 0] + d[..., 1]) + (d[..., 2] + d[..., 3])
 
 
 def _bloch_obs(n: np.ndarray) -> np.ndarray:
     return n[0] * qstate.SIGMA_X + n[1] * qstate.SIGMA_Y + n[2] * qstate.SIGMA_Z
+
+
+def _unit_rows(x: np.ndarray, fallback) -> np.ndarray:
+    """Rows of an (S, 3) array scaled to unit length; a row of length at
+    most 1e-14 is replaced by the fallback unit vector."""
+    n = np.linalg.norm(x, axis=-1, keepdims=True)
+    keep = n > 1e-14
+    return np.where(keep, x / np.where(keep, n, 1.0), fallback)
+
+
+def _chsh_optimize_batch(rhos: np.ndarray) -> tuple:
+    """chsh_optimize on an (S, 4, 4) stack of two-qubit states: zeta_max (S,)
+    and the settings dict, each entry (S, 3). One stacked SVD of the
+    correlation matrices."""
+    T = _correlation_matrix(rhos)
+    _, s, Vt = np.linalg.svd(T)
+    c1, c2 = Vt[:, 0], Vt[:, 1]
+    a1 = _unit_rows((T @ c1[..., None])[..., 0], [0.0, 0.0, 1.0])
+    a2 = _unit_rows((T @ c2[..., None])[..., 0], [1.0, 0.0, 0.0])
+    phi = np.arctan2(s[:, 1], s[:, 0])[:, None]
+    b1 = np.cos(phi) * c1 + np.sin(phi) * c2
+    b2 = np.cos(phi) * c1 - np.sin(phi) * c2
+    zeta = np.sqrt(s[:, 0] ** 2 + s[:, 1] ** 2)
+    return zeta, {"a1": a1, "a2": a2, "b1": b1, "b2": b2}
+
+
+def _chsh_bloch(T: np.ndarray, a1, a2, b1, b2) -> np.ndarray:
+    """CHSH values of Bloch settings, (S,) from (S, 3, 3) correlation
+    matrices and (S, 3) unit vectors: zeta = [a1.T(b1+b2) + a2.T(b1-b2)]/2,
+    chsh_value for the observables n.sigma."""
+    return 0.5 * (np.einsum("ni,nij,nj->n", a1, T, b1 + b2)
+                  + np.einsum("ni,nij,nj->n", a2, T, b1 - b2))
 
 
 def chsh_optimize(rho) -> tuple:
@@ -627,25 +683,14 @@ def chsh_optimize(rho) -> tuple:
 
     The two largest singular values s1, s2 of the correlation matrix give
     sqrt(s1^2 + s2^2) together with explicit optimal Bloch settings.
-    Returns (zeta_max, settings dict).
+    Returns (zeta_max, settings dict); _chsh_optimize_batch on a batch of
+    one.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if m.shape != (4, 4):
         raise DimensionError("CHSH optimization is defined for two qubits")
-    T = _correlation_matrix(m)
-    U, s, Vt = np.linalg.svd(T)
-    c1, c2 = Vt[0], Vt[1]
-    tc1, tc2 = T @ c1, T @ c2
-    n1 = np.linalg.norm(tc1)
-    n2 = np.linalg.norm(tc2)
-    a1 = tc1 / n1 if n1 > 1e-14 else np.array([0.0, 0.0, 1.0])
-    a2 = tc2 / n2 if n2 > 1e-14 else np.array([1.0, 0.0, 0.0])
-    phi = np.arctan2(s[1], s[0])
-    b1 = np.cos(phi) * c1 + np.sin(phi) * c2
-    b2 = np.cos(phi) * c1 - np.sin(phi) * c2
-    zeta = float(np.sqrt(s[0] ** 2 + s[1] ** 2))
-    settings = {"a1": a1, "a2": a2, "b1": b1, "b2": b2}
-    return zeta, settings
+    zeta, settings = _chsh_optimize_batch(m[None])
+    return float(zeta[0]), {k: v[0] for k, v in settings.items()}
 
 
 def settings_to_observables(settings: dict) -> tuple:

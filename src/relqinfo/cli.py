@@ -141,10 +141,9 @@ def _scn_photon_doppler(cfg, grids, seed):
     velocities = _as_float_list(cfg.get("velocities"), [-0.5, -0.25, 0.25, 0.5])
     nt = int(grids.get("photon_theta", 32))
     nph = int(grids.get("photon_phi", 64))
-    rows = []
-    for v in velocities:
-        out = photon.doppler_error_ratio(aperture, v, n_theta=nt, n_phi=nph)
-        rows.append([aperture, v, out["P_E"], out["P_E_prime"], out["ratio"]])
+    rows = [[aperture, v, out["P_E"], out["P_E_prime"], out["ratio"]]
+            for v, out in zip(velocities, photon._doppler_ratios(
+                aperture, velocities, n_theta=nt, n_phi=nph))]
     return (["aperture", "v", "P_E", "P_E_prime", "ratio"], rows, {})
 
 
@@ -189,14 +188,10 @@ def _scn_causality_bell(cfg, grids, seed):
 def _scn_teleport_check(cfg, grids, seed):
     draws = int(cfg.get("draws", 100))
     rng = np.random.default_rng(seed)
-    worst_res, worst_fid = 0.0, 1.0
-    for _ in range(draws):
-        v = qstate.haar_state(2, rng)
-        worst_res = max(worst_res, channel.teleport_identity_residual(v[0], v[1]))
-        sim = channel.simulate_teleportation(v[0], v[1])
-        worst_fid = min(worst_fid, sim["min_fidelity"])
-    return None, {"draws": draws, "max_residual": worst_res,
-                  "min_fidelity": worst_fid}, {}
+    states = np.array([qstate.haar_state(2, rng) for _ in range(draws)]).reshape(-1, 2)
+    residuals, _, fidelities = channel._teleport_batch(states)
+    return None, {"draws": draws, "max_residual": float(residuals.max(initial=0.0)),
+                  "min_fidelity": float(fidelities.min(initial=1.0))}, {}
 
 
 def _scn_chsh(cfg, grids, seed):

@@ -105,6 +105,15 @@ class LorentzTransform:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
+    def _checked(cls, m: np.ndarray) -> "LorentzTransform":
+        """Wrap a float (4,4) matrix that _check_transforms has already
+        passed, without checking it again; for the batched boost cores."""
+        lam = object.__new__(cls)
+        m.setflags(write=False)
+        object.__setattr__(lam, "matrix", m)
+        return lam
+
+    @classmethod
     def identity(cls) -> "LorentzTransform":
         return cls(np.eye(4))
 
@@ -209,7 +218,7 @@ def standard_boost_massive(p: FourVector, m: float) -> LorentzTransform:
     p = np.asarray(p, dtype=float)
     if p.shape != (4,):
         raise DimensionError(f"four-vector must have shape (4,), got {p.shape}")
-    return LorentzTransform(_standard_boosts_massive(p[None], m)[0])
+    return LorentzTransform._checked(_standard_boosts_massive(p[None], m)[0])
 
 
 def _standard_boosts_massless(K: np.ndarray) -> np.ndarray:
@@ -244,7 +253,7 @@ def standard_boost_massless(k: FourVector) -> LorentzTransform:
     k = np.asarray(k, dtype=float)
     if k.shape != (4,):
         raise DimensionError(f"four-vector must have shape (4,), got {k.shape}")
-    return LorentzTransform(_standard_boosts_massless(k[None])[0])
+    return LorentzTransform._checked(_standard_boosts_massless(k[None])[0])
 
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)

@@ -351,15 +351,11 @@ def naive_density_matrix(packet: PhotonPacket) -> PolarizationMatrix:
     return PolarizationMatrix(matrix=_density_matrices(masses, vectors)[0])
 
 
-def boost_packet(packet: PhotonPacket, v: float) -> PhotonPacket:
-    """Boost along +z: directions aberrate, frequencies rescale, helicity
-    amplitudes pick up the little-group phases e^(-+ i xi) (identically
-    zero for z boosts), and the solid-angle Jacobian is absorbed so each
-    ray keeps its probability mass.
-
-    Positive v is the receding-detector convention: a beam around +z
-    widens, small tilt angles scale by sqrt((1+v)/(1-v)).
-    """
+def _boosted_rays(packet: PhotonPacket, v: float) -> tuple:
+    """The boost along +z of a packet's rays, shared by every packet on the
+    same rays: the aberrated polar angles and frequencies, the solid-angle
+    Jacobian d(cos theta')/d(cos theta) and the helicity phases
+    e^(-+ i xi), (N, 2)."""
     if abs(v) >= 1.0:
         raise ValidationError("speed must satisfy |v| < 1")
     g = 1.0 / np.sqrt(1.0 - v * v)
@@ -369,16 +365,32 @@ def boost_packet(packet: PhotonPacket, v: float) -> PhotonPacket:
     cos_tp = (ct - v) / denom
     theta_p = np.arctan2(sin_tp, cos_tp)
     k0_p = packet.k0 * g * denom
-    # d(cos theta')/d(cos theta): keep w|f|^2 per ray invariant
     jac = (1.0 - v * v) / denom ** 2
-    weights_p = packet.weights * jac
-    profile_p = packet.profile / np.sqrt(jac)
-
     lam = boost(np.array([0.0, 0.0, v]))
     xi = helicity_phase_batch(lam, packet.four_momenta())
     phases = np.column_stack([np.exp(-1j * xi), np.exp(1j * xi)])
-    return PhotonPacket(theta=theta_p, phi=packet.phi.copy(), weights=weights_p,
-                        profile=profile_p, alpha=packet.alpha * phases, k0=k0_p)
+    return theta_p, k0_p, jac, phases
+
+
+def _boosted(packet: PhotonPacket, rays: tuple) -> PhotonPacket:
+    """The packet moved onto boosted rays from _boosted_rays; w |f|^2 per ray
+    is kept by absorbing the Jacobian."""
+    theta_p, k0_p, jac, phases = rays
+    return PhotonPacket(theta=theta_p, phi=packet.phi.copy(), weights=packet.weights * jac,
+                        profile=packet.profile / np.sqrt(jac),
+                        alpha=packet.alpha * phases, k0=k0_p)
+
+
+def boost_packet(packet: PhotonPacket, v: float) -> PhotonPacket:
+    """Boost along +z: directions aberrate, frequencies rescale, helicity
+    amplitudes pick up the little-group phases e^(-+ i xi) (identically
+    zero for z boosts), and the solid-angle Jacobian is absorbed so each
+    ray keeps its probability mass.
+
+    Positive v is the receding-detector convention: a beam around +z
+    widens, small tilt angles scale by sqrt((1+v)/(1-v)).
+    """
+    return _boosted(packet, _boosted_rays(packet, v))
 
 
 def rotate_packet(packet: PhotonPacket, lam: LorentzTransform) -> PhotonPacket:
@@ -405,6 +417,28 @@ def _renormalized_error(rho1: PolarizationMatrix, rho2: PolarizationMatrix) -> f
     return float(min(max(0.5 - 0.25 * np.abs(ev).sum(), 0.0), 0.5))
 
 
+def _doppler_ratios(aperture: float, velocities, n_theta: int = 32, n_phi: int = 64,
+                    polarizations=("linear-x", "linear-y")) -> list:
+    """doppler_error_ratio for each velocity, in order. The two packets and
+    the source-frame P_E are built once. Both packets lie on the same rays,
+    so each velocity boosts the rays once, with one helicity-phase call,
+    and each packet takes the shared phases onto its own alpha."""
+    p1 = collimated_packet(aperture, polarizations[0], n_theta, n_phi)
+    p2 = collimated_packet(aperture, polarizations[1], n_theta, n_phi)
+    pe = _renormalized_error(effective_density_matrix(p1),
+                             effective_density_matrix(p2))
+    degenerate = pe < 1e-14
+    out = []
+    for v in velocities:
+        rays = _boosted_rays(p1, v)
+        pe_prime = _renormalized_error(effective_density_matrix(_boosted(p1, rays)),
+                                       effective_density_matrix(_boosted(p2, rays)))
+        out.append({"P_E": pe, "P_E_prime": pe_prime,
+                    "ratio": None if degenerate else pe_prime / pe,
+                    "degenerate": degenerate})
+    return out
+
+
 def doppler_error_ratio(aperture: float, v: float, n_theta: int = 32,
                         n_phi: int = 64, polarizations=("linear-x", "linear-y")) -> dict:
     """Distinguishability change of two same-profile packets under a z boost.
@@ -414,18 +448,7 @@ def doppler_error_ratio(aperture: float, v: float, n_theta: int = 32,
     aperture limit the ratio approaches (1+v)/(1-v). A source-frame error
     below 1e-14 cannot support a ratio and is reported as degenerate.
     """
-    p1 = collimated_packet(aperture, polarizations[0], n_theta, n_phi)
-    p2 = collimated_packet(aperture, polarizations[1], n_theta, n_phi)
-    pe = _renormalized_error(effective_density_matrix(p1),
-                             effective_density_matrix(p2))
-    b1, b2 = boost_packet(p1, v), boost_packet(p2, v)
-    pe_prime = _renormalized_error(effective_density_matrix(b1),
-                                   effective_density_matrix(b2))
-    if pe < 1e-14:
-        return {"P_E": pe, "P_E_prime": pe_prime, "ratio": None,
-                "degenerate": True}
-    return {"P_E": pe, "P_E_prime": pe_prime, "ratio": pe_prime / pe,
-            "degenerate": False}
+    return _doppler_ratios(aperture, [v], n_theta, n_phi, polarizations)[0]
 
 
 def no_orthogonality_witness(aperture: float, n_theta: int = 32,

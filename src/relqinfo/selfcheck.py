@@ -170,12 +170,9 @@ def _check_locc(tols, grids):
 
 def _check_teleport(tols, grids):
     rng = np.random.default_rng(SEED)
-    worst_res, worst_fid = 0.0, 1.0
-    for _ in range(grids["teleport_draws"]):
-        v = qstate.haar_state(2, rng)
-        worst_res = max(worst_res, channel.teleport_identity_residual(v[0], v[1]))
-        worst_fid = min(worst_fid,
-                        channel.simulate_teleportation(v[0], v[1])["min_fidelity"])
+    states = [qstate.haar_state(2, rng) for _ in range(grids["teleport_draws"])]
+    residuals, _, fidelities = channel._teleport_batch(np.array(states))
+    worst_res, worst_fid = float(residuals.max()), float(fidelities.min())
     ok = worst_res < tols["teleport"] and worst_fid > 1.0 - tols["teleport"]
     return ok, {"max_residual": worst_res, "min_fidelity": worst_fid}
 
@@ -196,26 +193,21 @@ def _check_chsh(tols, grids):
     z_product, _ = channel.chsh_optimize(product)
 
     rng = np.random.default_rng(SEED)
-    worst_product = z_product
-    for _ in range(50):
-        v = np.kron(qstate.haar_state(2, rng), qstate.haar_state(2, rng))
-        z, _ = channel.chsh_optimize(DensityMatrix.from_pure(v))
-        worst_product = max(worst_product, z)
+    products = [DensityMatrix.from_pure(np.kron(qstate.haar_state(2, rng),
+                                                qstate.haar_state(2, rng))).matrix
+                for _ in range(50)]
+    z_products, _ = channel._chsh_optimize_batch(np.array(products))
+    worst_product = max(z_product, float(z_products.max()))
 
-    # batched random (state, settings) draws against the quantum bound
+    # random (state, Bloch settings) draws against the quantum bound
     n = grids["chsh_draws"]
-    rhos = _random_density_batch(n, rng)
-    sig = np.stack([qstate.SIGMA_X, qstate.SIGMA_Y, qstate.SIGMA_Z])
+    T = channel._correlation_matrix(_random_density_batch(n, rng))
 
     def bloch_batch(k):
         v = rng.normal(size=(k, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return np.einsum("ni,iab->nab", v, sig)
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
 
-    a1, a2, b1, b2 = (bloch_batch(n) for _ in range(4))
-    op = (np.einsum("nij,nkl->nikjl", a1, b1 + b2)
-          + np.einsum("nij,nkl->nikjl", a2, b1 - b2)).reshape(n, 4, 4)
-    zetas = 0.5 * np.einsum("nab,nba->n", rhos, op).real
+    zetas = channel._chsh_bloch(T, *(bloch_batch(n) for _ in range(4)))
     worst_draw = float(np.abs(zetas).max())
 
     bound = np.sqrt(2.0)
@@ -392,17 +384,15 @@ def _check_photon_povm(tols, grids):
 
 
 def _check_doppler(tols, grids):
+    velocities = (-0.5, -0.25, 0.25, 0.5)
+    rows = photon._doppler_ratios(0.05, velocities, n_theta=grids["photon_theta"],
+                                  n_phi=grids["photon_phi"])
     worst_rel = 0.0
-    ratio_at_half = None
-    for v in (-0.5, -0.25, 0.25, 0.5):
-        out = photon.doppler_error_ratio(0.05, v, n_theta=grids["photon_theta"],
-                                         n_phi=grids["photon_phi"])
+    for v, out in zip(velocities, rows):
         target = (1 + v) / (1 - v)
         worst_rel = max(worst_rel, abs(out["ratio"] - target) / target)
-        if v == 0.5:
-            ratio_at_half = out["ratio"]
     ok = worst_rel < tols["doppler_ratio"]
-    return ok, {"max_relative_error": worst_rel, "ratio_at_v_half": ratio_at_half}
+    return ok, {"max_relative_error": worst_rel, "ratio_at_v_half": rows[-1]["ratio"]}
 
 
 def _check_aberration(tols, grids):

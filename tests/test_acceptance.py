@@ -6,7 +6,7 @@ with -s to stream them), then asserts. The same table backs the CLI
 """
 import pytest
 
-from relqinfo import lorentz, selfcheck
+from relqinfo import channel, lorentz, selfcheck
 
 _TOLS = selfcheck._tols(None)
 _GRIDS = selfcheck._grids(None)
@@ -110,3 +110,41 @@ def test_criterion_07_checks_each_boost_stack_once(monkeypatch):
     assert _GRIDS["momentum_draws"] == 1000
     assert calls.count(1000) == 2
     assert len(calls) <= 60
+
+
+def test_criterion_12_values_are_pinned():
+    # max_relative_error = |ratio - 3|/3 is a difference of two nearly equal
+    # numbers, so a reordered contraction in photon moves it far more than
+    # round-off; the same values are pinned by the benchmark's reference
+    crit = next(c for c in selfcheck.CRITERIA if c.name == "12-photon-doppler-law")
+    measured = selfcheck.run_criterion(crit, _TOLS, _GRIDS).measured
+    pins = {"max_relative_error": 0.0012222847445381528,
+            "ratio_at_v_half": 2.9963331457663855}
+    for key, pin in pins.items():
+        assert abs(measured[key] - pin) <= 1e-12 * pin, (key, measured[key])
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_criterion_12_makes_one_helicity_phase_call_per_velocity(monkeypatch):
+    # both packets lie on the same rays and take the same phases
+    calls = _count_calls(monkeypatch, lorentz, "_helicity_phases")
+    _run("12-photon-doppler-law")
+    assert len(calls) <= 4
+
+
+def test_criterion_04_runs_its_draws_as_one_batch(monkeypatch):
+    per_draw = [_count_calls(monkeypatch, channel, name)
+                for name in ("simulate_teleportation", "teleport_identity_residual")]
+    _run("04-teleportation-identity")
+    assert per_draw == [[], []]

@@ -335,20 +335,32 @@ class TestTeleportation:
         assert teleport_identity_residual(1 / np.sqrt(2), 1j / np.sqrt(2)) < 1e-12
 
     def test_haar_sweep(self):
+        # each draw through the scalar functions and all at once through the
+        # core: every row is the scalar value, every branch fires with
+        # probability 1/4 and its corrected state is the input
         rng = np.random.default_rng(28)
-        worst_res, worst_fid = 0.0, 1.0
-        for _ in range(100):
-            v = qstate.haar_state(2, rng)
-            worst_res = max(worst_res, teleport_identity_residual(v[0], v[1]))
+        V = np.array([qstate.haar_state(2, rng) for _ in range(100)])
+        residuals, probabilities, fidelities = channel._teleport_batch(V)
+        for v, res, probs, fids in zip(V, residuals, probabilities, fidelities):
             sim = simulate_teleportation(v[0], v[1])
-            worst_fid = min(worst_fid, sim["min_fidelity"])
-            assert abs(sum(sim["probabilities"]) - 1.0) < 1e-12
-        assert worst_res < 1e-12
-        assert worst_fid > 1.0 - 1e-12
+            assert abs(teleport_identity_residual(v[0], v[1]) - res) <= 1e-15
+            assert abs(sim["min_fidelity"] - fids.min()) <= 1e-15
+            assert np.abs(np.array(sim["probabilities"]) - probs).max() <= 1e-15
+        assert residuals.max() < 1e-12
+        assert np.abs(probabilities - 0.25).max() < 1e-15
+        assert np.abs(fidelities - 1.0).max() < 1e-14
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValidationError):
             teleport_identity_residual(1.0, 1.0)
+
+    @pytest.mark.parametrize("row", [[1.0, 1.0], [0.0, 0.0], [np.nan, 0.0]])
+    def test_unnormalized_row_in_stack_rejected(self, row):
+        rng = np.random.default_rng(3)
+        V = np.array([qstate.haar_state(2, rng) for _ in range(5)])
+        V[2] = row
+        with pytest.raises(ValidationError, match="normalized"):
+            channel._teleport_batch(V)
 
 
 def polar_grid(n_theta: int, n_phi: int, center=None, spread=None) -> tuple:
@@ -404,7 +416,67 @@ def chsh_grid(T: np.ndarray) -> tuple:
     return float(z), {"a1": a1, "a2": a2, "b1": b1, "b2": b2}
 
 
+def correlation_by_kron(m: np.ndarray) -> np.ndarray:
+    """Per-pair oracle for channel._correlation_matrix on one state:
+    T_ij = tr(m sigma_i (x) sigma_j) from nine kron products."""
+    sigmas = (qstate.SIGMA_X, qstate.SIGMA_Y, qstate.SIGMA_Z)
+    return np.array([[np.trace(m @ np.kron(si, sj)).real for sj in sigmas]
+                     for si in sigmas])
+
+
+def chsh_states(rng) -> np.ndarray:
+    """A stack of two-qubit states holding the singlet, the maximally mixed
+    state (T = 0: both fallback settings), a product state (rank-1 T) and
+    random mixed and pure states."""
+    singlet = bell_state("psi-")
+    product = np.kron(qstate.haar_state(2, rng), qstate.haar_state(2, rng))
+    states = [np.outer(singlet, singlet.conj()), np.eye(4, dtype=complex) / 4,
+              np.outer(product, product.conj())]
+    states += [qstate.random_density_matrix(4, rng).matrix for _ in range(20)]
+    states += [DensityMatrix.from_pure(qstate.haar_state(4, rng)).matrix
+               for _ in range(20)]
+    return np.array(states)
+
+
 class TestChsh:
+    def test_correlation_matrix_against_kron_loop(self):
+        R = chsh_states(np.random.default_rng(41))
+        T = channel._correlation_matrix(R)
+        oracle = np.array([correlation_by_kron(m) for m in R])
+        assert np.abs(T - oracle).max() <= 1e-15
+        # any leading shape: a (14, 3) grid of states gives the same matrices
+        grid = channel._correlation_matrix(R[:42].reshape(14, 3, 4, 4))
+        assert np.array_equal(grid.reshape(42, 3, 3), T[:42])
+
+    def test_stacked_optimizer_matches_scalar_rows(self):
+        R = chsh_states(np.random.default_rng(43))
+        zeta, settings = channel._chsh_optimize_batch(R)
+        for i, m in enumerate(R):
+            z, st = chsh_optimize(m)
+            assert z == zeta[i]
+            for key in ("a1", "a2", "b1", "b2"):
+                assert np.abs(st[key] - settings[key][i]).max() <= 1e-15
+        # the maximally mixed state takes both fallbacks; the product's T has
+        # rank 1, so only a2 falls back
+        assert np.array_equal(settings["a1"][1], [0.0, 0.0, 1.0])
+        assert np.array_equal(settings["a2"][1], [1.0, 0.0, 0.0])
+        assert zeta[1] == 0.0
+        assert np.array_equal(settings["a2"][2], [1.0, 0.0, 0.0])
+        assert abs(zeta[2] - 1.0) < 1e-12
+
+    def test_bloch_values_match_chsh_value(self):
+        rng = np.random.default_rng(47)
+        R = chsh_states(rng)
+        units = []
+        for _ in range(4):
+            v = rng.normal(size=(len(R), 3))
+            units.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+        zetas = channel._chsh_bloch(channel._correlation_matrix(R), *units)
+        for i, m in enumerate(R):
+            obs = settings_to_observables(dict(zip(("a1", "a2", "b1", "b2"),
+                                                   (u[i] for u in units))))
+            assert abs(chsh_value(m, *obs) - zetas[i]) < 1e-14
+
     def test_singlet_optimal_settings(self):
         singlet = DensityMatrix.from_pure(bell_state("psi-"))
         zeta, settings = chsh_optimize(singlet)

@@ -106,6 +106,26 @@ class TestStandardBoosts:
         scalar = np.array([standard_boost_massive(p, 1.0).matrix for p in P])
         assert np.array_equal(lorentz._standard_boosts_massive(P, 1.0), scalar)
 
+    def test_scalar_boosts_check_their_matrix_once(self, monkeypatch):
+        # the batched core checks the boost; the returned LorentzTransform
+        # wraps it without a second check
+        calls = []
+        check = lorentz._check_transforms
+
+        def counted(L):
+            calls.append(len(L))
+            return check(L)
+
+        monkeypatch.setattr(lorentz, "_check_transforms", counted)
+        lam = standard_boost_massive(np.array([np.sqrt(1.25), 0.0, 0.0, 0.5]), 1.0)
+        assert calls == [1]
+        standard_boost_massless(np.array([2.0, 0.0, 2.0, 0.0]))
+        assert calls == [1, 1]
+        assert not lam.matrix.flags.writeable
+        with pytest.raises(ValidationError):  # the public constructor still checks
+            lorentz.LorentzTransform(np.diag([1.0, 1.0, 1.0, -1.0]))
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("row, m, exc", [
         ([1.0, 0.0, 0.0, 0.5], 1.0, ValidationError),            # off shell
         ([-np.sqrt(1.25), 0.0, 0.0, 0.5], 1.0, ValidationError),  # p0 <= 0

@@ -210,6 +210,21 @@ class TestDopplerErrorRatio:
         out = doppler_error_ratio(0.05, 0.25)
         assert out["P_E"] > 1e-14 and not out["degenerate"]
 
+    def test_scalar_is_the_core_entry_bit_for_bit(self):
+        velocities = (-0.5, -0.25, 0.0, 0.25, 0.5)
+        rows = photon._doppler_ratios(0.05, velocities, n_theta=16, n_phi=24)
+        for v, row in zip(velocities, rows):
+            assert doppler_error_ratio(0.05, v, n_theta=16, n_phi=24) == row
+
+    def test_shared_rays_match_separate_boosts(self):
+        p1 = collimated_packet(0.1, "linear-x", 12, 16)
+        p2 = collimated_packet(0.1, "plus", 12, 16)
+        rays = photon._boosted_rays(p1, 0.4)
+        for pk in (p1, p2):
+            shared, alone = photon._boosted(pk, rays), boost_packet(pk, 0.4)
+            for field in ("theta", "phi", "weights", "profile", "alpha", "k0"):
+                assert np.array_equal(getattr(shared, field), getattr(alone, field))
+
 
 class TestNoOrthogonality:
     def test_margin_positive_and_growing(self):
