@@ -1,10 +1,9 @@
 """Quantum operations and their causal structure.
 
 Kraus sets and the POVMs they induce, Choi-matrix complete-positivity
-certification, no-signalling checks for factor-local instruments,
-semicausality probing of bipartite measurements with concrete witnesses,
-a LOCC protocol simulator, the teleportation identity, and CHSH
-correlation values with their quantum bound.
+certification, semicausality probing of bipartite measurements with
+concrete witnesses, a LOCC protocol simulator, the teleportation
+identity, and CHSH correlation values with their quantum bound.
 """
 from __future__ import annotations
 
@@ -28,7 +27,6 @@ __all__ = [
     "apply",
     "povm_of",
     "choi_and_cp_check",
-    "verify_no_signalling",
     "is_semicausal",
     "simulate_locc_protocol",
     "teleport_identity_residual",
@@ -82,10 +80,6 @@ class KrausSet:
         elif gap > 1e-9:
             raise ValidationError(f"Kraus set is not trace-preserving (gap {gap:.2e})")
         object.__setattr__(self, "ops", ops)
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.ops)
 
     @classmethod
     def from_projectors(cls, projectors: Sequence[np.ndarray]) -> "KrausSet":
@@ -278,44 +272,6 @@ def _embed(a: KrausSet, side: str, dims: tuple) -> KrausSet:
             ops.append(tuple(np.kron(eye, m) for m in branch))
     return KrausSet(dim_in=da * db, dim_out=da * db, ops=tuple(ops),
                     subnormalized=a.subnormalized)
-
-
-def _sum_channel(k: KrausSet, rho: np.ndarray) -> np.ndarray:
-    return sum(a @ rho @ a.conj().T for branch in k.ops for a in branch)
-
-
-def verify_no_signalling(a: KrausSet, b: KrausSet, rho, trials: int = 100,
-                         seed: int = 20240901) -> dict:
-    """Check that factor-local instruments cannot shift each other's statistics.
-
-    a acts on the first factor, b on the second (embedded as A x 1 and
-    1 x B). For the supplied state plus `trials` seeded Haar-random pure
-    states, compares each party's outcome distribution with and without
-    the other party acting first. Returns a report with the worst total-
-    variation shift; commuting embeddings keep it at round-off level.
-    """
-    dims = (a.dim_in, b.dim_in)
-    d = dims[0] * dims[1]
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if m.shape != (d, d):
-        raise DimensionError("state does not live on the product space")
-    a_emb, b_emb = _embed(a, "A", dims), _embed(b, "B", dims)
-    povm_a, povm_b = povm_of(a_emb), povm_of(b_emb)
-
-    rng = np.random.default_rng(seed)
-    states = [m] + [np.outer(v, v.conj())
-                    for v in (qstate.haar_state(d, rng) for _ in range(trials))]
-    worst = 0.0
-    for s in states:
-        # Bob's statistics, with and without Alice acting first
-        pb0 = povm_b.probabilities(s)
-        pb1 = povm_b.probabilities(_sum_channel(a_emb, s))
-        pa0 = povm_a.probabilities(s)
-        pa1 = povm_a.probabilities(_sum_channel(b_emb, s))
-        worst = max(worst,
-                    0.5 * np.abs(pb1 - pb0).sum(),
-                    0.5 * np.abs(pa1 - pa0).sum())
-    return {"max_marginal_shift": float(worst), "states_tested": len(states)}
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Scenario runner: every module exposed as reproducible, file-emitting
 subcommands with a flat config file and seeded determinism.
 
-Exit codes: 0 success, 2 usage error (unknown scenario or bad flags),
-3 validation failure (JSON diagnostic on stdout), 4 numerical acceptance
-failure in self-check mode.
+Exit codes: 0 success, 2 usage error (unknown scenario, bad flags, or an
+unknown tolerance or grid name), 3 validation failure (JSON diagnostic on
+stdout), 4 numerical acceptance failure in self-check mode.
 """
 from __future__ import annotations
 
@@ -435,8 +435,10 @@ def main(argv: list | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         tol_overrides, grid_overrides, rest = _extract_dotted(list(argv))
-    except ValidationError as exc:
-        print(json.dumps({"error": "usage", "detail": str(exc)}))
+        selfcheck._tols(tol_overrides)
+        selfcheck._grids(grid_overrides)
+    except (KeyError, ValidationError) as exc:
+        print(json.dumps({"error": "usage", "detail": exc.args[0]}))
         return USAGE_EXIT
     parser = _build_parser()
     try:
@@ -470,12 +472,6 @@ def main(argv: list | None = None) -> int:
 
 
 def _run_selfcheck(args, tol_overrides, grid_overrides, config) -> int:
-    try:
-        selfcheck._tols(tol_overrides)
-        selfcheck._grids(grid_overrides)
-    except KeyError as exc:
-        print(json.dumps({"error": "usage", "detail": exc.args[0]}))
-        return USAGE_EXIT
     # config may corrupt constants deliberately; guard before any numerics
     try:
         _constants_from(config)

@@ -1,11 +1,13 @@
 """Classical relativistic kinematics in natural units (c = 1).
 
 Four-vectors are plain length-4 ndarrays ordered (t, x, y, z) with metric
-signature (+,-,-,-). The module builds boosts and rotations, the canonical
-(rotation-free) standard boost for massive momenta and the z-boost-then-
-rotate standard boost for null momenta, little-group elements for both
-cases (spatial rotation with its SU(2) image, or the rotation angle of a
-null-momentum stabilizer), and the aberration/Doppler map.
+signature (+,-,-,-); apply a transform as lam @ p. The module builds
+boosts and rotations, the canonical (rotation-free) standard boost for
+massive momenta and the z-boost-then-rotate standard boost for null
+momenta, little-group elements for both cases (spatial rotation with its
+SU(2) image, or the rotation angle of a null-momentum stabilizer), and the
+aberration/Doppler map. A pure boost by velocity v is the canonical boost
+of p = gamma (1, v) at m = 1, so one formula builds both.
 
 The little-group math is batched over (N,4) momentum arrays and the scalar
 functions call it with a batch of one; wigner_su2_batch is the NumPy kernel.
@@ -25,7 +27,6 @@ __all__ = [
     "LorentzTransform",
     "WignerRotation",
     "HelicityPhase",
-    "minkowski_dot",
     "check_mass_shell",
     "boost",
     "rotation",
@@ -48,12 +49,6 @@ ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 FourVector = np.ndarray
 
 _TOL_GROUP = 1e-12
-
-
-def minkowski_dot(p: FourVector, q: FourVector) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return float(p[0] * q[0] - p[1:] @ q[1:])
 
 
 def _check_mass_shells(P: np.ndarray, m: float, tol: float = 1e-10) -> None:
@@ -113,10 +108,6 @@ class LorentzTransform:
         object.__setattr__(lam, "matrix", m)
         return lam
 
-    @classmethod
-    def identity(cls) -> "LorentzTransform":
-        return cls(np.eye(4))
-
     def inverse(self) -> "LorentzTransform":
         # exact group inverse: eta Lambda^T eta
         return LorentzTransform(ETA @ self.matrix.T @ ETA)
@@ -126,28 +117,11 @@ class LorentzTransform:
             return LorentzTransform(self.matrix @ other.matrix)
         return self.matrix @ np.asarray(other, dtype=float)
 
-    def apply(self, p: FourVector) -> FourVector:
-        return self.matrix @ np.asarray(p, dtype=float)
-
-
-def _boost_matrix_velocity(v: np.ndarray) -> np.ndarray:
-    b2 = float(v @ v)
-    if b2 >= 1.0:
-        raise ValidationError(f"speed |v| = {np.sqrt(b2)} must be < 1")
-    if b2 == 0.0:
-        return np.eye(4)
-    g = 1.0 / np.sqrt(1.0 - b2)
-    L = np.empty((4, 4))
-    L[0, 0] = g
-    L[0, 1:] = g * v
-    L[1:, 0] = g * v
-    L[1:, 1:] = np.eye(3) + (g - 1.0) * np.outer(v, v) / b2
-    return L
-
 
 def boost(velocity=None, *, rapidity: float | None = None,
           axis=None) -> LorentzTransform:
-    """Pure boost, from a 3-velocity or from (rapidity, axis).
+    """Pure boost, from a 3-velocity or from (rapidity, axis): the
+    canonical boost of p = gamma (1, v) at m = 1.
 
     boost((0, 0, 0.6)) and boost(rapidity=atanh(0.6), axis=(0, 0, 1)) agree.
     """
@@ -160,7 +134,11 @@ def boost(velocity=None, *, rapidity: float | None = None,
             raise ValidationError("boost axis must be nonzero")
         velocity = np.tanh(rapidity) * n / norm
     v = np.asarray(velocity, dtype=float).reshape(3)
-    return LorentzTransform(_boost_matrix_velocity(v))
+    b2 = float(v @ v)
+    if b2 >= 1.0:
+        raise ValidationError(f"speed |v| = {np.sqrt(b2)} must be < 1")
+    g = 1.0 / np.sqrt(1.0 - b2)
+    return LorentzTransform(_canonical_boosts(g * np.array([[1.0, *v]]), 1.0)[0])
 
 
 def _rotation3(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -410,8 +388,9 @@ def helicity_phase_batch(lam: LorentzTransform, ks: np.ndarray) -> np.ndarray:
     return _helicity_phases(lam.matrix, ks)[0]
 
 
-def aberrate(theta: float, phi: float, v: float) -> tuple:
-    """Direction and frequency change of a light ray under a z-boost.
+def aberrate(theta, phi, v: float) -> tuple:
+    """Direction and frequency change of light rays under a z-boost; theta
+    and phi are angles or arrays of them.
 
     Returns (theta', k0'/k0) with sin(theta') = sin(theta)/[gamma(1 - v cos
     theta)], the branch fixed by the sign of cos(theta') = (cos theta - v)
@@ -425,7 +404,7 @@ def aberrate(theta: float, phi: float, v: float) -> tuple:
     sin_tp = np.sin(theta) / (g * denom)
     cos_tp = (np.cos(theta) - v) / denom
     theta_p = np.arctan2(sin_tp, cos_tp)
-    return float(theta_p), float(g * denom)
+    return theta_p, g * denom
 
 
 def _rotation_to_khat_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:

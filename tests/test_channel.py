@@ -11,7 +11,7 @@ from relqinfo.channel import (BipartiteOperation, KrausSet, apply, bell_state,
                               kraus_from_unitary, locc_outcome_to_global,
                               povm_of, settings_to_observables,
                               simulate_locc_protocol, simulate_teleportation,
-                              teleport_identity_residual, verify_no_signalling)
+                              teleport_identity_residual)
 from relqinfo.qstate import DensityMatrix, PureState
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -24,7 +24,7 @@ class TestKrausFromUnitary:
         ks = kraus_from_unitary(np.eye(2, dtype=complex),
                                 PureState(np.array([1.0])),
                                 [[np.array([1.0])]])
-        assert ks.n_outcomes == 1
+        assert len(ks.ops) == 1
         assert np.abs(ks.ops[0][0] - np.eye(2)).max() < 1e-14
 
     def test_cnot_premeasurement(self):
@@ -37,7 +37,7 @@ class TestKrausFromUnitary:
         u = np.kron(np.eye(2, dtype=complex), HAD)
         ks = kraus_from_unitary(u, PureState(np.array([1.0, 0])),
                                 [[np.array([1.0, 0]), np.array([0, 1.0])]])
-        assert ks.n_outcomes == 1
+        assert len(ks.ops) == 1
         c1, cp, _ = choi_and_cp_check(ks)
         c2, _, _ = choi_and_cp_check(lambda r: r, dim_in=2)
         assert cp
@@ -149,30 +149,6 @@ class TestChoi:
 
 
 class TestNoSignalling:
-    def test_local_instruments_do_not_shift_marginals(self):
-        rng = np.random.default_rng(24)
-        a = KrausSet.from_projectors([np.diag([1.0, 0]), np.diag([0, 1.0])])
-        b = KrausSet.single([qstate.haar_unitary(2, rng)])
-        rho = qstate.random_density_matrix(4, rng)
-        report = verify_no_signalling(a, b, rho, trials=10)
-        assert report["max_marginal_shift"] < 1e-12
-
-    def test_hundred_random_local_instruments(self):
-        rng = np.random.default_rng(25)
-        worst = 0.0
-        for _ in range(100):
-            ua = qstate.haar_unitary(2, rng)
-            proj = np.outer(qstate.haar_state(2, rng),
-                            qstate.haar_state(2, rng).conj())
-            # random local instrument: conjugated projective measurement
-            p1 = ua @ np.diag([1.0, 0]).astype(complex) @ ua.conj().T
-            a = KrausSet.from_projectors([p1, np.eye(2) - p1])
-            b = KrausSet.single([qstate.haar_unitary(2, rng)])
-            rho = qstate.random_density_matrix(4, rng)
-            report = verify_no_signalling(a, b, rho, trials=2)
-            worst = max(worst, report["max_marginal_shift"])
-        assert worst < 1e-12
-
     def test_frame_order_independence(self):
         # commuting embedded sets applied in either order agree outcome by
         # outcome on the unnormalized branch states

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,13 @@ def invoke(args, tmp_path, **kw):
                           cwd=tmp_path, env=child_env(), **kw)
 
 
+@pytest.mark.parametrize("name", ["relqinfo"] + sorted(
+    f"relqinfo.{m.name}" for m in pkgutil.iter_modules(relqinfo.__path__)))
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     code = ("import sys, relqinfo.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -49,6 +58,8 @@ class TestExitCodes:
         ["--scenario", "chsh", "--tol.doppler_ratio", "abc"],
         ["--scenario", "chsh", "--grid.photon_theta=abc"],
         ["--selfcheck", "--tol.bogus", "1"], ["--selfcheck", "--grid.bogus", "1"],
+        ["--scenario", "unruh", "--tol.bogus", "1"],
+        ["--scenario", "unruh", "--grid.nonsense", "3"],
         ["--selfcheck", "--grid.povm_packets", "inf"],
         ["--selfcheck", "--grid.povm_packets", "0"],
         ["--scenario", "bipartite-concurrence", "--grid.bipartite_points", "5.9"],

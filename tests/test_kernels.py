@@ -25,7 +25,7 @@ def velocity_form_little_group(lam, p):
     """Oracle for W = L^{-1}(lam p) lam L(p): the canonical boost L(p) is
     the pure boost with velocity p/p0, built here from lorentz.boost's
     velocity form and inverted as a general matrix."""
-    q = lam.apply(p)
+    q = lam @ p
     Lp = lorentz.boost(p[1:] / p[0]).matrix
     Lq = lorentz.boost(q[1:] / q[0]).matrix
     return np.linalg.inv(Lq) @ lam.matrix @ Lp
@@ -49,7 +49,7 @@ class TestKernelContract:
         Q, D = kernels.wigner_su2_batch(lam.matrix, P, m)
         assert_little_group_images(D, lam, P, 1e-12)
         for i in range(P.shape[0]):
-            assert np.abs(Q[i] - lam.apply(P[i])).max() < 1e-12
+            assert np.abs(Q[i] - lam @ P[i]).max() < 1e-12
 
     def test_numpy_kernel_matches_single_point_reference(self):
         rng = np.random.default_rng(65)
@@ -116,7 +116,7 @@ class TestKernelProperties:
         lam = hypothesis_lambda(chi, boost_axis, rot_axis, angle)
         P = single_point_grid(m, chi_p, p_dir)
         Q, D = numpy_kernel(lam.matrix, P, m)
-        assert np.abs(Q[0] - lam.apply(P[0])).max() < 1e-14 * Q[0, 0]
+        assert np.abs(Q[0] - lam @ P[0]).max() < 1e-14 * Q[0, 0]
         assert_little_group_images(D, lam, P, 2e-13 * round_off_scale(P, Q, m))
 
     @settings(max_examples=100, deadline=None, derandomize=True)

@@ -8,8 +8,7 @@ from relqinfo._errors import ValidationError
 from relqinfo.photon import (PolarizationMatrix, boost_packet,
                              collimated_packet, doppler_error_ratio,
                              effective_density_matrix, helicity_vectors,
-                             naive_density_matrix, no_orthogonality_witness,
-                             povm_expectation, rotate_packet,
+                             naive_density_matrix, povm_expectation,
                              transversal_decomposition)
 
 
@@ -129,25 +128,6 @@ class TestEffectiveDensityMatrix:
             rho = effective_density_matrix(pk)
             assert np.linalg.eigvalsh(rho.matrix).min() > -1e-12
 
-    def test_rotation_covariance(self):
-        pk = collimated_packet(0.25, polarization="linear-x")
-        lam = lorentz.rotation([0.3, -0.5, 1.0], 0.8)
-        R = lam.matrix[1:, 1:]
-        rot = rotate_packet(pk, lam)
-        rho_rot = effective_density_matrix(rot).matrix
-        rho = effective_density_matrix(pk).matrix
-        assert np.abs(rho_rot - R @ rho @ R.T).max() < 1e-10
-
-    def test_rotation_onto_near_axis_keeps_polar_angle(self):
-        # tilt ray 0 back about the axis z x khat until it sits 3e-9 rad from
-        # +z; arccos(khat_z) would round that angle to 0
-        pk = collimated_packet(0.4, n_theta=4, n_phi=4)
-        theta0, phi0, target = pk.theta[0], pk.phi[0], 3e-9
-        lam = lorentz.rotation([-np.sin(phi0), np.cos(phi0), 0.0], target - theta0)
-        rot = rotate_packet(pk, lam)
-        assert abs(rot.theta[0] - target) < 1e-15
-
-
 class TestBoost:
     def test_zero_velocity_identity(self):
         pk = collimated_packet(0.1)
@@ -226,21 +206,6 @@ class TestDopplerErrorRatio:
                 assert np.array_equal(getattr(shared, field), getattr(alone, field))
 
 
-class TestNoOrthogonality:
-    def test_margin_positive_and_growing(self):
-        m1 = no_orthogonality_witness(0.1)["margin"]
-        m2 = no_orthogonality_witness(0.2)["margin"]
-        assert 0.0 < m1 < m2
-
-    def test_linear_pair_loses_distinguishability(self):
-        out = no_orthogonality_witness(0.2)
-        assert out["deficits"]["linear_x_vs_y"] > 1e-5
-
-    def test_sharp_beam_limit(self):
-        out = no_orthogonality_witness(0.01)
-        assert out["margin"] < 1e-4
-
-
 class TestPolarizationMatrix:
     def test_trace_above_one_rejected(self):
         with pytest.raises(ValidationError):
@@ -249,24 +214,6 @@ class TestPolarizationMatrix:
     def test_non_psd_rejected(self):
         with pytest.raises(ValidationError):
             PolarizationMatrix(np.diag([0.8, 0.4, -0.2]))
-
-
-class TestTransversalFrame:
-    def test_frame_invariants_hold_on_grids(self):
-        rng = np.random.default_rng(47)
-        theta = rng.uniform(0, np.pi, size=64)
-        phi = rng.uniform(0, 2 * np.pi, size=64)
-        frame = photon.TransversalFrame.for_directions(theta, phi)
-        assert np.abs(np.einsum("ni,ni->n", frame.eps_plus,
-                                frame.khat)).max() < 1e-12
-
-    def test_tampered_frame_rejected(self):
-        frame = photon.TransversalFrame.for_directions(
-            np.array([0.3]), np.array([0.1]))
-        with pytest.raises(ValidationError):
-            photon.TransversalFrame(khat=frame.khat,
-                                    eps_plus=frame.eps_plus * 1.5,
-                                    eps_minus=frame.eps_minus)
 
 
 def random_packet_draws(n, seed):

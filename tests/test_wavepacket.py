@@ -71,7 +71,7 @@ class TestGammaParameter:
 class TestBoost:
     def test_identity_boost(self):
         p = small_packet()
-        p2 = boost_packet(p, lorentz.LorentzTransform.identity())
+        p2 = boost_packet(p, lorentz.LorentzTransform(np.eye(4)))
         assert np.abs(p2.amplitudes - p.amplitudes).max() < 1e-14
         assert np.abs(p2.momenta - p.momenta).max() < 1e-14
 
