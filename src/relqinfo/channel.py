@@ -116,8 +116,9 @@ class Povm:
         object.__setattr__(self, "elements", elements)
 
     def probabilities(self, rho) -> np.ndarray:
-        m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-        return np.array([np.trace(e @ m).real for e in self.elements])
+        """tr(rho E_mu) per outcome, shape (..., n) for a (..., d, d) stack."""
+        return np.einsum("kij,...ji->...k", np.array(self.elements),
+                         qstate._as_matrix(rho)).real
 
 
 @dataclass(frozen=True)
@@ -198,12 +199,11 @@ def apply(k: KrausSet, rho) -> list:
     Returns [(p_mu, DensityMatrix or None)]; outcomes with p below 1e-12
     are numerically empty and carry None.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = qstate._as_matrix(rho)
     if m.shape != (k.dim_in, k.dim_in):
         raise DimensionError(f"state dim {m.shape[0]} != channel input {k.dim_in}")
     out = []
-    for branch in k.ops:
-        unnorm = sum(a @ m @ a.conj().T for a in branch)
+    for unnorm in _outcome_states(k.ops, m):
         p = float(np.trace(unnorm).real)
         if p < _TOL:
             out.append((max(p, 0.0), None))
@@ -220,9 +220,15 @@ def povm_of(k: KrausSet) -> Povm:
     return Povm(dim=k.dim_in, elements=elements)
 
 
+def _outcome_states(ops, m: np.ndarray) -> list:
+    """Unnormalized post-state, the sum of A m A† over the Kraus matrices
+    A of each outcome in ops, for one matrix or a (..., d, d) stack m."""
+    return [sum(a @ m @ a.conj().T for a in branch) for branch in ops]
+
+
 def _apply_map(k_or_fn, rho: np.ndarray, dim_in: int) -> np.ndarray:
     if isinstance(k_or_fn, KrausSet):
-        return sum(a @ rho @ a.conj().T for branch in k_or_fn.ops for a in branch)
+        return sum(_outcome_states(k_or_fn.ops, rho))
     return np.asarray(k_or_fn(rho), dtype=complex)
 
 
@@ -260,19 +266,6 @@ def choi_and_cp_check(map_or_kraus, dim_in: int | None = None) -> tuple:
 
 # ---------------------------------------------------------------------------
 # causality checks
-
-def _embed(a: KrausSet, side: str, dims: tuple) -> KrausSet:
-    da, db = dims
-    eye = np.eye(db if side == "A" else da, dtype=complex)
-    ops = []
-    for branch in a.ops:
-        if side == "A":
-            ops.append(tuple(np.kron(m, eye) for m in branch))
-        else:
-            ops.append(tuple(np.kron(eye, m) for m in branch))
-    return KrausSet(dim_in=da * db, dim_out=da * db, ops=tuple(ops),
-                    subnormalized=a.subnormalized)
-
 
 @dataclass(frozen=True)
 class SemicausalVerdict:
@@ -389,39 +382,36 @@ def simulate_locc_protocol(protocol: Sequence[LoccStep], rho,
                            dims: tuple = (2, 2)) -> dict:
     """Outcome distribution of an ordered local protocol with classical messages.
 
-    Returns {message tuple: probability}. Instruments are validated per
-    branch; a chooser returning an instrument of the wrong dimension is a
-    malformed conditioning graph.
+    rho is one state or an (S, d, d) stack; returns {message tuple:
+    probability}, a float or an (S,) array. No branch is pruned: every key
+    is a full-length message, and one that cannot occur reads ~0. Each
+    history's instrument is chosen and embedded once for the whole stack; a
+    chooser returning an instrument of the wrong dimension is a malformed
+    conditioning graph.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = qstate._as_matrix(rho)
     d = dims[0] * dims[1]
-    if m.shape != (d, d):
+    if m.ndim not in (2, 3) or m.shape[-2:] != (d, d):
         raise DimensionError("input does not live on the bipartite space")
 
-    dist: dict = {}
-
-    def descend(state, weight, history, step_idx):
-        if step_idx == len(protocol):
-            dist[history] = dist.get(history, 0.0) + weight
-            return
-        step = protocol[step_idx]
+    branches = {(): m}
+    for step in protocol:
         if step.party not in ("A", "B"):
             raise ValidationError(f"unknown party {step.party!r}")
-        local = step.instrument(history)
         want = dims[0] if step.party == "A" else dims[1]
-        if local.dim_in != want or local.dim_out != want:
-            raise ValidationError("conditioned instrument has wrong local dimension")
-        emb = _embed(local, step.party, dims)
-        for mu, branch in enumerate(emb.ops):
-            unnorm = sum(a @ state @ a.conj().T for a in branch)
-            p = float(np.trace(unnorm).real)
-            if p < _TOL:
-                dist[history + (mu,)] = dist.get(history + (mu,), 0.0) + 0.0
-                continue
-            descend(unnorm / p, weight * p, history + (mu,), step_idx + 1)
-
-    descend(m, 1.0, (), 0)
-    return dist
+        eye = np.eye(d // want, dtype=complex)
+        grown = {}
+        for history, state in branches.items():
+            local = step.instrument(history)
+            if local.dim_in != want or local.dim_out != want:
+                raise ValidationError("conditioned instrument has wrong local dimension")
+            ops = [[np.kron(a, eye) if step.party == "A" else np.kron(eye, a)
+                    for a in branch] for branch in local.ops]
+            for mu, post in enumerate(_outcome_states(ops, state)):
+                grown[history + (mu,)] = post
+        branches = grown
+    probs = {h: np.trace(s, axis1=-2, axis2=-1).real for h, s in branches.items()}
+    return probs if m.ndim == 3 else {h: float(p) for h, p in probs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +560,7 @@ def _check_pm_observable(X: np.ndarray, tol: float = 1e-9) -> None:
 
 def chsh_value(rho, A1, A2, B1, B2) -> float:
     """zeta = tr{rho [A1(B1+B2) + A2(B1-B2)]} / 2 for +-1-spectrum observables."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = qstate._as_matrix(rho)
     for X in (A1, A2, B1, B2):
         _check_pm_observable(np.asarray(X, dtype=complex))
     op = np.kron(A1, B1 + B2) + np.kron(A2, B1 - B2)
@@ -642,7 +632,7 @@ def chsh_optimize(rho) -> tuple:
     Returns (zeta_max, settings dict); _chsh_optimize_batch on a batch of
     one.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = qstate._as_matrix(rho)
     if m.shape != (4, 4):
         raise DimensionError("CHSH optimization is defined for two qubits")
     zeta, settings = _chsh_optimize_batch(m[None])

@@ -1,9 +1,9 @@
 """Scenario runner: every module exposed as reproducible, file-emitting
 subcommands with a flat config file and seeded determinism.
 
-Exit codes: 0 success, 2 usage error (unknown scenario, bad flags, or an
-unknown tolerance or grid name), 3 validation failure (JSON diagnostic on
-stdout), 4 numerical acceptance failure in self-check mode.
+Exit codes: 0 success, 2 usage error (unknown scenario, bad or non-finite
+flags, or an unknown tolerance or grid name), 3 validation failure (JSON
+diagnostic on stdout), 4 numerical acceptance failure in self-check mode.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ def _parse_value(raw: str):
 
 
 def load_config(path: str | None) -> dict:
-    """Flat key = value file; '#' starts a comment."""
+    """Flat key = value file; '#' starts a comment; nan and inf are invalid."""
     cfg: dict = {}
     if path is None:
         return cfg
@@ -73,7 +73,9 @@ def load_config(path: str | None) -> dict:
         if "=" not in line:
             raise ValidationError(f"config line {lineno} is not key = value")
         key, raw = line.split("=", 1)
-        cfg[key.strip()] = _parse_value(raw)
+        cfg[key.strip()] = value = _parse_value(raw)
+        if any(isinstance(x, float) and not np.isfinite(x) for x in np.atleast_1d(value)):
+            raise ValidationError(f"config line {lineno} has a non-finite number")
     return cfg
 
 
@@ -377,8 +379,8 @@ def run(scenario: str, config: dict, seed: int, out_path: Path, fmt: str,
 def _extract_dotted(argv: list) -> tuple:
     """Split --tol.NAME and --grid.NAME options from the raw argument list.
 
-    Every value must be a number; a grid value must also be a finite whole
-    number >= 1 and is returned as an int."""
+    Every value must be a number; a whole grid value is returned as an
+    int. selfcheck._tols and selfcheck._grids check the names and values."""
     tols, grids, rest = {}, {}, []
     i = 0
     while i < len(argv):
@@ -403,12 +405,7 @@ def _extract_dotted(argv: list) -> tuple:
             value = float(raw)
         except ValueError:
             raise ValidationError(f"flag {tok} needs a number, got {raw!r}") from None
-        if target is grids:
-            if not selfcheck._is_count(value):
-                raise ValidationError(
-                    f"flag {tok} needs a whole number >= 1, got {raw!r}")
-            value = int(value)
-        target[key] = value
+        target[key] = int(value) if target is grids and value.is_integer() else value
         i += 1
     return tols, grids, rest
 

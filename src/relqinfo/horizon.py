@@ -211,8 +211,7 @@ def superscattering(S: np.ndarray, rho_in) -> DensityMatrix:
     trace preserving, it carries pure states to mixed ones.
     """
     S = np.asarray(S, dtype=complex)
-    rho = rho_in.matrix if isinstance(rho_in, DensityMatrix) else np.asarray(
-        rho_in, dtype=complex)
+    rho = qstate._as_matrix(rho_in)
     d_total = S.shape[0]
     if S.shape != (d_total, d_total) or np.abs(
             S @ S.conj().T - np.eye(d_total)).max() > 1e-10:

@@ -75,9 +75,11 @@ _ETA_SIGNS = np.outer(np.diag(ETA), np.diag(ETA))
 
 
 def _check_transforms(L: np.ndarray) -> None:
-    """Raise unless every (4,4) matrix of an (N,4,4) stack preserves the
-    metric (relative to L00**2, the scale of its round-off) and is proper
-    orthochronous."""
+    """Raise unless every (4,4) matrix of an (N,4,4) stack is finite (NaN
+    passes every comparison below), preserves the metric (relative to
+    L00**2, the scale of its round-off) and is proper orthochronous."""
+    if not np.isfinite(L).all():
+        raise ValidationError("matrix has non-finite entries")
     gap = np.abs(np.swapaxes(L, 1, 2) @ ETA @ L - ETA).max(axis=(1, 2))
     if (gap > _TOL_GROUP * 1e2 * np.maximum(1.0, L[:, 0, 0] ** 2)).any():
         raise ValidationError("matrix does not preserve the metric")
@@ -121,7 +123,7 @@ class LorentzTransform:
 def boost(velocity=None, *, rapidity: float | None = None,
           axis=None) -> LorentzTransform:
     """Pure boost, from a 3-velocity or from (rapidity, axis): the
-    canonical boost of p = gamma (1, v) at m = 1.
+    canonical boost at m = 1 of p = gamma (1, v) or (cosh chi, sinh chi n).
 
     boost((0, 0, 0.6)) and boost(rapidity=atanh(0.6), axis=(0, 0, 1)) agree.
     """
@@ -132,13 +134,14 @@ def boost(velocity=None, *, rapidity: float | None = None,
         norm = np.linalg.norm(n)
         if norm == 0:
             raise ValidationError("boost axis must be nonzero")
-        velocity = np.tanh(rapidity) * n / norm
-    v = np.asarray(velocity, dtype=float).reshape(3)
-    b2 = float(v @ v)
-    if b2 >= 1.0:
-        raise ValidationError(f"speed |v| = {np.sqrt(b2)} must be < 1")
-    g = 1.0 / np.sqrt(1.0 - b2)
-    return LorentzTransform(_canonical_boosts(g * np.array([[1.0, *v]]), 1.0)[0])
+        p = np.array([np.cosh(rapidity), *(np.sinh(rapidity) * n / norm)])
+    else:
+        v = np.asarray(velocity, dtype=float).reshape(3)
+        b2 = float(v @ v)
+        if b2 >= 1.0:
+            raise ValidationError(f"speed |v| = {np.sqrt(b2)} must be < 1")
+        p = np.array([1.0, *v]) * (1.0 / np.sqrt(1.0 - b2))
+    return LorentzTransform(_canonical_boosts(p[None], 1.0)[0])
 
 
 def _rotation3(axis: np.ndarray, angle: float) -> np.ndarray:

@@ -98,6 +98,9 @@ def _tols(overrides: dict | None) -> dict:
         unknown = set(overrides) - set(t)
         if unknown:
             raise KeyError(f"unknown tolerance names: {sorted(unknown)}")
+        bad = {k: v for k, v in overrides.items() if not np.isfinite(float(v))}
+        if bad:
+            raise KeyError(f"tolerance values must be finite numbers: {bad}")
         t.update(overrides)
     return t
 
@@ -152,19 +155,15 @@ def _check_complete_bell(tols, grids):
 
 def _check_locc(tols, grids):
     rng = np.random.default_rng(SEED)
-    T = channel.conditioned_basis_pvm()
-    povm = channel.povm_of(T.kraus)
-    protocol = channel.conditioned_basis_protocol()
-    worst = 0.0
-    for _ in range(grids["locc_draws"]):
-        rho = DensityMatrix.from_pure(qstate.haar_state(4, rng))
-        global_probs = povm.probabilities(rho)
-        dist = channel.simulate_locc_protocol(protocol, rho)
-        locc = np.zeros(4)
-        for k, p in dist.items():
-            if len(k) == 2:
-                locc[channel.locc_outcome_to_global(k)] += p
-        worst = max(worst, 0.5 * np.abs(global_probs - locc).sum())
+    psi = np.array([qstate.haar_state(4, rng) for _ in range(grids["locc_draws"])])
+    rhos = psi[:, :, None] * psi[:, None, :].conj()
+    povm = channel.povm_of(channel.conditioned_basis_pvm().kraus)
+    global_probs = povm.probabilities(rhos)
+    dist = channel.simulate_locc_protocol(channel.conditioned_basis_protocol(), rhos)
+    locc = np.zeros_like(global_probs)
+    for k, p in dist.items():
+        locc[:, channel.locc_outcome_to_global(k)] += p
+    worst = float(0.5 * np.abs(global_probs - locc).sum(axis=1).max())
     return worst < tols["locc_tv"], {"max_total_variation": worst}
 
 
@@ -528,7 +527,7 @@ def run_all(tol_overrides: dict | None = None,
             continue
         res = run_criterion(crit, tols, grids)
         if not res.passed:
-            if tol_overrides and any(k in tol_overrides for k in DEFAULT_TOLS):
+            if tol_overrides:
                 default_res = run_criterion(crit, _tols(None), grids)
                 res.failure_class = "tolerance" if default_res.passed else "logic"
             else:

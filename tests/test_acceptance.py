@@ -4,12 +4,25 @@ Each test prints a PASS/FAIL line with the measured values (run pytest
 with -s to stream them), then asserts. The same table backs the CLI
 --selfcheck flag.
 """
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
 from relqinfo import channel, lorentz, selfcheck
 
 _TOLS = selfcheck._tols(None)
 _GRIDS = selfcheck._grids(None)
+
+# the benchmark's recorded --selfcheck values and its comparison rule
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                               _PERFBENCH / "workloads.py")
+_workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_workloads)
+_REFERENCE = json.loads(_workloads.REFERENCE_PATH.read_text())[
+    "acceptance"]["selfcheck"]["criteria"]
 
 
 def _run(name):
@@ -20,6 +33,9 @@ def _run(name):
     print(f"ACCEPT {result.name}: {status} "
           f"[{result.tolerance_name}={result.tolerance:g}] {measured}")
     assert result.passed, f"{result.name} failed: {result.measured}"
+    got = selfcheck.report_dict([result])["criteria"][0]["measured"]
+    drift = _workloads.diff_reference(_REFERENCE[name]["measured"], got, name)
+    assert drift == [], drift
 
 
 def test_criterion_01_incomplete_bell_advantage():
@@ -148,3 +164,9 @@ def test_criterion_04_runs_its_draws_as_one_batch(monkeypatch):
                 for name in ("simulate_teleportation", "teleport_identity_residual")]
     _run("04-teleportation-identity")
     assert per_draw == [[], []]
+
+
+def test_criterion_03_runs_its_draws_as_one_batch(monkeypatch):
+    calls = _count_calls(monkeypatch, channel, "simulate_locc_protocol")
+    _run("03-locc-matches-global-pvm")
+    assert len(calls) == 1

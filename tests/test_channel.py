@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relqinfo import channel, qstate
-from relqinfo._errors import ValidationError
+from relqinfo._errors import DimensionError, ValidationError
 from relqinfo.channel import (BipartiteOperation, KrausSet, apply, bell_state,
                               chsh_optimize, chsh_value, choi_and_cp_check,
                               cluster_chsh_bound, complete_bell_pvm,
@@ -301,6 +301,50 @@ class TestLocc:
                 if len(k) == 2:
                     locc_probs[locc_outcome_to_global(k)] += p
             assert 0.5 * np.abs(global_probs - locc_probs).sum() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_stack_matches_single_states(self, n):
+        rng = np.random.default_rng(28)
+        rhos = np.array([qstate.random_density_matrix(4, rng).matrix for _ in range(n)])
+        povm = povm_of(conditioned_basis_pvm().kraus)
+        stacked = simulate_locc_protocol(conditioned_basis_protocol(), rhos)
+        probs = povm.probabilities(rhos)
+        assert probs.shape == (n, 4)
+        for s, rho in enumerate(rhos):
+            single = simulate_locc_protocol(conditioned_basis_protocol(), rho)
+            assert set(single) == set(stacked) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+            assert all(abs(stacked[k][s] - p) <= 1e-15 for k, p in single.items())
+            assert np.abs(probs[s] - povm.probabilities(rho)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_chooser_runs_once_per_history(self, n):
+        calls = {"A": [], "B": []}
+        steps = []
+        for step in conditioned_basis_protocol():
+            def chooser(history, step=step):
+                calls[step.party].append(history)
+                return step.instrument(history)
+            steps.append(channel.LoccStep(step.party, chooser))
+        simulate_locc_protocol(steps, np.tile(np.eye(4) / 4, (n, 1, 1)))
+        assert calls == {"A": [()], "B": [(0,), (1,)]}
+
+    def test_unknown_party_rejected(self):
+        step = conditioned_basis_protocol()[0]
+        with pytest.raises(ValidationError, match="unknown party"):
+            simulate_locc_protocol([channel.LoccStep("C", step.instrument)],
+                                   np.eye(4) / 4)
+
+    def test_wrong_local_dimension_rejected(self):
+        qutrit = KrausSet.from_projectors([np.diag(e) for e in np.eye(3)])
+        steps = [channel.LoccStep("A", lambda _history: qutrit)]
+        with pytest.raises(ValidationError, match="local dimension"):
+            simulate_locc_protocol(steps, np.eye(4) / 4)
+
+    @pytest.mark.parametrize("rho", [np.eye(2) / 2, np.eye(8) / 8,
+                                     np.ones((2, 3, 4, 4)) / 4])
+    def test_state_off_the_bipartite_space_rejected(self, rho):
+        with pytest.raises(DimensionError):
+            simulate_locc_protocol(conditioned_basis_protocol(), rho)
 
 
 class TestTeleportation:

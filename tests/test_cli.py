@@ -63,7 +63,9 @@ class TestExitCodes:
         ["--selfcheck", "--grid.povm_packets", "inf"],
         ["--selfcheck", "--grid.povm_packets", "0"],
         ["--scenario", "bipartite-concurrence", "--grid.bipartite_points", "5.9"],
-        ["--scenario", "bipartite-concurrence", "--grid.bipartite_points=nan"]])
+        ["--scenario", "bipartite-concurrence", "--grid.bipartite_points=nan"],
+        ["--selfcheck", "--tol.locc_tv", "nan"],
+        ["--scenario", "chsh", "--tol.doppler_ratio=inf"]])
     def test_bad_dotted_flag_is_usage_error(self, tmp_path, flags):
         out = invoke(flags, tmp_path)
         assert out.returncode == 2, out.stderr
@@ -84,6 +86,19 @@ class TestExitCodes:
         out = invoke(["--scenario", "unruh", "--config", str(cfg),
                       "--out", str(tmp_path / "u.csv")], tmp_path)
         assert out.returncode == 3
+
+    @pytest.mark.parametrize("scenario, line", [
+        ("photon-doppler", "velocities = 0.2, nan"),
+        ("unruh", "accelerations = inf"),
+        ("unruh", "accelerations = -inf, 9.8")])
+    def test_non_finite_config_value(self, tmp_path, scenario, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = invoke(["--scenario", scenario, "--config", str(cfg),
+                      "--out", str(tmp_path / "o.csv")], tmp_path)
+        assert out.returncode == 3, out.stderr
+        assert json.loads(out.stdout)["error"] == "validation"
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestDeterminism:

@@ -50,6 +50,20 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             boost([1.0, 0, 0])
 
+    @pytest.mark.parametrize("chi", [5.0, 8.0, 10.0, 20.0, 50.0])
+    def test_large_rapidity_is_exact(self, chi):
+        # built from (cosh chi, sinh chi), not from v = tanh chi
+        m = boost(rapidity=chi, axis=[0, 0, 1]).matrix
+        assert abs(m[0, 0] / np.cosh(chi) - 1.0) <= 1e-15
+        assert abs(m[0, 3] / np.sinh(chi) - 1.0) <= 1e-15
+
+    def test_non_finite_matrices_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            lorentz.LorentzTransform(np.full((4, 4), np.nan))
+        with pytest.raises(ValidationError, match="non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            boost(rapidity=800.0, axis=[0, 0, 1])
+
     def test_small_metric_defect_rejected(self):
         L = boost([0.1, 0, 0]).matrix.copy()
         L[1, 1] += 1e-6
