@@ -45,13 +45,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_value(raw: str):
+def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if "," in raw:
         try:
             return [float(v) for v in raw.split(",") if v.strip()]
         except ValueError:
-            return raw
+            raise ValidationError(
+                f"config key {key!r} needs a list of numbers, got {raw!r}") from None
     for caster in (int, float):
         try:
             return caster(raw)
@@ -73,23 +74,40 @@ def load_config(path: str | None) -> dict:
         if "=" not in line:
             raise ValidationError(f"config line {lineno} is not key = value")
         key, raw = line.split("=", 1)
-        cfg[key.strip()] = value = _parse_value(raw)
+        key = key.strip()
+        cfg[key] = value = _parse_value(key, raw)
         if any(isinstance(x, float) and not np.isfinite(x) for x in np.atleast_1d(value)):
-            raise ValidationError(f"config line {lineno} has a non-finite number")
+            raise ValidationError(
+                f"config key {key!r} on line {lineno} has a non-finite number")
     return cfg
 
 
-def _as_float_list(value, default) -> list:
-    if value is None:
-        return list(default)
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    return [float(v) for v in value]
+def _config_number(cfg: dict, key: str, default, cast=float):
+    """cfg[key], or default when it is absent, through cast; a value that
+    is not a number, too large for a float, or not whole where cast is int
+    is a validation error naming the key."""
+    value = cfg.get(key, default)
+    try:
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (cast is int and number != value):
+        kind = "a whole number" if cast is int else "a number"
+        raise ValidationError(f"config key {key!r} needs {kind}, got {value!r}")
+    return number
+
+
+def _config_numbers(cfg: dict, key: str, default: list) -> list:
+    """cfg[key] as a list of floats: a comma list, or one number."""
+    value = cfg.get(key, default)
+    if isinstance(value, list):  # _parse_value made every entry a number
+        return [float(v) for v in value]
+    return [_config_number(cfg, key, default)]
 
 
 def _constants_from(cfg: dict) -> horizon.PhysicalConstants:
     keys = ("hbar", "c", "G", "k_B")
-    overrides = {k: float(cfg[f"constants.{k}"]) for k in keys
+    overrides = {k: _config_number(cfg, f"constants.{k}", None) for k in keys
                  if f"constants.{k}" in cfg}
     if cfg.get("units", "si") == "geometric":
         base = horizon.GEOMETRIC
@@ -106,10 +124,9 @@ def _constants_from(cfg: dict) -> horizon.PhysicalConstants:
 # (None, payload_dict, extra_meta) for object-shaped output
 
 def _scn_fig2_entropy(cfg, grids, seed):
-    dm = float(cfg.get("delta_over_m", 0.35))
-    gammas = _as_float_list(cfg.get("gammas"),
-                            [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
-    thetas = _as_float_list(cfg.get("thetas"), [0.0, np.pi / 4, np.pi / 2])
+    dm = _config_number(cfg, "delta_over_m", 0.35)
+    gammas = _config_numbers(cfg, "gammas", [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
+    thetas = _config_numbers(cfg, "thetas", [0.0, np.pi / 4, np.pi / 2])
     points = int(grids.get("entropy_points", 15))
     betas = [wavepacket.beta_for_gamma(g, dm, 1.0) for g in gammas]
     rows = wavepacket.entropy_surface(dm, betas, thetas, points=points)
@@ -119,8 +136,8 @@ def _scn_fig2_entropy(cfg, grids, seed):
 
 
 def _scn_pe_gamma_scaling(cfg, grids, seed):
-    dm = float(cfg.get("delta_over_m", 0.1))
-    gammas = _as_float_list(cfg.get("gammas"), [0.0125, 0.025, 0.05])
+    dm = _config_number(cfg, "delta_over_m", 0.1)
+    gammas = _config_numbers(cfg, "gammas", [0.0125, 0.025, 0.05])
     points = int(grids.get("scaling_points", 15))
     report = wavepacket.packet_error_scaling(dm, gammas, points=points)
     rows = [[g, pe] for g, pe in zip(report["gamma"], report["pe_boosted"])]
@@ -130,8 +147,8 @@ def _scn_pe_gamma_scaling(cfg, grids, seed):
 
 
 def _scn_bipartite_concurrence(cfg, grids, seed):
-    dm = float(cfg.get("delta_over_m", 0.3))
-    rapidities = _as_float_list(cfg.get("rapidities"), [0.0, 0.5, 1.0, 2.0])
+    dm = _config_number(cfg, "delta_over_m", 0.3)
+    rapidities = _config_numbers(cfg, "rapidities", [0.0, 0.5, 1.0, 2.0])
     points = int(grids.get("bipartite_points", 9))
     rows = wavepacket.bipartite_boost_concurrence(dm, rapidities, points=points)
     return (["rapidity", "concurrence"], [[r, c] for r, c in rows],
@@ -139,8 +156,8 @@ def _scn_bipartite_concurrence(cfg, grids, seed):
 
 
 def _scn_photon_doppler(cfg, grids, seed):
-    aperture = float(cfg.get("aperture", 0.05))
-    velocities = _as_float_list(cfg.get("velocities"), [-0.5, -0.25, 0.25, 0.5])
+    aperture = _config_number(cfg, "aperture", 0.05)
+    velocities = _config_numbers(cfg, "velocities", [-0.5, -0.25, 0.25, 0.5])
     nt = int(grids.get("photon_theta", 32))
     nph = int(grids.get("photon_phi", 64))
     rows = [[aperture, v, out["P_E"], out["P_E_prime"], out["ratio"]]
@@ -150,7 +167,7 @@ def _scn_photon_doppler(cfg, grids, seed):
 
 
 def _scn_photon_povm(cfg, grids, seed):
-    aperture = float(cfg.get("aperture", 0.2))
+    aperture = _config_number(cfg, "aperture", 0.2)
     pol = cfg.get("polarization", "linear-x")
     nt = int(grids.get("photon_theta", 32))
     nph = int(grids.get("photon_phi", 64))
@@ -170,8 +187,8 @@ def _scn_photon_povm(cfg, grids, seed):
 
 
 def _scn_causality_bell(cfg, grids, seed):
-    tol = float(cfg.get("tolerance", 1e-9))
-    probes = int(cfg.get("haar_probes", 50))
+    tol = _config_number(cfg, "tolerance", 1e-9)
+    probes = _config_number(cfg, "haar_probes", 50, int)
     incomplete = channel.is_semicausal(channel.incomplete_bell_pvm(), "B->A",
                                        haar_probes=probes, seed=seed)
     complete = {
@@ -188,7 +205,7 @@ def _scn_causality_bell(cfg, grids, seed):
 
 
 def _scn_teleport_check(cfg, grids, seed):
-    draws = int(cfg.get("draws", 100))
+    draws = _config_number(cfg, "draws", 100, int)
     rng = np.random.default_rng(seed)
     states = np.array([qstate.haar_state(2, rng) for _ in range(draws)]).reshape(-1, 2)
     residuals, _, fidelities = channel._teleport_batch(states)
@@ -202,7 +219,7 @@ def _scn_chsh(cfg, grids, seed):
     product = qstate.DensityMatrix.from_pure(
         np.kron([1, 0], [1, 0]).astype(complex))
     z_product, _ = channel.chsh_optimize(product)
-    p = float(cfg.get("werner_p", 0.5))
+    p = _config_number(cfg, "werner_p", 0.5)
     psim = channel.bell_state("psi-")
     werner = qstate.DensityMatrix(p * np.outer(psim, psim.conj())
                                   + (1 - p) * np.eye(4) / 4)
@@ -214,22 +231,21 @@ def _scn_chsh(cfg, grids, seed):
 
 
 def _scn_cluster_bound(cfg, grids, seed):
-    masses = _as_float_list(cfg.get("masses"), [0.5, 1.0, 2.0])
-    seps = _as_float_list(cfg.get("separations"), [0.0, 1.0, float(np.log(4.0)), 5.0])
+    masses = _config_numbers(cfg, "masses", [0.5, 1.0, 2.0])
+    seps = _config_numbers(cfg, "separations", [0.0, 1.0, float(np.log(4.0)), 5.0])
     rows = [[m, r, channel.cluster_chsh_bound(m, r)] for m in masses for r in seps]
     return ["mass", "separation", "bound"], rows, {}
 
 
 def _scn_unruh(cfg, grids, seed):
     constants = _constants_from(cfg)
-    accs = _as_float_list(cfg.get("accelerations"), [9.8, 1e10, 1e20])
+    accs = _config_numbers(cfg, "accelerations", [9.8, 1e10, 1e20])
     rows = [[a, horizon.unruh_temperature(a, constants)] for a in accs]
     return ["acceleration", "temperature"], rows, {"units": cfg.get("units", "si")}
 
 
 def _scn_rindler(cfg, grids, seed):
-    ratios = _as_float_list(cfg.get("omega_over_a"),
-                            [0.05, 0.1, 0.2, 0.5, 1.0, 2.0])
+    ratios = _config_numbers(cfg, "omega_over_a", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0])
     rows = []
     for r in ratios:
         st = horizon.rindler_mode_state(float(r), 1.0)
@@ -238,9 +254,9 @@ def _scn_rindler(cfg, grids, seed):
 
 
 def _scn_blackhole_evaporate(cfg, grids, seed):
-    m0 = float(cfg.get("M0_kg", 1.0e9))
-    k_evap = float(cfg.get("k_evap", horizon.K_EVAP_DEFAULT))
-    n_samples = int(cfg.get("samples", 9))
+    m0 = _config_number(cfg, "M0_kg", 1.0e9)
+    k_evap = _config_number(cfg, "k_evap", horizon.K_EVAP_DEFAULT)
+    n_samples = _config_number(cfg, "samples", 9, int)
     t_e = horizon.evaporation_lifetime(m0, k_evap)
     fractions = np.linspace(0.0, 1.0, n_samples)
     samples = [{"t": float(f * t_e),

@@ -36,13 +36,25 @@ def test_every_exported_name_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
-    code = ("import sys, relqinfo.cli; "
+def scipy_modules_after(statement, tmp_path):
+    """The scipy modules a fresh interpreter holds after importing
+    relqinfo.cli and running statement."""
+    code = (f"import sys, relqinfo.cli; {statement}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, cwd=tmp_path, env=child_env())
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    assert scipy_modules_after("pass", tmp_path) == "[]"
+
+
+def test_selfcheck_loads_no_scipy(tmp_path):
+    statement = "assert relqinfo.cli.main(['--selfcheck', '--out', 'sc.json']) == 0"
+    assert scipy_modules_after(statement, tmp_path) == "[]"
+    assert json.loads((tmp_path / "sc.json").read_text())["all_passed"]
 
 
 class TestExitCodes:
@@ -90,14 +102,21 @@ class TestExitCodes:
     @pytest.mark.parametrize("scenario, line", [
         ("photon-doppler", "velocities = 0.2, nan"),
         ("unruh", "accelerations = inf"),
-        ("unruh", "accelerations = -inf, 9.8")])
+        ("unruh", "accelerations = -inf, 9.8"),
+        ("photon-doppler", "aperture = abc"),
+        ("photon-doppler", "velocities = 0.2, abc"),
+        pytest.param("photon-doppler", "aperture = 1" + "0" * 400,
+                     id="photon-doppler-int-too-large-for-float"),
+        ("blackhole-evaporate", "samples = 2.5")])
     def test_non_finite_config_value(self, tmp_path, scenario, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         out = invoke(["--scenario", scenario, "--config", str(cfg),
                       "--out", str(tmp_path / "o.csv")], tmp_path)
         assert out.returncode == 3, out.stderr
-        assert json.loads(out.stdout)["error"] == "validation"
+        diag = json.loads(out.stdout)
+        assert diag["error"] == "validation"
+        assert repr(line.split(" =")[0]) in diag["detail"]
         assert not (tmp_path / "o.csv").exists()
 
 

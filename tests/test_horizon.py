@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from relqinfo import channel, horizon, qstate
+from relqinfo import channel, horizon, qstate, selfcheck
 from relqinfo._errors import ValidationError
 from relqinfo.horizon import (GEOMETRIC, SI, BlackHole, PhysicalConstants,
                               bekenstein_entropy, detector_response, evaporate,
@@ -183,6 +183,43 @@ class TestEvaporation:
 
     def test_custom_rate_constant(self):
         assert abs(evaporation_lifetime(2.0, k_evap=1.0) - 8.0) < 1e-12
+
+
+_M0 = 3.7e8
+_T_E = evaporation_lifetime(_M0)
+
+
+@pytest.mark.parametrize("rhs, y0, ts, rtol, atol, rejected, most_points_per_step", [
+    pytest.param(lambda t, y: -(_M0**3) / (3 * _T_E * y**2), _M0,
+                 np.linspace(0.0, 0.99 * _T_E, 25), 1e-10, 1e-6, 1, 2,
+                 id="criterion-15"),
+    # long steps: up to ten output points fall inside one step
+    pytest.param(lambda t, y: -y, 1.0, np.linspace(0.0, 10.0, 101), 1e-3, 1e-6,
+                 0, 10, id="decay"),
+    # stiff: the step keeps hitting the stability limit and is rejected
+    pytest.param(lambda t, y: -50 * (y - np.cos(t)), 0.0,
+                 np.linspace(0.0, 10.0, 401), 1e-3, 1e-6, 4, 3, id="stiff"),
+])
+def test_rk45_replays_scipy_step_for_step(rhs, y0, ts, rtol, atol, rejected,
+                                          most_points_per_step):
+    # selfcheck._rk45 integrates criterion 15's evaporation ODE
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    got = selfcheck._rk45(counted, y0, ts, rtol, atol)
+    kw = dict(fun=lambda t, y: rhs(t, y[0]), t_span=(ts[0], ts[-1]), y0=[y0],
+              method="RK45", rtol=rtol, atol=atol)
+    ref = solve_ivp(t_eval=ts, **kw)
+    assert np.array_equal(got, ref.y[0])
+    assert len(calls) == ref.nfev
+    # two calls choose the first step; each tried step, kept or not, makes six
+    steps = solve_ivp(**kw).t
+    assert (ref.nfev - 2) // 6 - (len(steps) - 1) == rejected
+    per_step = np.diff(np.searchsorted(ts, steps, side="right"))
+    assert per_step.max() == most_points_per_step
 
 
 class TestSuperscattering:
