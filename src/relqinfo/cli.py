@@ -84,15 +84,15 @@ def load_config(path: str | None) -> dict:
 
 def _config_number(cfg: dict, key: str, default, cast=float):
     """cfg[key], or default when it is absent, through cast; a value that
-    is not a number, too large for a float, or not whole where cast is int
-    is a validation error naming the key."""
+    is not a number, too large for a float, or, where cast is int, not a
+    whole number >= 0 is a validation error naming the key."""
     value = cfg.get(key, default)
     try:
         number = cast(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or (cast is int and number != value):
-        kind = "a whole number" if cast is int else "a number"
+    if number is None or (cast is int and (number != value or number < 0)):
+        kind = "a whole number >= 0" if cast is int else "a number"
         raise ValidationError(f"config key {key!r} needs {kind}, got {value!r}")
     return number
 

@@ -319,10 +319,11 @@ def _check_entropy_surface(tols, grids):
 
 
 def _check_error_scaling(tols, grids):
-    report = wavepacket.packet_error_scaling(
-        0.1, [0.0125, 0.025, 0.05], points=grids["scaling_points"])
+    report, boosted = wavepacket._error_scaling(
+        0.1, [0.0125, 0.025, 0.05], np.pi / 2, grids["scaling_points"], 4.0)
     expo = report["fitted_exponent"]
-    restored = max(report["pe_restored"])
+    restored = max(qstate.error_probability(
+        *wavepacket._boost_shared(pair, lam.inverse())[1]) for lam, pair in boosted)
     ok = (tols["exponent_low"] <= expo <= tols["exponent_high"]
           and restored < tols["inverse_restore"])
     return ok, {"fitted_exponent": expo, "max_pe_restored": restored}

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._errors import DimensionError, ValidationError
 from . import kernels, qstate
-from .lorentz import LorentzTransform, boost
+from .lorentz import LorentzTransform, _check_mass_shells, boost
 from .qstate import DensityMatrix, hermitize
 
 __all__ = [
@@ -87,18 +87,27 @@ class SpinorPacket:
             raise ValidationError("grid momenta are off the mass shell")
         if (w <= 0).any():
             raise ValidationError("weights must be positive")
-        n = self.norm_squared(w, a)
-        if abs(n - 1.0) > 1e-8:
-            raise ValidationError(f"packet norm^2 {n} differs from 1")
-        for arr in (p, w, a):
+        _check_norms(self.norm_squared(w, a))
+        for name, arr in (("momenta", p), ("weights", w), ("amplitudes", a)):
             arr.setflags(write=False)
-        object.__setattr__(self, "momenta", p)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "amplitudes", a)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _checked(cls, mass, momenta, weights, amplitudes) -> "SpinorPacket":
+        """Wrap read-only _boost_shared output without checking it again."""
+        packet = object.__new__(cls)
+        vars(packet).update(mass=mass, momenta=momenta, weights=weights,
+                            amplitudes=amplitudes)
+        return packet
 
     @staticmethod
     def norm_squared(w: np.ndarray, a: np.ndarray) -> float:
         return float(np.sum(w * np.sum(np.abs(a) ** 2, axis=1)))
+
+
+def _check_norms(norms) -> None:
+    if (np.abs(np.asarray(norms) - 1.0) > 1e-8).any():
+        raise ValidationError(f"packet norm^2 {norms} differs from 1")
 
 
 def _cubic_grid(spec: PacketSpec):
@@ -186,38 +195,40 @@ def beta_for_gamma(gamma: float, delta: float, m: float) -> float:
 def _check_shared_grid(packets) -> SpinorPacket:
     first = packets[0]
     if any(pk.mass != first.mass or not np.array_equal(pk.momenta, first.momenta)
-           for pk in packets[1:]):
+           or not np.array_equal(pk.weights, first.weights) for pk in packets[1:]):
         raise ValidationError("packets do not share one momentum grid")
     return first
 
 
+def _gram(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_i w_i a_i[s] conj(a_i[t]) per (N, d) slice, one matmul each."""
+    return np.swapaxes(a * weights[:, None], -1, -2) @ a.conj()
+
+
 def _boost_shared(packets, lam: LorentzTransform) -> tuple:
-    """boost_packet for packets on one momentum grid (same mass and
-    momenta), with one kernel call whose D rotates every packet's spinors."""
+    """Boost the (K, N, 2) amplitude stack of packets on one grid with one
+    kernel call: the boosted packets and their (K, 2, 2) spin marginals.
+    Of the packet checks, only those kernel output can fail are made again."""
     first = _check_shared_grid(packets)
     q, d = kernels.wigner_su2_batch(lam.matrix, first.momenta, first.mass)
-    return tuple(SpinorPacket(mass=pk.mass, momenta=q, weights=pk.weights,
-                              amplitudes=np.einsum("nab,nb->na", d, pk.amplitudes))
-                 for pk in packets)
+    _check_mass_shells(q, first.mass)
+    a = np.stack([np.einsum("nab,nb->na", d, pk.amplitudes) for pk in packets])
+    tau = hermitize(_gram(first.weights, a))
+    _check_norms(np.trace(tau, axis1=1, axis2=2).real)
+    q.setflags(write=False)
+    a.setflags(write=False)
+    return tuple(SpinorPacket._checked(first.mass, q, first.weights, ak) for ak in a), tau
 
 
 def boost_packet(packet: SpinorPacket, lam: LorentzTransform) -> SpinorPacket:
     """Exact boost: relabel grid momenta and rotate each spinor by the
     little-group SU(2) element; invariant weights carry over unchanged."""
-    return _boost_shared([packet], lam)[0]
-
-
-def _spin_gram(packets) -> np.ndarray:
-    """G[b, c, s, t] = sum_i w_i a^b_i[s] conj(a^c_i[t]) over packets on one
-    grid."""
-    a = np.stack([pk.amplitudes for pk in packets])
-    return np.einsum("n,bns,cnt->bcst", _check_shared_grid(packets).weights,
-                     a, a.conj())
+    return _boost_shared([packet], lam)[0][0]
 
 
 def reduced_spin(packet: SpinorPacket) -> DensityMatrix:
     """2x2 spin marginal sum_i w_i a_i a_i†."""
-    return DensityMatrix(hermitize(_spin_gram([packet])[0, 0]))
+    return DensityMatrix(hermitize(_gram(packet.weights, packet.amplitudes)))
 
 
 def _boost_at_angle(beta: float, theta: float) -> LorentzTransform:
@@ -237,17 +248,33 @@ def entropy_surface(delta_over_m: float, beta_list, theta_list,
         raise ValidationError("parameter lists must be nonempty")
     packet = gaussian_packet(PacketSpec(mass=1.0, spread=delta_over_m,
                                         points=points, extent=extent))
-    rows = []
+    rest, rows = reduced_spin(packet), []
     for theta in theta_list:
         for beta in beta_list:
-            gamma = gamma_parameter(delta_over_m, 1.0, beta)
-            if beta == 0.0:
-                s = qstate.von_neumann_entropy(reduced_spin(packet), base=base)
-            else:
-                moved = boost_packet(packet, _boost_at_angle(beta, theta))
-                s = qstate.von_neumann_entropy(reduced_spin(moved), base=base)
-            rows.append((float(theta), gamma, s))
+            tau = (rest if beta == 0.0 else
+                   _boost_shared([packet], _boost_at_angle(beta, theta))[1][0])
+            rows.append((float(theta), gamma_parameter(delta_over_m, 1.0, beta),
+                         qstate.von_neumann_entropy(tau, base=base)))
     return rows
+
+
+def _error_scaling(delta_over_m, gamma_list, theta, points, extent) -> tuple:
+    """packet_error_scaling's report, and each gamma's boost and boosted pair."""
+    gammas = np.asarray(sorted(gamma_list), dtype=float)
+    if (gammas <= 0).any():
+        raise ValidationError("gamma values must be positive")
+    up, down = _spin_z_pair(delta_over_m, points, extent)
+    pe_rest = qstate.error_probability(reduced_spin(up), reduced_spin(down))
+    pes, boosted = [], []
+    for g in gammas:
+        lam = _boost_at_angle(beta_for_gamma(g, delta_over_m, 1.0), theta)
+        pair, tau = _boost_shared([up, down], lam)
+        pes.append(qstate.error_probability(tau[0], tau[1]))
+        boosted.append((lam, pair))
+    slope = (float(np.polyfit(np.log(gammas), np.log(pes), 1)[0])
+             if len(gammas) > 1 else None)
+    return {"gamma": gammas.tolist(), "pe_rest": pe_rest,
+            "pe_boosted": [float(p) for p in pes], "fitted_exponent": slope}, boosted
 
 
 def packet_error_scaling(delta_over_m: float, gamma_list, theta: float = np.pi / 2,
@@ -258,31 +285,9 @@ def packet_error_scaling(delta_over_m: float, gamma_list, theta: float = np.pi /
     and -z, so the rest-frame error probability vanishes. Each gamma value
     fixes a boost speed; the report carries the boosted error
     probabilities and the least-squares slope of log P_E' against log
-    gamma, together with the error after undoing the boost.
+    gamma.
     """
-    gammas = np.asarray(sorted(gamma_list), dtype=float)
-    if (gammas <= 0).any():
-        raise ValidationError("gamma values must be positive")
-    up, down = _spin_z_pair(delta_over_m, points, extent)
-    pe_rest = qstate.error_probability(reduced_spin(up), reduced_spin(down))
-    pes, pe_restored = [], []
-    for g in gammas:
-        beta = beta_for_gamma(g, delta_over_m, 1.0)
-        lam = _boost_at_angle(beta, theta)
-        bu, bd = _boost_shared([up, down], lam)
-        pes.append(qstate.error_probability(reduced_spin(bu), reduced_spin(bd)))
-        ru, rd = _boost_shared([bu, bd], lam.inverse())
-        pe_restored.append(qstate.error_probability(reduced_spin(ru),
-                                                    reduced_spin(rd)))
-    slope = (float(np.polyfit(np.log(gammas), np.log(pes), 1)[0])
-             if len(gammas) > 1 else None)
-    return {
-        "gamma": gammas.tolist(),
-        "pe_rest": pe_rest,
-        "pe_boosted": [float(p) for p in pes],
-        "pe_restored": [float(p) for p in pe_restored],
-        "fitted_exponent": slope,
-    }
+    return _error_scaling(delta_over_m, gamma_list, theta, points, extent)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +317,12 @@ class BipartitePacket:
     def _spin_matrix(self) -> np.ndarray:
         """4x4 spin-spin marginal, the amplitude block contracted with each
         particle's spin Gram tensor."""
+        # G[b, s, c, t] = sum_i w_i a^b_i[s] conj(a^c_i[t]) per particle
+        g1, g2 = (_gram(_check_shared_grid(basis).weights, np.concatenate(
+            [pk.amplitudes for pk in basis], axis=1)).reshape(2, 2, 2, 2)
+            for basis in (self.first, self.second))
         a = self.amplitudes
-        rho = np.einsum("bc,de,bdsu,cetv->stuv", a, a.conj(),
-                        _spin_gram(self.first), _spin_gram(self.second))
-        return rho.reshape(4, 4)
+        return np.einsum("bc,de,bsdu,ctev->stuv", a, a.conj(), g1, g2).reshape(4, 4)
 
     def norm_squared(self) -> float:
         return float(np.trace(self._spin_matrix()).real)
@@ -332,8 +339,8 @@ def singlet_packet(delta_over_m: float, points: int = 9,
 def boost_bipartite(packet: BipartitePacket, lam: LorentzTransform) -> BipartitePacket:
     """Boost both particles: each one's basis packets share a kernel call;
     the spin block carries over unchanged."""
-    return BipartitePacket(_boost_shared(packet.first, lam),
-                           _boost_shared(packet.second, lam), packet.amplitudes)
+    return BipartitePacket(_boost_shared(packet.first, lam)[0],
+                           _boost_shared(packet.second, lam)[0], packet.amplitudes)
 
 
 def reduced_spin_pair(packet: BipartitePacket) -> DensityMatrix:
@@ -371,14 +378,10 @@ def noncovariance_witness(beta: float = 0.8, theta: float = np.pi / 2,
     for spread in spreads:
         packet = gaussian_packet(PacketSpec(mass=1.0, spread=spread, points=points))
         taus.append(reduced_spin(packet))
-        spectra.append(reduced_spin(boost_packet(packet, lam)).eigenvalues())
-    tau_gap = float(np.abs(taus[0].matrix - taus[1].matrix).max())
-    spectral_gap = float(np.abs(spectra[0] - spectra[1]).max())
-    return {
-        "rest_marginal_gap": tau_gap,
-        "boosted_spectra": [s.tolist() for s in spectra],
-        "spectral_gap": spectral_gap,
-    }
+        spectra.append(np.linalg.eigvalsh(_boost_shared([packet], lam)[1][0]))
+    return {"rest_marginal_gap": float(np.abs(taus[0].matrix - taus[1].matrix).max()),
+            "boosted_spectra": [s.tolist() for s in spectra],
+            "spectral_gap": float(np.abs(spectra[0] - spectra[1]).max())}
 
 
 def cp_failure_witness(gamma: float = 0.04, delta_over_m: float = 0.1,
@@ -390,12 +393,9 @@ def cp_failure_witness(gamma: float = 0.04, delta_over_m: float = 0.1,
     error 0, improving distinguishability, which no completely positive
     map can do. Reports both error probabilities and the improvement.
     """
-    report = packet_error_scaling(delta_over_m, [gamma], theta=theta, points=points)
+    report, [(lam, pair)] = _error_scaling(delta_over_m, [gamma], theta, points, 4.0)
     pe_boosted = report["pe_boosted"][0]
-    pe_back = report["pe_restored"][0]
-    return {
-        "pe_before_map": pe_boosted,
-        "pe_after_map": pe_back,
-        "improvement": pe_boosted - pe_back,
-        "violates_data_processing": pe_back < pe_boosted - 1e-6,
-    }
+    pe_back = qstate.error_probability(*_boost_shared(pair, lam.inverse())[1])
+    return {"pe_before_map": pe_boosted, "pe_after_map": pe_back,
+            "improvement": pe_boosted - pe_back,
+            "violates_data_processing": pe_back < pe_boosted - 1e-6}

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from relqinfo import channel, lorentz, selfcheck
+from relqinfo import channel, cli, lorentz, selfcheck
 
 _TOLS = selfcheck._tols(None)
 _GRIDS = selfcheck._grids(None)
@@ -21,8 +21,8 @@ _spec = importlib.util.spec_from_file_location("_perfbench_workloads",
                                                _PERFBENCH / "workloads.py")
 _workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_workloads)
-_REFERENCE = json.loads(_workloads.REFERENCE_PATH.read_text())[
-    "acceptance"]["selfcheck"]["criteria"]
+_RECORDED = json.loads(_workloads.REFERENCE_PATH.read_text())
+_REFERENCE = _RECORDED["acceptance"]["selfcheck"]["criteria"]
 
 
 def _run(name):
@@ -170,3 +170,17 @@ def test_criterion_03_runs_its_draws_as_one_batch(monkeypatch):
     calls = _count_calls(monkeypatch, channel, "simulate_locc_protocol")
     _run("03-locc-matches-global-pvm")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["fig2-entropy@11", "fig2-entropy@15",
+                                  "pe-gamma-scaling@11", "pe-gamma-scaling@15"])
+def test_spin_packets_task_matches_reference(name, tmp_path):
+    # the benchmark's seed-0 spin-packets task, run in-process and checked
+    # as the benchmark checks it: exit code, emitted file, scenario
+    # invariants and the recorded outputs within 1e-9 relative
+    tasks = _workloads.make_tasks("spin-packets", _workloads.DEFAULT_SEED, tmp_path)
+    task = next(t for t in tasks if t["name"] == name)
+    code = cli.main(list(task["argv"]))
+    attempted, failures = _workloads.check_task(
+        task, code, _RECORDED["spin-packets"][name], cli.validate_emitted)
+    assert (attempted, failures) == (1, [])

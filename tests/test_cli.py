@@ -107,7 +107,9 @@ class TestExitCodes:
         ("photon-doppler", "velocities = 0.2, abc"),
         pytest.param("photon-doppler", "aperture = 1" + "0" * 400,
                      id="photon-doppler-int-too-large-for-float"),
-        ("blackhole-evaporate", "samples = 2.5")])
+        ("blackhole-evaporate", "samples = 2.5"),
+        ("blackhole-evaporate", "samples = -3"),
+        ("causality-bell", "haar_probes = -1")])
     def test_non_finite_config_value(self, tmp_path, scenario, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from relqinfo import lorentz, qstate, wavepacket
+from relqinfo import cli, lorentz, qstate, selfcheck, wavepacket
 from relqinfo._errors import DimensionError, ValidationError
 from relqinfo.lorentz import boost, compose, rotation
-from relqinfo.wavepacket import (BipartitePacket, PacketSpec, beta_for_gamma,
-                                 bipartite_boost_concurrence, boost_bipartite,
-                                 boost_packet, cp_failure_witness,
+from relqinfo.wavepacket import (BipartitePacket, PacketSpec, SpinorPacket,
+                                 beta_for_gamma, bipartite_boost_concurrence,
+                                 boost_bipartite, boost_packet, cp_failure_witness,
                                  entropy_surface, gamma_parameter,
                                  gaussian_packet, noncovariance_witness,
                                  packet_error_scaling, reduced_spin,
@@ -36,6 +36,21 @@ class TestConstruction:
             PacketSpec(mass=1.0, spread=0.1, extent=2.0)
         with pytest.raises(ValidationError):
             PacketSpec(mass=-1.0)
+
+    def test_constructor_rejects_each_bad_input(self):
+        p = small_packet(points=3)
+        m, w, a = p.momenta, p.weights, p.amplitudes
+        off_shell = m.copy()
+        off_shell[4, 0] += 1e-3
+        bad_weights = w.copy()
+        bad_weights[0] = 0.0
+        for args, error in [((m[:-1], w, a), DimensionError),
+                            ((m, w, a[:, :1]), DimensionError),
+                            ((off_shell, w, a), ValidationError),
+                            ((m, bad_weights, a), ValidationError),
+                            ((m, w, 1.001 * a), ValidationError)]:
+            with pytest.raises(error):
+                SpinorPacket(1.0, *args)
 
     def test_grid_on_shell(self):
         p = small_packet(mean_momentum=(0.3, -0.1, 0.5))
@@ -120,7 +135,53 @@ class TestBoost:
         assert np.abs(two.amplitudes - one.amplitudes).max() < 1e-8
 
 
+class TestBoostCore:
+    """_boost_shared: one kernel call for a stack of packets on one grid,
+    the boosted packets built without the constructor's checks, and the
+    two checks that kernel output can fail kept."""
+
+    def test_off_shell_grid_is_rejected(self):
+        p = small_packet(points=3)
+        momenta = p.momenta.copy()
+        momenta[4, 0] += 1e-3
+        grid = SpinorPacket._checked(1.0, momenta, p.weights, p.amplitudes)
+        with pytest.raises(ValidationError, match="off shell"):
+            wavepacket._boost_shared([grid], boost([0.3, 0, 0]))
+
+    def test_norm_breaking_stack_is_rejected(self):
+        p = small_packet(points=3)
+        loose = SpinorPacket._checked(1.0, p.momenta, p.weights, 1.001 * p.amplitudes)
+        with pytest.raises(ValidationError, match="norm"):
+            wavepacket._boost_shared([p, loose], boost([0.3, 0, 0]))
+
+    @pytest.mark.parametrize("rapidity", [4.0, 8.0, 12.0])
+    def test_fused_marginals_match_separate_path_at_large_rapidity(self, rapidity):
+        up, down = (small_packet(spread=0.3, spin_axis=axis,
+                                 mean_momentum=(0.2, -0.1, 0.4))
+                    for axis in ((1, 0, 0), (0, 0, -1)))
+        lam = boost(rapidity=rapidity, axis=(0.3, -0.2, 0.9))
+        packets, tau = wavepacket._boost_shared([up, down], lam)
+        for pk, fused, boosted in zip((up, down), tau, packets):
+            separate = boost_packet(pk, lam)
+            assert np.array_equal(reduced_spin(separate).matrix, fused)
+            assert np.array_equal(separate.amplitudes, boosted.amplitudes)
+            assert not boosted.amplitudes.flags.writeable
+            assert not boosted.momenta.flags.writeable
+
+
 class TestEntropySurface:
+    def test_one_kernel_call_per_nonzero_beta(self, monkeypatch):
+        betas = [0.0, beta_for_gamma(0.1, 0.3, 1.0), beta_for_gamma(0.2, 0.3, 1.0)]
+        calls = count_calls(monkeypatch)
+        rows = entropy_surface(0.3, betas, [0.0, 1.0], points=5)
+        # the rest packet is the only one built through the constructor
+        assert calls == {"kernel": 4, "post_init": 1}
+        moved = [boost_packet(small_packet(spread=0.3, points=5),
+                              wavepacket._boost_at_angle(b, th))
+                 for th in (0.0, 1.0) for b in betas[1:]]
+        assert [s for _, g, s in rows if g > 0] == [
+            qstate.von_neumann_entropy(reduced_spin(pk)) for pk in moved]
+
     def test_zero_gamma_row_is_zero(self):
         rows = entropy_surface(0.35, [0.0], [0.0, np.pi / 4, np.pi / 2], points=9)
         for _, gamma, s in rows:
@@ -160,50 +221,97 @@ class TestEntropySurface:
             entropy_surface(0.2, [], [0.0])
 
 
+def separate_boosts(gammas, delta, theta, points):
+    """Boosted and restored error probabilities of the +z/-z pair, each
+    packet boosted on its own through boost_packet and reduced_spin."""
+    up, down = (small_packet(spread=delta, spin_axis=axis, points=points)
+                for axis in ((0, 0, 1), (0, 0, -1)))
+    pes, restored = [], []
+    for g in gammas:
+        lam = wavepacket._boost_at_angle(beta_for_gamma(g, delta, 1.0), theta)
+        bu, bd = boost_packet(up, lam), boost_packet(down, lam)
+        pes.append(qstate.error_probability(reduced_spin(bu), reduced_spin(bd)))
+        inv = lam.inverse()
+        restored.append(qstate.error_probability(
+            reduced_spin(boost_packet(bu, inv)), reduced_spin(boost_packet(bd, inv))))
+    return up, down, pes, restored
+
+
+def count_calls(monkeypatch) -> dict:
+    """Counts kernel calls and SpinorPacket.__post_init__ runs from now on."""
+    calls = {"kernel": 0, "post_init": 0}
+    kernel, post_init = wavepacket.kernels.wigner_su2_batch, SpinorPacket.__post_init__
+
+    def counting_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    def counting_post_init(self):
+        calls["post_init"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(wavepacket.kernels, "wigner_su2_batch", counting_kernel)
+    monkeypatch.setattr(SpinorPacket, "__post_init__", counting_post_init)
+    return calls
+
+
 class TestErrorScaling:
-    def test_quadratic_exponent_and_inverse_restoration(self):
+    def test_quadratic_exponent_and_forward_report(self):
         report = packet_error_scaling(0.1, [0.0125, 0.025, 0.05], points=11)
+        assert sorted(report) == ["fitted_exponent", "gamma", "pe_boosted", "pe_rest"]
         assert report["pe_rest"] < 1e-12
         assert 1.8 <= report["fitted_exponent"] <= 2.2
-        assert max(report["pe_restored"]) < 1e-8
 
     def test_one_kernel_call_per_boost_matches_separate_boosts(self, monkeypatch):
-        """The up and down packets share a grid, so each boost (forward and
-        back) is one kernel call whose D rotates both; the report is bit for
-        bit the one from boosting each packet on its own."""
+        """The up and down packets share a grid, so each boost is one kernel
+        call whose D rotates both: forward in packet_error_scaling, forward
+        and back in the round trips of cp_failure_witness and criterion 09.
+        Every value is bit for bit the one from boosting each packet on its
+        own."""
         gammas, delta, theta = [0.0125, 0.025, 0.05], 0.1, 1.1
-        ref_pes, ref_restored = [], []
-        up, down = (small_packet(spread=delta, spin_axis=axis, points=5)
-                    for axis in ((0, 0, 1), (0, 0, -1)))
-        for g in gammas:
-            lam = wavepacket._boost_at_angle(beta_for_gamma(g, delta, 1.0), theta)
-            bu, bd = boost_packet(up, lam), boost_packet(down, lam)
-            ref_pes.append(qstate.error_probability(reduced_spin(bu), reduced_spin(bd)))
-            inv = lam.inverse()
-            ref_restored.append(qstate.error_probability(
-                reduced_spin(boost_packet(bu, inv)), reduced_spin(boost_packet(bd, inv))))
-
-        calls = []
-        kernel = wavepacket.kernels.wigner_su2_batch
-
-        def counting(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(wavepacket.kernels, "wigner_su2_batch", counting)
+        up, down, ref_pes, ref_restored = separate_boosts(gammas, delta, theta, 5)
+        calls = count_calls(monkeypatch)
         report = packet_error_scaling(delta, gammas, theta=theta, points=5)
-        assert len(calls) == 2 * len(gammas)
+        assert calls["kernel"] == len(gammas)
         assert report["pe_rest"] == qstate.error_probability(reduced_spin(up),
                                                              reduced_spin(down))
         assert report["pe_boosted"] == ref_pes
-        assert report["pe_restored"] == ref_restored
         assert report["fitted_exponent"] == float(
             np.polyfit(np.log(gammas), np.log(ref_pes), 1)[0])
 
+        calls["kernel"] = 0
+        for g, pe, back in zip(gammas, ref_pes, ref_restored):
+            witness = cp_failure_witness(g, delta, theta=theta, points=5)
+            assert (witness["pe_before_map"], witness["pe_after_map"]) == (pe, back)
+        assert calls["kernel"] == 2 * len(gammas)
+
+        # criterion 09 boosts at right angles on its own gamma list
+        _, _, pes, restored = separate_boosts(gammas, delta, np.pi / 2, 5)
+        calls["kernel"] = 0
+        _, measured = selfcheck._check_error_scaling(selfcheck._tols(None),
+                                                     {"scaling_points": 5})
+        assert calls["kernel"] == 2 * len(gammas)
+        assert measured == {"fitted_exponent": float(np.polyfit(
+            np.log(gammas), np.log(pes), 1)[0]), "max_pe_restored": max(restored)}
+
+    def test_cli_path_boosts_once_per_gamma_without_revalidating(self, monkeypatch,
+                                                                 tmp_path):
+        cfg = tmp_path / "pe.cfg"
+        cfg.write_text("delta_over_m = 0.1\ngammas = 0.01, 0.02, 0.03, 0.04\n")
+        calls = count_calls(monkeypatch)
+        assert cli.main(["--scenario", "pe-gamma-scaling", "--config", str(cfg),
+                         "--grid.scaling_points", "5",
+                         "--out", str(tmp_path / "pe.csv")]) == 0
+        # the two rest packets are the only ones built through the constructor
+        assert calls == {"kernel": 4, "post_init": 2}
+
     def test_shared_boost_rejects_different_grids(self):
-        with pytest.raises(ValidationError, match="grid"):
-            wavepacket._boost_shared([small_packet(), small_packet(spread=0.3)],
-                                     boost([0.3, 0, 0]))
+        p = small_packet()
+        heavier = SpinorPacket(p.mass, p.momenta, 2 * p.weights,
+                               p.amplitudes / np.sqrt(2))
+        for other in (small_packet(spread=0.3), heavier):
+            with pytest.raises(ValidationError, match="grid"):
+                wavepacket._boost_shared([p, other], boost([0.3, 0, 0]))
 
     def test_halving_gamma_quarters_error(self):
         report = packet_error_scaling(0.1, [0.02, 0.04], points=11)
