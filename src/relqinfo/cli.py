@@ -1,14 +1,18 @@
 """Scenario runner: every module exposed as reproducible, file-emitting
-subcommands with a flat config file and seeded determinism.
+subcommands with a flat config file and seeded determinism. SCENARIOS
+declares the config keys and --grid.* names each scenario reads.
 
 Exit codes: 0 success, 2 usage error (unknown scenario, bad or non-finite
-flags, or an unknown tolerance or grid name), 3 validation failure (JSON
-diagnostic on stdout), 4 numerical acceptance failure in self-check mode.
+flags, or a tolerance or grid name the run does not read), 3 validation
+failure (JSON diagnostic on stdout), such as an undeclared config key, 4
+numerical acceptance failure in self-check mode.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,22 +21,6 @@ import numpy as np
 from . import (__version__, channel, horizon, photon, qstate, selfcheck,
                wavepacket)
 from ._errors import DimensionError, ValidationError
-
-SCENARIOS = (
-    "fig2-entropy",
-    "pe-gamma-scaling",
-    "bipartite-concurrence",
-    "photon-doppler",
-    "photon-povm",
-    "causality-bell",
-    "teleport-check",
-    "chsh",
-    "cluster-bound",
-    "unruh",
-    "rindler",
-    "blackhole-evaporate",
-    "superscatter-demo",
-)
 
 USAGE_EXIT = 2
 VALIDATION_EXIT = 3
@@ -45,14 +33,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(raw: str):
+    """A comma list of numbers as floats, else an int, a float or the text."""
     raw = raw.strip()
     if "," in raw:
         try:
             return [float(v) for v in raw.split(",") if v.strip()]
         except ValueError:
-            raise ValidationError(
-                f"config key {key!r} needs a list of numbers, got {raw!r}") from None
+            return raw
     for caster in (int, float):
         try:
             return caster(raw)
@@ -62,7 +50,7 @@ def _parse_value(key: str, raw: str):
 
 
 def load_config(path: str | None) -> dict:
-    """Flat key = value file; '#' starts a comment; nan and inf are invalid."""
+    """Flat key = value file; '#' starts a comment; run checks the keys."""
     cfg: dict = {}
     if path is None:
         return cfg
@@ -74,110 +62,96 @@ def load_config(path: str | None) -> dict:
         if "=" not in line:
             raise ValidationError(f"config line {lineno} is not key = value")
         key, raw = line.split("=", 1)
-        key = key.strip()
-        cfg[key] = value = _parse_value(key, raw)
-        if any(isinstance(x, float) and not np.isfinite(x) for x in np.atleast_1d(value)):
-            raise ValidationError(
-                f"config key {key!r} on line {lineno} has a non-finite number")
+        cfg[key.strip()] = _parse_value(raw)
     return cfg
 
 
-def _config_number(cfg: dict, key: str, default, cast=float):
-    """cfg[key], or default when it is absent, through cast; a value that
-    is not a number, too large for a float, or, where cast is int, not a
-    whole number >= 0 is a validation error naming the key."""
-    value = cfg.get(key, default)
+def _read(cfg: dict, key: str, default):
+    """cfg[key] in the type of its default, or the default when absent: a
+    float takes a finite number; a list of floats, a comma list of them or
+    one; an int, a whole number >= 0; a tuple of words, one of them."""
+    if key not in cfg:
+        return default[0] if isinstance(default, tuple) else default
+    value = cfg[key]
+    if isinstance(default, tuple):
+        if value in default:
+            return value
+        raise ValidationError(
+            f"config key {key!r} needs one of {', '.join(default)}, got {value!r}")
+    many = isinstance(default, list)
     try:
-        number = cast(value)
+        numbers = [float(v) for v in (value if many and isinstance(value, list)
+                                      else [value])]
     except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (cast is int and (number != value or number < 0)):
-        kind = "a whole number >= 0" if cast is int else "a number"
-        raise ValidationError(f"config key {key!r} needs {kind}, got {value!r}")
-    return number
+        numbers = [math.nan]
+    if all(map(math.isfinite, numbers)):
+        if many:
+            return numbers
+        if isinstance(default, float):
+            return numbers[0]
+        if numbers[0].is_integer() and numbers[0] >= 0:
+            return int(numbers[0])
+    kind = ("a list of finite numbers" if many else "a finite number"
+            if isinstance(default, float) else "a whole number >= 0")
+    raise ValidationError(f"config key {key!r} needs {kind}, got {value!r}")
 
 
-def _config_numbers(cfg: dict, key: str, default: list) -> list:
-    """cfg[key] as a list of floats: a comma list, or one number."""
-    value = cfg.get(key, default)
-    if isinstance(value, list):  # _parse_value made every entry a number
-        return [float(v) for v in value]
-    return [_config_number(cfg, key, default)]
-
-
-def _constants_from(cfg: dict) -> horizon.PhysicalConstants:
-    keys = ("hbar", "c", "G", "k_B")
-    overrides = {k: _config_number(cfg, f"constants.{k}", None) for k in keys
-                 if f"constants.{k}" in cfg}
-    if cfg.get("units", "si") == "geometric":
-        base = horizon.GEOMETRIC
-    else:
-        base = horizon.SI
-    if not overrides:
-        return base
-    values = {k: overrides.get(k, getattr(base, k)) for k in keys}
-    return horizon.PhysicalConstants(**values)
+def _params(config: dict, keys: dict) -> dict:
+    """Every declared key's typed value; an undeclared key is invalid."""
+    undeclared = sorted(set(config) - set(keys))
+    if undeclared:
+        raise ValidationError(f"undeclared config keys {undeclared}")
+    return {key: _read(config, key, default) for key, default in keys.items()}
 
 
 # ---------------------------------------------------------------------------
-# scenario bodies: each returns (columns, rows, extra_meta) for tables or
-# (None, payload_dict, extra_meta) for object-shaped output
+# scenario bodies: each takes its typed config values and grids in one dict
+# and returns (columns, rows, extra_meta) for tables or (None, payload_dict,
+# extra_meta) for object-shaped output
 
-def _scn_fig2_entropy(cfg, grids, seed):
-    dm = _config_number(cfg, "delta_over_m", 0.35)
-    gammas = _config_numbers(cfg, "gammas", [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
-    thetas = _config_numbers(cfg, "thetas", [0.0, np.pi / 4, np.pi / 2])
-    points = int(grids.get("entropy_points", 15))
-    betas = [wavepacket.beta_for_gamma(g, dm, 1.0) for g in gammas]
-    rows = wavepacket.entropy_surface(dm, betas, thetas, points=points)
+def _scn_fig2_entropy(p, seed):
+    dm, points = p["delta_over_m"], p["entropy_points"]
+    betas = [wavepacket.beta_for_gamma(g, dm, 1.0) for g in p["gammas"]]
+    rows = wavepacket.entropy_surface(dm, betas, p["thetas"], points=points)
     return (["theta_rad", "gamma", "entropy_nats"],
             [[th, g, s] for th, g, s in rows],
             {"delta_over_m": dm, "points_per_axis": points})
 
 
-def _scn_pe_gamma_scaling(cfg, grids, seed):
-    dm = _config_number(cfg, "delta_over_m", 0.1)
-    gammas = _config_numbers(cfg, "gammas", [0.0125, 0.025, 0.05])
-    points = int(grids.get("scaling_points", 15))
-    report = wavepacket.packet_error_scaling(dm, gammas, points=points)
+def _scn_pe_gamma_scaling(p, seed):
+    dm = p["delta_over_m"]
+    report = wavepacket.packet_error_scaling(dm, p["gammas"],
+                                             points=p["scaling_points"])
     rows = [[g, pe] for g, pe in zip(report["gamma"], report["pe_boosted"])]
     return (["gamma", "pe_boosted"], rows,
             {"delta_over_m": dm, "fitted_exponent": report["fitted_exponent"],
              "pe_rest": report["pe_rest"]})
 
 
-def _scn_bipartite_concurrence(cfg, grids, seed):
-    dm = _config_number(cfg, "delta_over_m", 0.3)
-    rapidities = _config_numbers(cfg, "rapidities", [0.0, 0.5, 1.0, 2.0])
-    points = int(grids.get("bipartite_points", 9))
-    rows = wavepacket.bipartite_boost_concurrence(dm, rapidities, points=points)
+def _scn_bipartite_concurrence(p, seed):
+    dm, points = p["delta_over_m"], p["bipartite_points"]
+    rows = wavepacket.bipartite_boost_concurrence(dm, p["rapidities"], points=points)
     return (["rapidity", "concurrence"], [[r, c] for r, c in rows],
             {"delta_over_m": dm, "points_per_axis": points})
 
 
-def _scn_photon_doppler(cfg, grids, seed):
-    aperture = _config_number(cfg, "aperture", 0.05)
-    velocities = _config_numbers(cfg, "velocities", [-0.5, -0.25, 0.25, 0.5])
-    nt = int(grids.get("photon_theta", 32))
-    nph = int(grids.get("photon_phi", 64))
+def _scn_photon_doppler(p, seed):
+    aperture = p["aperture"]
     rows = [[aperture, v, out["P_E"], out["P_E_prime"], out["ratio"]]
-            for v, out in zip(velocities, photon._doppler_ratios(
-                aperture, velocities, n_theta=nt, n_phi=nph))]
+            for v, out in zip(p["velocities"], photon._doppler_ratios(
+                aperture, p["velocities"], n_theta=p["photon_theta"],
+                n_phi=p["photon_phi"]))]
     return (["aperture", "v", "P_E", "P_E_prime", "ratio"], rows, {})
 
 
-def _scn_photon_povm(cfg, grids, seed):
-    aperture = _config_number(cfg, "aperture", 0.2)
-    pol = cfg.get("polarization", "linear-x")
-    nt = int(grids.get("photon_theta", 32))
-    nph = int(grids.get("photon_phi", 64))
-    pk = photon.collimated_packet(aperture, polarization=pol, n_theta=nt,
-                                  n_phi=nph)
+def _scn_photon_povm(p, seed):
+    pk = photon.collimated_packet(p["aperture"], polarization=p["polarization"],
+                                  n_theta=p["photon_theta"], n_phi=p["photon_phi"])
     expectations = {ax: photon.povm_expectation(pk, ax) for ax in "xyz"}
     rho = photon.effective_density_matrix(pk)
     payload = {
-        "aperture": aperture,
-        "polarization": pol,
+        "aperture": p["aperture"],
+        "polarization": p["polarization"],
         "expectations": expectations,
         "expectation_sum": sum(expectations.values()),
         "effective_matrix_re": [[float(x.real) for x in row] for row in rho.matrix],
@@ -186,9 +160,8 @@ def _scn_photon_povm(cfg, grids, seed):
     return None, payload, {}
 
 
-def _scn_causality_bell(cfg, grids, seed):
-    tol = _config_number(cfg, "tolerance", 1e-9)
-    probes = _config_number(cfg, "haar_probes", 50, int)
+def _scn_causality_bell(p, seed):
+    probes = p["haar_probes"]
     incomplete = channel.is_semicausal(channel.incomplete_bell_pvm(), "B->A",
                                        haar_probes=probes, seed=seed)
     complete = {
@@ -197,15 +170,15 @@ def _scn_causality_bell(cfg, grids, seed):
         for direction in ("B->A", "A->B")
     }
     payload = {
-        "incomplete_bell": incomplete.to_report("incomplete-bell", tol),
+        "incomplete_bell": incomplete.to_report("incomplete-bell", p["tolerance"]),
         "complete_bell_semicausal": complete,
         "advantage": incomplete.advantage,
     }
     return None, payload, {}
 
 
-def _scn_teleport_check(cfg, grids, seed):
-    draws = _config_number(cfg, "draws", 100, int)
+def _scn_teleport_check(p, seed):
+    draws = p["draws"]
     rng = np.random.default_rng(seed)
     states = np.array([qstate.haar_state(2, rng) for _ in range(draws)]).reshape(-1, 2)
     residuals, _, fidelities = channel._teleport_batch(states)
@@ -213,52 +186,50 @@ def _scn_teleport_check(cfg, grids, seed):
                   "min_fidelity": float(fidelities.min(initial=1.0))}, {}
 
 
-def _scn_chsh(cfg, grids, seed):
+def _scn_chsh(p, seed):
     singlet = qstate.DensityMatrix.from_pure(channel.bell_state("psi-"))
     z_singlet, _ = channel.chsh_optimize(singlet)
     product = qstate.DensityMatrix.from_pure(
         np.kron([1, 0], [1, 0]).astype(complex))
     z_product, _ = channel.chsh_optimize(product)
-    p = _config_number(cfg, "werner_p", 0.5)
+    wp = p["werner_p"]
     psim = channel.bell_state("psi-")
-    werner = qstate.DensityMatrix(p * np.outer(psim, psim.conj())
-                                  + (1 - p) * np.eye(4) / 4)
+    werner = qstate.DensityMatrix(wp * np.outer(psim, psim.conj())
+                                  + (1 - wp) * np.eye(4) / 4)
     z_werner, _ = channel.chsh_optimize(werner)
     rows = [["singlet", z_singlet], ["product_00", z_product],
-            [f"werner_{_fmt(p)}", z_werner]]
+            [f"werner_{_fmt(wp)}", z_werner]]
     return (["state", "zeta_max"], rows,
             {"tsirelson_bound": float(np.sqrt(2.0))})
 
 
-def _scn_cluster_bound(cfg, grids, seed):
-    masses = _config_numbers(cfg, "masses", [0.5, 1.0, 2.0])
-    seps = _config_numbers(cfg, "separations", [0.0, 1.0, float(np.log(4.0)), 5.0])
-    rows = [[m, r, channel.cluster_chsh_bound(m, r)] for m in masses for r in seps]
+def _scn_cluster_bound(p, seed):
+    rows = [[m, r, channel.cluster_chsh_bound(m, r)]
+            for m in p["masses"] for r in p["separations"]]
     return ["mass", "separation", "bound"], rows, {}
 
 
-def _scn_unruh(cfg, grids, seed):
-    constants = _constants_from(cfg)
-    accs = _config_numbers(cfg, "accelerations", [9.8, 1e10, 1e20])
-    rows = [[a, horizon.unruh_temperature(a, constants)] for a in accs]
-    return ["acceleration", "temperature"], rows, {"units": cfg.get("units", "si")}
+def _scn_unruh(p, seed):
+    base = horizon.GEOMETRIC if p["units"] == "geometric" else horizon.SI
+    given = {k: p[f"constants.{k}"] for k in ("hbar", "c", "k_B")}
+    constants = dataclasses.replace(
+        base, **{k: v for k, v in given.items() if not math.isnan(v)})
+    rows = [[a, horizon.unruh_temperature(a, constants)] for a in p["accelerations"]]
+    return ["acceleration", "temperature"], rows, {"units": p["units"]}
 
 
-def _scn_rindler(cfg, grids, seed):
-    ratios = _config_numbers(cfg, "omega_over_a", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0])
+def _scn_rindler(p, seed):
     rows = []
-    for r in ratios:
+    for r in p["omega_over_a"]:
         st = horizon.rindler_mode_state(float(r), 1.0)
         rows.append([r, st.mean_occupation(), st.entropy()])
     return ["omega_over_a", "mean_n", "entropy"], rows, {}
 
 
-def _scn_blackhole_evaporate(cfg, grids, seed):
-    m0 = _config_number(cfg, "M0_kg", 1.0e9)
-    k_evap = _config_number(cfg, "k_evap", horizon.K_EVAP_DEFAULT)
-    n_samples = _config_number(cfg, "samples", 9, int)
+def _scn_blackhole_evaporate(p, seed):
+    m0, k_evap = p["M0_kg"], p["k_evap"]
     t_e = horizon.evaporation_lifetime(m0, k_evap)
-    fractions = np.linspace(0.0, 1.0, n_samples)
+    fractions = np.linspace(0.0, 1.0, p["samples"])
     samples = [{"t": float(f * t_e),
                 "M": horizon.evaporate(m0, f * t_e, k_evap).mass}
                for f in fractions]
@@ -266,7 +237,7 @@ def _scn_blackhole_evaporate(cfg, grids, seed):
                   "samples": samples}, {}
 
 
-def _scn_superscatter_demo(cfg, grids, seed):
+def _scn_superscatter_demo(p, seed):
     rng = np.random.default_rng(seed)
     s = qstate.haar_unitary(4, rng)
     rho_in = qstate.DensityMatrix.from_pure(qstate.haar_state(2, rng))
@@ -284,32 +255,40 @@ def _scn_superscatter_demo(cfg, grids, seed):
     return None, payload, {}
 
 
-_RUNNERS = {
-    "fig2-entropy": _scn_fig2_entropy,
-    "pe-gamma-scaling": _scn_pe_gamma_scaling,
-    "bipartite-concurrence": _scn_bipartite_concurrence,
-    "photon-doppler": _scn_photon_doppler,
-    "photon-povm": _scn_photon_povm,
-    "causality-bell": _scn_causality_bell,
-    "teleport-check": _scn_teleport_check,
-    "chsh": _scn_chsh,
-    "cluster-bound": _scn_cluster_bound,
-    "unruh": _scn_unruh,
-    "rindler": _scn_rindler,
-    "blackhole-evaporate": _scn_blackhole_evaporate,
-    "superscatter-demo": _scn_superscatter_demo,
+# name: (body, config keys with defaults, --grid.* names). A default's type
+# is its key's type (see _read); a constants.* key's nan stands for the value
+# in the chosen units. Grid defaults are selfcheck.DEFAULT_GRIDS.
+SCENARIOS = {
+    "fig2-entropy": (_scn_fig2_entropy, {
+        "delta_over_m": 0.35, "gammas": [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3],
+        "thetas": [0.0, np.pi / 4, np.pi / 2]}, ("entropy_points",)),
+    "pe-gamma-scaling": (_scn_pe_gamma_scaling, {
+        "delta_over_m": 0.1, "gammas": [0.0125, 0.025, 0.05]}, ("scaling_points",)),
+    "bipartite-concurrence": (_scn_bipartite_concurrence, {
+        "delta_over_m": 0.3, "rapidities": [0.0, 0.5, 1.0, 2.0]}, ("bipartite_points",)),
+    "photon-doppler": (_scn_photon_doppler, {"aperture": 0.05,
+        "velocities": [-0.5, -0.25, 0.25, 0.5]}, ("photon_theta", "photon_phi")),
+    "photon-povm": (_scn_photon_povm, {
+        "aperture": 0.2, "polarization": ("linear-x", "linear-y", "plus", "minus")},
+        ("photon_theta", "photon_phi")),
+    "causality-bell": (_scn_causality_bell, {"tolerance": 1e-9, "haar_probes": 50}, ()),
+    "teleport-check": (_scn_teleport_check, {"draws": 100}, ()),
+    "chsh": (_scn_chsh, {"werner_p": 0.5}, ()),
+    "cluster-bound": (_scn_cluster_bound, {"masses": [0.5, 1.0, 2.0],
+        "separations": [0.0, 1.0, float(np.log(4.0)), 5.0]}, ()),
+    "unruh": (_scn_unruh, {
+        "units": ("si", "geometric"), "constants.hbar": math.nan,
+        "constants.c": math.nan, "constants.k_B": math.nan,
+        "accelerations": [9.8, 1e10, 1e20]}, ()),
+    "rindler": (_scn_rindler, {"omega_over_a": [0.05, 0.1, 0.2, 0.5, 1.0, 2.0]}, ()),
+    "blackhole-evaporate": (_scn_blackhole_evaporate, {
+        "M0_kg": 1.0e9, "k_evap": horizon.K_EVAP_DEFAULT, "samples": 9}, ()),
+    "superscatter-demo": (_scn_superscatter_demo, {}, ()),
 }
 
 
 # ---------------------------------------------------------------------------
 # emission and validation
-
-def _meta(scenario, seed, tols, extra) -> dict:
-    meta = {"scenario": scenario, "version": __version__, "seed": seed}
-    meta["tolerances"] = {k: tols[k] for k in sorted(tols)} if tols else {}
-    meta.update({k: extra[k] for k in sorted(extra)})
-    return meta
-
 
 def write_csv(path: Path, columns, rows, meta: dict) -> None:
     import csv
@@ -366,11 +345,15 @@ def validate_emitted(path: Path, fmt: str) -> None:
 
 
 def run(scenario: str, config: dict, seed: int, out_path: Path, fmt: str,
-        tol_overrides: dict, grid_overrides: dict) -> None:
-    """Execute a scenario and emit its table or report to out_path."""
-    runner = _RUNNERS[scenario]
-    columns, payload, extra = runner(config, grid_overrides, seed)
-    meta = _meta(scenario, seed, tol_overrides, extra)
+        grid_overrides: dict) -> None:
+    """Execute a scenario on its declared config keys and grids and emit
+    its table or report to out_path."""
+    body, keys, grids = SCENARIOS[scenario]
+    params = _params(config, keys)
+    params.update({g: grid_overrides.get(g, selfcheck.DEFAULT_GRIDS[g]) for g in grids})
+    columns, payload, extra = body(params, seed)
+    meta = {"scenario": scenario, "version": __version__, "seed": seed,
+            "tolerances": {}, **{k: extra[k] for k in sorted(extra)}}
     if columns is None:
         # object-shaped reports are JSON-native; csv mode wraps them as
         # key,value rows with JSON-encoded values
@@ -396,7 +379,7 @@ def _extract_dotted(argv: list) -> tuple:
     """Split --tol.NAME and --grid.NAME options from the raw argument list.
 
     Every value must be a number; a whole grid value is returned as an
-    int. selfcheck._tols and selfcheck._grids check the names and values."""
+    int. main checks the names and values against selfcheck and SCENARIOS."""
     tols, grids, rest = {}, {}, []
     i = 0
     while i < len(argv):
@@ -427,8 +410,12 @@ def _extract_dotted(argv: list) -> tuple:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    epilog = "config keys and --grid.* names of each scenario:\n" + "\n".join(
+        f"  {name}: " + (" ".join([*keys, *(f"--grid.{g}" for g in grids)]) or "none")
+        for name, (_, keys, grids) in SCENARIOS.items())
     parser = argparse.ArgumentParser(
-        prog="relqinfo",
+        prog="relqinfo", epilog=epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Run relativistic-quantum-information scenarios or the "
                     "acceptance self-check.")
     parser.add_argument("--scenario", choices=SCENARIOS,
@@ -446,16 +433,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
     try:
         tol_overrides, grid_overrides, rest = _extract_dotted(list(argv))
+        args = parser.parse_args(rest)
         selfcheck._tols(tol_overrides)
         selfcheck._grids(grid_overrides)
+        if args.scenario and not args.selfcheck:
+            grids = SCENARIOS[args.scenario][2]
+            unread = [*(f"--tol.{k}" for k in tol_overrides),
+                      *(f"--grid.{k}" for k in grid_overrides if k not in grids)]
+            if unread:
+                raise ValidationError(f"{args.scenario} does not read {unread}")
     except (KeyError, ValidationError) as exc:
         print(json.dumps({"error": "usage", "detail": exc.args[0]}))
         return USAGE_EXIT
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(rest)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
 
@@ -475,7 +467,7 @@ def main(argv: list | None = None) -> int:
         f"{args.scenario}.{args.format}")
     try:
         run(args.scenario, config, args.seed, out_path, args.format,
-            tol_overrides, grid_overrides)
+            grid_overrides)
     except (ValidationError, DimensionError) as exc:
         print(json.dumps({"error": "validation", "scenario": args.scenario,
                           "detail": str(exc)}, sort_keys=True))
@@ -485,9 +477,8 @@ def main(argv: list | None = None) -> int:
 
 
 def _run_selfcheck(args, tol_overrides, grid_overrides, config) -> int:
-    # config may corrupt constants deliberately; guard before any numerics
     try:
-        _constants_from(config)
+        _params(config, {})  # the criteria read no config key
         results = selfcheck.run_all(tol_overrides or None,
                                     grid_overrides or None)
     except (ValidationError, DimensionError) as exc:

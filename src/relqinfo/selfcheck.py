@@ -319,11 +319,13 @@ def _check_entropy_surface(tols, grids):
 
 
 def _check_error_scaling(tols, grids):
-    report, boosted = wavepacket._error_scaling(
+    gammas, _, steps = wavepacket._spin_z_boosts(
         0.1, [0.0125, 0.025, 0.05], np.pi / 2, grids["scaling_points"], 4.0)
-    expo = report["fitted_exponent"]
-    restored = max(qstate.error_probability(
-        *wavepacket._boost_shared(pair, lam.inverse())[1]) for lam, pair in boosted)
+    pes, back = [], []
+    for lam, pair, tau in steps:
+        pes.append(qstate.error_probability(*tau))
+        back.append(qstate.error_probability(*wavepacket._boost_shared(pair, lam.inverse())[1]))
+    expo, restored = wavepacket._fitted_exponent(gammas, pes), max(back)
     ok = (tols["exponent_low"] <= expo <= tols["exponent_high"]
           and restored < tols["inverse_restore"])
     return ok, {"fitted_exponent": expo, "max_pe_restored": restored}

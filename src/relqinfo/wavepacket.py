@@ -10,6 +10,7 @@ and bipartite packets for the boost behavior of concurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -258,23 +259,23 @@ def entropy_surface(delta_over_m: float, beta_list, theta_list,
     return rows
 
 
-def _error_scaling(delta_over_m, gamma_list, theta, points, extent) -> tuple:
-    """packet_error_scaling's report, and each gamma's boost and boosted pair."""
+def _spin_z_boosts(delta_over_m, gamma_list, theta, points, extent) -> tuple:
+    """The sorted gammas, the rest-frame error probability of the +z/-z
+    spin pair, and per gamma, boosted only when reached and then not kept,
+    (boost, boosted pair, the pair's (2, 2, 2) spin marginals)."""
     gammas = np.asarray(sorted(gamma_list), dtype=float)
     if (gammas <= 0).any():
         raise ValidationError("gamma values must be positive")
     up, down = _spin_z_pair(delta_over_m, points, extent)
     pe_rest = qstate.error_probability(reduced_spin(up), reduced_spin(down))
-    pes, boosted = [], []
-    for g in gammas:
-        lam = _boost_at_angle(beta_for_gamma(g, delta_over_m, 1.0), theta)
-        pair, tau = _boost_shared([up, down], lam)
-        pes.append(qstate.error_probability(tau[0], tau[1]))
-        boosted.append((lam, pair))
-    slope = (float(np.polyfit(np.log(gammas), np.log(pes), 1)[0])
-             if len(gammas) > 1 else None)
-    return {"gamma": gammas.tolist(), "pe_rest": pe_rest,
-            "pe_boosted": [float(p) for p in pes], "fitted_exponent": slope}, boosted
+    lams = (_boost_at_angle(beta_for_gamma(g, delta_over_m, 1.0), theta) for g in gammas)
+    return gammas, pe_rest, ((lam, *_boost_shared([up, down], lam)) for lam in lams)
+
+
+def _fitted_exponent(gammas, pes):
+    """Least-squares slope of log P_E' against log gamma; None for one gamma."""
+    return (float(np.polyfit(np.log(gammas), np.log(pes), 1)[0])
+            if len(gammas) > 1 else None)
 
 
 def packet_error_scaling(delta_over_m: float, gamma_list, theta: float = np.pi / 2,
@@ -287,7 +288,12 @@ def packet_error_scaling(delta_over_m: float, gamma_list, theta: float = np.pi /
     probabilities and the least-squares slope of log P_E' against log
     gamma.
     """
-    return _error_scaling(delta_over_m, gamma_list, theta, points, extent)[0]
+    gammas, pe_rest, steps = _spin_z_boosts(delta_over_m, gamma_list, theta,
+                                            points, extent)
+    # map drops each boosted pair before the next gamma's boost
+    pes = [qstate.error_probability(*tau) for tau in map(itemgetter(2), steps)]
+    return {"gamma": gammas.tolist(), "pe_rest": pe_rest, "pe_boosted": pes,
+            "fitted_exponent": _fitted_exponent(gammas, pes)}
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +399,9 @@ def cp_failure_witness(gamma: float = 0.04, delta_over_m: float = 0.1,
     error 0, improving distinguishability, which no completely positive
     map can do. Reports both error probabilities and the improvement.
     """
-    report, [(lam, pair)] = _error_scaling(delta_over_m, [gamma], theta, points, 4.0)
-    pe_boosted = report["pe_boosted"][0]
+    _, _, steps = _spin_z_boosts(delta_over_m, [gamma], theta, points, 4.0)
+    [(lam, pair, tau)] = steps
+    pe_boosted = qstate.error_probability(*tau)
     pe_back = qstate.error_probability(*_boost_shared(pair, lam.inverse())[1])
     return {"pe_before_map": pe_boosted, "pe_after_map": pe_back,
             "improvement": pe_boosted - pe_back,

@@ -77,11 +77,16 @@ class TestExitCodes:
         ["--scenario", "bipartite-concurrence", "--grid.bipartite_points", "5.9"],
         ["--scenario", "bipartite-concurrence", "--grid.bipartite_points=nan"],
         ["--selfcheck", "--tol.locc_tv", "nan"],
-        ["--scenario", "chsh", "--tol.doppler_ratio=inf"]])
+        ["--scenario", "chsh", "--tol.doppler_ratio=inf"],
+        ["--scenario", "unruh", "--tol.doppler_ratio", "0.5"],
+        ["--scenario", "unruh", "--grid.photon_theta", "4"]])
     def test_bad_dotted_flag_is_usage_error(self, tmp_path, flags):
         out = invoke(flags, tmp_path)
         assert out.returncode == 2, out.stderr
-        assert json.loads(out.stdout)["error"] == "usage"
+        diag = json.loads(out.stdout)
+        assert diag["error"] == "usage"
+        [flag] = [f for f in flags if f.startswith(("--tol.", "--grid."))]
+        assert flag.split(".", 1)[1].split("=")[0] in diag["detail"]
 
     def test_corrupted_constants_are_validation_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -109,12 +114,18 @@ class TestExitCodes:
                      id="photon-doppler-int-too-large-for-float"),
         ("blackhole-evaporate", "samples = 2.5"),
         ("blackhole-evaporate", "samples = -3"),
-        ("causality-bell", "haar_probes = -1")])
+        ("causality-bell", "haar_probes = -1"),
+        ("photon-povm", "polarization = circular"),
+        ("unruh", "units = geometrc"),
+        ("fig2-entropy", "delta_over_M = 5"),
+        (None, "units = si")])
     def test_non_finite_config_value(self, tmp_path, scenario, line):
+        """A bad value or an undeclared key; scenario None is --selfcheck."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
-        out = invoke(["--scenario", scenario, "--config", str(cfg),
-                      "--out", str(tmp_path / "o.csv")], tmp_path)
+        mode = ["--selfcheck"] if scenario is None else ["--scenario", scenario]
+        out = invoke(mode + ["--config", str(cfg), "--out", str(tmp_path / "o.csv")],
+                     tmp_path)
         assert out.returncode == 3, out.stderr
         diag = json.loads(out.stdout)
         assert diag["error"] == "validation"
@@ -212,7 +223,7 @@ class TestScenarioOutputs:
         assert abs(rows["singlet"] - np.sqrt(2)) < 1e-9
         assert rows["product_00"] <= 1.0 + 1e-9
 
-    def test_every_scenario_emits_valid_output(self, tmp_path):
+    def test_every_scenario_emits_valid_output(self, tmp_path, capsys):
         quick = {
             "fig2-entropy": ["--grid.entropy_points", "9"],
             "pe-gamma-scaling": ["--grid.scaling_points", "9"],
@@ -224,10 +235,12 @@ class TestScenarioOutputs:
             extra = quick.get(scenario, [])
             for fmt in ("csv", "json"):
                 target = tmp_path / f"{scenario}.{fmt}"
-                out = invoke(["--scenario", scenario, "--format", fmt,
-                              "--out", str(target)] + extra, tmp_path)
-                assert out.returncode == 0, (scenario, fmt, out.stdout, out.stderr)
+                assert cli.main(["--scenario", scenario, "--format", fmt,
+                                 "--out", str(target)] + extra) == 0, (scenario, fmt)
                 assert target.exists()
+        capsys.readouterr()
+        assert cli.main(["--help"]) == 0
+        assert {"delta_over_m", "--grid.entropy_points"} <= set(capsys.readouterr().out.split())
 
 
 class TestConfigParsing:

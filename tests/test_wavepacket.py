@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -299,11 +301,23 @@ class TestErrorScaling:
         cfg = tmp_path / "pe.cfg"
         cfg.write_text("delta_over_m = 0.1\ngammas = 0.01, 0.02, 0.03, 0.04\n")
         calls = count_calls(monkeypatch)
+        boosted, live = [], []
+        shared = wavepacket._boost_shared
+
+        def tracking_boost_shared(packets, lam):
+            # boosted packets of earlier gammas still held when this one starts
+            live.append(sum(ref() is not None for ref in boosted))
+            result = shared(packets, lam)
+            boosted.extend(weakref.ref(pk) for pk in result[0])
+            return result
+
+        monkeypatch.setattr(wavepacket, "_boost_shared", tracking_boost_shared)
         assert cli.main(["--scenario", "pe-gamma-scaling", "--config", str(cfg),
                          "--grid.scaling_points", "5",
                          "--out", str(tmp_path / "pe.csv")]) == 0
         # the two rest packets are the only ones built through the constructor
         assert calls == {"kernel": 4, "post_init": 2}
+        assert live == [0, 0, 0, 0]
 
     def test_shared_boost_rejects_different_grids(self):
         p = small_packet()
