@@ -69,7 +69,7 @@ def load_config(path: str | None) -> dict:
 def _read(cfg: dict, key: str, default):
     """cfg[key] in the type of its default, or the default when absent: a
     float takes a finite number; a list of floats, a comma list of them or
-    one; an int, a whole number >= 0; a tuple of words, one of them."""
+    one; an int, a count (a whole number >= 1); a tuple of words, one of them."""
     if key not in cfg:
         return default[0] if isinstance(default, tuple) else default
     value = cfg[key]
@@ -84,15 +84,15 @@ def _read(cfg: dict, key: str, default):
                                       else [value])]
     except (TypeError, ValueError, OverflowError):
         numbers = [math.nan]
-    if all(map(math.isfinite, numbers)):
+    if numbers and all(map(math.isfinite, numbers)):
         if many:
             return numbers
         if isinstance(default, float):
             return numbers[0]
-        if numbers[0].is_integer() and numbers[0] >= 0:
+        if numbers[0].is_integer() and numbers[0] >= 1:
             return int(numbers[0])
-    kind = ("a list of finite numbers" if many else "a finite number"
-            if isinstance(default, float) else "a whole number >= 0")
+    kind = ("a list of one or more finite numbers" if many else "a finite number"
+            if isinstance(default, float) else "a whole number >= 1")
     raise ValidationError(f"config key {key!r} needs {kind}, got {value!r}")
 
 
@@ -180,10 +180,10 @@ def _scn_causality_bell(p, seed):
 def _scn_teleport_check(p, seed):
     draws = p["draws"]
     rng = np.random.default_rng(seed)
-    states = np.array([qstate.haar_state(2, rng) for _ in range(draws)]).reshape(-1, 2)
+    states = np.array([qstate.haar_state(2, rng) for _ in range(draws)])
     residuals, _, fidelities = channel._teleport_batch(states)
-    return None, {"draws": draws, "max_residual": float(residuals.max(initial=0.0)),
-                  "min_fidelity": float(fidelities.min(initial=1.0))}, {}
+    return None, {"draws": draws, "max_residual": float(residuals.max()),
+                  "min_fidelity": float(fidelities.min())}, {}
 
 
 def _scn_chsh(p, seed):
@@ -486,10 +486,12 @@ def _run_selfcheck(args, tol_overrides, grid_overrides, config) -> int:
         return VALIDATION_EXIT
     report = selfcheck.report_dict(results)
     for crit in report["criteria"]:
-        status = "PASS" if crit["passed"] else (
-            f"FAIL[{crit.get('failure_class', 'logic')}]")
-        print(f"{crit['name']}: {status} "
-              f"(tol {crit['tolerance_name']} = {_fmt(crit['tolerance'])})")
+        failed = "; ".join(  # 'key relation [name =] bound (margin m)'
+            f"{c['key']} {c['relation']} " + (f"{c['bound_name']} = " if c["bound_name"] else "")
+            + f"{c['bound']}" + (f" (margin {c['margin']:.3g})" if "margin" in c else "")
+            for c in crit["checks"] if not c["holds"])
+        status = f"FAIL[{crit['failure_class']}] {failed}" if failed else "PASS"
+        print(f"{crit['name']}: {status}")
     if args.out:
         write_json(Path(args.out), report)
     return 0 if report["all_passed"] else NUMERICAL_EXIT

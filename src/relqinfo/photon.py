@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from ._errors import DimensionError, ValidationError
 from .lorentz import (_rotation_to_khat_batch, aberrate, boost,
                       helicity_phase_batch)
-from .qstate import hermitize
+from .qstate import _error_probabilities, hermitize
 
 __all__ = [
     "PhotonPacket",
@@ -347,10 +347,9 @@ def boost_packet(packet: PhotonPacket, v: float) -> PhotonPacket:
 
 
 def _renormalized_error(rho1: PolarizationMatrix, rho2: PolarizationMatrix) -> float:
-    m1 = rho1.matrix / np.trace(rho1.matrix).real
-    m2 = rho2.matrix / np.trace(rho2.matrix).real
-    ev = np.linalg.eigvalsh(hermitize(m1 - m2))
-    return float(min(max(0.5 - 0.25 * np.abs(ev).sum(), 0.0), 0.5))
+    """Error probability of the two trace-renormalized matrices."""
+    return float(_error_probabilities(*(rho.matrix / np.trace(rho.matrix).real
+                                        for rho in (rho1, rho2))))
 
 
 def _doppler_ratios(aperture: float, velocities, n_theta: int = 32, n_phi: int = 64,

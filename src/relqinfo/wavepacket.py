@@ -9,7 +9,7 @@ and bipartite packets for the boost behavior of concurrence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
@@ -308,6 +308,8 @@ class BipartitePacket:
     first: tuple
     second: tuple
     amplitudes: np.ndarray
+    # 4x4 spin-spin marginal, computed once at construction
+    spin_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex)
@@ -316,22 +318,20 @@ class BipartitePacket:
                                  "packets per particle")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
+        # the amplitude block contracted with each particle's spin Gram tensor
+        # G[b, s, c, t] = sum_i w_i a^b_i[s] conj(a^c_i[t])
+        g1, g2 = (_gram(_check_shared_grid(basis).weights, np.concatenate(
+            [pk.amplitudes for pk in basis], axis=1)).reshape(2, 2, 2, 2)
+            for basis in (self.first, self.second))
+        spin = np.einsum("bc,de,bsdu,ctev->stuv", a, a.conj(), g1, g2).reshape(4, 4)
+        spin.setflags(write=False)
+        object.__setattr__(self, "spin_matrix", spin)
         norm = self.norm_squared()
         if abs(norm - 1.0) > 1e-6:
             raise ValidationError(f"bipartite norm^2 {norm} differs from 1")
 
-    def _spin_matrix(self) -> np.ndarray:
-        """4x4 spin-spin marginal, the amplitude block contracted with each
-        particle's spin Gram tensor."""
-        # G[b, s, c, t] = sum_i w_i a^b_i[s] conj(a^c_i[t]) per particle
-        g1, g2 = (_gram(_check_shared_grid(basis).weights, np.concatenate(
-            [pk.amplitudes for pk in basis], axis=1)).reshape(2, 2, 2, 2)
-            for basis in (self.first, self.second))
-        a = self.amplitudes
-        return np.einsum("bc,de,bsdu,ctev->stuv", a, a.conj(), g1, g2).reshape(4, 4)
-
     def norm_squared(self) -> float:
-        return float(np.trace(self._spin_matrix()).real)
+        return float(np.trace(self.spin_matrix).real)
 
 
 def singlet_packet(delta_over_m: float, points: int = 9,
@@ -351,7 +351,7 @@ def boost_bipartite(packet: BipartitePacket, lam: LorentzTransform) -> Bipartite
 
 def reduced_spin_pair(packet: BipartitePacket) -> DensityMatrix:
     """4x4 spin-spin marginal over the product grid."""
-    return DensityMatrix(hermitize(packet._spin_matrix()))
+    return DensityMatrix(hermitize(packet.spin_matrix))
 
 
 def bipartite_boost_concurrence(delta_over_m: float, rapidity_list,

@@ -115,6 +115,11 @@ class TestExitCodes:
         ("blackhole-evaporate", "samples = 2.5"),
         ("blackhole-evaporate", "samples = -3"),
         ("causality-bell", "haar_probes = -1"),
+        ("causality-bell", "haar_probes = 0"),
+        ("teleport-check", "draws = 0"),
+        ("pe-gamma-scaling", "gammas = ,"),
+        ("blackhole-evaporate", "samples = 0"),
+        ("photon-doppler", "velocities = ,"),
         ("photon-povm", "polarization = circular"),
         ("unruh", "units = geometrc"),
         ("fig2-entropy", "delta_over_M = 5"),
@@ -231,13 +236,12 @@ class TestScenarioOutputs:
             "photon-doppler": ["--grid.photon_theta", "16",
                                "--grid.photon_phi", "16"],
         }
+        # the JSON outputs at the default grids are pinned in test_acceptance
         for scenario in cli.SCENARIOS:
-            extra = quick.get(scenario, [])
-            for fmt in ("csv", "json"):
-                target = tmp_path / f"{scenario}.{fmt}"
-                assert cli.main(["--scenario", scenario, "--format", fmt,
-                                 "--out", str(target)] + extra) == 0, (scenario, fmt)
-                assert target.exists()
+            target = tmp_path / f"{scenario}.csv"
+            assert cli.main(["--scenario", scenario, "--out", str(target)]
+                            + quick.get(scenario, [])) == 0, scenario
+            assert target.exists()
         capsys.readouterr()
         assert cli.main(["--help"]) == 0
         assert {"delta_over_m", "--grid.entropy_points"} <= set(capsys.readouterr().out.split())
@@ -261,16 +265,22 @@ class TestConfigParsing:
 
 
 class TestSelfcheckFlag:
-    def test_quick_selfcheck_subset_tolerance_class(self, tmp_path):
-        # shrunk grids keep this fast; a 100x-tightened quadrature-limited
-        # tolerance must flag tolerance-class, not logic-class failures
-        out = invoke(["--selfcheck", "--tol.entropy_convergence", "5e-5",
-                      "--grid.povm_packets", "20", "--grid.chsh_draws", "200",
-                      "--grid.teleport_draws", "5", "--grid.locc_draws", "5",
-                      "--grid.momentum_draws", "20",
-                      "--out", str(tmp_path / "sc.json")], tmp_path)
-        assert out.returncode == 4
-        report = json.loads((tmp_path / "sc.json").read_text())
-        failed = [c for c in report["criteria"] if not c["passed"]]
-        assert failed
-        assert all(c["failure_class"] == "tolerance" for c in failed)
+    def test_tightened_tolerances_name_their_sub_checks(self, tmp_path, capsys):
+        # one tolerance tightened in each of criteria 05, 09 and 15: each fails
+        # tolerance-class, and its line and report entry name that sub-check
+        # with its bound and margin
+        tightened = {"chsh_product": 1e-20, "inverse_restore": 1e-30, "first_law": 1e-12}
+        out = tmp_path / "sc.json"
+        flags = [arg for name, value in tightened.items() for arg in (f"--tol.{name}", str(value))]
+        assert cli.main(["--selfcheck", *flags, "--out", str(out)]) == 4
+        lines = dict(ln.split(": ", 1) for ln in capsys.readouterr().out.splitlines())
+        failed = [c for c in json.loads(out.read_text())["criteria"] if not c["passed"]]
+        assert [c["name"][:2] for c in failed] == ["05", "09", "15"]
+        for crit, name in zip(failed, tightened):
+            [check] = [c for c in crit["checks"] if not c["holds"]]
+            assert (check["bound_name"], check["bound"]) == (name, tightened[name])
+            assert check["margin"] < 0 and crit["failure_class"] == "tolerance"
+            assert lines.pop(crit["name"]) == (
+                f"FAIL[tolerance] {check['key']} {check['relation']} {name} = "
+                f"{tightened[name]} (margin {check['margin']:.3g})")
+        assert set(lines.values()) == {"PASS"}

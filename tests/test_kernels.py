@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relqinfo import kernels, lorentz
-from relqinfo.lorentz import wigner_su2_batch as numpy_kernel
 from relqinfo.wavepacket import PacketSpec, gaussian_packet
 
 
@@ -41,23 +40,17 @@ def assert_little_group_images(D, lam, P, tol):
 
 
 class TestKernelContract:
-    def test_matches_single_point_reference(self):
-        rng = np.random.default_rng(61)
-        m = 1.0
-        P = random_grid(rng, 50, m)
-        lam = random_lambda(rng)
-        Q, D = kernels.wigner_su2_batch(lam.matrix, P, m)
-        assert_little_group_images(D, lam, P, 1e-12)
-        for i in range(P.shape[0]):
-            assert np.abs(Q[i] - lam @ P[i]).max() < 1e-12
-
-    def test_numpy_kernel_matches_single_point_reference(self):
-        rng = np.random.default_rng(65)
-        for m in (1.0, 0.3):
-            P = random_grid(rng, 80, m)
+    @pytest.mark.parametrize("seed, points, masses", [(61, 50, (1.0,)),
+                                                      (65, 80, (1.0, 0.3))])
+    def test_matches_single_point_reference(self, seed, points, masses):
+        rng = np.random.default_rng(seed)
+        for m in masses:
+            P = random_grid(rng, points, m)
             lam = random_lambda(rng)
-            _, D = numpy_kernel(lam.matrix, P, m)
+            Q, D = kernels.wigner_su2_batch(lam.matrix, P, m)
             assert_little_group_images(D, lam, P, 1e-12)
+            for i in range(P.shape[0]):
+                assert np.abs(Q[i] - lam @ P[i]).max() < 1e-12
 
     def test_su2_unitary_unit_determinant(self):
         rng = np.random.default_rng(62)
@@ -115,7 +108,7 @@ class TestKernelProperties:
                                               boost_axis, rot_axis, angle):
         lam = hypothesis_lambda(chi, boost_axis, rot_axis, angle)
         P = single_point_grid(m, chi_p, p_dir)
-        Q, D = numpy_kernel(lam.matrix, P, m)
+        Q, D = kernels.wigner_su2_batch(lam.matrix, P, m)
         assert np.abs(Q[0] - lam @ P[0]).max() < 1e-14 * Q[0, 0]
         assert_little_group_images(D, lam, P, 2e-13 * round_off_scale(P, Q, m))
 
@@ -131,9 +124,9 @@ class TestKernelProperties:
         lam1 = hypothesis_lambda(chi1, axis1, rot1, angles[0])
         lam2 = hypothesis_lambda(chi2, axis2, rot2, angles[1])
         P = single_point_grid(m, chi_p, p_dir)
-        Q1, D1 = numpy_kernel(lam1.matrix, P, m)
-        Q2, D2 = numpy_kernel(lam2.matrix, Q1, m)
-        _, D21 = numpy_kernel((lam2 @ lam1).matrix, P, m)
+        Q1, D1 = kernels.wigner_su2_batch(lam1.matrix, P, m)
+        Q2, D2 = kernels.wigner_su2_batch(lam2.matrix, Q1, m)
+        _, D21 = kernels.wigner_su2_batch((lam2 @ lam1).matrix, P, m)
         prod = D2[0] @ D1[0]
         gap = min(np.abs(D21[0] - prod).max(), np.abs(D21[0] + prod).max())
         scale = (round_off_scale(P, Q1, m) + round_off_scale(Q1, Q2, m)
@@ -184,7 +177,7 @@ class TestShepperdNearPi:
 
     def test_numpy_kernel(self, axis, angle):
         for n in (np.array(axis), -np.array(axis)):
-            _, D = numpy_kernel(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)
+            _, D = kernels.wigner_su2_batch(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)
             for d in D:
                 self.check(d, n, angle, 1e-10)
 
@@ -196,7 +189,7 @@ class TestShepperdNearPi:
         for n in (np.array(axis), -np.array(axis)):
             lam = lorentz.compose(lorentz.boost(rapidity=1.0, axis=(1.0, -2.0, 0.5)),
                                   lorentz.rotation(n, angle))
-            _, D = numpy_kernel(lam.matrix, P, m)
+            _, D = kernels.wigner_su2_batch(lam.matrix, P, m)
             assert_little_group_images(D, lam, P, 1e-12)
 
 
@@ -207,7 +200,7 @@ def test_rotation_just_below_pi_keeps_full_precision(axis):
     angle = np.pi - 1e-8
     for n in (np.array(axis), -np.array(axis)):
         ref = expected_su2(n, angle)
-        _, D = numpy_kernel(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)
+        _, D = kernels.wigner_su2_batch(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)
         assert np.abs(D - ref).max() < 1e-14
         assert np.abs(lorentz.su2_from_rotation(lorentz._rotation3(n, angle)) - ref).max() < 1e-14
 
@@ -225,7 +218,7 @@ def test_double_cover_near_pi(axis, gap):
     R = lorentz._rotation3(n, angle)
     ref = expected_su2(n, angle)
     sheets = (ref, -ref) if np.cos(angle / 2) < 1e-14 else (ref,)
-    _, D = numpy_kernel(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)
+    _, D = kernels.wigner_su2_batch(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)
     for d in (lorentz.su2_from_rotation(R), *D):
         assert min(np.abs(d - s).max() for s in sheets) < 1e-14
         assert np.abs(lorentz.rotation_from_su2(d) - R).max() < 1e-14

@@ -290,8 +290,7 @@ class TestErrorScaling:
         # criterion 09 boosts at right angles on its own gamma list
         _, _, pes, restored = separate_boosts(gammas, delta, np.pi / 2, 5)
         calls["kernel"] = 0
-        _, measured = selfcheck._check_error_scaling(selfcheck._tols(None),
-                                                     {"scaling_points": 5})
+        measured = selfcheck._check_error_scaling({"scaling_points": 5})
         assert calls["kernel"] == 2 * len(gammas)
         assert measured == {"fitted_exponent": float(np.polyfit(
             np.log(gammas), np.log(pes), 1)[0]), "max_pe_restored": max(restored)}
@@ -340,11 +339,17 @@ class TestBipartite:
         c0 = qstate.concurrence(reduced_spin_pair(pk))
         assert c0 > 1.0 - 1e-3
 
-    def test_concurrence_decreases_with_rapidity(self):
+    def test_concurrence_decreases_with_rapidity(self, monkeypatch):
+        grams = []
+        gram = wavepacket._gram
+        monkeypatch.setattr(wavepacket, "_gram", lambda *a: grams.append(1) or gram(*a))
         rows = bipartite_boost_concurrence(0.3, [0.0, 0.5, 1.0, 2.0], points=7)
         cs = [c for _, c in rows]
         assert cs[0] > 0.999
         assert all(b <= a + 1e-12 for a, b in zip(cs, cs[1:]))
+        # the singlet's 2, then per rapidity 2 boosts and the boosted packet's
+        # 2 at construction, which its reduction reads back
+        assert len(grams) == 2 + 4 * 4
 
     def test_inverse_boost_restores_concurrence(self):
         pk = singlet_packet(0.3, points=7)
