@@ -218,6 +218,7 @@ def test_scenario_default_output_matches_golden(scenario, tmp_path):
     # metadata exactly, the rest by the benchmark's rule (text exactly,
     # numbers within 1e-9 relative). A change that moves a value beyond the
     # rule re-pins it: rerun each scenario with --format json --seed 0.
+    # The CSV of the same run is only checked to be emitted.
     out = tmp_path / "out.json"
     assert cli.main(["--scenario", scenario, "--format", "json", "--seed", "0",
                      "--out", str(out)]) == 0
@@ -225,3 +226,5 @@ def test_scenario_default_output_matches_golden(scenario, tmp_path):
     del got["meta"]["version"]
     assert got["meta"] == golden["meta"]
     assert _workloads.diff_reference(golden, got, scenario) == []
+    assert cli.main(["--scenario", scenario, "--out", str(tmp_path / "out.csv")]) == 0
+    assert (tmp_path / "out.csv").exists()

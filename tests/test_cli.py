@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import relqinfo
-from relqinfo import cli
+from relqinfo import cli, selfcheck
 
 RUN = [sys.executable, "-m", "relqinfo.cli"]
 # the directory holding the package under test, absolute, so the child
@@ -228,21 +228,8 @@ class TestScenarioOutputs:
         assert abs(rows["singlet"] - np.sqrt(2)) < 1e-9
         assert rows["product_00"] <= 1.0 + 1e-9
 
-    def test_every_scenario_emits_valid_output(self, tmp_path, capsys):
-        quick = {
-            "fig2-entropy": ["--grid.entropy_points", "9"],
-            "pe-gamma-scaling": ["--grid.scaling_points", "9"],
-            "bipartite-concurrence": ["--grid.bipartite_points", "5"],
-            "photon-doppler": ["--grid.photon_theta", "16",
-                               "--grid.photon_phi", "16"],
-        }
-        # the JSON outputs at the default grids are pinned in test_acceptance
-        for scenario in cli.SCENARIOS:
-            target = tmp_path / f"{scenario}.csv"
-            assert cli.main(["--scenario", scenario, "--out", str(target)]
-                            + quick.get(scenario, [])) == 0, scenario
-            assert target.exists()
-        capsys.readouterr()
+    def test_help_lists_config_keys_and_grid_flags(self, capsys):
+        # every scenario's output is checked in test_acceptance's golden test
         assert cli.main(["--help"]) == 0
         assert {"delta_over_m", "--grid.entropy_points"} <= set(capsys.readouterr().out.split())
 
@@ -265,14 +252,27 @@ class TestConfigParsing:
 
 
 class TestSelfcheckFlag:
-    def test_tightened_tolerances_name_their_sub_checks(self, tmp_path, capsys):
+    def test_tightened_tolerances_name_their_sub_checks(self, tmp_path, capsys, monkeypatch):
         # one tolerance tightened in each of criteria 05, 09 and 15: each fails
         # tolerance-class, and its line and report entry name that sub-check
-        # with its bound and margin
+        # with its bound and margin; the shrunk grids keep this fast and must
+        # reach every criterion without causing a failure of their own
         tightened = {"chsh_product": 1e-20, "inverse_restore": 1e-30, "first_law": 1e-12}
+        shrunk = {"povm_packets": 20, "chsh_draws": 200, "teleport_draws": 5,
+                  "locc_draws": 5, "momentum_draws": 20}
+        seen, run_criterion = [], selfcheck.run_criterion
+
+        def spy(crit, tols, grids):
+            seen.append(grids)
+            return run_criterion(crit, tols, grids)
+
+        monkeypatch.setattr(selfcheck, "run_criterion", spy)
         out = tmp_path / "sc.json"
         flags = [arg for name, value in tightened.items() for arg in (f"--tol.{name}", str(value))]
+        flags += [arg for name, n in shrunk.items() for arg in (f"--grid.{name}", str(n))]
         assert cli.main(["--selfcheck", *flags, "--out", str(out)]) == 4
+        assert len(seen) == len(selfcheck.CRITERIA)
+        assert all(grids == {**selfcheck.DEFAULT_GRIDS, **shrunk} for grids in seen)
         lines = dict(ln.split(": ", 1) for ln in capsys.readouterr().out.splitlines())
         failed = [c for c in json.loads(out.read_text())["criteria"] if not c["passed"]]
         assert [c["name"][:2] for c in failed] == ["05", "09", "15"]
