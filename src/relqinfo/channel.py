@@ -73,12 +73,11 @@ class KrausSet:
                     raise DimensionError(
                         f"Kraus matrix shape {a.shape} != ({self.dim_out}, {self.dim_in})")
         total = sum(a.conj().T @ a for branch in ops for a in branch)
-        gap = np.abs(total - np.eye(self.dim_in)).max()
         if self.subnormalized:
-            if np.linalg.eigvalsh(hermitize(total)).max() > 1.0 + 1e-9:
-                raise ValidationError("sub-normalized instrument exceeds the identity")
-        elif gap > 1e-9:
-            raise ValidationError(f"Kraus set is not trace-preserving (gap {gap:.2e})")
+            qstate._check_psd(np.eye(self.dim_in) - hermitize(total),
+                              "sub-normalized instrument: 1 - sum A^dagger A")
+        else:
+            qstate._check_identity(total, "Kraus set is not trace-preserving")
         object.__setattr__(self, "ops", ops)
 
     @classmethod
@@ -105,14 +104,10 @@ class Povm:
 
     def __post_init__(self):
         elements = tuple(hermitize(e) for e in self.elements)
-        for e in elements:
-            if e.shape != (self.dim, self.dim):
-                raise DimensionError("POVM element has wrong shape")
-            if np.linalg.eigvalsh(e).min() < -1e-9:
-                raise ValidationError("POVM element is not PSD")
-        gap = np.abs(sum(elements) - np.eye(self.dim)).max()
-        if gap > 1e-9:
-            raise ValidationError(f"POVM does not resolve the identity (gap {gap:.2e})")
+        if not elements or any(e.shape != (self.dim, self.dim) for e in elements):
+            raise DimensionError("POVM needs elements of shape (dim, dim)")
+        qstate._check_psd(np.array(elements), "POVM element")
+        qstate._check_identity(sum(elements), "POVM does not resolve the identity")
         object.__setattr__(self, "elements", elements)
 
     def probabilities(self, rho) -> np.ndarray:
@@ -163,8 +158,9 @@ def kraus_from_unitary(U: np.ndarray, apparatus_init: PureState,
     """
     U = np.asarray(U, dtype=complex)
     d_total = U.shape[0]
-    if U.shape != (d_total, d_total) or np.abs(U @ U.conj().T - np.eye(d_total)).max() > 1e-10:
-        raise ValidationError("premeasurement matrix is not unitary")
+    if U.shape != (d_total, d_total):
+        raise DimensionError("premeasurement matrix must be square")
+    qstate._check_identity(U @ U.conj().T, "premeasurement matrix is not unitary")
     init = apparatus_init.amplitudes
     d_app = init.size
     if d_total % d_app:
@@ -176,8 +172,7 @@ def kraus_from_unitary(U: np.ndarray, apparatus_init: PureState,
     if len(vectors) != d_app:
         raise ValidationError("partition does not span the apparatus space")
     V = np.array(vectors)
-    if np.abs(V @ V.conj().T - np.eye(d_app)).max() > 1e-10:
-        raise ValidationError("partition subspaces are not orthonormal")
+    qstate._check_identity(V @ V.conj().T, "partition subspaces are not orthonormal")
 
     # |s, init> columns, U applied, then projected on <sigma, b|
     Ut = U.reshape(d_sys, d_app, d_sys, d_app)
@@ -238,7 +233,7 @@ def choi_and_cp_check(map_or_kraus, dim_in: int | None = None) -> tuple:
     Accepts a KrausSet or a callable rho -> rho' (dim_in then required).
     Returns (ChoiMatrix, is_cp, min_eig) where min_eig is the smallest
     eigenvalue of the trace-normalized Choi matrix; the map is CP iff
-    min_eig >= -tol_psd.
+    min_eig >= -TOL_PSD.
     """
     if isinstance(map_or_kraus, KrausSet):
         dim_in = map_or_kraus.dim_in
@@ -506,11 +501,10 @@ def _teleport_batch(psi: np.ndarray) -> tuple:
     contribute). The protocol measures registers 0, 1 in the Bell basis and
     corrects register 2 by the outcome's pi rotation; the fidelities compare
     the corrected states with psi / |psi|. Raises ValidationError unless
-    every row has norm 1 within 1e-9."""
+    every row has norm^2 1 within TOL_TRACE."""
     psi = np.asarray(psi, dtype=complex)
     nrm = np.linalg.norm(psi, axis=1)
-    if not (np.abs(nrm - 1.0) <= 1e-9).all():
-        raise ValidationError("input amplitudes must be normalized")
+    qstate._check_near_one(nrm ** 2, "normalized input amplitudes: norm^2")
     singlet = _TELEPORT_BELL[0]
     lhs = (psi[:, :, None] * singlet).reshape(-1, 8)
     moved = np.einsum("kcd,sd->skc", _TELEPORT_CORRECTIONS, psi) * _TELEPORT_PHASES[:, None]
@@ -553,16 +547,14 @@ def simulate_teleportation(alpha: complex, beta: complex) -> dict:
 # ---------------------------------------------------------------------------
 # CHSH
 
-def _check_pm_observable(X: np.ndarray, tol: float = 1e-9) -> None:
-    if np.abs(hermitize(X) - X).max() > tol or np.abs(X @ X - np.eye(X.shape[0])).max() > tol:
-        raise ValidationError("observable must be Hermitian with X^2 = 1")
-
-
 def chsh_value(rho, A1, A2, B1, B2) -> float:
     """zeta = tr{rho [A1(B1+B2) + A2(B1-B2)]} / 2 for +-1-spectrum observables."""
     m = qstate._as_matrix(rho)
     for X in (A1, A2, B1, B2):
-        _check_pm_observable(np.asarray(X, dtype=complex))
+        X = np.asarray(X, dtype=complex)
+        # X X = X X^dagger = 1 holds only for a Hermitian unitary
+        qstate._check_identity(np.array([X @ X, X @ X.conj().T]),
+                               "observable must be Hermitian with X^2 = 1")
     op = np.kron(A1, B1 + B2) + np.kron(A2, B1 - B2)
     return float(0.5 * np.trace(m @ op).real)
 

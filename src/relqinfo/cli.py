@@ -468,9 +468,10 @@ def main(argv: list | None = None) -> int:
     try:
         run(args.scenario, config, args.seed, out_path, args.format,
             grid_overrides)
-    except (ValidationError, DimensionError) as exc:
+    except (ValidationError, DimensionError) as exc:  # a callee cannot name the key
+        detail = f"{exc} (config {config})" if config else str(exc)
         print(json.dumps({"error": "validation", "scenario": args.scenario,
-                          "detail": str(exc)}, sort_keys=True))
+                          "detail": detail}, sort_keys=True))
         return VALIDATION_EXIT
     print(f"wrote {out_path}")
     return 0

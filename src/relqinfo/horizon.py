@@ -213,9 +213,9 @@ def superscattering(S: np.ndarray, rho_in) -> DensityMatrix:
     S = np.asarray(S, dtype=complex)
     rho = qstate._as_matrix(rho_in)
     d_total = S.shape[0]
-    if S.shape != (d_total, d_total) or np.abs(
-            S @ S.conj().T - np.eye(d_total)).max() > 1e-10:
-        raise ValidationError("scattering matrix is not unitary")
+    if S.shape != (d_total, d_total):
+        raise DimensionError("scattering matrix must be square")
+    qstate._check_identity(S @ S.conj().T, "scattering matrix is not unitary")
     d_in = rho.shape[0]
     if d_total % d_in:
         raise DimensionError("dimensions do not factorize")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DimensionError, ValidationError
-from .qstate import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_SHELL, TOL_UNITARY, _check_identity
 
 __all__ = [
     "ETA",
@@ -48,41 +48,37 @@ ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 #: Four-vectors are ndarrays of shape (4,), components (t, x, y, z).
 FourVector = np.ndarray
 
-_TOL_GROUP = 1e-12
 
-
-def _check_mass_shells(P: np.ndarray, m: float, tol: float = 1e-10) -> None:
+def _check_mass_shells(P: np.ndarray, m: float) -> None:
     """check_mass_shell for every row of an (N,4) array."""
     if P.ndim != 2 or P.shape[1] != 4:
         raise DimensionError(f"four-vectors must have shape (N, 4), got {P.shape}")
     p0 = P[:, 0]
-    if (p0 <= 0).any():
+    if not (p0 > 0).all():
         raise ValidationError("energy component must be positive")
     shell = p0 * p0 - np.einsum("ni,ni->n", P[:, 1:], P[:, 1:])
-    if (np.abs(shell - m * m) > tol * np.maximum(1.0, p0 ** 2)).any():
+    if not (np.abs(shell - m * m) <= TOL_SHELL * np.maximum(1.0, p0 ** 2)).all():
         raise ValidationError(f"momentum off shell for mass {m}")
 
 
-def check_mass_shell(p: FourVector, m: float, tol: float = 1e-10) -> None:
-    """Raise unless p*p = m**2 (relative to p0**2) and p0 > 0."""
+def check_mass_shell(p: FourVector, m: float) -> None:
+    """Raise unless p*p = m**2 within TOL_SHELL (relative to p0**2) and p0 > 0."""
     p = np.asarray(p, dtype=float)
     if p.shape != (4,):
         raise DimensionError(f"four-vector must have shape (4,), got {p.shape}")
-    _check_mass_shells(p[None], m, tol)
+    _check_mass_shells(p[None], m)
 
 
 _ETA_SIGNS = np.outer(np.diag(ETA), np.diag(ETA))
 
 
 def _check_transforms(L: np.ndarray) -> None:
-    """Raise unless every (4,4) matrix of an (N,4,4) stack is finite (NaN
-    passes every comparison below), preserves the metric (relative to
-    L00**2, the scale of its round-off) and is proper orthochronous."""
+    """Raise unless every matrix of an (N,4,4) stack is finite, preserves the
+    metric (eta L^T eta L = 1 relative to L00**2) and is proper orthochronous."""
     if not np.isfinite(L).all():
         raise ValidationError("matrix has non-finite entries")
-    gap = np.abs(np.swapaxes(L, 1, 2) @ ETA @ L - ETA).max(axis=(1, 2))
-    if (gap > _TOL_GROUP * 1e2 * np.maximum(1.0, L[:, 0, 0] ** 2)).any():
-        raise ValidationError("matrix does not preserve the metric")
+    _check_identity((np.swapaxes(L, 1, 2) * _ETA_SIGNS) @ L,
+                    "matrix does not preserve the metric", np.maximum(1.0, L[:, 0, 0] ** 2))
     if (np.linalg.det(L) < 0).any() or (L[:, 0, 0] < 1.0 - 1e-12).any():
         raise ValidationError("matrix is not proper orthochronous")
 
@@ -324,8 +320,8 @@ def wigner_rotation(lam: LorentzTransform, p: FourVector, m: float) -> WignerRot
     Q, D = wigner_su2_batch(lam.matrix, p[None], m)
     _check_mass_shells(Q, m)
     d = D[0]
-    if np.abs(d @ d.conj().T - np.eye(2)).max() > 1e-10 * max(1.0, p[0] * Q[0, 0] / m ** 2):
-        raise ValidationError("little-group element is not a rotation")
+    _check_identity(d @ d.conj().T, "little-group element is not a rotation",
+                    max(1.0, p[0] * Q[0, 0] / m ** 2))
     v = -np.array([d[0, 1].imag, d[0, 1].real, d[0, 0].imag])
     angle = 2.0 * np.arctan2(np.linalg.norm(v), d[0, 0].real)
     axis = v / np.linalg.norm(v) if angle > 1e-15 else np.array([0.0, 0.0, 1.0])
@@ -380,7 +376,7 @@ def helicity_phase(lam: LorentzTransform, k: FourVector) -> HelicityPhase:
     k0, q0 = k[0], lam.matrix[0] @ k
     scale = (q0 + 1.0 / q0) * lam.matrix[0, 0] * (k0 + 1.0 / k0) / 4.0
     rz = rotation([0.0, 0.0, 1.0], xi).matrix
-    if np.abs(_null_translation(E[1, 0], E[2, 0]) @ rz - E).max() > 1e-10 * scale:
+    if not np.abs(_null_translation(E[1, 0], E[2, 0]) @ rz - E).max() <= TOL_UNITARY * scale:
         raise ValidationError("element does not factor as translation * rotation")
     return HelicityPhase(xi=xi)
 

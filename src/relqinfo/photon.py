@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from ._errors import DimensionError, ValidationError
 from .lorentz import (_rotation_to_khat_batch, aberrate, boost,
                       helicity_phase_batch)
-from .qstate import _error_probabilities, hermitize
+from .qstate import _check_near_one, _check_psd, _error_probabilities, hermitize
 
 __all__ = [
     "PhotonPacket",
@@ -71,8 +71,7 @@ def transversal_decomposition(direction, theta: float, phi: float) -> tuple:
     |n+|^2 + |n-|^2 + |n_ell|^2 = 1.
     """
     n = np.asarray(direction, dtype=complex)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-10:
-        raise ValidationError("polarization label must be a unit vector")
+    _check_near_one(np.linalg.norm(n) ** 2, "polarization label norm^2")
     ep, em = helicity_vectors(theta, phi)
     khat = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
                      np.cos(theta)])
@@ -88,12 +87,10 @@ def _checked_polarization(matrices: np.ndarray) -> np.ndarray:
     hermitized stack, each matrix PSD with trace at most 1, or raises for
     the first matrix that fails."""
     m = hermitize(matrices)
-    if (np.linalg.eigvalsh(m).min(axis=-1) < -1e-10).any():
-        raise ValidationError("polarization matrix is not PSD")
-    tr = np.trace(m, axis1=-2, axis2=-1).real
-    over = tr > 1.0 + 1e-10
-    if over.any():
-        raise ValidationError(f"trace {tr[over][0]} exceeds 1")
+    _check_psd(m, "polarization matrix")
+    # a trace below 1 is the transversal weight of a partly longitudinal label
+    _check_near_one(np.maximum(np.trace(m, axis1=-2, axis2=-1).real, 1.0),
+                    "polarization matrix trace")
     return m
 
 
@@ -112,15 +109,12 @@ class PolarizationMatrix:
 
 def _check_packets(masses: np.ndarray, alpha: np.ndarray) -> None:
     """PhotonPacket's value checks on P packets at once, ray masses w |f|^2
-    (P, N) and alpha (P, N, 2): the masses sum to 1 per packet and the
-    helicity amplitudes are unit per ray. Raises for the first packet that
-    fails."""
-    norms = np.sum(masses, axis=-1)
-    off = np.abs(norms - 1.0) > 1e-8
-    if off.any():
-        raise ValidationError(f"profile norm^2 {float(norms[off][0])} differs from 1")
-    if (np.abs(np.sum(np.abs(alpha) ** 2, axis=-1) - 1.0) > 1e-12).any():
-        raise ValidationError("helicity amplitudes are not unit per point")
+    (P, N) and alpha (P, N, 2): the helicity amplitudes are unit per ray and
+    each packet's norm^2, the sum of w |f|^2 |alpha|^2 and so the trace of its
+    polarization matrices, is 1. Raises for the first packet that fails."""
+    pairs = np.sum(np.abs(alpha) ** 2, axis=-1)
+    _check_near_one(pairs, "helicity amplitude norm^2")
+    _check_near_one(np.sum(masses * pairs, axis=-1), "packet norm^2")
 
 
 @dataclass(frozen=True)
@@ -128,8 +122,8 @@ class PhotonPacket:
     """Direction-grid one-photon packet.
 
     theta, phi: (N,) grid directions; weights: (N,) quadrature weights;
-    profile: (N,) complex amplitude with sum w |f|^2 = 1; alpha: (N,2)
-    helicity amplitudes, unit per point; k0: (N,) frequency scale.
+    profile: (N,) complex amplitude; alpha: (N,2) helicity amplitudes, unit
+    per point, with sum w |f|^2 |alpha|^2 = 1; k0: (N,) frequency scale.
     """
 
     theta: np.ndarray
@@ -145,6 +139,9 @@ class PhotonPacket:
                   self.k0.shape)
         if any(s != (n,) for s in shapes) or self.alpha.shape != (n, 2):
             raise DimensionError("inconsistent packet arrays")
+        if not (np.isfinite(self.theta).all() and np.isfinite(self.phi).all()
+                and (self.weights > 0).all() and (self.k0 > 0).all()):
+            raise ValidationError("rays need finite directions, positive weights and k0")
         _check_packets(self.masses[None], self.alpha[None])
 
     @property

@@ -7,7 +7,7 @@ spin flip and the concurrence entanglement monotone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,8 @@ __all__ = [
     "TOL_HERM",
     "TOL_PSD",
     "TOL_TRACE",
+    "TOL_SHELL",
+    "TOL_UNITARY",
     "DensityMatrix",
     "PureState",
     "SubsystemSplit",
@@ -36,9 +38,48 @@ __all__ = [
     "random_density_matrix",
 ]
 
-TOL_HERM = 1e-10
+# The validation bounds, one per checked quantity; the checkers below fail NaN.
+# |tr - 1| of a state, |norm^2 - 1| of a vector, packet or helicity pair, and a
+# polarization trace's excess over 1: inputs carry ~8 digits, and a boosted
+# packet's norm drifts by ~eps e^chi (1.1e-9 at chi = 18).
+TOL_TRACE = 1e-8
+TOL_HERM = 1e-10  # |M - M^dagger| of a state: O(1) entries, n eps ~ 1e-15
+# -(least eigenvalue) of a state, POVM element, polarization or Choi matrix, or
+# of 1 - sum A^dagger A for a sub-normalized instrument: n eps ~ 1e-15.
 TOL_PSD = 1e-10
-TOL_TRACE = 1e-10
+TOL_SHELL = 1e-10  # |p.p - m^2| / max(1, p0^2): cancels to m^2, round-off eps p0^2
+# |P - 1| for a product that must be 1: U U^dagger, a basis's Gram matrix, Kraus or
+# POVM completeness, X^2, eta L^T eta L; times the round-off scale of wigner_rotation
+# (p0 q0/m^2), Lorentz matrices (L00^2) or helicity_phase (lam00 k0 q0/4).
+TOL_UNITARY = 1e-10
+
+
+def _check_near_one(values, what: str) -> None:
+    """Raise, naming the first failing value, unless every trace or squared
+    norm in values is within TOL_TRACE of 1."""
+    near = np.abs(np.subtract(values, 1.0)) <= TOL_TRACE
+    if not near.all():
+        raise ValidationError(f"{what} {np.ravel(values)[~np.ravel(near)][0]} differs from 1")
+
+
+def _check_psd(m: np.ndarray, what: str) -> np.ndarray:
+    """The ascending eigenvalues of a Hermitian matrix or (..., d, d) stack;
+    raises unless every entry is finite and no eigenvalue is below -TOL_PSD."""
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    ev = np.linalg.eigvalsh(m)
+    if not (ev[..., 0] >= -TOL_PSD).all():
+        raise ValidationError(f"{what} has negative eigenvalues beyond tolerance")
+    return ev
+
+
+def _check_identity(product: np.ndarray, what: str, scale=1.0) -> None:
+    """Raise unless a product that must be 1, or each of a (..., d, d) stack,
+    is within TOL_UNITARY * scale of it; scale broadcasts over the stack."""
+    gap = np.abs(product - np.eye(product.shape[-1])).max(axis=(-2, -1))
+    if not (gap <= TOL_UNITARY * np.asarray(scale)).all():
+        raise ValidationError(f"{what} (gap {np.max(gap):.2e})")
+
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -59,24 +100,20 @@ class DensityMatrix:
     """Hermitian, PSD, unit-trace complex matrix.
 
     The stored matrix is symmetrized on construction; Hermiticity, trace
-    and positivity are enforced within the module tolerances.
+    and positivity are enforced within TOL_HERM, TOL_TRACE and TOL_PSD.
     """
 
     matrix: np.ndarray
-    tol_psd: float = field(default=TOL_PSD, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"density matrix must be square, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > TOL_HERM:
+        if not np.abs(m - m.conj().T).max() <= TOL_HERM:
             raise ValidationError("matrix is not Hermitian within tolerance")
         m = hermitize(m)
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise ValidationError(f"trace {tr} differs from 1 beyond tolerance")
-        if np.linalg.eigvalsh(m).min() < -self.tol_psd:
-            raise ValidationError("matrix has negative eigenvalues beyond tolerance")
+        _check_near_one(np.trace(m).real, "trace")
+        _check_psd(m, "matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -84,8 +121,7 @@ class DensityMatrix:
     def from_pure(cls, amplitudes: np.ndarray) -> "DensityMatrix":
         v = np.asarray(amplitudes, dtype=complex).ravel()
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > 1e-8:
-            raise ValidationError(f"pure state norm {n} differs from 1")
+        _check_near_one(n ** 2, "pure state norm^2")
         return cls(np.outer(v, v.conj()) / n**2)
 
     @classmethod
@@ -95,7 +131,7 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum, ascending, with small negatives clipped to 0."""
         ev = np.linalg.eigvalsh(self.matrix)
-        return np.where((ev < 0) & (ev > -self.tol_psd), 0.0, ev)
+        return np.where((ev < 0) & (ev > -TOL_PSD), 0.0, ev)
 
 
 @dataclass(frozen=True)
@@ -106,9 +142,7 @@ class PureState:
 
     def __post_init__(self):
         v = np.asarray(self.amplitudes, dtype=complex).ravel()
-        n = np.linalg.norm(v)
-        if abs(n - 1.0) > TOL_TRACE * 1e2:
-            raise ValidationError(f"state norm {n} differs from 1")
+        _check_near_one(np.linalg.norm(v) ** 2, "state norm^2")
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
 
@@ -177,16 +211,11 @@ def partial_trace(rho, split: SubsystemSplit) -> DensityMatrix:
 
 
 def von_neumann_entropy(rho, base: str | int = "e") -> float:
-    """-tr(rho log rho); eigenvalues within tol_psd of 0 contribute nothing.
+    """-tr(rho log rho); eigenvalues within TOL_PSD of 0 contribute nothing.
 
     base 'e' (natural log, nats) or 2 (bits).
     """
-    m = _as_matrix(rho)
-    tol = rho.tol_psd if isinstance(rho, DensityMatrix) else TOL_PSD
-    ev = np.linalg.eigvalsh(hermitize(m))
-    if ev.min() < -tol:
-        raise ValidationError("state has negative eigenvalues beyond tolerance")
-    ev = np.clip(ev, 0.0, None)
+    ev = np.clip(_check_psd(hermitize(_as_matrix(rho)), "state"), 0.0, None)
     ev = ev[ev > 0.0]
     s = float(-(ev * np.log(ev)).sum())
     if base == 2 or base == "2":
@@ -226,14 +255,6 @@ def spin_flip(rho) -> DensityMatrix:
     return DensityMatrix(_SYY @ m.conj() @ _SYY)
 
 
-def _sqrtm_psd(m: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
-    ev, vec = np.linalg.eigh(hermitize(m))
-    if ev.min() < -tol:
-        raise ValidationError("matrix not PSD within tolerance")
-    ev = np.clip(ev, 0.0, None)
-    return (vec * np.sqrt(ev)) @ vec.conj().T
-
-
 def concurrence(rho) -> float:
     """Two-qubit concurrence max(0, l1 - l2 - l3 - l4).
 
@@ -246,7 +267,8 @@ def concurrence(rho) -> float:
     m = _as_matrix(rho)
     if m.shape != (4, 4):
         raise DimensionError("concurrence is defined for 4x4 two-qubit states")
-    root = _sqrtm_psd(DensityMatrix(m).matrix)
+    ev, vec = np.linalg.eigh(DensityMatrix(m).matrix)
+    root = (vec * np.sqrt(np.clip(ev, 0.0, None))) @ vec.conj().T
     lam = np.linalg.svd(_SYY @ root.conj() @ _SYY @ root, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 

@@ -17,7 +17,7 @@ import numpy as np
 from ._errors import DimensionError, ValidationError
 from . import kernels, qstate
 from .lorentz import LorentzTransform, _check_mass_shells, boost
-from .qstate import DensityMatrix, hermitize
+from .qstate import DensityMatrix, _check_near_one, hermitize
 
 __all__ = [
     "PacketSpec",
@@ -83,12 +83,10 @@ class SpinorPacket:
         if p.ndim != 2 or p.shape[1] != 4 or w.shape != (p.shape[0],) \
                 or a.shape != (p.shape[0], 2):
             raise DimensionError("inconsistent grid arrays")
-        shell = p[:, 0] ** 2 - np.sum(p[:, 1:] ** 2, axis=1) - self.mass ** 2
-        if np.abs(shell).max() > 1e-10 * max(1.0, (p[:, 0] ** 2).max()):
-            raise ValidationError("grid momenta are off the mass shell")
-        if (w <= 0).any():
+        _check_mass_shells(p, self.mass)
+        if not (w > 0).all():
             raise ValidationError("weights must be positive")
-        _check_norms(self.norm_squared(w, a))
+        _check_near_one(self.norm_squared(w, a), "packet norm^2")
         for name, arr in (("momenta", p), ("weights", w), ("amplitudes", a)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -104,11 +102,6 @@ class SpinorPacket:
     @staticmethod
     def norm_squared(w: np.ndarray, a: np.ndarray) -> float:
         return float(np.sum(w * np.sum(np.abs(a) ** 2, axis=1)))
-
-
-def _check_norms(norms) -> None:
-    if (np.abs(np.asarray(norms) - 1.0) > 1e-8).any():
-        raise ValidationError(f"packet norm^2 {norms} differs from 1")
 
 
 def _cubic_grid(spec: PacketSpec):
@@ -215,7 +208,7 @@ def _boost_shared(packets, lam: LorentzTransform) -> tuple:
     _check_mass_shells(q, first.mass)
     a = np.stack([np.einsum("nab,nb->na", d, pk.amplitudes) for pk in packets])
     tau = hermitize(_gram(first.weights, a))
-    _check_norms(np.trace(tau, axis1=1, axis2=2).real)
+    _check_near_one(np.trace(tau, axis1=1, axis2=2).real, "packet norm^2")
     q.setflags(write=False)
     a.setflags(write=False)
     return tuple(SpinorPacket._checked(first.mass, q, first.weights, ak) for ak in a), tau
@@ -326,9 +319,7 @@ class BipartitePacket:
         spin = np.einsum("bc,de,bsdu,ctev->stuv", a, a.conj(), g1, g2).reshape(4, 4)
         spin.setflags(write=False)
         object.__setattr__(self, "spin_matrix", spin)
-        norm = self.norm_squared()
-        if abs(norm - 1.0) > 1e-6:
-            raise ValidationError(f"bipartite norm^2 {norm} differs from 1")
+        _check_near_one(self.norm_squared(), "bipartite norm^2")
 
     def norm_squared(self) -> float:
         return float(np.trace(self.spin_matrix).real)

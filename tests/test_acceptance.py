@@ -212,19 +212,44 @@ def test_spin_packets_task_matches_reference(name, tmp_path):
 _GOLDEN = json.loads(Path(__file__).with_name("golden_outputs.json").read_text())
 
 
-@pytest.mark.parametrize("scenario", cli.SCENARIOS)
-def test_scenario_default_output_matches_golden(scenario, tmp_path):
-    # each scenario's default JSON output at seed 0, its version aside: the
-    # metadata exactly, the rest by the benchmark's rule (text exactly,
-    # numbers within 1e-9 relative). A change that moves a value beyond the
-    # rule re-pins it: rerun each scenario with --format json --seed 0.
+def check_golden(name, tmp_path):
+    # the JSON output pinned under name, its version aside: the metadata
+    # exactly, the rest by the benchmark's rule (text exactly, numbers within
+    # 1e-9 relative). Entries "<scenario>@config" also hold the config text,
+    # every key off its default. A change that moves a value beyond the rule
+    # re-pins it: rerun with the entry's --seed, --config and --format json.
     # The CSV of the same run is only checked to be emitted.
+    golden = dict(_GOLDEN[name])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(golden.pop("config", ""))
+    args = ["--scenario", golden["meta"]["scenario"], "--seed",
+            str(golden["meta"]["seed"]), "--config", str(cfg)]
     out = tmp_path / "out.json"
-    assert cli.main(["--scenario", scenario, "--format", "json", "--seed", "0",
-                     "--out", str(out)]) == 0
-    got, golden = json.loads(out.read_text()), _GOLDEN[scenario]
+    assert cli.main([*args, "--format", "json", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
     del got["meta"]["version"]
     assert got["meta"] == golden["meta"]
-    assert _workloads.diff_reference(golden, got, scenario) == []
-    assert cli.main(["--scenario", scenario, "--out", str(tmp_path / "out.csv")]) == 0
+    assert _workloads.diff_reference(golden, got, name) == []
+    assert cli.main([*args, "--out", str(tmp_path / "out.csv")]) == 0
     assert (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_scenario_default_output_matches_golden(scenario, tmp_path):
+    check_golden(scenario, tmp_path)
+
+
+@pytest.mark.parametrize("name", [k for k in _GOLDEN if k.endswith("@config")])
+def test_scenario_config_output_matches_golden(name, tmp_path):
+    check_golden(name, tmp_path)
+
+
+def test_config_entries_set_every_key_off_its_default(tmp_path):
+    names = {name for name, (_, keys, _) in cli.SCENARIOS.items() if keys}
+    assert {k.split("@")[0] for k in _GOLDEN if k.endswith("@config")} == names
+    for name in names:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(_GOLDEN[f"{name}@config"]["config"])
+        keys = cli.SCENARIOS[name][1]
+        given, default = cli._params(cli.load_config(str(cfg)), keys), cli._params({}, keys)
+        assert all(given[k] != default[k] for k in keys), name

@@ -57,14 +57,26 @@ def test_selfcheck_loads_no_scipy(tmp_path):
     assert json.loads((tmp_path / "sc.json").read_text())["all_passed"]
 
 
+@pytest.fixture
+def main_in(tmp_path, capsys, monkeypatch):
+    """cli.main run in this process from tmp_path: (exit code, stdout)."""
+    monkeypatch.chdir(tmp_path)
+
+    def call(args):
+        code = cli.main(args)
+        return code, capsys.readouterr().out
+    return call
+
+
 class TestExitCodes:
+    # one fresh interpreter per exit code covers the `python -m` path; the
+    # other rows run cli.main in this process
     def test_unknown_scenario_is_usage_error(self, tmp_path):
         out = invoke(["--scenario", "no-such-thing"], tmp_path)
         assert out.returncode == 2
 
-    def test_missing_scenario_is_usage_error(self, tmp_path):
-        out = invoke([], tmp_path)
-        assert out.returncode == 2
+    def test_missing_scenario_is_usage_error(self, main_in):
+        assert main_in([])[0] == 2
 
     @pytest.mark.parametrize("flags", [
         ["--scenario", "chsh", "--tol.doppler_ratio", "abc"],
@@ -80,10 +92,10 @@ class TestExitCodes:
         ["--scenario", "chsh", "--tol.doppler_ratio=inf"],
         ["--scenario", "unruh", "--tol.doppler_ratio", "0.5"],
         ["--scenario", "unruh", "--grid.photon_theta", "4"]])
-    def test_bad_dotted_flag_is_usage_error(self, tmp_path, flags):
-        out = invoke(flags, tmp_path)
-        assert out.returncode == 2, out.stderr
-        diag = json.loads(out.stdout)
+    def test_bad_dotted_flag_is_usage_error(self, main_in, flags):
+        code, out = main_in(flags)
+        assert code == 2
+        diag = json.loads(out)
         assert diag["error"] == "usage"
         [flag] = [f for f in flags if f.startswith(("--tol.", "--grid."))]
         assert flag.split(".", 1)[1].split("=")[0] in diag["detail"]
@@ -95,14 +107,16 @@ class TestExitCodes:
                       "--out", str(tmp_path / "u.csv")], tmp_path)
         assert out.returncode == 3
         diag = json.loads(out.stdout.strip().splitlines()[-1])
-        assert diag["error"] == "validation"
+        assert diag["error"] == "validation" and "'constants.c'" in diag["detail"]
+        assert not (tmp_path / "u.csv").exists()
 
-    def test_malformed_config_line(self, tmp_path):
+    def test_malformed_config_line(self, tmp_path, main_in):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this line has no equals sign\n")
-        out = invoke(["--scenario", "unruh", "--config", str(cfg),
-                      "--out", str(tmp_path / "u.csv")], tmp_path)
-        assert out.returncode == 3
+        code, out = main_in(["--scenario", "unruh", "--config", str(cfg),
+                             "--out", str(tmp_path / "u.csv")])
+        assert code == 3 and json.loads(out)["error"] == "validation"
+        assert not (tmp_path / "u.csv").exists()
 
     @pytest.mark.parametrize("scenario, line", [
         ("photon-doppler", "velocities = 0.2, nan"),
@@ -123,16 +137,17 @@ class TestExitCodes:
         ("photon-povm", "polarization = circular"),
         ("unruh", "units = geometrc"),
         ("fig2-entropy", "delta_over_M = 5"),
+        ("chsh", "werner_p = 2"),
         (None, "units = si")])
-    def test_non_finite_config_value(self, tmp_path, scenario, line):
-        """A bad value or an undeclared key; scenario None is --selfcheck."""
+    def test_non_finite_config_value(self, tmp_path, main_in, scenario, line):
+        """A bad value, an undeclared key or a value a callee rejects;
+        scenario None is --selfcheck."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         mode = ["--selfcheck"] if scenario is None else ["--scenario", scenario]
-        out = invoke(mode + ["--config", str(cfg), "--out", str(tmp_path / "o.csv")],
-                     tmp_path)
-        assert out.returncode == 3, out.stderr
-        diag = json.loads(out.stdout)
+        code, out = main_in(mode + ["--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        diag = json.loads(out)
         assert diag["error"] == "validation"
         assert repr(line.split(" =")[0]) in diag["detail"]
         assert not (tmp_path / "o.csv").exists()
@@ -146,22 +161,18 @@ class TestDeterminism:
             assert out.returncode == 0, out.stderr
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_seed_recorded_in_metadata(self, tmp_path):
-        out = invoke(["--scenario", "cluster-bound", "--seed", "99",
-                      "--format", "json", "--out", str(tmp_path / "c.json")],
-                     tmp_path)
-        assert out.returncode == 0, out.stderr
+    def test_seed_recorded_in_metadata(self, tmp_path, main_in):
+        assert main_in(["--scenario", "cluster-bound", "--seed", "99",
+                       "--format", "json", "--out", str(tmp_path / "c.json")])[0] == 0
         obj = json.loads((tmp_path / "c.json").read_text())
         assert obj["meta"]["seed"] == 99
         assert obj["meta"]["version"]
 
 
 class TestScenarioOutputs:
-    def test_fig2_entropy_zero_gamma_row(self, tmp_path):
-        out = invoke(["--scenario", "fig2-entropy", "--out",
-                      str(tmp_path / "f.csv"), "--grid.entropy_points", "9"],
-                     tmp_path)
-        assert out.returncode == 0, out.stderr
+    def test_fig2_entropy_zero_gamma_row(self, tmp_path, main_in):
+        assert main_in(["--scenario", "fig2-entropy", "--out",
+                       str(tmp_path / "f.csv"), "--grid.entropy_points", "9"])[0] == 0
         rows = [ln for ln in (tmp_path / "f.csv").read_text().splitlines()
                 if ln and not ln.startswith("#")]
         header = rows[0].split(",")
@@ -171,10 +182,9 @@ class TestScenarioOutputs:
             if gamma == 0.0:
                 assert abs(s) < 1e-12
 
-    def test_causality_bell_advantage(self, tmp_path):
-        out = invoke(["--scenario", "causality-bell", "--format", "json",
-                      "--out", str(tmp_path / "c.json")], tmp_path)
-        assert out.returncode == 0, out.stderr
+    def test_causality_bell_advantage(self, tmp_path, main_in):
+        assert main_in(["--scenario", "causality-bell", "--format", "json",
+                       "--out", str(tmp_path / "c.json")])[0] == 0
         data = json.loads((tmp_path / "c.json").read_text())["data"]
         # the default seed's witness and verdicts, as a per-pair scan finds them
         assert data["incomplete_bell"]["witness_pre_op"] == "pauli_x"
@@ -182,13 +192,11 @@ class TestScenarioOutputs:
         assert data["complete_bell_semicausal"] == {"B->A": True, "A->B": True}
         assert abs(data["advantage"] - 0.75) <= 1e-15
 
-    def test_blackhole_evaporate_half_mass(self, tmp_path):
+    def test_blackhole_evaporate_half_mass(self, tmp_path, main_in):
         cfg = tmp_path / "bh.cfg"
         cfg.write_text("M0_kg = 2.0e9\nsamples = 17\n")
-        out = invoke(["--scenario", "blackhole-evaporate", "--format", "json",
-                      "--config", str(cfg), "--out", str(tmp_path / "bh.json")],
-                     tmp_path)
-        assert out.returncode == 0, out.stderr
+        assert main_in(["--scenario", "blackhole-evaporate", "--format", "json",
+                       "--config", str(cfg), "--out", str(tmp_path / "bh.json")])[0] == 0
         obj = json.loads((tmp_path / "bh.json").read_text())
         data = obj["data"]
         assert data["M0_kg"] == 2.0e9
@@ -198,10 +206,9 @@ class TestScenarioOutputs:
         assert abs(m - data["M0_kg"] / 2) < 1e-9 * data["M0_kg"]
         assert len(data["samples"]) == 17
 
-    def test_photon_doppler_table(self, tmp_path):
-        out = invoke(["--scenario", "photon-doppler", "--out",
-                      str(tmp_path / "d.csv")], tmp_path)
-        assert out.returncode == 0, out.stderr
+    def test_photon_doppler_table(self, tmp_path, main_in):
+        assert main_in(["--scenario", "photon-doppler", "--out",
+                       str(tmp_path / "d.csv")])[0] == 0
         lines = [ln for ln in (tmp_path / "d.csv").read_text().splitlines()
                  if ln and not ln.startswith("#")]
         assert lines[0] == "aperture,v,P_E,P_E_prime,ratio"
@@ -211,18 +218,16 @@ class TestScenarioOutputs:
             by_v[v] = ratio
         assert abs(by_v[0.5] - 3.0) < 0.06
 
-    def test_rindler_table_columns(self, tmp_path):
-        out = invoke(["--scenario", "rindler", "--out",
-                      str(tmp_path / "r.csv")], tmp_path)
-        assert out.returncode == 0, out.stderr
+    def test_rindler_table_columns(self, tmp_path, main_in):
+        assert main_in(["--scenario", "rindler", "--out",
+                       str(tmp_path / "r.csv")])[0] == 0
         lines = [ln for ln in (tmp_path / "r.csv").read_text().splitlines()
                  if ln and not ln.startswith("#")]
         assert lines[0] == "omega_over_a,mean_n,entropy"
 
-    def test_chsh_scenario(self, tmp_path):
-        out = invoke(["--scenario", "chsh", "--format", "json", "--out",
-                      str(tmp_path / "z.json")], tmp_path)
-        assert out.returncode == 0, out.stderr
+    def test_chsh_scenario(self, tmp_path, main_in):
+        assert main_in(["--scenario", "chsh", "--format", "json", "--out",
+                       str(tmp_path / "z.json")])[0] == 0
         obj = json.loads((tmp_path / "z.json").read_text())
         rows = {r[0]: r[1] for r in obj["rows"]}
         assert abs(rows["singlet"] - np.sqrt(2)) < 1e-9

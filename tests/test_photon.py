@@ -216,6 +216,18 @@ class TestPolarizationMatrix:
             PolarizationMatrix(np.diag([0.8, 0.4, -0.2]))
 
 
+@pytest.mark.parametrize("field", ["weights", "k0"])
+def test_packet_rejects_a_negative_ray_weight_or_frequency(field):
+    pk = collimated_packet(0.2, n_theta=4, n_phi=8)
+    bad = getattr(pk, field).copy()
+    bad[0] *= -1.0
+    changes = {field: bad}
+    if field == "weights":  # renormalized, so that only the sign can fail
+        changes["profile"] = pk.profile / np.sqrt(np.sum(bad * np.abs(pk.profile) ** 2))
+    with pytest.raises(ValidationError, match="positive"):
+        photon.PhotonPacket(**{**vars(pk), **changes})
+
+
 def random_packet_draws(n, seed):
     rng = np.random.default_rng(seed)
     apertures = rng.uniform(0.02, 0.6, size=n)

@@ -1,13 +1,15 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relqinfo import qstate
-from relqinfo.qstate import (DensityMatrix, DimensionError, PureState,
-                             SubsystemSplit, ValidationError, concurrence,
-                             error_probability, partial_trace, spin_flip,
-                             von_neumann_entropy)
+from relqinfo import channel, horizon, lorentz, photon, qstate, wavepacket
+from relqinfo.qstate import (SIGMA_X, SIGMA_Z, DensityMatrix, DimensionError,
+                             PureState, SubsystemSplit, ValidationError,
+                             concurrence, error_probability, partial_trace,
+                             spin_flip, von_neumann_entropy)
 
 
 def bell_phi_plus():
@@ -216,3 +218,114 @@ class TestPureState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             PureState(np.array([1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# the validation table: every entry fires on a bad input, NaN never passes,
+# and what one check accepts at its edge passes the checks downstream of it
+
+_BEAM = photon.collimated_packet(0.2, n_theta=4, n_phi=8)
+_Z = np.array([1.0, 0.0])
+
+
+def _photon_packet(**changes):
+    return photon.PhotonPacket(**{**vars(_BEAM), **changes})
+
+
+def _nan_at(array, index=0):
+    out = np.array(array, dtype=np.result_type(np.asarray(array), float))
+    out.flat[index] = np.nan
+    return out
+
+
+def _kraus_from(u):
+    return channel.kraus_from_unitary(u, PureState(_Z), [[_Z], [[0.0, 1.0]]])
+
+
+def _nan_probes():
+    packet = wavepacket.gaussian_packet(wavepacket.PacketSpec(mass=1.0, points=3))
+    pair = wavepacket.singlet_packet(0.3, points=3)
+    return {
+        "SpinorPacket": lambda: wavepacket.SpinorPacket(
+            1.0, packet.momenta, packet.weights, _nan_at(packet.amplitudes)),
+        "PureState": lambda: PureState(_nan_at([1.0, 0.0], 1)),
+        "DensityMatrix": lambda: DensityMatrix(_nan_at(np.diag([1.0, 0.0]), 3)),
+        "from_pure": lambda: DensityMatrix.from_pure(_nan_at([1.0, 0.0], 1)),
+        "KrausSet": lambda: channel.KrausSet.single([_nan_at(np.eye(2), 3)]),
+        "Povm": lambda: channel.Povm(2, (_nan_at(np.diag([1.0, 0.0]), 3),
+                                         np.diag([0.0, 1.0]))),
+        "PhotonPacket": lambda: _photon_packet(profile=_nan_at(_BEAM.profile)),
+        "PhotonPacket-direction": lambda: _photon_packet(theta=_nan_at(_BEAM.theta)),
+        "PhotonPacket-frequency": lambda: _photon_packet(k0=_nan_at(_BEAM.k0)),
+        "BipartitePacket": lambda: wavepacket.BipartitePacket(
+            pair.first, pair.second, _nan_at(pair.amplitudes, 3)),
+        "transversal_decomposition": lambda: photon.transversal_decomposition(
+            [np.nan, 0.0, 1.0], 0.1, 0.2),
+        "kraus_from_unitary": lambda: _kraus_from(_nan_at(np.eye(4), 5)),
+        "check_mass_shell": lambda: lorentz.check_mass_shell([1.0, np.nan, 0.0, 0.0], 1.0),
+        "chsh_value": lambda: channel.chsh_value(
+            DensityMatrix.maximally_mixed(4), _nan_at(SIGMA_Z, 3), SIGMA_X, SIGMA_Z, SIGMA_X),
+        "PolarizationMatrix": lambda: photon.PolarizationMatrix(
+            _nan_at(np.eye(3) / 3, 4)),
+        "superscattering": lambda: horizon.superscattering(
+            _nan_at(np.eye(4), 0), DensityMatrix.maximally_mixed(2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_nan_probes()))
+def test_nan_entry_is_rejected(name):
+    with pytest.raises(ValidationError):
+        _nan_probes()[name]()
+
+
+# each entry and an input whose checked error is d
+_ENTRY_PROBES = {
+    "TOL_TRACE": lambda d: DensityMatrix(np.diag([0.5, 0.5 + d])),
+    "TOL_HERM": lambda d: DensityMatrix(np.array([[0.5, d], [0.0, 0.5]])),
+    "TOL_PSD": lambda d: DensityMatrix(np.diag([1.0 + d, -d])),
+    "TOL_SHELL": lambda d: lorentz.check_mass_shell([np.sqrt(1.0 + d), 0.0, 0.0, 0.0], 1.0),
+    "TOL_UNITARY": lambda d: horizon.superscattering(
+        np.sqrt(1.0 + d) * np.eye(4), DensityMatrix.maximally_mixed(2)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_PROBES))
+def test_table_entry_fires_beyond_its_bound_only(entry):
+    bound = getattr(qstate, entry)
+    _ENTRY_PROBES[entry](0.5 * bound)
+    with pytest.raises(ValidationError):
+        _ENTRY_PROBES[entry](2.0 * bound)
+
+
+@pytest.mark.parametrize("excess, accepted", [(0.9e-8, True), (1.1e-8, False)])
+def test_pure_state_norm_edge_agrees_downstream(excess, accepted):
+    v = np.array([np.sqrt(1.0 + excess), 0.0], dtype=complex)
+    # the second check is the matrix PureState.density() builds
+    for check in (lambda: PureState(v).density(), lambda: DensityMatrix(np.outer(v, v.conj())),
+                  lambda: DensityMatrix.from_pure(v), lambda: channel._teleport_batch(v[None])):
+        with nullcontext() if accepted else pytest.raises(ValidationError):
+            check()
+
+
+@pytest.mark.parametrize("rapidity", [14.0, 16.0, 17.0, 18.0])
+def test_boosted_packet_reduces_at_large_rapidity(rapidity):
+    packet = wavepacket.gaussian_packet(wavepacket.PacketSpec(mass=1.0, points=11))
+    lam = lorentz.boost(rapidity=rapidity, axis=(0.3, -0.2, 0.9))
+    rho = wavepacket.reduced_spin(wavepacket.boost_packet(packet, lam))
+    assert abs(np.trace(rho.matrix).real - 1.0) <= qstate.TOL_TRACE
+
+
+@pytest.mark.parametrize("field", ["profile", "alpha"])
+def test_edge_photon_packet_has_a_valid_effective_matrix(field):
+    edge = _photon_packet(**{field: getattr(_BEAM, field) * np.sqrt(1.0 + 0.99e-8)})
+    rho = photon.effective_density_matrix(edge)
+    assert np.trace(rho.matrix).real > 1.0 + 0.9e-8
+    with pytest.raises(ValidationError):
+        _photon_packet(**{field: getattr(_BEAM, field) * np.sqrt(1.0 + 1.01e-8)})
+
+
+@pytest.mark.parametrize("gap, accepted", [(0.9e-10, True), (1.1e-10, False)])
+def test_premeasurement_edge_agrees_downstream(gap, accepted):
+    u = np.sqrt(1.0 + gap) * qstate.haar_unitary(4, np.random.default_rng(5))
+    with nullcontext() if accepted else pytest.raises(ValidationError):
+        channel.povm_of(_kraus_from(u))

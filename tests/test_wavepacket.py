@@ -46,9 +46,11 @@ class TestConstruction:
         off_shell[4, 0] += 1e-3
         bad_weights = w.copy()
         bad_weights[0] = 0.0
+        negative_energy = np.array([[-np.sqrt(1.25), 0.5, 0.0, 0.0]])
         for args, error in [((m[:-1], w, a), DimensionError),
                             ((m, w, a[:, :1]), DimensionError),
                             ((off_shell, w, a), ValidationError),
+                            ((negative_energy, [1.0], [[1.0, 0.0]]), ValidationError),
                             ((m, bad_weights, a), ValidationError),
                             ((m, w, 1.001 * a), ValidationError)]:
             with pytest.raises(error):
