@@ -550,9 +550,7 @@ def simulate_teleportation(alpha: complex, beta: complex) -> dict:
 def chsh_value(rho, A1, A2, B1, B2) -> float:
     """zeta = tr{rho [A1(B1+B2) + A2(B1-B2)]} / 2 for +-1-spectrum observables."""
     m = qstate._as_matrix(rho)
-    for X in (A1, A2, B1, B2):
-        X = np.asarray(X, dtype=complex)
-        # X X = X X^dagger = 1 holds only for a Hermitian unitary
+    for X in map(np.asarray, (A1, A2, B1, B2)):  # X X = X X^dagger = 1: Hermitian unitary
         qstate._check_identity(np.array([X @ X, X @ X.conj().T]),
                                "observable must be Hermitian with X^2 = 1")
     op = np.kron(A1, B1 + B2) + np.kron(A2, B1 - B2)

@@ -28,9 +28,7 @@ NUMERICAL_EXIT = 4
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def _parse_value(raw: str):
@@ -187,13 +185,11 @@ def _scn_teleport_check(p, seed):
 
 
 def _scn_chsh(p, seed):
-    singlet = qstate.DensityMatrix.from_pure(channel.bell_state("psi-"))
-    z_singlet, _ = channel.chsh_optimize(singlet)
-    product = qstate.DensityMatrix.from_pure(
-        np.kron([1, 0], [1, 0]).astype(complex))
-    z_product, _ = channel.chsh_optimize(product)
-    wp = p["werner_p"]
     psim = channel.bell_state("psi-")
+    z_singlet, _ = channel.chsh_optimize(qstate.DensityMatrix.from_pure(psim))
+    z_product, _ = channel.chsh_optimize(
+        qstate.DensityMatrix.from_pure(np.kron([1, 0], [1, 0]).astype(complex)))
+    wp = p["werner_p"]
     werner = qstate.DensityMatrix(wp * np.outer(psim, psim.conj())
                                   + (1 - wp) * np.eye(4) / 4)
     z_werner, _ = channel.chsh_optimize(werner)
@@ -351,7 +347,10 @@ def run(scenario: str, config: dict, seed: int, out_path: Path, fmt: str,
     body, keys, grids = SCENARIOS[scenario]
     params = _params(config, keys)
     params.update({g: grid_overrides.get(g, selfcheck.DEFAULT_GRIDS[g]) for g in grids})
-    columns, payload, extra = body(params, seed)
+    try:
+        columns, payload, extra = body(params, seed)
+    except (ValidationError, DimensionError) as exc:  # a callee cannot name the key
+        raise type(exc)(str(exc), {k: params[k] for k in sorted(config)}) from exc
     meta = {"scenario": scenario, "version": __version__, "seed": seed,
             "tolerances": {}, **{k: extra[k] for k in sorted(extra)}}
     if columns is None:
@@ -468,10 +467,10 @@ def main(argv: list | None = None) -> int:
     try:
         run(args.scenario, config, args.seed, out_path, args.format,
             grid_overrides)
-    except (ValidationError, DimensionError) as exc:  # a callee cannot name the key
-        detail = f"{exc} (config {config})" if config else str(exc)
-        print(json.dumps({"error": "validation", "scenario": args.scenario,
-                          "detail": detail}, sort_keys=True))
+    except (ValidationError, DimensionError) as exc:  # args: message[, config]
+        diag = dict(zip(("detail", "config"), exc.args))
+        print(json.dumps({"error": "validation", "scenario": args.scenario, **diag},
+                         sort_keys=True))
         return VALIDATION_EXIT
     print(f"wrote {out_path}")
     return 0

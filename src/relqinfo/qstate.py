@@ -181,7 +181,10 @@ def _as_matrix(rho) -> np.ndarray:
         return rho.matrix
     if isinstance(rho, PureState):
         return rho.density().matrix
-    return np.asarray(rho, dtype=complex)
+    m = np.asarray(rho, dtype=complex)
+    if not np.isfinite(m).all():  # a raw array is otherwise unchecked
+        raise ValidationError("state has a non-finite entry")
+    return m
 
 
 def partial_trace(rho, split: SubsystemSplit) -> DensityMatrix:

@@ -212,7 +212,8 @@ def test_spin_packets_task_matches_reference(name, tmp_path):
 _GOLDEN = json.loads(Path(__file__).with_name("golden_outputs.json").read_text())
 
 
-def check_golden(name, tmp_path):
+@pytest.mark.parametrize("name", _GOLDEN)
+def test_scenario_output_matches_golden(name, tmp_path):
     # the JSON output pinned under name, its version aside: the metadata
     # exactly, the rest by the benchmark's rule (text exactly, numbers within
     # 1e-9 relative). Entries "<scenario>@config" also hold the config text,
@@ -234,17 +235,8 @@ def check_golden(name, tmp_path):
     assert (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("scenario", cli.SCENARIOS)
-def test_scenario_default_output_matches_golden(scenario, tmp_path):
-    check_golden(scenario, tmp_path)
-
-
-@pytest.mark.parametrize("name", [k for k in _GOLDEN if k.endswith("@config")])
-def test_scenario_config_output_matches_golden(name, tmp_path):
-    check_golden(name, tmp_path)
-
-
-def test_config_entries_set_every_key_off_its_default(tmp_path):
+def test_golden_pins_every_default_and_every_key_off_its_default(tmp_path):
+    assert set(cli.SCENARIOS) <= set(_GOLDEN)
     names = {name for name, (_, keys, _) in cli.SCENARIOS.items() if keys}
     assert {k.split("@")[0] for k in _GOLDEN if k.endswith("@config")} == names
     for name in names:

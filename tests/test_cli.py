@@ -107,7 +107,7 @@ class TestExitCodes:
                       "--out", str(tmp_path / "u.csv")], tmp_path)
         assert out.returncode == 3
         diag = json.loads(out.stdout.strip().splitlines()[-1])
-        assert diag["error"] == "validation" and "'constants.c'" in diag["detail"]
+        assert diag["error"] == "validation" and diag["config"] == {"constants.c": 0.0}
         assert not (tmp_path / "u.csv").exists()
 
     def test_malformed_config_line(self, tmp_path, main_in):
@@ -137,19 +137,29 @@ class TestExitCodes:
         ("photon-povm", "polarization = circular"),
         ("unruh", "units = geometrc"),
         ("fig2-entropy", "delta_over_M = 5"),
-        ("chsh", "werner_p = 2"),
         (None, "units = si")])
     def test_non_finite_config_value(self, tmp_path, main_in, scenario, line):
-        """A bad value, an undeclared key or a value a callee rejects;
-        scenario None is --selfcheck."""
+        """A bad value or an undeclared key; scenario None is --selfcheck."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         mode = ["--selfcheck"] if scenario is None else ["--scenario", scenario]
         code, out = main_in(mode + ["--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         assert code == 3
         diag = json.loads(out)
-        assert diag["error"] == "validation"
+        assert diag["error"] == "validation" and "config" not in diag
         assert repr(line.split(" =")[0]) in diag["detail"]
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_value_a_callee_rejects_names_the_config(self, tmp_path, main_in):
+        # the state check cannot name werner_p, so the error carries the config
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("werner_p = 2\n")
+        code, out = main_in(["--scenario", "chsh", "--config", str(cfg),
+                             "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        diag = json.loads(out)
+        assert diag["error"] == "validation" and "negative eigenvalues" in diag["detail"]
+        assert diag["config"] == {"werner_p": 2.0}
         assert not (tmp_path / "o.csv").exists()
 
 

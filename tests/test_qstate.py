@@ -269,6 +269,14 @@ def _nan_probes():
             _nan_at(np.eye(3) / 3, 4)),
         "superscattering": lambda: horizon.superscattering(
             _nan_at(np.eye(4), 0), DensityMatrix.maximally_mixed(2)),
+        # a state given as a raw array
+        "chsh_value-state": lambda: channel.chsh_value(
+            np.full((4, 4), np.nan), SIGMA_Z, SIGMA_X, SIGMA_Z, SIGMA_X),
+        "error_probability": lambda: qstate.error_probability(
+            _nan_at(np.eye(2) / 2, 0), np.eye(2) / 2),
+        "Povm.probabilities": lambda: channel.Povm(
+            2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))).probabilities(
+                _nan_at(np.eye(2) / 2, 0)),
     }
 
 
