@@ -141,6 +141,8 @@ class ChoiMatrix:
         m = hermitize(self.matrix)
         if m.shape != (self.dim_in * self.dim_out,) * 2:
             raise DimensionError("Choi matrix has inconsistent shape")
+        if not np.isfinite(m).all():
+            raise ValidationError("Choi matrix has non-finite entries")
         object.__setattr__(self, "matrix", m)
 
 
@@ -318,6 +320,7 @@ def _receiver_marginals(T: BipartiteOperation, direction: str, rng,
     else:
         ue = np.einsum("pac,bd->pabcd", U, np.eye(db, dtype=complex))
     V = np.array([np.asarray(v, dtype=complex).ravel() for v in probe_states])
+    qstate._check_near_one(np.sum(np.abs(V) ** 2, axis=1), "probe state norm^2")
     kraus = np.array([a for branch in T.kraus.ops for a in branch])
     # pure inputs: psi[k, s, p] = K_k U_p v_s, then trace out the sender
     psi = (kraus[:, None] @ (ue.reshape(-1, d, d) @ V.T)).transpose(0, 3, 1, 2)

@@ -1,7 +1,7 @@
 """The batched little-group kernel under the name every call site uses.
 
-wigner_su2_batch is relqinfo.lorentz.wigner_su2_batch, the SL(2,C) spinor
-form in NumPy; there is no other backend.
+wigner_su2_batch is relqinfo.lorentz.wigner_su2_batch, the half-rapidity
+(gyrovector) form in NumPy; there is no other backend.
 """
 from __future__ import annotations
 

@@ -40,8 +40,8 @@ __all__ = [
 
 # The validation bounds, one per checked quantity; the checkers below fail NaN.
 # |tr - 1| of a state, |norm^2 - 1| of a vector, packet or helicity pair, and a
-# polarization trace's excess over 1: inputs carry ~8 digits, and a boosted
-# packet's norm drifts by ~eps e^chi (1.1e-9 at chi = 18).
+# polarization trace's excess over 1: inputs carry ~8 digits. A boosted packet's
+# norm keeps ~1e-16 at any rapidity (the kernel's D is unitary to round-off).
 TOL_TRACE = 1e-8
 TOL_HERM = 1e-10  # |M - M^dagger| of a state: O(1) entries, n eps ~ 1e-15
 # -(least eigenvalue) of a state, POVM element, polarization or Choi matrix, or
@@ -49,8 +49,8 @@ TOL_HERM = 1e-10  # |M - M^dagger| of a state: O(1) entries, n eps ~ 1e-15
 TOL_PSD = 1e-10
 TOL_SHELL = 1e-10  # |p.p - m^2| / max(1, p0^2): cancels to m^2, round-off eps p0^2
 # |P - 1| for a product that must be 1: U U^dagger, a basis's Gram matrix, Kraus or
-# POVM completeness, X^2, eta L^T eta L; times the round-off scale of wigner_rotation
-# (p0 q0/m^2), Lorentz matrices (L00^2) or helicity_phase (lam00 k0 q0/4).
+# POVM completeness, X^2, eta L^T eta L, a little-group D D^dagger; times the
+# round-off scale of Lorentz matrices (L00^2) or helicity_phase (lam00 k0 q0/4).
 TOL_UNITARY = 1e-10
 
 

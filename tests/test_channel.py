@@ -138,6 +138,10 @@ class TestChoi:
         _, cp, min_eig = choi_and_cp_check(KrausSet.single(ops))
         assert cp and min_eig > -1e-12
 
+    def test_non_finite_map_output_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            choi_and_cp_check(lambda r: r * np.nan, dim_in=2)
+
     def test_all_premeasurement_channels_certify_cp(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
@@ -189,6 +193,11 @@ class TestSemicausality:
     def test_conditioned_basis_pvm_signals_a_to_b(self):
         v = is_semicausal(conditioned_basis_pvm(), "A->B", haar_probes=50, seed=31)
         assert not v.semicausal
+
+    @pytest.mark.parametrize("probe", [np.full(4, np.nan), 2.0 * np.eye(4)[0]])
+    def test_non_finite_or_unnormalized_probe_rejected(self, probe):
+        with pytest.raises(ValidationError, match="probe state"):
+            is_semicausal(complete_bell_pvm(), probe_states=[probe], haar_probes=2)
 
     def test_report_shape(self):
         v = is_semicausal(incomplete_bell_pvm(), "B->A", haar_probes=10, seed=31)

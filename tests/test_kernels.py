@@ -134,6 +134,85 @@ class TestKernelProperties:
         assert gap < 2e-13 * scale
 
 
+def spinor_product_little_group(lam, P, m):
+    """Oracle: the images as the spinor product A(q)^{-1} M A(p), with
+    A(p) = m + p0 + p.sigma the unnormalized canonical boost image, divided
+    by sqrt(det) and put on the Re tr >= 0 branch. Exact algebra, but its
+    factors cancel, so round-off grows like p0 q0 / m**2."""
+    M = lorentz._sl2c(lam)
+
+    def image(k, sign):
+        return (m + k[0]) * np.eye(2) + sign * sum(c * s for c, s in zip(k[1:], lorentz._PAULIS))
+
+    D = np.array([image(q, -1.0) @ M @ image(p, 1.0) for p, q in zip(P, P @ lam.T)])
+    D /= np.sqrt(np.linalg.det(D))[:, None, None]
+    D[np.trace(D, axis1=1, axis2=2).real < 0] *= -1.0
+    return D
+
+
+class TestHalfRapidityForm:
+    """The kernel at rapidities up to 30, where a product of spinor factors
+    of size e^chi would lose ~eps e^chi: unitarity to round-off, the spinor
+    product where that is exact to round-off, and an extended-precision
+    closed form."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=masses, chi_p=st.floats(0.0, 1.0), p_dir=unit_vectors,
+           chi=st.floats(0.0, 30.0), boost_axis=unit_vectors, rot_axis=unit_vectors,
+           angle=st.floats(0.0, np.pi), rotation_first=st.booleans())
+    def test_unitary_at_any_rapidity(self, m, chi_p, p_dir, chi, boost_axis,
+                                     rot_axis, angle, rotation_first):
+        B = lorentz.boost(rapidity=chi, axis=boost_axis)
+        R = lorentz.rotation(rot_axis, angle)
+        lam = lorentz.compose(B, R) if rotation_first else lorentz.compose(R, B)
+        P = single_point_grid(m, chi_p, p_dir)
+        _, D = kernels.wigner_su2_batch(lam.matrix, P, m)
+        assert np.abs(D[0] @ D[0].conj().T - np.eye(2)).max() <= 1e-14
+        assert np.trace(D[0]).real >= 0.0
+        if chi <= 2.0:
+            ref = spinor_product_little_group(lam.matrix, P, m)[0]
+            # either sheet where Re tr D is round-off
+            assert min(np.abs(D[0] - ref).max(), np.abs(D[0] + ref).max()) <= 1e-14
+
+    @staticmethod
+    def wigner_angle_oracle(chi, axis, P, m):
+        """Images of a pure boost in np.longdouble from the textbook angle
+        of two composed boosts with Lorentz factors g, g_p and product g_q:
+        cos^2(w/2) = (1 + g + g_p + g_q)^2 / [2 (1 + g)(1 + g_p)(1 + g_q)],
+        about n x p, so D = cos(w/2) + i sin(w/2) (n x p).sigma / |n x p|.
+        All terms are positive: nothing cancels at large chi."""
+        ld = np.longdouble
+        n, P, m, chi = np.asarray(axis, dtype=ld), np.asarray(P, dtype=ld), ld(m), ld(chi)
+        n /= np.sqrt(n @ n)
+        g, gp = np.cosh(chi), P[:, 0] / m
+        gq = g * gp + np.sinh(chi) * (P[:, 1:] @ n) / m
+        c2 = (1 + g + gp + gq) ** 2 / (2 * (1 + g) * (1 + gp) * (1 + gq))
+        e = np.cross(n, P[:, 1:])
+        e /= np.sqrt(np.sum(e * e, axis=1))[:, None]
+        x = np.column_stack([np.sqrt(c2), np.sqrt(1 - c2)[:, None] * e]).astype(float)
+        return np.einsum("nk,kij->nij", x, lorentz._QUATERNION)
+
+    @pytest.mark.parametrize("chi, m", [(2.0, 1.0), (20.0, 1.0), (20.0, 0.3), (30.0, 1.0)])
+    def test_pure_boost_matches_extended_precision_closed_form(self, chi, m):
+        axis = (0.3, -0.2, 0.9)
+        P = random_grid(np.random.default_rng(67), 200, m)
+        _, D = kernels.wigner_su2_batch(lorentz.boost(rapidity=chi, axis=axis).matrix, P, m)
+        assert np.abs(D - self.wigner_angle_oracle(chi, axis, P, m)).max() <= 2e-15
+
+    def test_rotation_part_within_what_the_matrix_carries(self):
+        """lam = R B rounded to floats fixes R only to ~eps cosh chi (a
+        rotation about R n that small leaves the rounded entries as they
+        are); D is U(R) times the closed form within that."""
+        chi, axis = 20.0, (0.3, -0.2, 0.9)
+        R = lorentz.rotation([1.0, 2.0, 3.0], 2.0)
+        lam = lorentz.compose(R, lorentz.boost(rapidity=chi, axis=axis))
+        P = random_grid(np.random.default_rng(68), 200, 1.0)
+        _, D = kernels.wigner_su2_batch(lam.matrix, P, 1.0)
+        ref = lorentz.su2_from_rotation(R.matrix[1:, 1:]) @ self.wigner_angle_oracle(chi, axis, P, 1.0)
+        gap = np.minimum(np.abs(D - ref).max(axis=(1, 2)), np.abs(D + ref).max(axis=(1, 2)))
+        assert gap.max() <= 4 * np.finfo(float).eps * np.cosh(chi)
+
+
 def expected_su2(axis, angle):
     """cos(angle/2) - i sin(angle/2) n.sigma, from the axis-angle form."""
     n = np.asarray(axis, dtype=float)

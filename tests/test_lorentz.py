@@ -57,6 +57,22 @@ class TestConstructors:
         assert abs(m[0, 0] / np.cosh(chi) - 1.0) <= 1e-15
         assert abs(m[0, 3] / np.sinh(chi) - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("chi", [20.0, 25.0, 30.0])
+    def test_large_rapidity_boosts_accepted_along_any_axis(self, chi):
+        # det L sums products of four entries of size e^chi; the orientation
+        # test reads the sign off the O(1) rotation part instead
+        for n in np.random.default_rng(8).normal(size=(200, 3)):
+            boost(rapidity=chi, axis=n)
+
+    @pytest.mark.parametrize("chi", [0.0, 1.0, 20.0, 30.0])
+    @pytest.mark.parametrize("flip", [[1.0, -1.0, -1.0, -1.0], [-1.0, 1.0, 1.0, 1.0],
+                                      [-1.0, -1.0, -1.0, -1.0]])
+    def test_parity_and_time_reversal_rejected(self, chi, flip):
+        B = boost(rapidity=chi, axis=(0.3, -0.2, 0.9)).matrix
+        for L in (np.diag(flip) @ B, B @ np.diag(flip)):
+            with pytest.raises(ValidationError, match="orthochronous"):
+                lorentz.LorentzTransform(L)
+
     def test_non_finite_matrices_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
             lorentz.LorentzTransform(np.full((4, 4), np.nan))
@@ -281,10 +297,22 @@ class TestWignerRotation:
             w = wigner_rotation(lam, random_onshell(rng, 1.0), 1.0)
             assert np.abs(w.rotation @ w.rotation.T - np.eye(3)).max() < 1e-10
 
+    def test_large_momentum_and_rapidity_accepted(self):
+        # D is unitary to round-off at any rapidity, so the unscaled
+        # TOL_UNITARY check holds at |p| = 1e4 under a chi = 25 boost
+        p = np.array([np.sqrt(1.0 + 1e8), 6e3, 0.0, 8e3])
+        B = boost(rapidity=25.0, axis=(0.3, -0.2, 0.9))
+        R = rotation([1.0, 2.0, 3.0], 2.0)
+        for lam in (B, compose(B, R), compose(R, B)):
+            w = wigner_rotation(lam, p, 1.0)
+            assert np.abs(w.su2 @ w.su2.conj().T - np.eye(2)).max() < 1e-14
+            assert np.abs(w.rotation @ w.rotation.T - np.eye(3)).max() < 1e-14
+
     @pytest.mark.parametrize("pmag", [1e2, 1e3, 3e3, 1e4])
     def test_large_momenta_accepted_and_match_extended_oracle(self, pmag):
-        """Round-off grows like p0 q0 / m**2; the checks scale with it, so
-        valid on-shell momenta up to |p| = 1e4 at m = 1 are accepted."""
+        """Valid on-shell momenta up to |p| = 1e4 at m = 1 are accepted; the
+        oracle's round-off grows like p0 q0 / m**2, so the comparison scales
+        with it."""
         rng = np.random.default_rng(7)
         m = 1.0
         for lam in (boost([0.5, 0, 0]),
@@ -485,6 +513,12 @@ class TestAberration:
     def test_superluminal_rejected(self):
         with pytest.raises(ValidationError):
             aberrate(0.1, 0.0, 1.0)
+
+    @pytest.mark.parametrize("args", [(0.1, 0.0, np.nan), (np.nan, 0.0, 0.5),
+                                      (np.array([0.1, np.inf]), 0.0, 0.5), (0.1, np.nan, 0.5)])
+    def test_non_finite_input_rejected(self, args):
+        with pytest.raises(ValidationError):
+            aberrate(*args)
 
 
 class TestRotationToKhat:

@@ -315,12 +315,14 @@ def test_pure_state_norm_edge_agrees_downstream(excess, accepted):
             check()
 
 
-@pytest.mark.parametrize("rapidity", [14.0, 16.0, 17.0, 18.0])
+@pytest.mark.parametrize("rapidity", [14.0, 16.0, 17.0, 18.0, 20.0, 25.0, 30.0])
 def test_boosted_packet_reduces_at_large_rapidity(rapidity):
     packet = wavepacket.gaussian_packet(wavepacket.PacketSpec(mass=1.0, points=11))
     lam = lorentz.boost(rapidity=rapidity, axis=(0.3, -0.2, 0.9))
-    rho = wavepacket.reduced_spin(wavepacket.boost_packet(packet, lam))
-    assert abs(np.trace(rho.matrix).real - 1.0) <= qstate.TOL_TRACE
+    boosted = wavepacket.boost_packet(packet, lam)
+    rho = wavepacket.reduced_spin(boosted)
+    assert abs(boosted.norm_squared(boosted.weights, boosted.amplitudes) - 1.0) <= 1e-12
+    assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("field", ["profile", "alpha"])
