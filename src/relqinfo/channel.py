@@ -138,9 +138,10 @@ class ChoiMatrix:
     dim_out: int
 
     def __post_init__(self):
-        m = hermitize(self.matrix)
+        m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.dim_in * self.dim_out,) * 2:
             raise DimensionError("Choi matrix has inconsistent shape")
+        m = hermitize(m)
         if not np.isfinite(m).all():
             raise ValidationError("Choi matrix has non-finite entries")
         object.__setattr__(self, "matrix", m)
@@ -251,7 +252,10 @@ def choi_and_cp_check(map_or_kraus, dim_in: int | None = None) -> tuple:
             row.append(np.array(_apply_map(map_or_kraus, probe, dim_in),
                                 dtype=complex, copy=True))
         blocks.append(row)
-    dim_out = blocks[0][0].shape[0]
+    shapes = {b.shape for row in blocks for b in row}
+    if len(shapes) != 1 or len(shape := shapes.pop()) != 2 or shape[0] != shape[1]:
+        raise DimensionError("the map must return square matrices of one size")
+    dim_out = shape[0]
     C = np.block(blocks)
     choi = ChoiMatrix(matrix=C, dim_in=dim_in, dim_out=dim_out)
     tr = np.trace(choi.matrix).real
@@ -319,7 +323,10 @@ def _receiver_marginals(T: BipartiteOperation, direction: str, rng,
         ue = np.einsum("ac,pbd->pabcd", np.eye(da, dtype=complex), U)
     else:
         ue = np.einsum("pac,bd->pabcd", U, np.eye(db, dtype=complex))
-    V = np.array([np.asarray(v, dtype=complex).ravel() for v in probe_states])
+    V = [np.asarray(v, dtype=complex).ravel() for v in probe_states]
+    if any(v.shape != (d,) for v in V):
+        raise DimensionError(f"probe states must have {d} amplitudes")
+    V = np.array(V)
     qstate._check_near_one(np.sum(np.abs(V) ** 2, axis=1), "probe state norm^2")
     kraus = np.array([a for branch in T.kraus.ops for a in branch])
     # pure inputs: psi[k, s, p] = K_k U_p v_s, then trace out the sender

@@ -296,24 +296,21 @@ class WignerRotation:
 _QUATERNION = np.array([np.eye(2), *(1j * s for s in _PAULIS)])
 
 
-def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
-    """The little-group kernel: (Q, D) for an (N,4) on-shell grid P of mass
-    m, with Q = lam P and D the complex (N,2,2) SU(2) images of the
-    little-group elements W = L^{-1}(lam p) lam L(p), canonical branch
-    (Re tr D >= 0, rotation angle in [0, pi]). No checks.
+def _half_rapidity(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
+    """(x, U) with D = +-U (x0 + i x.sigma)/|x| the SU(2) image of the
+    little-group element W(lam, p), for an (N,4) grid P of mass m: x the
+    (4,N) unnormalized quaternion rows and U the SU(2) image of lam's
+    rotation part. No checks.
 
     Half-rapidity (gyrovector) form. lam = R B with B the pure boost on
     lam's first row, and W(R B, p) = R W(B, p) for canonical boosts. With
     a = tanh(chi/2) n = lam_0i/(1 + lam_00) for B and b = p/(m + p0) for
-    L(p), W(B, p) is the unit quaternion x = (1 + a.b, a x b)/|.|, so
-    D = U(R) (x0 + i x.sigma). U(R) is the unitary polar factor of M =
-    _sl2c(R), with R = _rotation_parts(lam): M + M^{-dagger} = U tr H,
-    divided by sqrt(det). Every term is O(1), so D is unitary to round-off
-    at any rapidity, and exact for a pure boost, whose R is 1.
+    L(p), W(B, p) is the unit quaternion x = (1 + a.b, a x b)/|.|. U(R) is
+    the unitary polar factor of M = _sl2c(R), with R = _rotation_parts(lam):
+    M + M^{-dagger} = U tr H, divided by sqrt(det). Every term is O(1), so
+    the result is unitary to round-off at any rapidity, and exact for a
+    pure boost, whose R is 1.
     """
-    lam = np.asarray(lam, dtype=float)
-    P = np.asarray(P, dtype=float)
-    Q = P @ lam.T
     # b on contiguous component rows: strided rows of P.T are 2x slower
     b = P[:, 1:].T.copy()
     b /= m + P[:, 0]
@@ -327,8 +324,24 @@ def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
     # M^{-dagger} of an SL(2,C) matrix is its conjugated adjugate; the sum is
     # U tr H, so the round-off-sized H - 1 of M = U H drops out
     S = M + np.array([[M[1, 1], -M[1, 0]], [-M[0, 1], M[0, 0]]]).conj()
+    return x, S / np.sqrt(_det2(S))
+
+
+def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
+    """The little-group kernel: (Q, D) for an (N,4) on-shell grid P of mass
+    m, with Q = lam P and D the complex (N,2,2) SU(2) images of the
+    little-group elements W = L^{-1}(lam p) lam L(p), canonical branch
+    (Re tr D >= 0, rotation angle in [0, pi]). No checks.
+
+    D = U(R) (x0 + i x.sigma)/|x| from _half_rapidity, so D is unitary to
+    round-off at any rapidity.
+    """
+    lam = np.asarray(lam, dtype=float)
+    P = np.asarray(P, dtype=float)
+    Q = P @ lam.T
+    x, U = _half_rapidity(lam, P, m)
     # T[k] = U (1, i sigma)_k as 8 floats, so D is the real product x^T T
-    T = ((S / np.sqrt(_det2(S))) @ _QUATERNION).view(float).reshape(4, 8)
+    T = (U @ _QUATERNION).view(float).reshape(4, 8)
     r = np.sqrt(np.einsum("jn,jn->n", x, x))
     # Re tr D, up to the positive r: x against the real traces of the T[k]
     r[(T[:, 0] + T[:, 6]) @ x < 0] *= -1.0
@@ -376,12 +389,14 @@ def _null_translation(alpha: float, beta: float) -> np.ndarray:
     ])
 
 
-def _helicity_phases(lam: np.ndarray, K: np.ndarray) -> tuple:
+def _helicity_phases(lam: np.ndarray, K: np.ndarray, Lk: np.ndarray | None = None) -> tuple:
     """(xi, E) for an (N,4) array of null momenta: E = L^{-1}(lam k) lam L(k),
     (N,4,4), and its rotation angles xi; _standard_boosts_massless checks k
-    and lam k."""
+    and lam k. Lk, if given, is _standard_boosts_massless(K), built once by
+    a caller that boosts the same rays several times."""
     K = np.asarray(K, dtype=float)
-    Lk = _standard_boosts_massless(K)
+    if Lk is None:
+        Lk = _standard_boosts_massless(K)
     Lq = _standard_boosts_massless(K @ lam.T)
     # exact group inverse: eta L^T eta
     E = (np.swapaxes(Lq, 1, 2) * _ETA_SIGNS) @ lam @ Lk

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import lorentz
 from ._errors import DimensionError, ValidationError
 from .lorentz import (_rotation_to_khat_batch, aberrate, boost,
                       helicity_phase_batch)
@@ -309,15 +310,14 @@ def naive_density_matrix(packet: PhotonPacket) -> PolarizationMatrix:
     return PolarizationMatrix(matrix=_density_matrices(masses, vectors)[0])
 
 
-def _boosted_rays(packet: PhotonPacket, v: float) -> tuple:
+def _boosted_rays(packet: PhotonPacket, v: float, xi: np.ndarray) -> tuple:
     """The boost along +z of a packet's rays, shared by every packet on the
     same rays: the aberrated polar angles and frequencies, the solid-angle
-    Jacobian d(cos theta')/d(cos theta) and the helicity phases
-    e^(-+ i xi), (N, 2)."""
+    Jacobian d(cos theta')/d(cos theta) and, from the rays' helicity angles
+    xi under the boost, the phases e^(-+ i xi), (N, 2)."""
     theta_p, ratio = aberrate(packet.theta, packet.phi, v)
     # equal to ratio**-2, but this rounding is the one criterion 12 pins
     jac = (1.0 - v * v) / (1.0 - v * np.cos(packet.theta)) ** 2
-    xi = helicity_phase_batch(boost(np.array([0.0, 0.0, v])), packet.four_momenta())
     phases = np.column_stack([np.exp(-1j * xi), np.exp(1j * xi)])
     return theta_p, packet.k0 * ratio, jac, phases
 
@@ -340,7 +340,8 @@ def boost_packet(packet: PhotonPacket, v: float) -> PhotonPacket:
     Positive v is the receding-detector convention: a beam around +z
     widens, small tilt angles scale by sqrt((1+v)/(1-v)).
     """
-    return _boosted(packet, _boosted_rays(packet, v))
+    xi = helicity_phase_batch(boost(np.array([0.0, 0.0, v])), packet.four_momenta())
+    return _boosted(packet, _boosted_rays(packet, v, xi))
 
 
 def _renormalized_error(rho1: PolarizationMatrix, rho2: PolarizationMatrix) -> float:
@@ -351,18 +352,22 @@ def _renormalized_error(rho1: PolarizationMatrix, rho2: PolarizationMatrix) -> f
 
 def _doppler_ratios(aperture: float, velocities, n_theta: int = 32, n_phi: int = 64,
                     polarizations=("linear-x", "linear-y")) -> list:
-    """doppler_error_ratio for each velocity, in order. The two packets and
-    the source-frame P_E are built once. Both packets lie on the same rays,
-    so each velocity boosts the rays once, with one helicity-phase call,
-    and each packet takes the shared phases onto its own alpha."""
+    """doppler_error_ratio for each velocity, in order. The two packets, the
+    source-frame P_E and the standard boosts of the source rays are built
+    once. Both packets lie on the same rays, so each velocity boosts the
+    rays once, with one helicity-phase call, and each packet takes the
+    shared phases onto its own alpha."""
     p1 = collimated_packet(aperture, polarizations[0], n_theta, n_phi)
     p2 = collimated_packet(aperture, polarizations[1], n_theta, n_phi)
     pe = _renormalized_error(effective_density_matrix(p1),
                              effective_density_matrix(p2))
     degenerate = pe < 1e-14
+    k = p1.four_momenta()
+    lk = lorentz._standard_boosts_massless(k)
     out = []
     for v in velocities:
-        rays = _boosted_rays(p1, v)
+        xi = lorentz._helicity_phases(boost(np.array([0.0, 0.0, v])).matrix, k, lk)[0]
+        rays = _boosted_rays(p1, v, xi)
         pe_prime = _renormalized_error(effective_density_matrix(_boosted(p1, rays)),
                                        effective_density_matrix(_boosted(p2, rays)))
         out.append({"P_E": pe, "P_E_prime": pe_prime,

@@ -306,12 +306,8 @@ def _check_entropy_surface(grids):
 
 
 def _check_error_scaling(grids):
-    gammas, _, steps = wavepacket._spin_z_boosts(
-        0.1, [0.0125, 0.025, 0.05], np.pi / 2, grids["scaling_points"], 4.0)
-    pes, back = [], []
-    for lam, pair, tau in steps:
-        pes.append(qstate.error_probability(*tau))
-        back.append(qstate.error_probability(*wavepacket._boost_shared(pair, lam.inverse())[1]))
+    gammas, pes, back = wavepacket._round_trip_errors(
+        0.1, [0.0125, 0.025, 0.05], np.pi / 2, grids["scaling_points"])
     return {"fitted_exponent": wavepacket._fitted_exponent(gammas, pes),
             "max_pe_restored": max(back)}
 

@@ -10,12 +10,11 @@ and bipartite packets for the boost behavior of concurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
 from ._errors import DimensionError, ValidationError
-from . import kernels, qstate
+from . import kernels, lorentz, qstate
 from .lorentz import LorentzTransform, _check_mass_shells, boost
 from .qstate import DensityMatrix, _check_near_one, hermitize
 
@@ -93,7 +92,8 @@ class SpinorPacket:
 
     @classmethod
     def _checked(cls, mass, momenta, weights, amplitudes) -> "SpinorPacket":
-        """Wrap read-only _boost_shared output without checking it again."""
+        """Wrap read-only arrays that passed the checks already, _boost_shared
+        output or _spin_z_pair's -z twin, without checking them again."""
         packet = object.__new__(cls)
         vars(packet).update(mass=mass, momenta=momenta, weights=weights,
                             amplitudes=amplitudes)
@@ -157,11 +157,12 @@ def gaussian_packet(spec: PacketSpec) -> SpinorPacket:
 
 
 def _spin_z_pair(spread: float, points: int, extent: float) -> tuple:
-    """Unit-mass Gaussian packets at rest with spin along +z and -z."""
-    return tuple(gaussian_packet(PacketSpec(mass=1.0, spread=spread,
-                                            spin_axis=(0.0, 0.0, s),
-                                            points=points, extent=extent))
-                 for s in (1.0, -1.0))
+    """Unit-mass Gaussian packets at rest with spin along +z and -z, on one
+    grid built and checked once. The -z spinor (0, 1) is the +z spinor
+    (1, 0) with its components swapped, so the -z packet's amplitudes are
+    the +z packet's swapped, with the same norm bit for bit."""
+    up = gaussian_packet(PacketSpec(mass=1.0, spread=spread, points=points, extent=extent))
+    return up, SpinorPacket._checked(1.0, up.momenta, up.weights, up.amplitudes[:, ::-1])
 
 
 def gamma_parameter(delta: float, m: float, beta: float) -> float:
@@ -201,28 +202,67 @@ def _gram(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _boost_shared(packets, lam: LorentzTransform) -> tuple:
     """Boost the (K, N, 2) amplitude stack of packets on one grid with one
-    kernel call: the boosted packets and their (K, 2, 2) spin marginals.
-    Of the packet checks, only those kernel output can fail are made again."""
+    kernel call, for callers that keep the boosted packets. Of the packet
+    checks, only those kernel output can fail are made again: the boosted
+    grid's mass shells and the packet norms."""
     first = _check_shared_grid(packets)
     q, d = kernels.wigner_su2_batch(lam.matrix, first.momenta, first.mass)
     _check_mass_shells(q, first.mass)
     a = np.stack([np.einsum("nab,nb->na", d, pk.amplitudes) for pk in packets])
-    tau = hermitize(_gram(first.weights, a))
-    _check_near_one(np.trace(tau, axis1=1, axis2=2).real, "packet norm^2")
+    _check_near_one([SpinorPacket.norm_squared(first.weights, ak) for ak in a],
+                    "packet norm^2")
     q.setflags(write=False)
     a.setflags(write=False)
-    return tuple(SpinorPacket._checked(first.mass, q, first.weights, ak) for ak in a), tau
+    return tuple(SpinorPacket._checked(first.mass, q, first.weights, ak) for ak in a)
 
 
 def boost_packet(packet: SpinorPacket, lam: LorentzTransform) -> SpinorPacket:
     """Exact boost: relabel grid momenta and rotate each spinor by the
     little-group SU(2) element; invariant weights carry over unchanged."""
-    return _boost_shared([packet], lam)[0][0]
+    return _boost_shared([packet], lam)[0]
 
 
 def reduced_spin(packet: SpinorPacket) -> DensityMatrix:
     """2x2 spin marginal sum_i w_i a_i a_i†."""
     return DensityMatrix(hermitize(_gram(packet.weights, packet.amplitudes)))
+
+
+def _bloch_weights(packets) -> tuple:
+    """(grid, c) for packets on one grid: c the real (K, 4, N) Bloch weights
+    of A_n = w_n a_n a_n†, A_n = sum_mu c_mun sigma_mu with sigma_0 = 1."""
+    grid = _check_shared_grid(packets)
+    a = np.stack([pk.amplitudes for pk in packets])
+    a0, a1 = a[..., 0], a[..., 1]
+    p0, p1 = a0.real ** 2 + a0.imag ** 2, a1.real ** 2 + a1.imag ** 2
+    cross = a0 * a1.conj()
+    c = np.stack([(p0 + p1) / 2, cross.real, -cross.imag, (p0 - p1) / 2], axis=1)
+    c *= grid.weights
+    return grid, c
+
+
+# _MOMENT_SANDWICH[(mu, j, k), (s, t)] = (E_j sigma_mu E_k†)[s, t], E = (1, i sigma)
+_MOMENT_SANDWICH = np.einsum("jab,mbc,kdc->mjkad", lorentz._QUATERNION, lorentz._SIGMAS4,
+                             lorentz._QUATERNION.conj()).reshape(64, 4)
+
+
+def _boosted_marginals(grid: SpinorPacket, c: np.ndarray, lam: LorentzTransform) -> np.ndarray:
+    """The (K, 2, 2) spin marginals after lam of the packets with Bloch
+    weights c on grid (from _bloch_weights), without D, the boosted
+    amplitudes or lam p.
+
+    With D_n = U (x_n . E)/|x_n| from lorentz._half_rapidity, tau =
+    sum_n D_n A_n D_n† = U [sum_mujk M_mujk E_j sigma_mu E_k†] U† with
+    M_mujk = sum_n c_mun x_jn x_kn / |x_n|^2; D's branch sign cancels.
+    Checks each trace against 1 (NaN-safe)."""
+    x, u = lorentz._half_rapidity(lam.matrix, grid.momenta, grid.mass)
+    y = x / np.einsum("jn,jn->n", x, x)
+    m = np.empty((c.shape[0], 4, 4, 4))
+    for j in range(4):
+        m[:, :, j] = (c * y[j]) @ x.T
+    tau = hermitize(u @ (m.reshape(-1, 64) @ _MOMENT_SANDWICH).reshape(-1, 2, 2)
+                    @ u.conj().T)
+    _check_near_one(np.trace(tau, axis1=1, axis2=2).real, "packet norm^2")
+    return tau
 
 
 def _boost_at_angle(beta: float, theta: float) -> LorentzTransform:
@@ -242,27 +282,38 @@ def entropy_surface(delta_over_m: float, beta_list, theta_list,
         raise ValidationError("parameter lists must be nonempty")
     packet = gaussian_packet(PacketSpec(mass=1.0, spread=delta_over_m,
                                         points=points, extent=extent))
-    rest, rows = reduced_spin(packet), []
+    (grid, c), rest, rows = _bloch_weights([packet]), reduced_spin(packet), []
     for theta in theta_list:
         for beta in beta_list:
             tau = (rest if beta == 0.0 else
-                   _boost_shared([packet], _boost_at_angle(beta, theta))[1][0])
+                   _boosted_marginals(grid, c, _boost_at_angle(beta, theta))[0])
             rows.append((float(theta), gamma_parameter(delta_over_m, 1.0, beta),
                          qstate.von_neumann_entropy(tau, base=base)))
     return rows
 
 
 def _spin_z_boosts(delta_over_m, gamma_list, theta, points, extent) -> tuple:
-    """The sorted gammas, the rest-frame error probability of the +z/-z
-    spin pair, and per gamma, boosted only when reached and then not kept,
-    (boost, boosted pair, the pair's (2, 2, 2) spin marginals)."""
+    """The sorted gammas, the +z/-z spin pair at rest and the boost per gamma."""
     gammas = np.asarray(sorted(gamma_list), dtype=float)
     if (gammas <= 0).any():
         raise ValidationError("gamma values must be positive")
-    up, down = _spin_z_pair(delta_over_m, points, extent)
-    pe_rest = qstate.error_probability(reduced_spin(up), reduced_spin(down))
-    lams = (_boost_at_angle(beta_for_gamma(g, delta_over_m, 1.0), theta) for g in gammas)
-    return gammas, pe_rest, ((lam, *_boost_shared([up, down], lam)) for lam in lams)
+    lams = [_boost_at_angle(beta_for_gamma(g, delta_over_m, 1.0), theta) for g in gammas]
+    return gammas, _spin_z_pair(delta_over_m, points, extent), lams
+
+
+def _round_trip_errors(delta_over_m, gamma_list, theta, points) -> tuple:
+    """The sorted gammas and, per gamma, the error probability of the +z/-z
+    pair's spin marginals after the boost and after the boost and its
+    inverse; the inverse acts on the kept boosted pair."""
+    gammas, pair, lams = _spin_z_boosts(delta_over_m, gamma_list, theta, points, 4.0)
+    grid, c = _bloch_weights(pair)
+    pes, back = [], []
+    for lam in lams:
+        pes.append(qstate.error_probability(*_boosted_marginals(grid, c, lam)))
+        # the boosted pair lives only until its inverse marginals are taken
+        back.append(qstate.error_probability(*_boosted_marginals(
+            *_bloch_weights(_boost_shared(pair, lam)), lam.inverse())))
+    return gammas, pes, back
 
 
 def _fitted_exponent(gammas, pes):
@@ -281,12 +332,12 @@ def packet_error_scaling(delta_over_m: float, gamma_list, theta: float = np.pi /
     probabilities and the least-squares slope of log P_E' against log
     gamma.
     """
-    gammas, pe_rest, steps = _spin_z_boosts(delta_over_m, gamma_list, theta,
-                                            points, extent)
-    # map drops each boosted pair before the next gamma's boost
-    pes = [qstate.error_probability(*tau) for tau in map(itemgetter(2), steps)]
-    return {"gamma": gammas.tolist(), "pe_rest": pe_rest, "pe_boosted": pes,
-            "fitted_exponent": _fitted_exponent(gammas, pes)}
+    gammas, pair, lams = _spin_z_boosts(delta_over_m, gamma_list, theta, points, extent)
+    grid, c = _bloch_weights(pair)
+    pes = [qstate.error_probability(*_boosted_marginals(grid, c, lam)) for lam in lams]
+    return {"gamma": gammas.tolist(),
+            "pe_rest": qstate.error_probability(*map(reduced_spin, pair)),
+            "pe_boosted": pes, "fitted_exponent": _fitted_exponent(gammas, pes)}
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +387,8 @@ def singlet_packet(delta_over_m: float, points: int = 9,
 def boost_bipartite(packet: BipartitePacket, lam: LorentzTransform) -> BipartitePacket:
     """Boost both particles: each one's basis packets share a kernel call;
     the spin block carries over unchanged."""
-    return BipartitePacket(_boost_shared(packet.first, lam)[0],
-                           _boost_shared(packet.second, lam)[0], packet.amplitudes)
+    return BipartitePacket(_boost_shared(packet.first, lam),
+                           _boost_shared(packet.second, lam), packet.amplitudes)
 
 
 def reduced_spin_pair(packet: BipartitePacket) -> DensityMatrix:
@@ -375,7 +426,8 @@ def noncovariance_witness(beta: float = 0.8, theta: float = np.pi / 2,
     for spread in spreads:
         packet = gaussian_packet(PacketSpec(mass=1.0, spread=spread, points=points))
         taus.append(reduced_spin(packet))
-        spectra.append(np.linalg.eigvalsh(_boost_shared([packet], lam)[1][0]))
+        spectra.append(np.linalg.eigvalsh(_boosted_marginals(*_bloch_weights([packet]),
+                                                             lam)[0]))
     return {"rest_marginal_gap": float(np.abs(taus[0].matrix - taus[1].matrix).max()),
             "boosted_spectra": [s.tolist() for s in spectra],
             "spectral_gap": float(np.abs(spectra[0] - spectra[1]).max())}
@@ -390,10 +442,7 @@ def cp_failure_witness(gamma: float = 0.04, delta_over_m: float = 0.1,
     error 0, improving distinguishability, which no completely positive
     map can do. Reports both error probabilities and the improvement.
     """
-    _, _, steps = _spin_z_boosts(delta_over_m, [gamma], theta, points, 4.0)
-    [(lam, pair, tau)] = steps
-    pe_boosted = qstate.error_probability(*tau)
-    pe_back = qstate.error_probability(*_boost_shared(pair, lam.inverse())[1])
+    _, [pe_boosted], [pe_back] = _round_trip_errors(delta_over_m, [gamma], theta, points)
     return {"pe_before_map": pe_boosted, "pe_after_map": pe_back,
             "improvement": pe_boosted - pe_back,
             "violates_data_processing": pe_back < pe_boosted - 1e-6}

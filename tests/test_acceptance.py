@@ -182,6 +182,13 @@ def test_criterion_12_makes_one_helicity_phase_call_per_velocity(monkeypatch):
     assert len(calls) <= 4
 
 
+def test_criterion_12_builds_the_source_rays_standard_boosts_once(monkeypatch):
+    # one stack for the source rays, one per velocity for the boosted rays
+    calls = _count_calls(monkeypatch, lorentz, "_standard_boosts_massless")
+    _run("12-photon-doppler-law")
+    assert len(calls) == 5
+
+
 def test_criterion_04_runs_its_draws_as_one_batch(monkeypatch):
     per_draw = [_count_calls(monkeypatch, channel, name)
                 for name in ("simulate_teleportation", "teleport_identity_residual")]

@@ -142,6 +142,16 @@ class TestChoi:
         with pytest.raises(ValidationError, match="non-finite"):
             choi_and_cp_check(lambda r: r * np.nan, dim_in=2)
 
+    @pytest.mark.parametrize("fn", [lambda r: np.ones((3, 2)), lambda r: np.ones(3),
+                                    lambda r: np.eye(2) if r[0, 0] else np.eye(3)])
+    def test_map_output_not_square_of_one_size_rejected(self, fn):
+        with pytest.raises(DimensionError, match="square matrices"):
+            choi_and_cp_check(fn, dim_in=2)
+
+    def test_choi_matrix_of_the_wrong_shape_rejected(self):
+        with pytest.raises(DimensionError, match="shape"):
+            channel.ChoiMatrix(np.ones((6, 4)), dim_in=2, dim_out=3)
+
     def test_all_premeasurement_channels_certify_cp(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
@@ -198,6 +208,11 @@ class TestSemicausality:
     def test_non_finite_or_unnormalized_probe_rejected(self, probe):
         with pytest.raises(ValidationError, match="probe state"):
             is_semicausal(complete_bell_pvm(), probe_states=[probe], haar_probes=2)
+
+    def test_probe_of_the_wrong_length_rejected(self):
+        with pytest.raises(DimensionError, match="4 amplitudes"):
+            is_semicausal(complete_bell_pvm(), probe_states=[np.ones(2) / np.sqrt(2)],
+                          haar_probes=2)
 
     def test_report_shape(self):
         v = is_semicausal(incomplete_bell_pvm(), "B->A", haar_probes=10, seed=31)
