@@ -4,9 +4,10 @@ Helicity bases per propagation direction, the transversal decomposition
 of momentum-independent polarization labels (whose longitudinal part is
 unphysical), the {E_x, E_y, E_z} polarization POVM, effective 3x3
 polarization density matrices, boosts along z (aberrated angles and
-frequencies from lorentz.aberrate, helicity phases from
-lorentz.helicity_phase_batch), and the Doppler behavior of
-distinguishability.
+frequencies from lorentz.aberrate; helicity phases from
+lorentz.helicity_phase_batch in boost_packet, and from
+lorentz._helicity_phases on the source rays' standard boosts, built once,
+in the Doppler core), and the Doppler behavior of distinguishability.
 
 The packet math is batched over a leading packet axis: P packets of N
 rays are arrays of shape (P, N) (helicity amplitudes (P, N, 2)), and the
@@ -24,7 +25,8 @@ from . import lorentz
 from ._errors import DimensionError, ValidationError
 from .lorentz import (_rotation_to_khat_batch, aberrate, boost,
                       helicity_phase_batch)
-from .qstate import _check_near_one, _check_psd, _error_probabilities, hermitize
+from .qstate import (_check_near_one, _check_psd, _error_probabilities, _is_count,
+                     hermitize)
 
 __all__ = [
     "PhotonPacket",
@@ -170,7 +172,8 @@ def _b_components(ep: np.ndarray, em: np.ndarray) -> np.ndarray:
     """Helicity components b[..., m, +-] = <eps+-|e_m> = conj(eps+-[..., m])
     of the transversal parts of the Cartesian polarization labels
     m = x, y, z, from helicity vectors of shape S + (3,)."""
-    return np.stack([ep.conj(), em.conj()], axis=-1)
+    b = np.stack([ep, em], axis=-1)
+    return np.conjugate(b, out=b)
 
 
 def _polarization_alphas(theta: np.ndarray, phi: np.ndarray, polarization):
@@ -190,7 +193,10 @@ def _polarization_alphas(theta: np.ndarray, phi: np.ndarray, polarization):
         return b / np.sqrt(np.sum(np.abs(b) ** 2, axis=-1, keepdims=True))
     a = np.asarray(polarization, dtype=complex)
     if a.shape == theta.shape[:-1] + (2,):
-        a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+        norms = np.linalg.norm(a, axis=-1, keepdims=True)
+        if not (np.isfinite(norms) & (norms > 0)).all():
+            raise ValidationError("a helicity pair needs a finite, nonzero norm")
+        a = a / norms
         return np.repeat(a[..., None, :], theta.shape[-1], axis=-2)
     return a
 
@@ -199,6 +205,10 @@ def _collimated_rays(apertures, polarization, n_theta: int, n_phi: int) -> tuple
     """Rays of P collimated packets (see collimated_packet), unchecked:
     theta, phi, weights, profile of shape (P, N) and alpha (P, N, 2), with
     N = n_theta * n_phi. `polarization` is read by _polarization_alphas."""
+    for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if not _is_count(count):
+            raise ValidationError(f"{name} must be a whole number >= 1, got {count!r}")
+    n_theta, n_phi = int(float(n_theta)), int(float(n_phi))
     apertures = np.asarray(apertures, dtype=float)
     if not np.all((apertures > 0) & (apertures < np.pi / 2)):
         raise ValidationError("aperture must lie in (0, pi/2)")
@@ -239,13 +249,20 @@ def collimated_packet(aperture: float, polarization="linear-x",
 
 
 def _overlaps(alpha: np.ndarray, ep: np.ndarray, em: np.ndarray) -> np.ndarray:
-    """<b_m(k) | alpha> per ray and Cartesian axis m, shape (P, N, 3)."""
-    return np.einsum("pnmh,pnh->pnm", _b_components(ep, em).conj(), alpha)
+    """<b_m(k) | alpha> per ray and Cartesian axis m, shape (P, N, 3):
+    _b_components, conjugated in place, contracted with alpha.
+    The naive route's _cartesian_vectors is the same sum written out; the
+    two stay separate computations, so their gap can show a fault in
+    either. (A batched (3, 2) @ (2, 1) matmul is slower than this einsum.)"""
+    b = _b_components(ep, em)
+    return np.einsum("pnmh,pnh->pnm", np.conjugate(b, out=b), alpha)
 
 
 def _povm_expectations(masses: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """sum_i w_i |f_i|^2 |<b_m(k_i), alpha_i>|^2 per packet, shape (P, 3)."""
-    return np.einsum("pn,pnm->pm", masses, np.abs(overlaps) ** 2)
+    """sum_i w_i |f_i|^2 |<b_m(k_i), alpha_i>|^2 per packet, shape (P, 3),
+    as one (P, 1, N) @ (P, N, 3) product."""
+    squared = overlaps.real ** 2 + overlaps.imag ** 2
+    return (masses[:, None] @ squared)[:, 0]
 
 
 def _cartesian_vectors(alpha: np.ndarray, ep: np.ndarray, em: np.ndarray) -> np.ndarray:
@@ -254,8 +271,11 @@ def _cartesian_vectors(alpha: np.ndarray, ep: np.ndarray, em: np.ndarray) -> np.
 
 
 def _density_matrices(masses: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """sum_i w_i |f_i|^2 v_i v_i^dagger per packet, shape (P, 3, 3)."""
-    return np.einsum("pn,pnm,pnk->pmk", masses, vectors, vectors.conj())
+    """sum_i w_i |f_i|^2 v_i v_i^dagger per packet, shape (P, 3, 3), as one
+    (P, 3, N) @ (P, N, 3) product."""
+    weighted = vectors.conj()
+    weighted *= masses[..., None]
+    return vectors.swapaxes(-1, -2) @ weighted
 
 
 def _povm_batch(apertures, polarizations, n_theta: int, n_phi: int) -> tuple:

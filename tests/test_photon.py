@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relqinfo import lorentz, photon, qstate, selfcheck
 from relqinfo._errors import ValidationError
@@ -304,3 +307,75 @@ class TestPacketBatch:
         assert result.passed
         assert grids["povm_packets"] == 500
         assert 0 < len(calls) <= math.ceil(500 / selfcheck._POVM_BLOCK)
+
+
+# |new - einsum| of a POVM expectation or a density-matrix entry, relative to
+# the packet's mass sum: the products sum N terms of unit-scale overlaps in a
+# different order (~7e-16 measured over P in {1, 2, 7}, N in {1, 2, 192})
+CONTRACTION_GAP = 1e-15
+
+
+class TestContractions:
+    """The BLAS-shaped contractions against the einsum forms they replace,
+    kept here as the oracle."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([1, 2, 7]),
+           n=st.sampled_from([1, 2, 192]), conjugate_pair=st.booleans())
+    def test_match_einsum_oracle(self, seed, p, n, conjugate_pair):
+        rng = np.random.default_rng(seed)
+        ep, em = photon._helicity_vectors_batch(rng.uniform(0, np.pi, (p, n)),
+                                                rng.uniform(0, 2 * np.pi, (p, n)))
+        if not conjugate_pair:  # any unit second vector, not only conj(eps+)
+            em = np.roll(ep, 1, axis=-1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        alpha = rng.normal(size=(p, n, 2)) + 1j * rng.normal(size=(p, n, 2))
+        alpha /= np.linalg.norm(alpha, axis=-1, keepdims=True)
+        masses = rng.uniform(0.01, 1.0, size=(p, n))
+        scale = masses.sum(axis=1)
+
+        b = np.stack([ep.conj(), em.conj()], axis=-1)
+        oracle = np.einsum("pnmh,pnh->pnm", b.conj(), alpha)
+        overlaps = photon._overlaps(alpha, ep, em)
+        assert np.abs(overlaps - oracle).max() <= CONTRACTION_GAP
+        expectations = np.einsum("pn,pnm->pm", masses, np.abs(oracle) ** 2)
+        gap = np.abs(photon._povm_expectations(masses, overlaps) - expectations)
+        assert (gap.max(axis=1) <= CONTRACTION_GAP * scale).all()
+        matrices = np.einsum("pn,pnm,pnk->pmk", masses, oracle, oracle.conj())
+        gap = np.abs(photon._density_matrices(masses, overlaps) - matrices)
+        assert (gap.max(axis=(1, 2)) <= CONTRACTION_GAP * scale).all()
+
+
+@pytest.mark.parametrize("route", ["_b_components", "_cartesian_vectors"])
+def test_criterion_11_gap_sees_a_perturbed_route(monkeypatch, route):
+    # eps+ scaled by 1 + 1e-9 on one route only (the POVM route reads it
+    # through _b_components, the naive one through _cartesian_vectors): the
+    # effective-vs-naive gap rises to that scale and criterion 11 fails on it
+    delta = 1e-9
+    unperturbed = getattr(photon, route)
+
+    def perturbed(*args):
+        *head, ep, em = args
+        return unperturbed(*head, ep * (1.0 + delta), em)
+
+    monkeypatch.setattr(photon, route, perturbed)
+    crit = next(c for c in selfcheck.CRITERIA if c.name == "11-photon-povm")
+    result = selfcheck.run_criterion(crit, selfcheck._tols(None), selfcheck._grids(None))
+    assert delta / 10 < result.measured["max_effective_vs_naive"] < 10 * delta
+    assert not result.passed
+    assert "max_effective_vs_naive" in [c["key"] for c in result.checks if not c["holds"]]
+
+
+@pytest.mark.parametrize("counts", [{"n_phi": 0}, {"n_theta": 0}, {"n_phi": 2.5},
+                                    {"n_phi": -3}])
+def test_direction_grid_count_must_be_whole_and_positive(counts):
+    [(name, value)] = counts.items()
+    with pytest.raises(ValidationError, match=f"{name} must be a whole number >= 1, "
+                                              f"got {value}"):
+        collimated_packet(0.1, **counts)
+
+
+def test_zero_helicity_pair_is_rejected_before_dividing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="helicity pair"):
+            collimated_packet(0.1, polarization=[0, 0])
