@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DimensionError, ValidationError
-from .qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_SHELL, TOL_UNITARY, _check_identity
+from .qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_SHELL, _check_identity
 
 __all__ = [
     "ETA",
@@ -207,6 +207,16 @@ def standard_boost_massive(p: FourVector, m: float) -> LorentzTransform:
     return LorentzTransform._checked(_standard_boosts_massive(p[None], m)[0])
 
 
+def _ray_angles(K: np.ndarray) -> tuple:
+    """(theta, phi) of an (N,4) array of momenta, from the unscaled
+    components, so equal k_x, k_y give equal phi. phi = 0 wherever k_x =
+    k_y = 0; arctan2 would read the signs of the zeros (0 or pi at -z)."""
+    rho = np.hypot(K[:, 1], K[:, 2])
+    # arctan2, not arccos(khat_z): arccos loses ~1e-8 of theta near the z axis
+    theta = np.arctan2(rho, K[:, 3])
+    return theta, np.where(rho > 0, np.arctan2(K[:, 2], K[:, 1]), 0.0)
+
+
 def _standard_boosts_massless(K: np.ndarray) -> np.ndarray:
     """Null standard boosts of an (N,4) array of momenta, shape (N,4,4):
     z-boost to energy k0, then rotate the z axis onto the propagation
@@ -214,14 +224,9 @@ def _standard_boosts_massless(K: np.ndarray) -> np.ndarray:
     and every boost as LorentzTransform does."""
     K = np.asarray(K, dtype=float)
     _check_mass_shells(K, 0.0)
-    k0 = K[:, 0]
-    chi = np.log(k0)
+    chi = np.log(K[:, 0])
     ch, sh = np.cosh(chi), np.sinh(chi)
-    khat = K[:, 1:] / k0[:, None]
-    # arctan2, not arccos(khat_z): arccos loses ~1e-8 of theta near the z axis
-    theta = np.arctan2(np.hypot(khat[:, 0], khat[:, 1]), khat[:, 2])
-    phi = np.where(theta > 0, np.arctan2(khat[:, 1], khat[:, 0]), 0.0)
-    R = _rotation_to_khat_batch(theta, phi)
+    R = _rotation_to_khat_batch(*_ray_angles(K))
     # R @ Bz written out (R acting on x, y, z): Bz mixes only t and z
     L = np.zeros((K.shape[0], 4, 4))
     L[:, 0, 0] = ch
@@ -296,20 +301,31 @@ class WignerRotation:
 _QUATERNION = np.array([np.eye(2), *(1j * s for s in _PAULIS)])
 
 
+def _rotation_su2(lam: np.ndarray) -> np.ndarray:
+    """U(R), the SU(2) image of R in lam = R B, B the pure boost on lam's
+    first row: the unitary polar factor of M = _sl2c(R), R =
+    _rotation_parts(lam). Every term is O(1), so U is unitary to round-off
+    at any rapidity (the polar factor of _sl2c(lam) loses accuracy like
+    e^chi), and exactly 1 for a pure boost. No checks."""
+    R = np.eye(4)
+    R[1:, 1:] = _rotation_parts(lam[None])[0]
+    M = _sl2c(R)
+    # M^{-dagger} of an SL(2,C) matrix is its conjugated adjugate; the sum is
+    # U tr H, so the round-off-sized H - 1 of M = U H drops out
+    S = M + np.array([[M[1, 1], -M[1, 0]], [-M[0, 1], M[0, 0]]]).conj()
+    return S / np.sqrt(_det2(S))
+
+
 def _half_rapidity(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
     """(x, U) with D = +-U (x0 + i x.sigma)/|x| the SU(2) image of the
     little-group element W(lam, p), for an (N,4) grid P of mass m: x the
-    (4,N) unnormalized quaternion rows and U the SU(2) image of lam's
-    rotation part. No checks.
+    (4,N) unnormalized quaternion rows and U = _rotation_su2(lam). No checks.
 
     Half-rapidity (gyrovector) form. lam = R B with B the pure boost on
     lam's first row, and W(R B, p) = R W(B, p) for canonical boosts. With
     a = tanh(chi/2) n = lam_0i/(1 + lam_00) for B and b = p/(m + p0) for
-    L(p), W(B, p) is the unit quaternion x = (1 + a.b, a x b)/|.|. U(R) is
-    the unitary polar factor of M = _sl2c(R), with R = _rotation_parts(lam):
-    M + M^{-dagger} = U tr H, divided by sqrt(det). Every term is O(1), so
-    the result is unitary to round-off at any rapidity, and exact for a
-    pure boost, whose R is 1.
+    L(p), W(B, p) is the unit quaternion x = (1 + a.b, a x b)/|.|. Every
+    term is O(1), so the result is unitary to round-off at any rapidity.
     """
     # b on contiguous component rows: strided rows of P.T are 2x slower
     b = P[:, 1:].T.copy()
@@ -318,13 +334,7 @@ def _half_rapidity(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
     # x = (a.b, a x b) + (1, 0, 0, 0), one (4,3) @ (3,N) product
     x = np.array([a, [0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]) @ b
     x[0] += 1.0
-    R = np.eye(4)
-    R[1:, 1:] = _rotation_parts(lam[None])[0]
-    M = _sl2c(R)
-    # M^{-dagger} of an SL(2,C) matrix is its conjugated adjugate; the sum is
-    # U tr H, so the round-off-sized H - 1 of M = U H drops out
-    S = M + np.array([[M[1, 1], -M[1, 0]], [-M[0, 1], M[0, 0]]]).conj()
-    return x, S / np.sqrt(_det2(S))
+    return x, _rotation_su2(lam)
 
 
 def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
@@ -378,57 +388,47 @@ class HelicityPhase:
     xi: float
 
 
-def _null_translation(alpha: float, beta: float) -> np.ndarray:
-    """Little-group element of (1,0,0,1) carrying no rotation part."""
-    zeta = 0.5 * (alpha * alpha + beta * beta)
-    return np.array([
-        [1.0 + zeta, alpha, beta, -zeta],
-        [alpha, 1.0, 0.0, -alpha],
-        [beta, 0.0, 1.0, -beta],
-        [zeta, alpha, beta, 1.0 - zeta],
-    ])
+def helicity_phase_batch(lam: LorentzTransform, ks: np.ndarray) -> np.ndarray:
+    """Rotation angles xi in [-pi, pi] of E = L^{-1}(lam k) lam L(k) for an
+    (N,4) array of null momenta; k and lam k are checked as check_mass_shell
+    does.
 
-
-def _helicity_phases(lam: np.ndarray, K: np.ndarray, Lk: np.ndarray | None = None) -> tuple:
-    """(xi, E) for an (N,4) array of null momenta: E = L^{-1}(lam k) lam L(k),
-    (N,4,4), and its rotation angles xi; _standard_boosts_massless checks k
-    and lam k. Lk, if given, is _standard_boosts_massless(K), built once by
-    a caller that boosts the same rays several times."""
-    K = np.asarray(K, dtype=float)
-    if Lk is None:
-        Lk = _standard_boosts_massless(K)
-    Lq = _standard_boosts_massless(K @ lam.T)
-    # exact group inverse: eta L^T eta
-    E = (np.swapaxes(Lq, 1, 2) * _ETA_SIGNS) @ lam @ Lk
-    return np.arctan2(E[:, 2, 1], E[:, 1, 1]), E
+    From spinors, without E. E fixes (1,0,0,1), so its SL(2,C) image is
+    upper triangular with diagonal e^(-+ i xi/2), and its upper-left entry
+    is a positive multiple of w(lam k)^dagger U(R) H w(k): lam = R B has
+    the image U(R) H, H the positive Hermitian image of B, and w(k) =
+    (e^(-i phi/2) cos(theta/2), e^(i phi/2) sin(theta/2)) = U(R_k) (1, 0),
+    R_k the rotation of L(k). H w(k) = c w(B k) and w(B k)^dagger w(k) = c
+    w(B k)^dagger H^-1 w(B k), so H moves no phase, and xi = -2 arg(w(lam
+    k)^dagger U(R) w(k)). Every term is O(1); for a z boost U = 1 and phi
+    is kept, so xi = 0 exactly.
+    """
+    K = np.asarray(ks, dtype=float)
+    _check_mass_shells(K, 0.0)
+    Q = K @ lam.matrix.T
+    _check_mass_shells(Q, 0.0)
+    U = _rotation_su2(lam.matrix)
+    theta, phi = _ray_angles(K)
+    theta_q, phi_q = _ray_angles(Q)
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    c_q, s_q = np.cos(0.5 * theta_q), np.sin(0.5 * theta_q)
+    # by entries of U, each pair of half-azimuth phases one exponential, so
+    # equal phi and phi_q give a phase of exactly 1
+    diff, total = np.exp(0.5j * (phi_q - phi)), np.exp(0.5j * (phi_q + phi))
+    z = (U[0, 0] * (c_q * c) * diff + U[1, 1] * (s_q * s) * diff.conj()
+         + U[0, 1] * (c_q * s) * total + U[1, 0] * (s_q * c) * total.conj())
+    return np.angle(z.conj() ** 2)
 
 
 def helicity_phase(lam: LorentzTransform, k: FourVector) -> HelicityPhase:
     """Rotation angle xi of E = L^{-1}(lam k) lam L(k), which stabilizes
-    (1,0,0,1) and factors as null-translation times z-rotation.
-
-    The translation part moves transversal polarization vectors only along
-    the null momentum itself (a gauge direction) for every (alpha, beta), so
-    only the factorization is checked before xi is returned. Round-off in E
-    grows like the product of the sizes of its three factors, cosh(ln q0)
-    lam00 cosh(ln k0) with q = lam k (about lam00 k0 q0 / 4 at high energy),
-    so the check is relative to that scale.
-    """
+    (1,0,0,1) and is a null translation times a z rotation by xi; the
+    translation moves transversal polarization vectors only along k itself
+    (a gauge direction). helicity_phase_batch with a batch of one."""
     k = np.asarray(k, dtype=float)
-    xi, E = _helicity_phases(lam.matrix, k[None])
-    xi, E = float(xi[0]), E[0]
-    k0, q0 = k[0], lam.matrix[0] @ k
-    scale = (q0 + 1.0 / q0) * lam.matrix[0, 0] * (k0 + 1.0 / k0) / 4.0
-    rz = rotation([0.0, 0.0, 1.0], xi).matrix
-    if not np.abs(_null_translation(E[1, 0], E[2, 0]) @ rz - E).max() <= TOL_UNITARY * scale:
-        raise ValidationError("element does not factor as translation * rotation")
-    return HelicityPhase(xi=xi)
-
-
-def helicity_phase_batch(lam: LorentzTransform, ks: np.ndarray) -> np.ndarray:
-    """helicity_phase's xi for an (N,4) array of null momenta, in one pass
-    over E = L^{-1}(lam k) lam L(k)."""
-    return _helicity_phases(lam.matrix, ks)[0]
+    if k.shape != (4,):
+        raise DimensionError(f"four-vector must have shape (4,), got {k.shape}")
+    return HelicityPhase(xi=float(helicity_phase_batch(lam, k[None])[0]))
 
 
 def aberrate(theta, phi, v: float) -> tuple:

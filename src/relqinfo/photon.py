@@ -5,9 +5,9 @@ of momentum-independent polarization labels (whose longitudinal part is
 unphysical), the {E_x, E_y, E_z} polarization POVM, effective 3x3
 polarization density matrices, boosts along z (aberrated angles and
 frequencies from lorentz.aberrate; helicity phases from
-lorentz.helicity_phase_batch in boost_packet, and from
-lorentz._helicity_phases on the source rays' standard boosts, built once,
-in the Doppler core), and the Doppler behavior of distinguishability.
+lorentz.helicity_phase_batch, one call per boost in boost_packet and per
+velocity in the Doppler core), and the Doppler behavior of
+distinguishability.
 
 The packet math is batched over a leading packet axis: P packets of N
 rays are arrays of shape (P, N) (helicity amplitudes (P, N, 2)), and the
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import lorentz
 from ._errors import DimensionError, ValidationError
 from .lorentz import (_rotation_to_khat_batch, aberrate, boost,
                       helicity_phase_batch)
@@ -372,21 +371,19 @@ def _renormalized_error(rho1: PolarizationMatrix, rho2: PolarizationMatrix) -> f
 
 def _doppler_ratios(aperture: float, velocities, n_theta: int = 32, n_phi: int = 64,
                     polarizations=("linear-x", "linear-y")) -> list:
-    """doppler_error_ratio for each velocity, in order. The two packets, the
-    source-frame P_E and the standard boosts of the source rays are built
-    once. Both packets lie on the same rays, so each velocity boosts the
-    rays once, with one helicity-phase call, and each packet takes the
-    shared phases onto its own alpha."""
+    """doppler_error_ratio for each velocity, in order. The two packets and
+    the source-frame P_E are built once. Both packets lie on the same rays,
+    so each velocity boosts the rays once, with one helicity-phase call, and
+    each packet takes the shared phases onto its own alpha."""
     p1 = collimated_packet(aperture, polarizations[0], n_theta, n_phi)
     p2 = collimated_packet(aperture, polarizations[1], n_theta, n_phi)
     pe = _renormalized_error(effective_density_matrix(p1),
                              effective_density_matrix(p2))
     degenerate = pe < 1e-14
     k = p1.four_momenta()
-    lk = lorentz._standard_boosts_massless(k)
     out = []
     for v in velocities:
-        xi = lorentz._helicity_phases(boost(np.array([0.0, 0.0, v])).matrix, k, lk)[0]
+        xi = helicity_phase_batch(boost(np.array([0.0, 0.0, v])), k)
         rays = _boosted_rays(p1, v, xi)
         pe_prime = _renormalized_error(effective_density_matrix(_boosted(p1, rays)),
                                        effective_density_matrix(_boosted(p2, rays)))

@@ -50,7 +50,7 @@ TOL_PSD = 1e-10
 TOL_SHELL = 1e-10  # |p.p - m^2| / max(1, p0^2): cancels to m^2, round-off eps p0^2
 # |P - 1| for a product that must be 1: U U^dagger, a basis's Gram matrix, Kraus or
 # POVM completeness, X^2, eta L^T eta L, a little-group D D^dagger; times the
-# round-off scale of Lorentz matrices (L00^2) or helicity_phase (lam00 k0 q0/4).
+# round-off scale of Lorentz matrices (L00^2).
 TOL_UNITARY = 1e-10
 
 

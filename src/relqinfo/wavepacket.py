@@ -57,8 +57,9 @@ class PacketSpec:
         if self.extent < 3:
             raise ValidationError("grid extent must be at least 3 spreads")
         # points = 1 is the sharp-momentum limit (a single center sample)
-        if self.points < 1 or self.points % 2 == 0:
-            raise ValidationError("points per axis must be odd")
+        if not qstate._is_count(self.points) or float(self.points) % 2 == 0:
+            raise ValidationError(f"points per axis must be an odd count, got {self.points!r}")
+        object.__setattr__(self, "points", int(float(self.points)))
 
 
 @dataclass(frozen=True)

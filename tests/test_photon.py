@@ -200,12 +200,10 @@ class TestDopplerErrorRatio:
             assert doppler_error_ratio(0.05, v, n_theta=16, n_phi=24) == row
 
     def test_shared_rays_match_separate_boosts(self):
-        # the rays as _doppler_ratios boosts them, with their standard boosts given
+        # the rays as _doppler_ratios boosts them, with one phase call for both
         p1 = collimated_packet(0.1, "linear-x", 12, 16)
         p2 = collimated_packet(0.1, "plus", 12, 16)
-        k = p1.four_momenta()
-        xi = lorentz._helicity_phases(lorentz.boost([0.0, 0.0, 0.4]).matrix, k,
-                                      lorentz._standard_boosts_massless(k))[0]
+        xi = lorentz.helicity_phase_batch(lorentz.boost([0.0, 0.0, 0.4]), p1.four_momenta())
         rays = photon._boosted_rays(p1, 0.4, xi)
         for pk in (p1, p2):
             shared, alone = photon._boosted(pk, rays), boost_packet(pk, 0.4)

@@ -32,12 +32,18 @@ class TestConstruction:
         assert qstate.von_neumann_entropy(tau) < 1e-12
 
     def test_spec_validation(self):
-        with pytest.raises(ValidationError):
-            PacketSpec(mass=1.0, spread=0.1, points=10)
+        for points in (10, 2.5, np.nan, np.inf, 0, -1, None, "x"):
+            with pytest.raises(ValidationError, match="points"):
+                PacketSpec(mass=1.0, spread=0.1, points=points)
         with pytest.raises(ValidationError):
             PacketSpec(mass=1.0, spread=0.1, extent=2.0)
         with pytest.raises(ValidationError):
             PacketSpec(mass=-1.0)
+
+    def test_spec_stores_whole_float_points_as_int(self):
+        spec = PacketSpec(mass=1.0, points=3.0)
+        assert type(spec.points) is int and spec.points == 3
+        assert len(gaussian_packet(spec).weights) == 27
 
     def test_constructor_rejects_each_bad_input(self):
         p = small_packet(points=3)
