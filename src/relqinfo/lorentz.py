@@ -26,7 +26,6 @@ __all__ = [
     "FourVector",
     "LorentzTransform",
     "WignerRotation",
-    "HelicityPhase",
     "check_mass_shell",
     "boost",
     "rotation",
@@ -34,12 +33,9 @@ __all__ = [
     "standard_boost_massive",
     "standard_boost_massless",
     "wigner_rotation",
-    "helicity_phase",
     "helicity_phase_batch",
     "wigner_su2_batch",
     "aberrate",
-    "rotation_to_khat",
-    "su2_from_rotation",
     "rotation_from_su2",
 ]
 
@@ -272,14 +268,6 @@ def _sl2c(lam: np.ndarray) -> np.ndarray:
     return cand[c] / np.sqrt(det[c])
 
 
-def su2_from_rotation(R: np.ndarray) -> np.ndarray:
-    """SU(2) element covering a 3x3 rotation; branch with angle in [0, pi]."""
-    L = np.eye(4)
-    L[1:, 1:] = R
-    u = _sl2c(L)
-    return -u if np.trace(u).real < 0 else u
-
-
 def rotation_from_su2(u: np.ndarray) -> np.ndarray:
     """Adjoint (double-cover) map R_ij = tr(sigma_i U sigma_j U†)/2."""
     u = np.asarray(u, dtype=complex)
@@ -381,13 +369,6 @@ def wigner_rotation(lam: LorentzTransform, p: FourVector, m: float) -> WignerRot
                           angle=float(angle), su2=d)
 
 
-@dataclass(frozen=True)
-class HelicityPhase:
-    """Rotation angle of a null-momentum little-group element (mod 2pi)."""
-
-    xi: float
-
-
 def helicity_phase_batch(lam: LorentzTransform, ks: np.ndarray) -> np.ndarray:
     """Rotation angles xi in [-pi, pi] of E = L^{-1}(lam k) lam L(k) for an
     (N,4) array of null momenta; k and lam k are checked as check_mass_shell
@@ -401,7 +382,8 @@ def helicity_phase_batch(lam: LorentzTransform, ks: np.ndarray) -> np.ndarray:
     R_k the rotation of L(k). H w(k) = c w(B k) and w(B k)^dagger w(k) = c
     w(B k)^dagger H^-1 w(B k), so H moves no phase, and xi = -2 arg(w(lam
     k)^dagger U(R) w(k)). Every term is O(1); for a z boost U = 1 and phi
-    is kept, so xi = 0 exactly.
+    is kept, so xi = 0 exactly. A float lam carries lam k only to about
+    eps lam_00 k0, so a ray that lam redshifts below that is rejected.
     """
     K = np.asarray(ks, dtype=float)
     _check_mass_shells(K, 0.0)
@@ -418,17 +400,6 @@ def helicity_phase_batch(lam: LorentzTransform, ks: np.ndarray) -> np.ndarray:
     z = (U[0, 0] * (c_q * c) * diff + U[1, 1] * (s_q * s) * diff.conj()
          + U[0, 1] * (c_q * s) * total + U[1, 0] * (s_q * c) * total.conj())
     return np.angle(z.conj() ** 2)
-
-
-def helicity_phase(lam: LorentzTransform, k: FourVector) -> HelicityPhase:
-    """Rotation angle xi of E = L^{-1}(lam k) lam L(k), which stabilizes
-    (1,0,0,1) and is a null translation times a z rotation by xi; the
-    translation moves transversal polarization vectors only along k itself
-    (a gauge direction). helicity_phase_batch with a batch of one."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (4,):
-        raise DimensionError(f"four-vector must have shape (4,), got {k.shape}")
-    return HelicityPhase(xi=float(helicity_phase_batch(lam, k[None])[0]))
 
 
 def aberrate(theta, phi, v: float) -> tuple:
@@ -453,7 +424,8 @@ def aberrate(theta, phi, v: float) -> tuple:
 
 
 def _rotation_to_khat_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """rotation_to_khat for arrays of directions, shape (N,3,3)."""
+    """Standard rotations carrying (0,0,1) onto the (theta, phi) directions,
+    shape (N,3,3)."""
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
     R = np.empty((np.size(theta), 3, 3))
@@ -467,9 +439,3 @@ def _rotation_to_khat_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     R[:, 2, 1] = 0.0
     R[:, 2, 2] = ct
     return R
-
-
-def rotation_to_khat(theta: float, phi: float) -> np.ndarray:
-    """Standard rotation carrying (0,0,1) onto the (theta, phi) direction."""
-    return _rotation_to_khat_batch(np.array([theta], dtype=float),
-                                   np.array([phi], dtype=float))[0]

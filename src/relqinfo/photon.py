@@ -1,7 +1,7 @@
 """Photon polarization on direction grids.
 
-Helicity bases per propagation direction, the transversal decomposition
-of momentum-independent polarization labels (whose longitudinal part is
+Helicity bases per propagation direction, the helicity components of
+momentum-independent polarization labels (whose longitudinal part is
 unphysical), the {E_x, E_y, E_z} polarization POVM, effective 3x3
 polarization density matrices, boosts along z (aberrated angles and
 frequencies from lorentz.aberrate; helicity phases from
@@ -30,22 +30,20 @@ from .qstate import (_check_near_one, _check_psd, _error_probabilities, _is_coun
 __all__ = [
     "PhotonPacket",
     "PolarizationMatrix",
-    "helicity_vectors",
-    "transversal_decomposition",
     "collimated_packet",
     "povm_expectation",
     "effective_density_matrix",
     "naive_density_matrix",
     "boost_packet",
-    "doppler_error_ratio",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def _helicity_vectors_batch(theta: np.ndarray, phi: np.ndarray) -> tuple:
-    """Helicity vectors at directions of any shape S, each S + (3,): the
-    standard rotation R applied to (1, +-i, 0)/sqrt(2), that is
+    """Right/left circular polarization 3-vectors at directions of any
+    shape S, each S + (3,): the standard rotation R carrying (0,0,1) onto
+    the direction, applied to (1, +-i, 0)/sqrt(2), that is
     (R e_x +- i R e_y)/sqrt(2), so eps- = conj(eps+)."""
     theta = np.asarray(theta, dtype=float)
     R = _rotation_to_khat_batch(theta.ravel(), np.ravel(phi))
@@ -54,34 +52,6 @@ def _helicity_vectors_batch(theta: np.ndarray, phi: np.ndarray) -> tuple:
     ep.real = R[..., 0] * _INV_SQRT2
     ep.imag = R[..., 1] * _INV_SQRT2
     return ep, ep.conj()
-
-
-def helicity_vectors(theta: float, phi: float) -> tuple:
-    """Right/left circular polarization 3-vectors at direction (theta, phi):
-    the standard rotation applied to (1, +-i, 0)/sqrt(2)."""
-    ep, em = _helicity_vectors_batch(np.array([theta], dtype=float),
-                                     np.array([phi], dtype=float))
-    return ep[0], em[0]
-
-
-def transversal_decomposition(direction, theta: float, phi: float) -> tuple:
-    """Split a unit polarization label into helicity and longitudinal parts.
-
-    Returns (n_plus, n_minus, n_ell, c): conjugate-paired helicity
-    components eps+-bar . n, the longitudinal overlap n . khat, and the
-    transversal weight c = sqrt(|n+|^2 + |n-|^2). Components satisfy
-    |n+|^2 + |n-|^2 + |n_ell|^2 = 1.
-    """
-    n = np.asarray(direction, dtype=complex)
-    _check_near_one(np.linalg.norm(n) ** 2, "polarization label norm^2")
-    ep, em = helicity_vectors(theta, phi)
-    khat = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
-                     np.cos(theta)])
-    n_plus = complex(ep.conj() @ n)
-    n_minus = complex(em.conj() @ n)
-    n_ell = complex(khat @ n)
-    c = float(np.sqrt(abs(n_plus) ** 2 + abs(n_minus) ** 2))
-    return n_plus, n_minus, n_ell, c
 
 
 def _checked_polarization(matrices: np.ndarray) -> np.ndarray:
@@ -371,10 +341,19 @@ def _renormalized_error(rho1: PolarizationMatrix, rho2: PolarizationMatrix) -> f
 
 def _doppler_ratios(aperture: float, velocities, n_theta: int = 32, n_phi: int = 64,
                     polarizations=("linear-x", "linear-y")) -> list:
-    """doppler_error_ratio for each velocity, in order. The two packets and
-    the source-frame P_E are built once. Both packets lie on the same rays,
-    so each velocity boosts the rays once, with one helicity-phase call, and
-    each packet takes the shared phases onto its own alpha."""
+    """Distinguishability change of two same-profile packets under a z
+    boost, one dict per velocity, in order.
+
+    P_E compares the (trace-renormalized) effective 3x3 matrices in the
+    source frame, P_E' after boosting both packets by v. In the small-
+    aperture limit the ratio approaches (1+v)/(1-v). A source-frame error
+    below 1e-14 cannot support a ratio and is reported as degenerate.
+
+    The two packets and the source-frame P_E are built once. Both packets
+    lie on the same rays, so each velocity boosts the rays once, with one
+    helicity-phase call, and each packet takes the shared phases onto its
+    own alpha.
+    """
     p1 = collimated_packet(aperture, polarizations[0], n_theta, n_phi)
     p2 = collimated_packet(aperture, polarizations[1], n_theta, n_phi)
     pe = _renormalized_error(effective_density_matrix(p1),
@@ -391,15 +370,3 @@ def _doppler_ratios(aperture: float, velocities, n_theta: int = 32, n_phi: int =
                     "ratio": None if degenerate else pe_prime / pe,
                     "degenerate": degenerate})
     return out
-
-
-def doppler_error_ratio(aperture: float, v: float, n_theta: int = 32,
-                        n_phi: int = 64, polarizations=("linear-x", "linear-y")) -> dict:
-    """Distinguishability change of two same-profile packets under a z boost.
-
-    P_E compares the (trace-renormalized) effective 3x3 matrices in the
-    source frame, P_E' after boosting both packets by v. In the small-
-    aperture limit the ratio approaches (1+v)/(1-v). A source-frame error
-    below 1e-14 cannot support a ratio and is reported as degenerate.
-    """
-    return _doppler_ratios(aperture, [v], n_theta, n_phi, polarizations)[0]

@@ -2,8 +2,8 @@
 
 Complex linear-algebra substrate used by every other module: validated
 density matrices, partial trace, von Neumann entropy, the Helstrom error
-probability for discriminating two equiprobable states, the two-qubit
-spin flip and the concurrence entanglement monotone.
+probability for discriminating two equiprobable states and the
+two-qubit concurrence entanglement monotone.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ __all__ = [
     "partial_trace",
     "von_neumann_entropy",
     "error_probability",
-    "spin_flip",
     "concurrence",
     "hermitize",
     "haar_state",
@@ -136,11 +135,6 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim, dtype=complex) / dim)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Real spectrum, ascending, with small negatives clipped to 0."""
-        ev = np.linalg.eigvalsh(self.matrix)
-        return np.where((ev < 0) & (ev > -TOL_PSD), 0.0, ev)
 
 
 @dataclass(frozen=True)
@@ -259,14 +253,6 @@ def _error_probabilities(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
 _SYY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
-def spin_flip(rho) -> DensityMatrix:
-    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y) on a two-qubit state."""
-    m = _as_matrix(rho)
-    if m.shape != (4, 4):
-        raise DimensionError("spin flip is defined for 4x4 two-qubit states")
-    return DensityMatrix(_SYY @ m.conj() @ _SYY)
-
-
 def concurrence(rho) -> float:
     """Two-qubit concurrence max(0, l1 - l2 - l3 - l4).
 
@@ -301,10 +287,15 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator,
-                          rank: int | None = None) -> DensityMatrix:
-    """Random mixed state: normalized GG† with G Ginibre of the given rank."""
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+def _random_density_batch(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n random mixed states, shape (n, dim, dim): normalized G G† with G a
+    square Ginibre matrix, all real parts drawn before the imaginary ones."""
+    g = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    rhos = g @ np.conj(np.swapaxes(g, 1, 2))
+    tr = np.einsum("nii->n", rhos).real
+    return rhos / tr[:, None, None]
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    """Random mixed state: _random_density_batch with a batch of one."""
+    return DensityMatrix(_random_density_batch(1, dim, rng)[0])

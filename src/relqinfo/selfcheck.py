@@ -169,13 +169,6 @@ def _check_teleport(grids):
             "fidelity_loss": 1.0 - worst_fid}
 
 
-def _random_density_batch(n, rng):
-    g = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
-    rhos = g @ np.conj(np.swapaxes(g, 1, 2))
-    tr = np.einsum("nii->n", rhos).real
-    return rhos / tr[:, None, None]
-
-
 def _check_chsh(grids):
     singlet = DensityMatrix.from_pure(channel.bell_state("psi-"))
     z_singlet, settings = channel.chsh_optimize(singlet)
@@ -193,7 +186,7 @@ def _check_chsh(grids):
 
     # random (state, Bloch settings) draws against the quantum bound
     n = grids["chsh_draws"]
-    T = channel._correlation_matrix(_random_density_batch(n, rng))
+    T = channel._correlation_matrix(qstate._random_density_batch(n, 4, rng))
 
     def bloch_batch(k):
         v = rng.normal(size=(k, 3))

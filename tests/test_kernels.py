@@ -204,11 +204,11 @@ class TestHalfRapidityForm:
         rotation about R n that small leaves the rounded entries as they
         are); D is U(R) times the closed form within that."""
         chi, axis = 20.0, (0.3, -0.2, 0.9)
-        R = lorentz.rotation([1.0, 2.0, 3.0], 2.0)
-        lam = lorentz.compose(R, lorentz.boost(rapidity=chi, axis=axis))
+        n = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+        lam = lorentz.compose(lorentz.rotation(n, 2.0), lorentz.boost(rapidity=chi, axis=axis))
         P = random_grid(np.random.default_rng(68), 200, 1.0)
         _, D = kernels.wigner_su2_batch(lam.matrix, P, 1.0)
-        ref = lorentz.su2_from_rotation(R.matrix[1:, 1:]) @ self.wigner_angle_oracle(chi, axis, P, 1.0)
+        ref = expected_su2(n, 2.0) @ self.wigner_angle_oracle(chi, axis, P, 1.0)
         gap = np.minimum(np.abs(D - ref).max(axis=(1, 2)), np.abs(D + ref).max(axis=(1, 2)))
         assert gap.max() <= 4 * np.finfo(float).eps * np.cosh(chi)
 
@@ -246,14 +246,6 @@ class TestShepperdNearPi:
         else:  # w ~ 0: either sheet of the double cover is canonical
             assert min(np.abs(d - ref).max(), np.abs(d + ref).max()) < tol
 
-    def test_su2_from_rotation(self, axis, angle):
-        for n in (np.array(axis), -np.array(axis)):
-            d = lorentz.su2_from_rotation(lorentz._rotation3(n, angle))
-            self.check(d, n, angle, 1e-12)
-            # the same rotation written about the opposite axis
-            flipped = lorentz.su2_from_rotation(lorentz._rotation3(-n, -angle))
-            assert np.abs(flipped - d).max() < 1e-12
-
     def test_numpy_kernel(self, axis, angle):
         for n in (np.array(axis), -np.array(axis)):
             _, D = kernels.wigner_su2_batch(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)
@@ -281,24 +273,23 @@ def test_rotation_just_below_pi_keeps_full_precision(axis):
         ref = expected_su2(n, angle)
         _, D = kernels.wigner_su2_batch(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)
         assert np.abs(D - ref).max() < 1e-14
-        assert np.abs(lorentz.su2_from_rotation(lorentz._rotation3(n, angle)) - ref).max() < 1e-14
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(axis=unit_vectors, gap=st.floats(0.0, 1e-3))
 def test_double_cover_near_pi(axis, gap):
-    """At angles in [pi - 1e-3, pi] about any axis, su2_from_rotation and
-    the kernel's image of the same pure rotation are cos(a/2) - i sin(a/2)
-    n.sigma to round-off, and the adjoint map returns the rotation. Where
-    cos(a/2) is below round-off, Re tr D >= 0 cannot pick a sheet, so
-    either sheet is accepted there."""
+    """At angles in [pi - 1e-3, pi] about any axis, the kernel's image of
+    the pure rotation is cos(a/2) - i sin(a/2) n.sigma to round-off, and
+    the adjoint map returns the rotation. Where cos(a/2) is below
+    round-off, Re tr D >= 0 cannot pick a sheet, so either sheet is
+    accepted there."""
     n = np.asarray(axis) / np.linalg.norm(axis)
     angle = np.pi - gap
     R = lorentz._rotation3(n, angle)
     ref = expected_su2(n, angle)
     sheets = (ref, -ref) if np.cos(angle / 2) < 1e-14 else (ref,)
     _, D = kernels.wigner_su2_batch(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)
-    for d in (lorentz.su2_from_rotation(R), *D):
+    for d in D:
         assert min(np.abs(d - s).max() for s in sheets) < 1e-14
         assert np.abs(lorentz.rotation_from_su2(d) - R).max() < 1e-14
         assert abs(np.linalg.det(d) - 1.0) < 1e-14

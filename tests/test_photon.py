@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 from relqinfo import lorentz, photon, qstate, selfcheck
 from relqinfo._errors import ValidationError
 from relqinfo.photon import (PolarizationMatrix, boost_packet,
-                             collimated_packet, doppler_error_ratio,
-                             effective_density_matrix, helicity_vectors,
-                             naive_density_matrix, povm_expectation,
-                             transversal_decomposition)
+                             collimated_packet, effective_density_matrix,
+                             naive_density_matrix, povm_expectation)
 
 
 class TestHelicityVectors:
     def test_standard_direction(self):
-        ep, em = helicity_vectors(0.0, 0.0)
+        ep, em = photon._helicity_vectors_batch(0.0, 0.0)
         assert np.abs(ep - np.array([1, 1j, 0]) / np.sqrt(2)).max() < 1e-14
         assert np.abs(em - np.array([1, -1j, 0]) / np.sqrt(2)).max() < 1e-14
 
@@ -27,43 +25,21 @@ class TestHelicityVectors:
             th, ph = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
             khat = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
                              np.cos(th)])
-            ep, em = helicity_vectors(th, ph)
+            ep, em = photon._helicity_vectors_batch(th, ph)
             assert abs(ep @ khat) < 1e-12 and abs(em @ khat) < 1e-12
             assert abs(np.linalg.norm(ep) - 1.0) < 1e-12
             assert abs(ep.conj() @ em) < 1e-12
+            # the x label's helicity components, (cos th cos ph +- i sin ph)/sqrt2,
+            # and its longitudinal part khat_x complete it to norm 1
+            b = photon._b_components(ep, em)[0]
+            assert abs(b[0] - (np.cos(th) * np.cos(ph) + 1j * np.sin(ph)) / np.sqrt(2)) < 1e-12
+            assert abs(b[1] - (np.cos(th) * np.cos(ph) - 1j * np.sin(ph)) / np.sqrt(2)) < 1e-12
+            assert abs(np.sum(np.abs(b) ** 2) + khat[0] ** 2 - 1.0) < 1e-12
 
     def test_x_direction_matches_rotation_oracle(self):
-        ep, _ = helicity_vectors(np.pi / 2, 0.0)
-        R = lorentz.rotation_to_khat(np.pi / 2, 0.0)
+        ep, _ = photon._helicity_vectors_batch(np.pi / 2, 0.0)
+        R = lorentz._rotation_to_khat_batch(np.pi / 2, 0.0)[0]
         assert np.abs(ep - R @ (np.array([1, 1j, 0]) / np.sqrt(2))).max() < 1e-14
-
-
-class TestTransversalDecomposition:
-    def test_x_label_on_axis_beam(self):
-        n_plus, n_minus, n_ell, c = transversal_decomposition([1.0, 0, 0], 0.0, 0.0)
-        assert abs(abs(n_plus) ** 2 + abs(n_minus) ** 2 - 1.0) < 1e-12
-        assert abs(n_ell) < 1e-14
-        assert abs(c - 1.0) < 1e-12
-
-    def test_longitudinal_label(self):
-        n_plus, n_minus, n_ell, c = transversal_decomposition(
-            [1.0, 0, 0], np.pi / 2, 0.0)
-        assert abs(c) < 1e-12
-        assert abs(abs(n_ell) - 1.0) < 1e-12
-
-    def test_component_pattern_and_completeness(self):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            th, ph = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            n_plus, n_minus, n_ell, c = transversal_decomposition(
-                [1.0, 0, 0], th, ph)
-            # displayed coefficient pattern (cos th cos ph +- i sin ph)/sqrt2
-            want_p = (np.cos(th) * np.cos(ph) + 1j * np.sin(ph)) / np.sqrt(2)
-            want_m = (np.cos(th) * np.cos(ph) - 1j * np.sin(ph)) / np.sqrt(2)
-            assert abs(n_plus - want_p) < 1e-12
-            assert abs(n_minus - want_m) < 1e-12
-            assert abs(abs(n_plus) ** 2 + abs(n_minus) ** 2 + abs(n_ell) ** 2
-                       - 1.0) < 1e-12
 
 
 class TestPovmExpectation:
@@ -178,26 +154,20 @@ class TestBoost:
 
 class TestDopplerErrorRatio:
     def test_zero_velocity(self):
-        out = doppler_error_ratio(0.05, 0.0)
+        out = photon._doppler_ratios(0.05, [0.0])[0]
         assert abs(out["ratio"] - 1.0) < 1e-10
 
     def test_doppler_law_at_half(self):
-        out = doppler_error_ratio(0.05, 0.5)
+        out = photon._doppler_ratios(0.05, [0.5])[0]
         assert abs(out["ratio"] - 3.0) < 0.02 * 3.0
 
     def test_inverse_velocity(self):
-        out = doppler_error_ratio(0.05, -0.5)
+        out = photon._doppler_ratios(0.05, [-0.5])[0]
         assert abs(out["ratio"] - 1.0 / 3.0) < 0.02 / 3.0
 
     def test_reported_errors_positive(self):
-        out = doppler_error_ratio(0.05, 0.25)
+        out = photon._doppler_ratios(0.05, [0.25])[0]
         assert out["P_E"] > 1e-14 and not out["degenerate"]
-
-    def test_scalar_is_the_core_entry_bit_for_bit(self):
-        velocities = (-0.5, -0.25, 0.0, 0.25, 0.5)
-        rows = photon._doppler_ratios(0.05, velocities, n_theta=16, n_phi=24)
-        for v, row in zip(velocities, rows):
-            assert doppler_error_ratio(0.05, v, n_theta=16, n_phi=24) == row
 
     def test_shared_rays_match_separate_boosts(self):
         # the rays as _doppler_ratios boosts them, with one phase call for both

@@ -9,7 +9,7 @@ from relqinfo import channel, horizon, lorentz, photon, qstate, wavepacket
 from relqinfo.qstate import (SIGMA_X, SIGMA_Z, DensityMatrix, DimensionError,
                              PureState, SubsystemSplit, ValidationError,
                              concurrence, error_probability, partial_trace,
-                             spin_flip, von_neumann_entropy)
+                             von_neumann_entropy)
 
 
 def bell_phi_plus():
@@ -31,9 +31,7 @@ class TestDensityMatrix:
 
     def test_from_pure_and_eigenvalues(self):
         rho = DensityMatrix.from_pure(bell_phi_plus())
-        ev = rho.eigenvalues()
-        assert ev.min() >= 0
-        assert abs(ev.max() - 1.0) < 1e-12
+        assert np.abs(np.linalg.eigvalsh(rho.matrix) - [0, 0, 0, 1]).max() < 1e-12
 
 
 class TestPartialTrace:
@@ -135,33 +133,6 @@ class TestErrorProbability:
                               DensityMatrix.maximally_mixed(3))
 
 
-class TestSpinFlip:
-    def test_maximally_mixed_fixed(self):
-        rho = DensityMatrix.maximally_mixed(4)
-        assert np.abs(spin_flip(rho).matrix - rho.matrix).max() < 1e-14
-
-    def test_phi_plus_fixed(self):
-        rho = DensityMatrix.from_pure(bell_phi_plus())
-        assert np.abs(spin_flip(rho).matrix - rho.matrix).max() < 1e-14
-
-    def test_01_goes_to_10(self):
-        v01 = np.kron([1, 0], [0, 1]).astype(complex)
-        v10 = np.kron([0, 1], [1, 0]).astype(complex)
-        got = spin_flip(DensityMatrix.from_pure(v01))
-        assert np.abs(got.matrix - np.outer(v10, v10.conj())).max() < 1e-14
-
-    def test_involution(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            rho = qstate.random_density_matrix(4, rng)
-            twice = spin_flip(spin_flip(rho))
-            assert np.abs(twice.matrix - rho.matrix).max() < 1e-14
-
-    def test_wrong_dimension(self):
-        with pytest.raises(DimensionError):
-            spin_flip(DensityMatrix.maximally_mixed(2))
-
-
 class TestConcurrence:
     def test_maximally_entangled(self):
         assert abs(concurrence(DensityMatrix.from_pure(bell_phi_plus())) - 1.0) < 1e-10
@@ -259,8 +230,6 @@ def _nan_probes():
         "PhotonPacket-frequency": lambda: _photon_packet(k0=_nan_at(_BEAM.k0)),
         "BipartitePacket": lambda: wavepacket.BipartitePacket(
             pair.first, pair.second, _nan_at(pair.amplitudes, 3)),
-        "transversal_decomposition": lambda: photon.transversal_decomposition(
-            [np.nan, 0.0, 1.0], 0.1, 0.2),
         "kraus_from_unitary": lambda: _kraus_from(_nan_at(np.eye(4), 5)),
         "check_mass_shell": lambda: lorentz.check_mass_shell([1.0, np.nan, 0.0, 0.0], 1.0),
         "chsh_value": lambda: channel.chsh_value(

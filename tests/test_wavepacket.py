@@ -13,6 +13,7 @@ from relqinfo.wavepacket import (BipartitePacket, PacketSpec, SpinorPacket,
                                  gaussian_packet, noncovariance_witness,
                                  packet_error_scaling, reduced_spin,
                                  reduced_spin_pair, singlet_packet)
+from test_kernels import expected_su2
 
 
 def small_packet(**kw):
@@ -110,7 +111,7 @@ class TestBoost:
         p = small_packet(spin_axis=(1.0, 0, 0))
         lam = rotation([0, 0, 1.0], 0.9)
         tau_rot = reduced_spin(boost_packet(p, lam))
-        u = lorentz.su2_from_rotation(lam.matrix[1:, 1:])
+        u = expected_su2([0, 0, 1.0], 0.9)
         expected = u @ reduced_spin(p).matrix @ u.conj().T
         assert np.abs(tau_rot.matrix - expected).max() < 1e-10
 
