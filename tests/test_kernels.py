@@ -246,6 +246,18 @@ class TestShepperdNearPi:
         else:  # w ~ 0: either sheet of the double cover is canonical
             assert min(np.abs(d - ref).max(), np.abs(d + ref).max()) < tol
 
+    def test_su2_from_rotation(self, axis, angle):
+        # U(R), the SU(2) image of lam's rotation part before the kernel
+        # picks the canonical branch, so either sheet is accepted
+        for n in (np.array(axis), -np.array(axis)):
+            d = lorentz._rotation_su2(lorentz.rotation(n, angle).matrix)
+            ref = expected_su2(n, angle)
+            assert min(np.abs(d - ref).max(), np.abs(d + ref).max()) < 1e-12
+            assert np.abs(lorentz.rotation_from_su2(d) - lorentz._rotation3(n, angle)).max() < 1e-12
+            # the same rotation written about the opposite axis
+            flipped = lorentz._rotation_su2(lorentz.rotation(-n, -angle).matrix)
+            assert np.abs(flipped - d).max() < 1e-12
+
     def test_numpy_kernel(self, axis, angle):
         for n in (np.array(axis), -np.array(axis)):
             _, D = kernels.wigner_su2_batch(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)

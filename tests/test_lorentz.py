@@ -326,6 +326,20 @@ class TestWignerRotation:
                 L = standard_boost_massive(p, m).matrix
                 assert np.abs(L @ [m, 0, 0, 0] - p).max() < 1e-15 * p[0]
 
+    def test_su2_double_cover_properties(self):
+        # U(R), the SU(2) image of a pure rotation, and the adjoint map back
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            ang = rng.uniform(0, np.pi)
+            u1 = lorentz._rotation_su2(rotation(axis, ang).matrix)
+            u2 = lorentz._rotation_su2(rotation(-axis, -ang).matrix)
+            assert np.abs(u1 - u2).max() < 1e-10
+            assert abs(np.linalg.det(u1) - 1.0) < 1e-10
+            back = rotation_from_su2(u1)
+            assert np.abs(back - lorentz._rotation3(axis, ang)).max() < 1e-10
+
 
 class TestHelicityPhase:
     @pytest.mark.parametrize("chi", [np.arctanh(0.7), 20.0, -20.0, 30.0, -30.0])

@@ -29,17 +29,46 @@ class TestHelicityVectors:
             assert abs(ep @ khat) < 1e-12 and abs(em @ khat) < 1e-12
             assert abs(np.linalg.norm(ep) - 1.0) < 1e-12
             assert abs(ep.conj() @ em) < 1e-12
-            # the x label's helicity components, (cos th cos ph +- i sin ph)/sqrt2,
-            # and its longitudinal part khat_x complete it to norm 1
-            b = photon._b_components(ep, em)[0]
-            assert abs(b[0] - (np.cos(th) * np.cos(ph) + 1j * np.sin(ph)) / np.sqrt(2)) < 1e-12
-            assert abs(b[1] - (np.cos(th) * np.cos(ph) - 1j * np.sin(ph)) / np.sqrt(2)) < 1e-12
-            assert abs(np.sum(np.abs(b) ** 2) + khat[0] ** 2 - 1.0) < 1e-12
 
     def test_x_direction_matches_rotation_oracle(self):
         ep, _ = photon._helicity_vectors_batch(np.pi / 2, 0.0)
         R = lorentz._rotation_to_khat_batch(np.pi / 2, 0.0)[0]
         assert np.abs(ep - R @ (np.array([1, 1j, 0]) / np.sqrt(2))).max() < 1e-14
+
+
+class TestTransversalDecomposition:
+    """The helicity components <eps+-|e_m> of the Cartesian labels, as the
+    POVM route reads them (_b_components); the longitudinal overlap khat_m
+    is the rest of each unit label."""
+
+    @staticmethod
+    def components(th, ph):
+        ep, em = photon._helicity_vectors_batch(th, ph)
+        khat = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+        return photon._b_components(ep, em), khat
+
+    def test_x_label_on_axis_beam(self):
+        b, khat = self.components(0.0, 0.0)
+        assert abs(np.sum(np.abs(b[0]) ** 2) - 1.0) < 1e-12
+        assert abs(khat[0]) < 1e-14
+
+    def test_longitudinal_label(self):
+        b, khat = self.components(np.pi / 2, 0.0)
+        assert np.abs(b[0]).max() < 1e-12
+        assert abs(abs(khat[0]) - 1.0) < 1e-12
+
+    def test_component_pattern_and_completeness(self):
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            th, ph = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
+            b, khat = self.components(th, ph)
+            # displayed coefficient pattern (cos th cos ph +- i sin ph)/sqrt2
+            want_p = (np.cos(th) * np.cos(ph) + 1j * np.sin(ph)) / np.sqrt(2)
+            want_m = (np.cos(th) * np.cos(ph) - 1j * np.sin(ph)) / np.sqrt(2)
+            assert abs(b[0, 0] - want_p) < 1e-12
+            assert abs(b[0, 1] - want_m) < 1e-12
+            # each of the x, y, z labels: transversal weight plus longitudinal
+            assert np.abs(np.sum(np.abs(b) ** 2, axis=1) + khat ** 2 - 1.0).max() < 1e-12
 
 
 class TestPovmExpectation:
@@ -168,6 +197,13 @@ class TestDopplerErrorRatio:
     def test_reported_errors_positive(self):
         out = photon._doppler_ratios(0.05, [0.25])[0]
         assert out["P_E"] > 1e-14 and not out["degenerate"]
+
+    def test_scalar_is_the_core_entry_bit_for_bit(self):
+        # one velocity at a time gives each row of the batched call exactly
+        velocities = (-0.5, -0.25, 0.0, 0.25, 0.5)
+        rows = photon._doppler_ratios(0.05, velocities, n_theta=16, n_phi=24)
+        for v, row in zip(velocities, rows):
+            assert photon._doppler_ratios(0.05, [v], n_theta=16, n_phi=24) == [row]
 
     def test_shared_rays_match_separate_boosts(self):
         # the rays as _doppler_ratios boosts them, with one phase call for both

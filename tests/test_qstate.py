@@ -33,6 +33,20 @@ class TestDensityMatrix:
         rho = DensityMatrix.from_pure(bell_phi_plus())
         assert np.abs(np.linalg.eigvalsh(rho.matrix) - [0, 0, 0, 1]).max() < 1e-12
 
+    def test_random_states_are_one_ginibre_sampler(self):
+        """n normalized G G†, every real part of G drawn before the imaginary
+        ones; random_density_matrix is the batch of one."""
+        rhos = qstate._random_density_batch(5, 3, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        for rho, gi in zip(rhos, g):
+            m = gi @ gi.conj().T
+            assert np.abs(rho - m / np.trace(m).real).max() < 1e-14
+            DensityMatrix(rho)
+        one = qstate.random_density_matrix(3, np.random.default_rng(3)).matrix
+        first = qstate._random_density_batch(1, 3, np.random.default_rng(3))[0]
+        assert np.array_equal(one, DensityMatrix(first).matrix)
+
 
 class TestPartialTrace:
     def test_maximally_entangled_marginal(self):
@@ -131,6 +145,39 @@ class TestErrorProbability:
         with pytest.raises(DimensionError):
             error_probability(DensityMatrix.maximally_mixed(2),
                               DensityMatrix.maximally_mixed(3))
+
+
+class TestSpinFlip:
+    """The spin flip rho~ = Y rho* Y, Y = sigma_y x sigma_y, as concurrence
+    applies it (qstate._SYY)."""
+
+    @staticmethod
+    def flip(m):
+        return qstate._SYY @ np.conj(m) @ qstate._SYY
+
+    def test_maximally_mixed_fixed(self):
+        rho = DensityMatrix.maximally_mixed(4)
+        assert np.abs(self.flip(rho.matrix) - rho.matrix).max() < 1e-14
+
+    def test_phi_plus_fixed(self):
+        rho = DensityMatrix.from_pure(bell_phi_plus())
+        assert np.abs(self.flip(rho.matrix) - rho.matrix).max() < 1e-14
+
+    def test_01_goes_to_10(self):
+        v01 = np.kron([1, 0], [0, 1]).astype(complex)
+        v10 = np.kron([0, 1], [1, 0]).astype(complex)
+        got = self.flip(DensityMatrix.from_pure(v01).matrix)
+        assert np.abs(got - np.outer(v10, v10.conj())).max() < 1e-14
+
+    def test_involution(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            rho = qstate.random_density_matrix(4, rng).matrix
+            assert np.abs(self.flip(self.flip(rho)) - rho).max() < 1e-14
+
+    def test_wrong_dimension(self):
+        with pytest.raises(DimensionError):
+            concurrence(DensityMatrix.maximally_mixed(2))
 
 
 class TestConcurrence:
