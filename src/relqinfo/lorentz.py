@@ -9,8 +9,10 @@ SU(2) image, or the rotation angle of a null-momentum stabilizer), and the
 aberration/Doppler map. A pure boost by velocity v is the canonical boost
 of p = gamma (1, v) at m = 1, so one formula builds both.
 
-The little-group math is batched over (N,4) momentum arrays and the scalar
-functions call it with a batch of one; wigner_su2_batch is the NumPy kernel.
+The little-group math is batched, over (N,4) momentum arrays for one
+transform (wigner_su2_batch, the NumPy kernel) or over N (transform,
+momentum) pairs (_wigner_rotations), and the scalar functions call it with
+a batch of one.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DimensionError, ValidationError
-from .qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_SHELL, _check_identity
+from .qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_SHELL, _check_identity, _row_dots
 
 __all__ = [
     "ETA",
@@ -121,45 +123,82 @@ class LorentzTransform:
         return self.matrix @ np.asarray(other, dtype=float)
 
 
+# The metric check squares L00 ~ e^chi / 2, which overflows a float beyond
+# chi ~ 355, so no larger boost can be validated.
+_MAX_RAPIDITY = 350.0
+
+
+def _check_axes(axes: np.ndarray, what: str) -> np.ndarray:
+    """The norms of an (N,3) array of axes; raises unless every axis is
+    finite and nonzero."""
+    if not np.isfinite(axes).all():
+        raise ValidationError(f"{what} axis must be finite")
+    norms = np.sqrt(_row_dots(axes))
+    if not (norms > 0).all():
+        raise ValidationError(f"{what} axis must be nonzero")
+    return norms
+
+
 def boost(velocity=None, *, rapidity: float | None = None,
           axis=None) -> LorentzTransform:
     """Pure boost, from a 3-velocity or from (rapidity, axis): the
     canonical boost at m = 1 of p = gamma (1, v) or (cosh chi, sinh chi n).
+    A rapidity must be finite with |chi| <= 350; a NaN or inf is rejected
+    before any cosh runs.
 
     boost((0, 0, 0.6)) and boost(rapidity=atanh(0.6), axis=(0, 0, 1)) agree.
     """
     if rapidity is not None:
         if velocity is not None:
             raise ValueError("give either a velocity or a rapidity, not both")
-        n = np.asarray(axis, dtype=float)
-        norm = np.linalg.norm(n)
-        if norm == 0:
-            raise ValidationError("boost axis must be nonzero")
+        if not abs(float(rapidity)) <= _MAX_RAPIDITY:
+            raise ValidationError(f"rapidity must be finite with |rapidity| <= "
+                                  f"{_MAX_RAPIDITY:g}, got {rapidity}")
+        n = np.asarray(axis, dtype=float).reshape(3)
+        norm = _check_axes(n[None], "boost")[0]
         p = np.array([np.cosh(rapidity), *(np.sinh(rapidity) * n / norm)])
     else:
         v = np.asarray(velocity, dtype=float).reshape(3)
         b2 = float(v @ v)
-        if b2 >= 1.0:
+        if not b2 < 1.0:  # NaN-safe
             raise ValidationError(f"speed |v| = {np.sqrt(b2)} must be < 1")
         p = np.array([1.0, *v]) * (1.0 / np.sqrt(1.0 - b2))
     return LorentzTransform(_canonical_boosts(p[None], 1.0)[0])
 
 
-def _rotation3(axis: np.ndarray, angle: float) -> np.ndarray:
-    n = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm == 0:
-        raise ValidationError("rotation axis must be nonzero")
-    n = n / norm
-    c, s = np.cos(angle), np.sin(angle)
-    K = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
-    return np.eye(3) * c + (1 - c) * np.outer(n, n) + s * K
+# _DOT_CROSS[j] = A(e_j), with A(a) b = (a.b, a x b): row 0 of A(a) is a, and
+# rows 1-3 the cross-product matrix of a, A(e_j)[1 + i, k] = eps_ijk
+_DOT_CROSS = np.zeros((3, 4, 3))
+_DOT_CROSS[[0, 1, 2], 0, [0, 1, 2]] = 1.0
+_DOT_CROSS[[1, 2, 0], [1, 2, 3], [2, 0, 1]] = 1.0
+_DOT_CROSS[[2, 0, 1], [1, 2, 3], [1, 2, 0]] = -1.0
+
+
+def _dot_cross(a: np.ndarray) -> np.ndarray:
+    """The (..., 4, 3) matrices A(a) of a (..., 3) stack, A(a) b = (a.b, a x b),
+    as the one product sum_j a_j A(e_j)."""
+    return (a @ _DOT_CROSS.reshape(3, 12)).reshape(a.shape[:-1] + (4, 3))
+
+
+def _rotation3(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Rotations about an (N,3) array of axes by (N,) angles, shape (N,3,3)
+    (Rodrigues). Raises unless every axis is finite and nonzero and every
+    angle finite, before any cosine runs."""
+    axes = np.asarray(axes, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    norms = _check_axes(axes, "rotation")
+    if not np.isfinite(angles).all():
+        raise ValidationError("rotation angle must be finite")
+    n = axes / norms[:, None]
+    c, s = np.cos(angles)[:, None, None], np.sin(angles)[:, None, None]
+    return (np.eye(3) * c + (1 - c) * (n[:, :, None] * n[:, None, :])
+            + s * _dot_cross(n)[:, 1:])
 
 
 def rotation(axis, angle: float) -> LorentzTransform:
     """Spatial rotation about the given axis, embedded as a 4x4 transform."""
     L = np.eye(4)
-    L[1:, 1:] = _rotation3(axis, angle)
+    L[1:, 1:] = _rotation3(np.reshape(axis, (1, 3)), [angle])[0]
     return LorentzTransform(L)
 
 
@@ -186,7 +225,7 @@ def _standard_boosts_massive(P: np.ndarray, m: float) -> np.ndarray:
     """Canonical rotation-free boosts of an (N,4) array of momenta of mass
     m, shape (N,4,4), L(p) (m,0,0,0) = p. Checks m > 0, every row as
     check_mass_shell and every boost as LorentzTransform does."""
-    if m <= 0:
+    if not m > 0:  # NaN-safe
         raise ValidationError("mass must be positive")
     P = np.asarray(P, dtype=float)
     _check_mass_shells(P, m)
@@ -252,26 +291,30 @@ _SANDWICH = np.einsum("aij,cjk,bkl->cabil", _SIGMAS4, _SIGMAS4, _SIGMAS4)
 
 def _det2(X: np.ndarray) -> np.ndarray:
     """Determinants of a (..., 2, 2) stack."""
-    return X[..., 0, 0] * X[..., 1, 1] - X[..., 0, 1] * X[..., 1, 0]
+    x = X.reshape(X.shape[:-2] + (4,))
+    return x[..., 0] * x[..., 3] - x[..., 1] * x[..., 2]
 
 
 def _sl2c(lam: np.ndarray) -> np.ndarray:
-    """SL(2,C) image M of a 4x4 Lorentz matrix, up to sign: M X(x) M† =
-    X(lam x) with X(x) = x0 + x.sigma.
+    """SL(2,C) images M of an (N,4,4) stack of Lorentz matrices, up to
+    sign: M X(x) M† = X(lam x) with X(x) = x0 + x.sigma.
 
     Each candidate M_c = sum_ab lam_ab sigma_a sigma_c sigma_b equals
     2 tr(M† sigma_c) M. The c = 0 one vanishes at rotations by pi, so the
     candidate with the largest |det| is kept and divided by sqrt(det)."""
-    cand = np.einsum("ab,cabij->cij", lam, _SANDWICH)
+    cand = np.einsum("nab,cabij->ncij", lam, _SANDWICH)
     det = _det2(cand)
-    c = np.argmax(np.abs(det))
-    return cand[c] / np.sqrt(det[c])
+    # row n's best candidate, as an index into the flattened (4N) candidates
+    k = np.argmax(np.abs(det), axis=1) + np.arange(0, 4 * len(lam), 4)
+    return cand.reshape(-1, 2, 2)[k] / np.sqrt(det.reshape(-1, 1, 1)[k])
 
 
 def rotation_from_su2(u: np.ndarray) -> np.ndarray:
-    """Adjoint (double-cover) map R_ij = tr(sigma_i U sigma_j U†)/2."""
+    """Adjoint (double-cover) map R_ij = tr(sigma_i U sigma_j U†)/2, of one
+    U (2,2) or of each of a (..., 2, 2) stack."""
     u = np.asarray(u, dtype=complex)
-    return np.einsum("iab,bc,jcd,da->ij", _PAULIS, u, _PAULIS, u.conj().T).real / 2.0
+    u_dagger = np.swapaxes(u, -1, -2).conj()
+    return np.einsum("iab,...bc,jcd,...da->...ij", _PAULIS, u, _PAULIS, u_dagger).real / 2.0
 
 
 @dataclass(frozen=True)
@@ -290,18 +333,45 @@ _QUATERNION = np.array([np.eye(2), *(1j * s for s in _PAULIS)])
 
 
 def _rotation_su2(lam: np.ndarray) -> np.ndarray:
-    """U(R), the SU(2) image of R in lam = R B, B the pure boost on lam's
-    first row: the unitary polar factor of M = _sl2c(R), R =
-    _rotation_parts(lam). Every term is O(1), so U is unitary to round-off
-    at any rapidity (the polar factor of _sl2c(lam) loses accuracy like
-    e^chi), and exactly 1 for a pure boost. No checks."""
-    R = np.eye(4)
-    R[1:, 1:] = _rotation_parts(lam[None])[0]
+    """U(R) for an (N,4,4) stack, shape (N,2,2): the SU(2) image of R in
+    lam = R B, B the pure boost on lam's first row, as the unitary polar
+    factor of M = _sl2c(R), R = _rotation_parts(lam). Every term is O(1), so
+    U is unitary to round-off at any rapidity (the polar factor of
+    _sl2c(lam) loses accuracy like e^chi), and exactly 1 for a pure boost.
+    No checks."""
+    R = np.zeros((len(lam), 4, 4))
+    R[:, 0, 0] = 1.0
+    R[:, 1:, 1:] = _rotation_parts(lam)
     M = _sl2c(R)
-    # M^{-dagger} of an SL(2,C) matrix is its conjugated adjugate; the sum is
-    # U tr H, so the round-off-sized H - 1 of M = U H drops out
-    S = M + np.array([[M[1, 1], -M[1, 0]], [-M[0, 1], M[0, 0]]]).conj()
-    return S / np.sqrt(_det2(S))
+    # M^{-dagger} of an SL(2,C) matrix is its conjugated cofactor matrix; the
+    # sum is U tr H, so the round-off-sized H - 1 of M = U H drops out
+    S = M[:, ::-1, ::-1] * _COFACTOR_SIGNS
+    np.conjugate(S, out=S)
+    S += M
+    S /= np.sqrt(_det2(S))[:, None, None]
+    return S
+
+
+# the cofactor matrix [[d, -c], [-b, a]] of [[a, b], [c, d]] is its entries
+# reversed, times these signs
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _su2_images(x: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """D = U (x0 + i x.sigma)/|x| on the canonical branch (Re tr D >= 0),
+    shape (N,2,2), from (4,N) quaternion rows x, normalized in place, and
+    one U (2,2) for all N or one per row (N,2,2). No checks."""
+    # T[k] = U (1, i sigma)_k as 8 floats, so D is the real product x^T T
+    T = (U[..., None, :, :] @ _QUATERNION).view(float).reshape(U.shape[:-2] + (4, 8))
+    r = np.sqrt(np.einsum("jn,jn->n", x, x))
+    # Re tr D, up to the positive r: x against the real traces of the T[k]
+    r[np.einsum("...j,j...->...", T[..., 0] + T[..., 6], x) < 0] *= -1.0
+    x /= r
+    # one (N,4) @ (4,8) product for a shared U, N (1,4) @ (4,8) products otherwise
+    rows = x.T if U.ndim == 2 else x.T[:, None, :]
+    D = np.empty((x.shape[1], 2, 2), dtype=complex)
+    np.matmul(rows, T, out=D.view(float).reshape(rows.shape[:-1] + (8,)))
+    return D
 
 
 def _half_rapidity(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
@@ -318,11 +388,10 @@ def _half_rapidity(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
     # b on contiguous component rows: strided rows of P.T are 2x slower
     b = P[:, 1:].T.copy()
     b /= m + P[:, 0]
-    a = lam[0, 1:] / (1.0 + lam[0, 0])
     # x = (a.b, a x b) + (1, 0, 0, 0), one (4,3) @ (3,N) product
-    x = np.array([a, [0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]) @ b
+    x = _dot_cross(lam[0, 1:] / (1.0 + lam[0, 0])) @ b
     x[0] += 1.0
-    return x, _rotation_su2(lam)
+    return x, _rotation_su2(lam[None])[0]
 
 
 def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
@@ -337,36 +406,54 @@ def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
     lam = np.asarray(lam, dtype=float)
     P = np.asarray(P, dtype=float)
     Q = P @ lam.T
-    x, U = _half_rapidity(lam, P, m)
-    # T[k] = U (1, i sigma)_k as 8 floats, so D is the real product x^T T
-    T = (U @ _QUATERNION).view(float).reshape(4, 8)
-    r = np.sqrt(np.einsum("jn,jn->n", x, x))
-    # Re tr D, up to the positive r: x against the real traces of the T[k]
-    r[(T[:, 0] + T[:, 6]) @ x < 0] *= -1.0
-    x /= r
-    D = np.empty((P.shape[0], 2, 2), dtype=complex)
-    np.matmul(x.T, T, out=D.view(float).reshape(-1, 8))
-    return Q, D
+    return Q, _su2_images(*_half_rapidity(lam, P, m))
+
+
+def _wigner_rotations(L: np.ndarray, P: np.ndarray, m: float) -> tuple:
+    """The little-group elements W_n = L^{-1}(L_n p_n) L_n L(p_n) of N
+    (transform, momentum) pairs, L (N,4,4) and P (N,4) of mass m: their
+    rotations (N,3,3), axes (N,3), angles (N,) in [0, pi] and SU(2) images
+    (N,2,2) on the canonical branch, as in wigner_su2_batch. A zero angle
+    gets the z axis.
+
+    Checks m > 0, every L_n as LorentzTransform does, p_n and L_n p_n as
+    check_mass_shell does, and every D unitary; one bad pair raises.
+    """
+    if not m > 0:  # NaN-safe
+        raise ValidationError("mass must be positive")
+    L = np.asarray(L, dtype=float)
+    P = np.asarray(P, dtype=float)
+    _check_transforms(L)
+    _check_mass_shells(P, m)
+    _check_mass_shells((L @ P[:, :, None])[:, :, 0], m)
+    # the half-rapidity form of _half_rapidity, with one a and one b per pair
+    a = L[:, 0, 1:] / (1.0 + L[:, :1, 0])
+    b = P[:, 1:] / (m + P[:, :1])
+    x = (_dot_cross(a) @ b[:, :, None])[:, :, 0].T
+    x[0] += 1.0
+    D = _su2_images(x, _rotation_su2(L))
+    _check_identity(D @ np.swapaxes(D, 1, 2).conj(), "little-group element is not a rotation")
+    # D = w - i (x, y, z).sigma
+    v = -np.stack([D[:, 0, 1].imag, D[:, 0, 1].real, D[:, 0, 0].imag], axis=1)
+    norms = np.sqrt(_row_dots(v))
+    angles = 2.0 * np.arctan2(norms, D[:, 0, 0].real)
+    axes = np.zeros_like(v)
+    axes[:, 2] = 1.0
+    turned = angles > 1e-15
+    axes[turned] = v[turned] / norms[turned, None]
+    return rotation_from_su2(D), axes, angles, D
 
 
 def wigner_rotation(lam: LorentzTransform, p: FourVector, m: float) -> WignerRotation:
     """W = L^{-1}(lam p) lam L(p); fixes (m,0,0,0), so it is a rotation.
 
-    The kernel with a batch of one: D = w - i (x, y, z).sigma gives the
-    axis and angle, the adjoint map the rotation."""
-    if m <= 0:
-        raise ValidationError("mass must be positive")
-    check_mass_shell(p, m)
+    _wigner_rotations with a batch of one: D = w - i (x, y, z).sigma gives
+    the axis and angle, the adjoint map the rotation."""
     p = np.asarray(p, dtype=float)
-    Q, D = wigner_su2_batch(lam.matrix, p[None], m)
-    _check_mass_shells(Q, m)
-    d = D[0]
-    _check_identity(d @ d.conj().T, "little-group element is not a rotation")
-    v = -np.array([d[0, 1].imag, d[0, 1].real, d[0, 0].imag])
-    angle = 2.0 * np.arctan2(np.linalg.norm(v), d[0, 0].real)
-    axis = v / np.linalg.norm(v) if angle > 1e-15 else np.array([0.0, 0.0, 1.0])
-    return WignerRotation(rotation=rotation_from_su2(d), axis=axis,
-                          angle=float(angle), su2=d)
+    if p.shape != (4,):
+        raise DimensionError(f"four-vector must have shape (4,), got {p.shape}")
+    R, axes, angles, D = _wigner_rotations(lam.matrix[None], p[None], m)
+    return WignerRotation(rotation=R[0], axis=axes[0], angle=float(angles[0]), su2=D[0])
 
 
 def helicity_phase_batch(lam: LorentzTransform, ks: np.ndarray) -> np.ndarray:
@@ -389,7 +476,7 @@ def helicity_phase_batch(lam: LorentzTransform, ks: np.ndarray) -> np.ndarray:
     _check_mass_shells(K, 0.0)
     Q = K @ lam.matrix.T
     _check_mass_shells(Q, 0.0)
-    U = _rotation_su2(lam.matrix)
+    U = _rotation_su2(lam.matrix[None])[0]
     theta, phi = _ray_angles(K)
     theta_q, phi_q = _ray_angles(Q)
     c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
@@ -425,17 +512,19 @@ def aberrate(theta, phi, v: float) -> tuple:
 
 def _rotation_to_khat_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Standard rotations carrying (0,0,1) onto the (theta, phi) directions,
-    shape (N,3,3)."""
+    shape S + (3,3), S the broadcast shape of theta and phi. The cosines and
+    sines run before the angles broadcast, so rings of rays, theta
+    (..., n_theta, 1) against phi (n_phi,), take n_theta + n_phi of each."""
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
-    R = np.empty((np.size(theta), 3, 3))
-    R[:, 0, 0] = ct * cp
-    R[:, 0, 1] = -sp
-    R[:, 0, 2] = cp * st
-    R[:, 1, 0] = ct * sp
-    R[:, 1, 1] = cp
-    R[:, 1, 2] = sp * st
-    R[:, 2, 0] = -st
-    R[:, 2, 1] = 0.0
-    R[:, 2, 2] = ct
+    R = np.empty(np.broadcast_shapes(np.shape(theta), np.shape(phi)) + (3, 3))
+    R[..., 0, 0] = ct * cp
+    R[..., 0, 1] = -sp
+    R[..., 0, 2] = cp * st
+    R[..., 1, 0] = ct * sp
+    R[..., 1, 1] = cp
+    R[..., 1, 2] = sp * st
+    R[..., 2, 0] = -st
+    R[..., 2, 1] = 0.0
+    R[..., 2, 2] = ct
     return R

@@ -41,16 +41,14 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def _helicity_vectors_batch(theta: np.ndarray, phi: np.ndarray) -> tuple:
-    """Right/left circular polarization 3-vectors at directions of any
-    shape S, each S + (3,): the standard rotation R carrying (0,0,1) onto
-    the direction, applied to (1, +-i, 0)/sqrt(2), that is
-    (R e_x +- i R e_y)/sqrt(2), so eps- = conj(eps+)."""
-    theta = np.asarray(theta, dtype=float)
-    R = _rotation_to_khat_batch(theta.ravel(), np.ravel(phi))
-    R = R.reshape(theta.shape + (3, 3))
-    ep = np.empty(theta.shape + (3,), dtype=complex)
-    ep.real = R[..., 0] * _INV_SQRT2
-    ep.imag = R[..., 1] * _INV_SQRT2
+    """Right/left circular polarization 3-vectors at the directions of theta
+    and phi broadcast together, shape S, each S + (3,): the standard rotation
+    R carrying (0,0,1) onto the direction, applied to (1, +-i, 0)/sqrt(2),
+    that is (R e_x +- i R e_y)/sqrt(2), so eps- = conj(eps+)."""
+    R = _rotation_to_khat_batch(theta, phi)
+    ep = np.empty(R.shape[:-1], dtype=complex)
+    np.multiply(R[..., 0], _INV_SQRT2, out=ep.real)
+    np.multiply(R[..., 1], _INV_SQRT2, out=ep.imag)
     return ep, ep.conj()
 
 
@@ -145,35 +143,40 @@ def _b_components(ep: np.ndarray, em: np.ndarray) -> np.ndarray:
     return np.conjugate(b, out=b)
 
 
-def _polarization_alphas(theta: np.ndarray, phi: np.ndarray, polarization):
-    """Per-ray helicity amplitudes (P, N, 2) on rays (P, N): a named
-    polarization shared by every packet, one helicity pair per packet
-    (P, 2), normalized, or explicit amplitudes (P, N, 2), passed through."""
+def _polarization_alphas(ep: np.ndarray, em: np.ndarray, polarization):
+    """Per-ray helicity amplitudes (P, N, 2) on rays with helicity vectors
+    (P, N, 3): a named polarization shared by every packet, one helicity
+    pair per packet (P, 2), normalized, or explicit amplitudes (P, N, 2),
+    passed through."""
+    rays = ep.shape[:-1]
     if isinstance(polarization, str):
         if polarization in ("plus", "minus"):
-            a = np.zeros(theta.shape + (2,), dtype=complex)
+            a = np.zeros(rays + (2,), dtype=complex)
             a[..., 0 if polarization == "plus" else 1] = 1.0
             return a
         m = {"linear-x": 0, "linear-y": 1}.get(polarization)
         if m is None:
             raise ValueError(f"unknown polarization {polarization!r}")
         # the transversal part of the label, renormalized per ray
-        b = _b_components(*_helicity_vectors_batch(theta, phi))[..., m, :]
+        b = _b_components(ep, em)[..., m, :]
         return b / np.sqrt(np.sum(np.abs(b) ** 2, axis=-1, keepdims=True))
     a = np.asarray(polarization, dtype=complex)
-    if a.shape == theta.shape[:-1] + (2,):
+    if a.shape == rays[:-1] + (2,):
         norms = np.linalg.norm(a, axis=-1, keepdims=True)
         if not (np.isfinite(norms) & (norms > 0)).all():
             raise ValidationError("a helicity pair needs a finite, nonzero norm")
         a = a / norms
-        return np.repeat(a[..., None, :], theta.shape[-1], axis=-2)
+        return np.repeat(a[..., None, :], rays[-1], axis=-2)
     return a
 
 
 def _collimated_rays(apertures, polarization, n_theta: int, n_phi: int) -> tuple:
-    """Rays of P collimated packets (see collimated_packet), unchecked:
-    theta, phi, weights, profile of shape (P, N) and alpha (P, N, 2), with
-    N = n_theta * n_phi. `polarization` is read by _polarization_alphas."""
+    """Rays of P collimated packets (see collimated_packet), unchecked: the
+    polar angle of each ring (P, n_theta) and the azimuths (n_phi,), with
+    ray index theta_index * n_phi + phi_index; per ray, N = n_theta * n_phi
+    of them, the weights and profile (P, N), the helicity vectors eps+,
+    eps- (P, N, 3) from the ring angles, and alpha (P, N, 2).
+    `polarization` is read by _polarization_alphas."""
     for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
         if not _is_count(count):
             raise ValidationError(f"{name} must be a whole number >= 1, got {count!r}")
@@ -185,18 +188,18 @@ def _collimated_rays(apertures, polarization, n_theta: int, n_phi: int) -> tuple
     c0 = np.cos(apertures)[:, None]
     cost = 0.5 * (x + 1.0) * (1.0 - c0) + c0
     w_theta = wx * 0.5 * (1.0 - c0)
-    phi1 = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
-    # ray index theta_index * n_phi + phi_index
-    th = np.repeat(np.arccos(cost), n_phi, axis=1)
-    ph = np.tile(phi1, (apertures.size, n_theta))
+    th = np.arccos(cost)
+    phi = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
     weights = np.repeat(w_theta, n_phi, axis=1) * (2.0 * np.pi / n_phi)
 
     a = apertures[:, None]
     t = np.clip((th - 0.9 * a) / (0.1 * a), 0.0, 1.0)
-    profile = (1.0 - (3.0 * t ** 2 - 2.0 * t ** 3)).astype(complex)
+    profile = np.repeat(1.0 - (3.0 * t ** 2 - 2.0 * t ** 3), n_phi, axis=1).astype(complex)
     profile /= np.sqrt(np.sum(weights * np.abs(profile) ** 2, axis=1,
                               keepdims=True))
-    return th, ph, weights, profile, _polarization_alphas(th, ph, polarization)
+    ep, em = (e.reshape(weights.shape + (3,))
+              for e in _helicity_vectors_batch(th[..., None], phi))
+    return th, phi, weights, profile, ep, em, _polarization_alphas(ep, em, polarization)
 
 
 def collimated_packet(aperture: float, polarization="linear-x",
@@ -211,10 +214,11 @@ def collimated_packet(aperture: float, polarization="linear-x",
     """
     if not isinstance(polarization, str):
         polarization = np.asarray(polarization, dtype=complex)[None]
-    th, ph, weights, profile, alpha = _collimated_rays(
+    th, phi, weights, profile, _, _, alpha = _collimated_rays(
         [aperture], polarization, n_theta, n_phi)
-    return PhotonPacket(theta=th[0], phi=ph[0], weights=weights[0],
-                        profile=profile[0], alpha=alpha[0], k0=np.ones_like(th[0]))
+    theta = np.repeat(th[0], phi.size)
+    return PhotonPacket(theta=theta, phi=np.tile(phi, th.shape[1]), weights=weights[0],
+                        profile=profile[0], alpha=alpha[0], k0=np.ones_like(theta))
 
 
 def _overlaps(alpha: np.ndarray, ep: np.ndarray, em: np.ndarray) -> np.ndarray:
@@ -253,11 +257,10 @@ def _povm_batch(apertures, polarizations, n_theta: int, n_phi: int) -> tuple:
     effective and naive matrices (P, 3, 3), hermitized and checked as
     PolarizationMatrix checks them. The packets are checked as PhotonPacket
     checks them; `polarizations` is one helicity pair per packet (P, 2)."""
-    th, ph, weights, profile, alpha = _collimated_rays(
+    _, _, weights, profile, ep, em, alpha = _collimated_rays(
         apertures, polarizations, n_theta, n_phi)
     masses = weights * np.abs(profile) ** 2
     _check_packets(masses, alpha)
-    ep, em = _helicity_vectors_batch(th, ph)
     ov = _overlaps(alpha, ep, em)
     return (_povm_expectations(masses, ov),
             _checked_polarization(_density_matrices(masses, ov)),

@@ -89,6 +89,12 @@ def _check_identity(product: np.ndarray, what: str, scale=1.0) -> None:
         raise ValidationError(f"{what} (gap {np.max(gap):.2e})")
 
 
+def _row_dots(X: np.ndarray) -> np.ndarray:
+    """x @ x for each row of an (N, d) array, through the same BLAS dot (and
+    bits) as the one-row product."""
+    return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+
+
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -101,6 +107,27 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim < 2:
         raise DimensionError(f"cannot hermitize an array of shape {matrix.shape}")
     return (matrix + np.swapaxes(matrix, -1, -2).conj()) / 2.0
+
+
+def _checked_densities(m: np.ndarray) -> np.ndarray:
+    """DensityMatrix's checks on an (N, d, d) stack: returns the hermitized
+    stack, each matrix Hermitian within TOL_HERM, of unit trace and PSD, or
+    raises for the first matrix that fails."""
+    if not np.abs(m - np.swapaxes(m, -1, -2).conj()).max() <= TOL_HERM:
+        raise ValidationError("matrix is not Hermitian within tolerance")
+    m = hermitize(m)
+    _check_near_one(np.trace(m, axis1=-2, axis2=-1).real, "trace")
+    _check_psd(m, "matrix")
+    return m
+
+
+def _pure_densities(V: np.ndarray) -> np.ndarray:
+    """v v† / |v|^2 for each row of an (N, d) complex array, shape (N, d, d);
+    raises unless every |v|^2 is within TOL_TRACE of 1 (from_pure's check)."""
+    # |v| as np.linalg.norm takes it: one real dot per part
+    n = np.sqrt(_row_dots(V.real) + _row_dots(V.imag))
+    _check_near_one(n ** 2, "pure state norm^2")
+    return V[:, :, None] * V[:, None, :].conj() / (n ** 2)[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -117,20 +144,14 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"density matrix must be square, got {m.shape}")
-        if not np.abs(m - m.conj().T).max() <= TOL_HERM:
-            raise ValidationError("matrix is not Hermitian within tolerance")
-        m = hermitize(m)
-        _check_near_one(np.trace(m).real, "trace")
-        _check_psd(m, "matrix")
+        m = _checked_densities(m[None])[0]
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def from_pure(cls, amplitudes: np.ndarray) -> "DensityMatrix":
         v = np.asarray(amplitudes, dtype=complex).ravel()
-        n = np.linalg.norm(v)
-        _check_near_one(n ** 2, "pure state norm^2")
-        return cls(np.outer(v, v.conj()) / n**2)
+        return cls(_pure_densities(v[None])[0])
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":

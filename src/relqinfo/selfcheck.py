@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import channel, horizon, lorentz, photon, qstate, wavepacket
-from .qstate import DensityMatrix, hermitize
+from .qstate import DensityMatrix, _row_dots, hermitize
 
 SEED = 20240901
 
@@ -178,10 +178,11 @@ def _check_chsh(grids):
     z_product, _ = channel.chsh_optimize(product)
 
     rng = np.random.default_rng(SEED)
-    products = [DensityMatrix.from_pure(np.kron(qstate.haar_state(2, rng),
-                                                qstate.haar_state(2, rng))).matrix
-                for _ in range(50)]
-    z_products, _ = channel._chsh_optimize_batch(np.array(products))
+    pairs = np.array([(qstate.haar_state(2, rng), qstate.haar_state(2, rng))
+                      for _ in range(50)])
+    kron = (pairs[:, 0, :, None] * pairs[:, 1, None, :]).reshape(50, 4)
+    products = qstate._checked_densities(qstate._pure_densities(kron))
+    z_products, _ = channel._chsh_optimize_batch(products)
     worst_product = max(z_product, float(z_products.max()))
 
     # random (state, Bloch settings) draws against the quantum bound
@@ -217,12 +218,6 @@ def _check_choi(grids):
             "transpose_gap": abs(min_eig + 0.5), "transpose_not_cp": not cp_t}
 
 
-def _row_dots(X):
-    """x @ x for each row of an (N,3) array, through the same BLAS dot (and
-    bits) as the one-row product."""
-    return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
-
-
 def _check_wigner(grids):
     rng = np.random.default_rng(SEED)
     n = grids["momentum_draws"]
@@ -242,13 +237,17 @@ def _check_wigner(grids):
     got = lorentz._standard_boosts_massless(K) @ [1.0, 0.0, 0.0, 1.0]
     worst_massless = float(np.abs(got - K).max())
 
-    worst_rot = 0.0
-    for _ in range(50):
-        lam = lorentz.rotation(rng.normal(size=3), rng.uniform(0, np.pi))
-        p = np.array([0.0, *rng.normal(size=3)])
-        p[0] = np.sqrt(1.0 + p[1:] @ p[1:])
-        w = lorentz.wigner_rotation(lam, p, 1.0)
-        worst_rot = max(worst_rot, np.abs(w.rotation - lam.matrix[1:, 1:]).max())
+    axes, angles, P = np.empty((50, 3)), np.empty(50), np.empty((50, 4))
+    for i in range(50):  # this order fixes the rotations and momenta
+        axes[i] = rng.normal(size=3)
+        angles[i] = rng.uniform(0, np.pi)
+        P[i, 1:] = rng.normal(size=3)
+    P[:, 0] = np.sqrt(1.0 + _row_dots(P[:, 1:]))
+    L = np.zeros((50, 4, 4))
+    L[:, 0, 0] = 1.0
+    L[:, 1:, 1:] = lorentz._rotation3(axes, angles)
+    W = lorentz._wigner_rotations(L, P, 1.0)[0]
+    worst_rot = float(np.abs(W - L[:, 1:, 1:]).max())
 
     p = np.array([np.sqrt(1.25), 0, 0, 0.5])
     w_col = lorentz.wigner_rotation(lorentz.boost([0, 0, 0.6]), p, 1.0)

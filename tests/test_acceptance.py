@@ -8,6 +8,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relqinfo import channel, cli, lorentz, photon, selfcheck, wavepacket
@@ -147,8 +148,10 @@ def test_a_sub_check_failing_at_the_defaults_is_logic_class(monkeypatch):
 
 
 def test_criterion_07_checks_each_boost_stack_once(monkeypatch):
-    # one check per batched standard-boost stack; the rest are the 50
-    # rotations and the few transforms of the passthrough and packet checks
+    # one check per batched standard-boost stack and one for the 50
+    # rotations of the passthrough; the five single transforms are the
+    # collinear boost and its Wigner rotation, and the packet check's two
+    # boosts and their composition
     calls = []
     check = lorentz._check_transforms
 
@@ -159,8 +162,18 @@ def test_criterion_07_checks_each_boost_stack_once(monkeypatch):
     monkeypatch.setattr(lorentz, "_check_transforms", counted)
     _run("07-wigner-machinery")
     assert _GRIDS["momentum_draws"] == 1000
-    assert calls.count(1000) == 2
-    assert len(calls) <= 60
+    assert sorted(calls) == [1] * 5 + [50, 1000, 1000]
+
+
+def test_criterion_07_fails_when_rotations_meet_other_momenta(monkeypatch):
+    # the passthrough's 50 Wigner rotations come from one pairwise call; rows
+    # rolled by one pair each rotation with the next draw's result
+    core = lorentz._wigner_rotations
+    monkeypatch.setattr(lorentz, "_wigner_rotations", lambda L, P, m: tuple(
+        np.roll(out, 1, axis=0) for out in core(L, P, m)))
+    crit = next(c for c in selfcheck.CRITERIA if c.name == "07-wigner-machinery")
+    result = selfcheck.run_criterion(crit, _TOLS, _GRIDS)
+    assert [c["key"] for c in result.checks if not c["holds"]] == ["rotation_passthrough"]
 
 
 def test_criterion_12_values_are_pinned():

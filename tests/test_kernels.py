@@ -139,7 +139,7 @@ def spinor_product_little_group(lam, P, m):
     A(p) = m + p0 + p.sigma the unnormalized canonical boost image, divided
     by sqrt(det) and put on the Re tr >= 0 branch. Exact algebra, but its
     factors cancel, so round-off grows like p0 q0 / m**2."""
-    M = lorentz._sl2c(lam)
+    M = lorentz._sl2c(lam[None])[0]
 
     def image(k, sign):
         return (m + k[0]) * np.eye(2) + sign * sum(c * s for c, s in zip(k[1:], lorentz._PAULIS))
@@ -237,7 +237,7 @@ class TestShepperdNearPi:
     out with Re tr D < 0 and must be flipped to the canonical branch."""
 
     def check(self, d, axis, angle, tol):
-        R = lorentz._rotation3(axis, angle)
+        R = lorentz.rotation(axis, angle).matrix[1:, 1:]
         assert np.abs(lorentz.rotation_from_su2(d) - R).max() < tol
         assert np.trace(d).real >= 0.0
         ref = expected_su2(axis, angle)
@@ -250,12 +250,12 @@ class TestShepperdNearPi:
         # U(R), the SU(2) image of lam's rotation part before the kernel
         # picks the canonical branch, so either sheet is accepted
         for n in (np.array(axis), -np.array(axis)):
-            d = lorentz._rotation_su2(lorentz.rotation(n, angle).matrix)
+            d = lorentz._rotation_su2(lorentz.rotation(n, angle).matrix[None])[0]
             ref = expected_su2(n, angle)
             assert min(np.abs(d - ref).max(), np.abs(d + ref).max()) < 1e-12
-            assert np.abs(lorentz.rotation_from_su2(d) - lorentz._rotation3(n, angle)).max() < 1e-12
+            assert np.abs(lorentz.rotation_from_su2(d) - lorentz.rotation(n, angle).matrix[1:, 1:]).max() < 1e-12
             # the same rotation written about the opposite axis
-            flipped = lorentz._rotation_su2(lorentz.rotation(-n, -angle).matrix)
+            flipped = lorentz._rotation_su2(lorentz.rotation(-n, -angle).matrix[None])[0]
             assert np.abs(flipped - d).max() < 1e-12
 
     def test_numpy_kernel(self, axis, angle):
@@ -297,7 +297,7 @@ def test_double_cover_near_pi(axis, gap):
     accepted there."""
     n = np.asarray(axis) / np.linalg.norm(axis)
     angle = np.pi - gap
-    R = lorentz._rotation3(n, angle)
+    R = lorentz.rotation(n, angle).matrix[1:, 1:]
     ref = expected_su2(n, angle)
     sheets = (ref, -ref) if np.cos(angle / 2) < 1e-14 else (ref,)
     _, D = kernels.wigner_su2_batch(lorentz.rotation(n, angle).matrix, NEAR_PI_GRID, 1.0)

@@ -74,9 +74,30 @@ class TestConstructors:
     def test_non_finite_matrices_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
             lorentz.LorentzTransform(np.full((4, 4), np.nan))
-        with pytest.raises(ValidationError, match="non-finite"), \
-                np.errstate(over="ignore", invalid="ignore"):
-            boost(rapidity=800.0, axis=[0, 0, 1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make, match", [
+        (lambda: rotation([np.nan, 0.0, 1.0], 0.3), "rotation axis must be finite"),
+        (lambda: rotation([np.inf, 0.0, 0.0], 0.3), "rotation axis must be finite"),
+        (lambda: rotation([0.0, 0.0, 1.0], np.nan), "rotation angle must be finite"),
+        (lambda: rotation([0.0, 0.0, 1.0], -np.inf), "rotation angle must be finite"),
+        (lambda: boost(rapidity=np.nan, axis=[0, 0, 1]), "rapidity must be finite"),
+        (lambda: boost(rapidity=np.inf, axis=[0, 0, 1]), "rapidity must be finite"),
+        (lambda: boost(rapidity=-800.0, axis=[0, 0, 1]), "rapidity must be finite"),
+        (lambda: boost(rapidity=1.0, axis=[0.0, np.nan, 1.0]), "boost axis must be finite"),
+        (lambda: boost(rapidity=1.0, axis=[0.0, 0.0, np.inf]), "boost axis must be finite"),
+        (lambda: boost([np.nan, 0.0, 0.0]), "speed"),
+    ])
+    def test_non_finite_inputs_rejected_where_they_enter(self, make, match):
+        # named before any cos or cosh runs, so numpy warns of nothing
+        with pytest.raises(ValidationError, match=match):
+            make()
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_rapidity_is_checked_without_overflow(self):
+        assert boost(rapidity=lorentz._MAX_RAPIDITY, axis=[0.3, -0.2, 0.9]).matrix[0, 0] > 1e150
+        with pytest.raises(ValidationError, match="rapidity"):
+            boost(rapidity=np.nextafter(lorentz._MAX_RAPIDITY, np.inf), axis=[0, 0, 1])
 
     def test_small_metric_defect_rejected(self):
         L = boost([0.1, 0, 0]).matrix.copy()
@@ -199,7 +220,7 @@ class TestStandardBoosts:
         k = np.array([1.0, np.sin(th), 0.0, np.cos(th)])
         lam = standard_boost_massless(k)
         R = np.eye(4)
-        R[1:, 1:] = lorentz._rotation_to_khat_batch(th, 0.0)[0]
+        R[1:, 1:] = lorentz._rotation_to_khat_batch(th, 0.0)
         assert np.abs(lam.matrix - R).max() < 1e-12
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -333,12 +354,99 @@ class TestWignerRotation:
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             ang = rng.uniform(0, np.pi)
-            u1 = lorentz._rotation_su2(rotation(axis, ang).matrix)
-            u2 = lorentz._rotation_su2(rotation(-axis, -ang).matrix)
+            u1, u2 = lorentz._rotation_su2(np.array([rotation(axis, ang).matrix,
+                                                     rotation(-axis, -ang).matrix]))
             assert np.abs(u1 - u2).max() < 1e-10
             assert abs(np.linalg.det(u1) - 1.0) < 1e-10
             back = rotation_from_su2(u1)
-            assert np.abs(back - lorentz._rotation3(axis, ang)).max() < 1e-10
+            assert np.abs(back - rotation(axis, ang).matrix[1:, 1:]).max() < 1e-10
+
+
+axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
+# rotations, near-pi rotations, boosts up to chi = 30 and both compositions
+transforms = st.one_of(
+    st.builds(rotation, axes, st.floats(0.0, np.pi)),
+    st.builds(lambda n, gap: rotation(n, np.pi - gap), axes, st.floats(0.0, 1e-6)),
+    st.builds(lambda n, chi: boost(rapidity=chi, axis=n), axes, st.floats(0.0, 30.0)),
+    st.builds(lambda n, chi, r, a, first: compose(*[boost(rapidity=chi, axis=n),
+                                                    rotation(r, a)][::1 if first else -1]),
+              axes, st.floats(0.0, 30.0), axes, st.floats(0.0, np.pi), st.booleans()))
+
+
+def pair_stacks(pairs, m):
+    """(L, P) stacks of (transform, (direction, rapidity)) pairs, each p on
+    the mass-m shell at the given rapidity along the direction."""
+    L = np.array([lam.matrix for lam, _ in pairs])
+    P = np.array([m * np.array([np.cosh(chi), *(np.sinh(chi) * np.asarray(n) / np.linalg.norm(n))])
+                  for _, (n, chi) in pairs])
+    return L, P
+
+
+def canonical_little_group(L, P, m):
+    """Oracle: the rotation blocks of L^{-1}(L p) L L(p) per pair, from the
+    _canonical_boosts matrices and the exact inverse eta L^T eta. Its
+    round-off grows like p0 q0 L00 / m**2."""
+    Lq = lorentz._canonical_boosts(np.einsum("nij,nj->ni", L, P), m)
+    W = ETA @ np.swapaxes(Lq, 1, 2) @ ETA @ L @ lorentz._canonical_boosts(P, m)
+    return W[:, 1:, 1:]
+
+
+class TestPairwiseCore:
+    """_wigner_rotations, the little group of N (transform, momentum) pairs."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(transforms, st.tuples(axes, st.floats(0.0, 3.0))),
+                          min_size=1, max_size=6),
+           m=st.floats(0.1, 10.0))
+    def test_against_canonical_boost_oracle(self, pairs, m):
+        L, P = pair_stacks(pairs, m)
+        R, axis, angle, D = lorentz._wigner_rotations(L, P, m)
+        scale = P[:, 0] * np.einsum("ni,ni->n", L[:, 0], P) * L[:, 0, 0] / m ** 2
+        gap = np.abs(R - canonical_little_group(L, P, m)).max(axis=(1, 2))
+        assert (gap <= 1e-13 * scale).all()
+        assert np.abs(R @ np.swapaxes(R, 1, 2) - np.eye(3)).max() < 1e-14
+        assert ((0.0 <= angle) & (angle <= np.pi)).all()
+        # row i is the scalar function on pair i
+        for i, (lam, _) in enumerate(pairs):
+            w = wigner_rotation(lam, P[i], m)
+            assert np.array_equal(w.rotation, R[i]) and np.array_equal(w.su2, D[i])
+            assert np.array_equal(w.axis, axis[i]) and w.angle == angle[i]
+
+    @pytest.mark.parametrize("fault", ["metric", "orthochronous", "off shell",
+                                       "energy", "mass"])
+    def test_one_bad_pair_raises_the_scalar_error(self, fault):
+        rng = np.random.default_rng(12)
+        lams = [compose(boost(rapidity=1.5, axis=rng.normal(size=3)),
+                        rotation(rng.normal(size=3), 2.0)) for _ in range(5)]
+        P = np.array([random_onshell(rng, 1.0) for _ in range(5)])
+        L, m = np.array([lam.matrix for lam in lams]), 1.0
+        if fault in ("metric", "orthochronous"):
+            L[2] = (L[2] + 1e-6 * np.eye(4) if fault == "metric"
+                    else np.diag([1.0, 1.0, 1.0, -1.0]) @ L[2])
+            with pytest.raises(ValidationError, match=fault) as scalar:
+                lorentz.LorentzTransform(L[2])
+        else:
+            if fault == "mass":
+                m = np.nan
+            else:
+                P[2, 0] = 1.01 * P[2, 0] if fault == "off shell" else -P[2, 0]
+            with pytest.raises(ValidationError) as scalar:
+                wigner_rotation(lams[2], P[2], m)
+        with pytest.raises(ValidationError) as batched:
+            lorentz._wigner_rotations(L, P, m)
+        assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("call", [
+        lambda P: lorentz._standard_boosts_massive(P, np.nan),
+        lambda P: standard_boost_massive(P[0], np.nan),
+        lambda P: wigner_rotation(boost([0.0, 0.0, 0.6]), P[0], np.nan),
+        lambda P: lorentz._wigner_rotations(np.eye(4)[None], P, np.nan),
+    ])
+    def test_nan_mass_is_not_positive(self, call):
+        # the checks read "not m > 0": m <= 0 is false for NaN, which then
+        # failed later as "momentum off shell for mass nan"
+        with pytest.raises(ValidationError, match="mass must be positive"):
+            call(np.array([[np.sqrt(1.25), 0.0, 0.0, 0.5]]))
 
 
 class TestHelicityPhase:
@@ -567,20 +675,20 @@ class TestAberration:
 
 class TestRotationToKhat:
     def test_identity_at_pole(self):
-        assert np.abs(lorentz._rotation_to_khat_batch(0.0, 0.0)[0] - np.eye(3)).max() < 1e-15
+        assert np.abs(lorentz._rotation_to_khat_batch(0.0, 0.0) - np.eye(3)).max() < 1e-15
 
     def test_defining_property(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             th, ph = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            R = lorentz._rotation_to_khat_batch(th, ph)[0]
+            R = lorentz._rotation_to_khat_batch(th, ph)
             khat = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
                              np.cos(th)])
             assert np.abs(R @ np.array([0, 0, 1.0]) - khat).max() < 1e-12
             assert abs(np.linalg.det(R) - 1.0) < 1e-12
 
     def test_equator_columns(self):
-        R = lorentz._rotation_to_khat_batch(np.pi / 2, 0.0)[0]
+        R = lorentz._rotation_to_khat_batch(np.pi / 2, 0.0)
         cols = [R[:, j] for j in range(3)]
         assert np.abs(cols[0] - np.array([0, 0, -1.0])).max() < 1e-12
         assert np.abs(cols[1] - np.array([0, 1.0, 0])).max() < 1e-12

@@ -30,9 +30,24 @@ class TestHelicityVectors:
             assert abs(np.linalg.norm(ep) - 1.0) < 1e-12
             assert abs(ep.conj() @ em) < 1e-12
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 4),
+           n_theta=st.integers(1, 6), n_phi=st.integers(1, 7))
+    def test_ring_broadcast_matches_per_ray_call(self, seed, p, n_theta, n_phi):
+        # rings of rays, theta (p, n_theta, 1) against phi (n_phi,), take the
+        # trig once per ring and give the per-ray call's bits
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0, np.pi, (p, n_theta, 1))
+        phi = rng.uniform(0, 2 * np.pi, n_phi)
+        rays = np.broadcast_arrays(theta, phi)
+        for rings, per_ray in zip(photon._helicity_vectors_batch(theta, phi),
+                                  photon._helicity_vectors_batch(*(a.ravel() for a in rays))):
+            assert rings.shape == (p, n_theta, n_phi, 3)
+            assert np.array_equal(rings.reshape(-1, 3), per_ray)
+
     def test_x_direction_matches_rotation_oracle(self):
         ep, _ = photon._helicity_vectors_batch(np.pi / 2, 0.0)
-        R = lorentz._rotation_to_khat_batch(np.pi / 2, 0.0)[0]
+        R = lorentz._rotation_to_khat_batch(np.pi / 2, 0.0)
         assert np.abs(ep - R @ (np.array([1, 1j, 0]) / np.sqrt(2))).max() < 1e-14
 
 
@@ -270,16 +285,17 @@ class TestPacketBatch:
     @pytest.mark.parametrize("fault", ["alpha", "profile"])
     def test_bad_packet_in_block_raises_scalar_error(self, fault):
         apertures, pairs = random_packet_draws(7, 49)
-        th, ph, weights, profile, alpha = photon._collimated_rays(
+        th, phi, weights, profile, _, _, alpha = photon._collimated_rays(
             apertures, pairs, self.N_THETA, self.N_PHI)
         if fault == "alpha":
             alpha[3, 5] *= 1.01
         else:
             profile[3] *= 1.01
         with pytest.raises(ValidationError) as scalar:
-            photon.PhotonPacket(theta=th[3], phi=ph[3], weights=weights[3],
+            photon.PhotonPacket(theta=np.repeat(th[3], self.N_PHI),
+                                phi=np.tile(phi, self.N_THETA), weights=weights[3],
                                 profile=profile[3], alpha=alpha[3],
-                                k0=np.ones_like(th[3]))
+                                k0=np.ones_like(weights[3]))
         with pytest.raises(ValidationError) as batched:
             photon._check_packets(weights * np.abs(profile) ** 2, alpha)
         assert str(batched.value) == str(scalar.value)
