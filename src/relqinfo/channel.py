@@ -224,7 +224,7 @@ def _outcome_states(ops, m: np.ndarray) -> list:
     return [sum(a @ m @ a.conj().T for a in branch) for branch in ops]
 
 
-def _apply_map(k_or_fn, rho: np.ndarray, dim_in: int) -> np.ndarray:
+def _apply_map(k_or_fn, rho: np.ndarray) -> np.ndarray:
     if isinstance(k_or_fn, KrausSet):
         return sum(_outcome_states(k_or_fn.ops, rho))
     return np.asarray(k_or_fn(rho), dtype=complex)
@@ -249,7 +249,7 @@ def choi_and_cp_check(map_or_kraus, dim_in: int | None = None) -> tuple:
             probe = np.zeros((dim_in, dim_in), dtype=complex)
             probe[i, j] = 1.0
             # copy: the callable may hand back a view of the probe
-            row.append(np.array(_apply_map(map_or_kraus, probe, dim_in),
+            row.append(np.array(_apply_map(map_or_kraus, probe),
                                 dtype=complex, copy=True))
         blocks.append(row)
     shapes = {b.shape for row in blocks for b in row}
@@ -383,11 +383,11 @@ class LoccStep:
     instrument: Callable[[tuple], KrausSet]
 
 
-def simulate_locc_protocol(protocol: Sequence[LoccStep], rho,
-                           dims: tuple = (2, 2)) -> dict:
-    """Outcome distribution of an ordered local protocol with classical messages.
+def simulate_locc_protocol(protocol: Sequence[LoccStep], rho) -> dict:
+    """Outcome distribution of an ordered local protocol with classical
+    messages between two qubits.
 
-    rho is one state or an (S, d, d) stack; returns {message tuple:
+    rho is one state or an (S, 4, 4) stack; returns {message tuple:
     probability}, a float or an (S,) array. No branch is pruned: every key
     is a full-length message, and one that cannot occur reads ~0. Each
     history's instrument is chosen and embedded once for the whole stack; a
@@ -395,20 +395,17 @@ def simulate_locc_protocol(protocol: Sequence[LoccStep], rho,
     conditioning graph.
     """
     m = qstate._as_matrix(rho)
-    d = dims[0] * dims[1]
-    if m.ndim not in (2, 3) or m.shape[-2:] != (d, d):
+    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
         raise DimensionError("input does not live on the bipartite space")
 
-    branches = {(): m}
+    branches, eye = {(): m}, np.eye(2, dtype=complex)
     for step in protocol:
         if step.party not in ("A", "B"):
             raise ValidationError(f"unknown party {step.party!r}")
-        want = dims[0] if step.party == "A" else dims[1]
-        eye = np.eye(d // want, dtype=complex)
         grown = {}
         for history, state in branches.items():
             local = step.instrument(history)
-            if local.dim_in != want or local.dim_out != want:
+            if local.dim_in != 2 or local.dim_out != 2:
                 raise ValidationError("conditioned instrument has wrong local dimension")
             ops = [[np.kron(a, eye) if step.party == "A" else np.kron(eye, a)
                     for a in branch] for branch in local.ops]
@@ -569,23 +566,24 @@ def chsh_value(rho, A1, A2, B1, B2) -> float:
 
 _SIGMAS = (qstate.SIGMA_X, qstate.SIGMA_Y, qstate.SIGMA_Z)
 
-# _PAULI_PAIRS[i, j] = sigma_i (x) sigma_j, i, j over x, y, z, laid out for
-# one matmul that gives the diagonal of m sigma_i (x) sigma_j:
-# _PAULI_DIAGONALS[(c, b), (i, j, a)] = _PAULI_PAIRS[i, j, b, a] if c == a
-_PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in _SIGMAS] for si in _SIGMAS])
-_PAULI_DIAGONALS = np.einsum("ijba,ca->cbija", _PAULI_PAIRS, np.eye(4)).reshape(16, 36)
+# _PAULI_TRACES[(a, b), (i, j)] = (sigma_i (x) sigma_j)[b, a], so that
+# tr(m sigma_i (x) sigma_j) is m's 16 entries against column (i, j)
+_PAULI_TRACES = np.array([[np.kron(si, sj).T for sj in _SIGMAS]
+                          for si in _SIGMAS]).reshape(9, 16).T
 
 
 def _correlation_matrix(m: np.ndarray) -> np.ndarray:
     """Correlation matrices T_ij = tr(m sigma_i (x) sigma_j) of a (..., 4, 4)
-    stack, shape (..., 3, 3), from one contraction against the Pauli pairs.
+    stack, shape (..., 3, 3), from products against the Pauli pairs.
 
-    Each diagonal entry of m sigma_i (x) sigma_j is one entry of m times a
-    unit (0, +-1 or +-i), so exact; the four are summed in np.trace's order,
-    (d0 + d1) + (d2 + d3), so T is the per-pair trace bit for bit."""
+    Each row of m meets each column of _PAULI_TRACES in one entry, times a
+    unit (+-1 or +-i), so each product over two rows of m sums two exact
+    terms and is one rounding in any BLAS order: T is the same for a batch
+    of one and for a stack, and equals np.trace's (d0 + d1) + (d2 + d3)."""
     lead = m.shape[:-2]
-    d = (m.reshape(*lead, 16) @ _PAULI_DIAGONALS).real.reshape(*lead, 3, 3, 4)
-    return (d[..., 0] + d[..., 1]) + (d[..., 2] + d[..., 3])
+    x = m.reshape(*lead, 16)
+    T = (x[..., :8] @ _PAULI_TRACES[:8]).real + (x[..., 8:] @ _PAULI_TRACES[8:]).real
+    return T.reshape(*lead, 3, 3)
 
 
 def _bloch_obs(n: np.ndarray) -> np.ndarray:

@@ -159,16 +159,16 @@ def _scn_photon_povm(p, seed):
 
 
 def _scn_causality_bell(p, seed):
-    probes = p["haar_probes"]
-    incomplete = channel.is_semicausal(channel.incomplete_bell_pvm(), "B->A",
+    probes, tol = p["haar_probes"], p["tolerance"]
+    incomplete = channel.is_semicausal(channel.incomplete_bell_pvm(), "B->A", tol=tol,
                                        haar_probes=probes, seed=seed)
     complete = {
-        direction: channel.is_semicausal(channel.complete_bell_pvm(), direction,
+        direction: channel.is_semicausal(channel.complete_bell_pvm(), direction, tol=tol,
                                          haar_probes=probes, seed=seed).semicausal
         for direction in ("B->A", "A->B")
     }
     payload = {
-        "incomplete_bell": incomplete.to_report("incomplete-bell", p["tolerance"]),
+        "incomplete_bell": incomplete.to_report("incomplete-bell", tol),
         "complete_bell_semicausal": complete,
         "advantage": incomplete.advantage,
     }

@@ -117,16 +117,14 @@ class RindlerModeState:
         return float((n + 1.0) * np.log(n + 1.0) - (n * np.log(n) if n > 0 else 0.0))
 
 
-def rindler_mode_state(omega: float, a: float,
-                       n_max: int | None = None) -> RindlerModeState:
-    """Build the thermal mode state, widening the truncation until the
-    geometric tail drops below 1e-12."""
+def rindler_mode_state(omega: float, a: float) -> RindlerModeState:
+    """Build the thermal mode state, truncated where the geometric tail
+    drops below 1e-12."""
     if omega <= 0 or a <= 0:
         raise ValidationError("mode frequency and acceleration must be positive")
     q = np.exp(-2.0 * np.pi * omega / a)
     # geometric tail beyond n_max is q^(n_max + 1)
-    needed = 0 if q == 0.0 else int(np.ceil(np.log(1e-12) / np.log(q))) + 1
-    n_max = needed if n_max is None or n_max < needed else n_max
+    n_max = 0 if q == 0.0 else int(np.ceil(np.log(1e-12) / np.log(q))) + 1
     n = np.arange(n_max + 1)
     p = (1.0 - q) * q ** n
     return RindlerModeState(omega=omega, a=a, n_max=n_max, probabilities=p)

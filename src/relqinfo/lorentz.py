@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DimensionError, ValidationError
-from .qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_SHELL, _check_identity, _row_dots
+from .qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_SHELL, _check_identity
 
 __all__ = [
     "ETA",
@@ -59,12 +59,18 @@ def _check_mass_shells(P: np.ndarray, m: float) -> None:
         raise ValidationError(f"momentum off shell for mass {m}")
 
 
-def check_mass_shell(p: FourVector, m: float) -> None:
-    """Raise unless p*p = m**2 within TOL_SHELL (relative to p0**2) and p0 > 0."""
+def _batch_of_one(p: FourVector) -> np.ndarray:
+    """A four-vector as the float (1,4) batch of one that the batched cores
+    take; raises unless it has shape (4,)."""
     p = np.asarray(p, dtype=float)
     if p.shape != (4,):
         raise DimensionError(f"four-vector must have shape (4,), got {p.shape}")
-    _check_mass_shells(p[None], m)
+    return p[None]
+
+
+def check_mass_shell(p: FourVector, m: float) -> None:
+    """Raise unless p*p = m**2 within TOL_SHELL (relative to p0**2) and p0 > 0."""
+    _check_mass_shells(_batch_of_one(p), m)
 
 
 _ETA_SIGNS = np.outer(np.diag(ETA), np.diag(ETA))
@@ -130,10 +136,11 @@ _MAX_RAPIDITY = 350.0
 
 def _check_axes(axes: np.ndarray, what: str) -> np.ndarray:
     """The norms of an (N,3) array of axes; raises unless every axis is
-    finite and nonzero."""
+    finite and nonzero. hypot neither overflows nor underflows, so any
+    finite nonzero axis passes."""
     if not np.isfinite(axes).all():
         raise ValidationError(f"{what} axis must be finite")
-    norms = np.sqrt(_row_dots(axes))
+    norms = np.hypot(np.hypot(axes[:, 0], axes[:, 1]), axes[:, 2])
     if not (norms > 0).all():
         raise ValidationError(f"{what} axis must be nonzero")
     return norms
@@ -236,10 +243,7 @@ def _standard_boosts_massive(P: np.ndarray, m: float) -> np.ndarray:
 
 def standard_boost_massive(p: FourVector, m: float) -> LorentzTransform:
     """Canonical rotation-free boost L(p) with L(p) (m,0,0,0) = p."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4,):
-        raise DimensionError(f"four-vector must have shape (4,), got {p.shape}")
-    return LorentzTransform._checked(_standard_boosts_massive(p[None], m)[0])
+    return LorentzTransform._checked(_standard_boosts_massive(_batch_of_one(p), m)[0])
 
 
 def _ray_angles(K: np.ndarray) -> tuple:
@@ -276,10 +280,7 @@ def _standard_boosts_massless(K: np.ndarray) -> np.ndarray:
 def standard_boost_massless(k: FourVector) -> LorentzTransform:
     """Standard boost for null momenta: z-boost to energy k0, then rotate
     the z axis onto the propagation direction, so L(k) (1,0,0,1) = k."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (4,):
-        raise DimensionError(f"four-vector must have shape (4,), got {k.shape}")
-    return LorentzTransform._checked(_standard_boosts_massless(k[None])[0])
+    return LorentzTransform._checked(_standard_boosts_massless(_batch_of_one(k))[0])
 
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
@@ -435,7 +436,7 @@ def _wigner_rotations(L: np.ndarray, P: np.ndarray, m: float) -> tuple:
     _check_identity(D @ np.swapaxes(D, 1, 2).conj(), "little-group element is not a rotation")
     # D = w - i (x, y, z).sigma
     v = -np.stack([D[:, 0, 1].imag, D[:, 0, 1].real, D[:, 0, 0].imag], axis=1)
-    norms = np.sqrt(_row_dots(v))
+    norms = np.sqrt(np.einsum("ni,ni->n", v, v))
     angles = 2.0 * np.arctan2(norms, D[:, 0, 0].real)
     axes = np.zeros_like(v)
     axes[:, 2] = 1.0
@@ -449,10 +450,7 @@ def wigner_rotation(lam: LorentzTransform, p: FourVector, m: float) -> WignerRot
 
     _wigner_rotations with a batch of one: D = w - i (x, y, z).sigma gives
     the axis and angle, the adjoint map the rotation."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4,):
-        raise DimensionError(f"four-vector must have shape (4,), got {p.shape}")
-    R, axes, angles, D = _wigner_rotations(lam.matrix[None], p[None], m)
+    R, axes, angles, D = _wigner_rotations(lam.matrix[None], _batch_of_one(p), m)
     return WignerRotation(rotation=R[0], axis=axes[0], angle=float(angles[0]), su2=D[0])
 
 

@@ -342,10 +342,10 @@ def _renormalized_error(rho1: PolarizationMatrix, rho2: PolarizationMatrix) -> f
                                         for rho in (rho1, rho2))))
 
 
-def _doppler_ratios(aperture: float, velocities, n_theta: int = 32, n_phi: int = 64,
-                    polarizations=("linear-x", "linear-y")) -> list:
-    """Distinguishability change of two same-profile packets under a z
-    boost, one dict per velocity, in order.
+def _doppler_ratios(aperture: float, velocities, n_theta: int = 32,
+                    n_phi: int = 64) -> list:
+    """Distinguishability change of two same-profile packets, polarized
+    along x and along y, under a z boost, one dict per velocity, in order.
 
     P_E compares the (trace-renormalized) effective 3x3 matrices in the
     source frame, P_E' after boosting both packets by v. In the small-
@@ -357,8 +357,8 @@ def _doppler_ratios(aperture: float, velocities, n_theta: int = 32, n_phi: int =
     helicity-phase call, and each packet takes the shared phases onto its
     own alpha.
     """
-    p1 = collimated_packet(aperture, polarizations[0], n_theta, n_phi)
-    p2 = collimated_packet(aperture, polarizations[1], n_theta, n_phi)
+    p1 = collimated_packet(aperture, "linear-x", n_theta, n_phi)
+    p2 = collimated_packet(aperture, "linear-y", n_theta, n_phi)
     pe = _renormalized_error(effective_density_matrix(p1),
                              effective_density_matrix(p2))
     degenerate = pe < 1e-14

@@ -89,12 +89,6 @@ def _check_identity(product: np.ndarray, what: str, scale=1.0) -> None:
         raise ValidationError(f"{what} (gap {np.max(gap):.2e})")
 
 
-def _row_dots(X: np.ndarray) -> np.ndarray:
-    """x @ x for each row of an (N, d) array, through the same BLAS dot (and
-    bits) as the one-row product."""
-    return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
-
-
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -125,7 +119,7 @@ def _pure_densities(V: np.ndarray) -> np.ndarray:
     """v v† / |v|^2 for each row of an (N, d) complex array, shape (N, d, d);
     raises unless every |v|^2 is within TOL_TRACE of 1 (from_pure's check)."""
     # |v| as np.linalg.norm takes it: one real dot per part
-    n = np.sqrt(_row_dots(V.real) + _row_dots(V.imag))
+    n = np.sqrt(np.einsum("ni,ni->n", V.real, V.real) + np.einsum("ni,ni->n", V.imag, V.imag))
     _check_near_one(n ** 2, "pure state norm^2")
     return V[:, :, None] * V[:, None, :].conj() / (n ** 2)[:, None, None]
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import channel, horizon, lorentz, photon, qstate, wavepacket
-from .qstate import DensityMatrix, _row_dots, hermitize
+from .qstate import DensityMatrix, hermitize
 
 SEED = 20240901
 
@@ -132,10 +132,11 @@ def _check_incomplete_bell(grids):
             "signalling": not verdict.semicausal}
 
 
-def _marginal_shift(T, direction, rng, n_haar=25):
+def _marginal_shift(T, direction, rng):
     """Largest trace distance between the receiver's marginal with and
-    without a sender pre-operation, over the semicausality probes."""
-    _, marginals = channel._receiver_marginals(T, direction, rng, n_haar)
+    without a sender pre-operation, over the semicausality probes and 25
+    Haar pre-operations."""
+    _, marginals = channel._receiver_marginals(T, direction, rng, 25)
     ev = np.linalg.eigvalsh(hermitize(marginals[:, 1:] - marginals[:, :1]))
     return float(0.5 * np.abs(ev).sum(axis=-1).max())
 
@@ -224,7 +225,7 @@ def _check_wigner(grids):
     m = 1.0
     P = np.empty((n, 4))
     P[:, 1:] = rng.normal(scale=0.8, size=(n, 3))
-    P[:, 0] = np.sqrt(m * m + _row_dots(P[:, 1:]))
+    P[:, 0] = np.sqrt(m * m + np.einsum("ni,ni->n", P[:, 1:], P[:, 1:]))
     got = lorentz._standard_boosts_massive(P, m) @ [m, 0.0, 0.0, 0.0]
     worst_massive = float(np.abs(got - P).max())
 
@@ -232,7 +233,7 @@ def _check_wigner(grids):
     for i in range(n):  # alternating draws: this order fixes the momenta
         nvecs[i] = rng.normal(size=3)
         energies[i] = rng.uniform(0.1, 5.0)
-    nvecs /= np.sqrt(_row_dots(nvecs))[:, None]
+    nvecs /= np.sqrt(np.einsum("ni,ni->n", nvecs, nvecs))[:, None]
     K = np.column_stack([energies, energies[:, None] * nvecs])
     got = lorentz._standard_boosts_massless(K) @ [1.0, 0.0, 0.0, 1.0]
     worst_massless = float(np.abs(got - K).max())
@@ -242,7 +243,7 @@ def _check_wigner(grids):
         axes[i] = rng.normal(size=3)
         angles[i] = rng.uniform(0, np.pi)
         P[i, 1:] = rng.normal(size=3)
-    P[:, 0] = np.sqrt(1.0 + _row_dots(P[:, 1:]))
+    P[:, 0] = np.sqrt(1.0 + np.einsum("ni,ni->n", P[:, 1:], P[:, 1:]))
     L = np.zeros((50, 4, 4))
     L[:, 0, 0] = 1.0
     L[:, 1:, 1:] = lorentz._rotation3(axes, angles)

@@ -157,12 +157,12 @@ def gaussian_packet(spec: PacketSpec) -> SpinorPacket:
                         amplitudes=amps)
 
 
-def _spin_z_pair(spread: float, points: int, extent: float) -> tuple:
+def _spin_z_pair(spread: float, points: int) -> tuple:
     """Unit-mass Gaussian packets at rest with spin along +z and -z, on one
     grid built and checked once. The -z spinor (0, 1) is the +z spinor
     (1, 0) with its components swapped, so the -z packet's amplitudes are
     the +z packet's swapped, with the same norm bit for bit."""
-    up = gaussian_packet(PacketSpec(mass=1.0, spread=spread, points=points, extent=extent))
+    up = gaussian_packet(PacketSpec(mass=1.0, spread=spread, points=points))
     return up, SpinorPacket._checked(1.0, up.momenta, up.weights, up.amplitudes[:, ::-1])
 
 
@@ -272,41 +272,39 @@ def _boost_at_angle(beta: float, theta: float) -> LorentzTransform:
 
 
 def entropy_surface(delta_over_m: float, beta_list, theta_list,
-                    points: int = 15, extent: float = 4.0,
-                    base: str | int = "e") -> list:
-    """Spin entropy of a boosted z-spin Gaussian packet.
+                    points: int = 15) -> list:
+    """Spin entropy (nats) of a boosted z-spin Gaussian packet.
 
     Returns rows (theta, gamma, entropy) for every (beta, theta) pair; the
     packet rests at the origin with the given relative spread.
     """
     if len(beta_list) == 0 or len(theta_list) == 0:
         raise ValidationError("parameter lists must be nonempty")
-    packet = gaussian_packet(PacketSpec(mass=1.0, spread=delta_over_m,
-                                        points=points, extent=extent))
+    packet = gaussian_packet(PacketSpec(mass=1.0, spread=delta_over_m, points=points))
     (grid, c), rest, rows = _bloch_weights([packet]), reduced_spin(packet), []
     for theta in theta_list:
         for beta in beta_list:
             tau = (rest if beta == 0.0 else
                    _boosted_marginals(grid, c, _boost_at_angle(beta, theta))[0])
             rows.append((float(theta), gamma_parameter(delta_over_m, 1.0, beta),
-                         qstate.von_neumann_entropy(tau, base=base)))
+                         qstate.von_neumann_entropy(tau)))
     return rows
 
 
-def _spin_z_boosts(delta_over_m, gamma_list, theta, points, extent) -> tuple:
+def _spin_z_boosts(delta_over_m, gamma_list, theta, points) -> tuple:
     """The sorted gammas, the +z/-z spin pair at rest and the boost per gamma."""
     gammas = np.asarray(sorted(gamma_list), dtype=float)
     if (gammas <= 0).any():
         raise ValidationError("gamma values must be positive")
     lams = [_boost_at_angle(beta_for_gamma(g, delta_over_m, 1.0), theta) for g in gammas]
-    return gammas, _spin_z_pair(delta_over_m, points, extent), lams
+    return gammas, _spin_z_pair(delta_over_m, points), lams
 
 
 def _round_trip_errors(delta_over_m, gamma_list, theta, points) -> tuple:
     """The sorted gammas and, per gamma, the error probability of the +z/-z
     pair's spin marginals after the boost and after the boost and its
     inverse; the inverse acts on the kept boosted pair."""
-    gammas, pair, lams = _spin_z_boosts(delta_over_m, gamma_list, theta, points, 4.0)
+    gammas, pair, lams = _spin_z_boosts(delta_over_m, gamma_list, theta, points)
     grid, c = _bloch_weights(pair)
     pes, back = [], []
     for lam in lams:
@@ -324,7 +322,7 @@ def _fitted_exponent(gammas, pes):
 
 
 def packet_error_scaling(delta_over_m: float, gamma_list, theta: float = np.pi / 2,
-                         points: int = 15, extent: float = 4.0) -> dict:
+                         points: int = 15) -> dict:
     """Distinguishability loss of two orthogonal-spin packets under a boost.
 
     Both packets share the Gaussian profile; spins are prepared along +z
@@ -333,7 +331,7 @@ def packet_error_scaling(delta_over_m: float, gamma_list, theta: float = np.pi /
     probabilities and the least-squares slope of log P_E' against log
     gamma.
     """
-    gammas, pair, lams = _spin_z_boosts(delta_over_m, gamma_list, theta, points, extent)
+    gammas, pair, lams = _spin_z_boosts(delta_over_m, gamma_list, theta, points)
     grid, c = _bloch_weights(pair)
     pes = [qstate.error_probability(*_boosted_marginals(grid, c, lam)) for lam in lams]
     return {"gamma": gammas.tolist(),
@@ -377,10 +375,9 @@ class BipartitePacket:
         return float(np.trace(self.spin_matrix).real)
 
 
-def singlet_packet(delta_over_m: float, points: int = 9,
-                   extent: float = 4.0) -> BipartitePacket:
+def singlet_packet(delta_over_m: float, points: int = 9) -> BipartitePacket:
     """Spin-singlet pair of identical Gaussian packets at rest."""
-    pair = _spin_z_pair(delta_over_m, points, extent)
+    pair = _spin_z_pair(delta_over_m, points)
     chi = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex) / np.sqrt(2.0)
     return BipartitePacket(first=pair, second=pair, amplitudes=chi)
 
@@ -398,9 +395,9 @@ def reduced_spin_pair(packet: BipartitePacket) -> DensityMatrix:
 
 
 def bipartite_boost_concurrence(delta_over_m: float, rapidity_list,
-                                points: int = 9, extent: float = 4.0) -> list:
+                                points: int = 9) -> list:
     """Concurrence of the boosted singlet packet per rapidity (z boosts)."""
-    packet = singlet_packet(delta_over_m, points=points, extent=extent)
+    packet = singlet_packet(delta_over_m, points=points)
     rows = []
     for chi in rapidity_list:
         lam = boost(rapidity=float(chi), axis=(0.0, 0.0, 1.0))
@@ -412,17 +409,17 @@ def bipartite_boost_concurrence(delta_over_m: float, rapidity_list,
 # ---------------------------------------------------------------------------
 # witnesses that the traced spin map is not a fixed unitary / not CP
 
-def noncovariance_witness(beta: float = 0.8, theta: float = np.pi / 2,
-                          spreads: tuple = (0.1, 0.3), points: int = 15) -> dict:
-    """Two packets with identical rest-frame spin marginals whose boosted
-    marginals have different spectra.
+def noncovariance_witness(beta: float = 0.8, spreads: tuple = (0.1, 0.3),
+                          points: int = 15) -> dict:
+    """Two packets with identical rest-frame spin marginals whose marginals
+    after a boost perpendicular to the spin have different spectra.
 
     Any transformation law depending on the Lorentz matrix alone would map
     equal marginals to equal spectra, so a spectral gap witnesses that the
     reduced spin matrix has no such law. Returns the two boosted spectra
     and their maximal absolute difference.
     """
-    lam = _boost_at_angle(beta, theta)
+    lam = _boost_at_angle(beta, np.pi / 2)
     taus, spectra = [], []
     for spread in spreads:
         packet = gaussian_packet(PacketSpec(mass=1.0, spread=spread, points=points))

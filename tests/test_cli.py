@@ -201,6 +201,12 @@ class TestScenarioOutputs:
         assert data["incomplete_bell"]["witness_state"] == "probe_0"
         assert data["complete_bell_semicausal"] == {"B->A": True, "A->B": True}
         assert abs(data["advantage"] - 0.75) <= 1e-15
+        # the configured tolerance decides the verdict: 0.75 < 0.5 + 0.3
+        (tmp_path / "t.cfg").write_text("tolerance = 0.3\n")
+        assert main_in(["--scenario", "causality-bell", "--format", "json", "--config",
+                        str(tmp_path / "t.cfg"), "--out", str(tmp_path / "t.json")])[0] == 0
+        bell = json.loads((tmp_path / "t.json").read_text())["data"]["incomplete_bell"]
+        assert (bell["semicausal"], bell["witness_pre_op"], bell["tolerance"]) == (True, None, 0.3)
 
     def test_blackhole_evaporate_half_mass(self, tmp_path, main_in):
         cfg = tmp_path / "bh.cfg"

@@ -8,6 +8,7 @@ from relqinfo._errors import DimensionError, ValidationError
 from relqinfo.lorentz import (ETA, aberrate, boost, compose, rotation,
                               rotation_from_su2, standard_boost_massive,
                               standard_boost_massless, wigner_rotation)
+from test_kernels import unit_vectors
 
 
 def random_onshell(rng, m, scale=1.0):
@@ -94,6 +95,14 @@ class TestConstructors:
             make()
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", [lambda n: rotation(n, np.pi), lambda n: rotation(n, 0.5),
+                                      lambda n: boost(rapidity=1.0, axis=n)])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_axes_whose_squared_norm_over_or_underflows(self, make, scale):
+        for n in np.eye(3)[0], np.array([0.3, -0.2, 0.9]):
+            assert np.abs(make(scale * n).matrix - make(n).matrix).max() <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
     def test_largest_rapidity_is_checked_without_overflow(self):
         assert boost(rapidity=lorentz._MAX_RAPIDITY, axis=[0.3, -0.2, 0.9]).matrix[0, 0] > 1e150
         with pytest.raises(ValidationError, match="rapidity"):
@@ -153,7 +162,7 @@ class TestStandardBoosts:
         """The massive draws of selfcheck criterion 07."""
         rng = np.random.default_rng(selfcheck.SEED)
         pvec = rng.normal(scale=0.8, size=(n, 3))
-        return np.column_stack([np.sqrt(m * m + selfcheck._row_dots(pvec)), pvec])
+        return np.column_stack([np.sqrt(m * m + np.einsum("ni,ni->n", pvec, pvec)), pvec])
 
     def test_batched_massive_core_matches_scalar_loop(self):
         P = self.criterion_07_momenta()
@@ -362,15 +371,15 @@ class TestWignerRotation:
             assert np.abs(back - rotation(axis, ang).matrix[1:, 1:]).max() < 1e-10
 
 
-axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
 # rotations, near-pi rotations, boosts up to chi = 30 and both compositions
 transforms = st.one_of(
-    st.builds(rotation, axes, st.floats(0.0, np.pi)),
-    st.builds(lambda n, gap: rotation(n, np.pi - gap), axes, st.floats(0.0, 1e-6)),
-    st.builds(lambda n, chi: boost(rapidity=chi, axis=n), axes, st.floats(0.0, 30.0)),
+    st.builds(rotation, unit_vectors, st.floats(0.0, np.pi)),
+    st.builds(lambda n, gap: rotation(n, np.pi - gap), unit_vectors, st.floats(0.0, 1e-6)),
+    st.builds(lambda n, chi: boost(rapidity=chi, axis=n), unit_vectors, st.floats(0.0, 30.0)),
     st.builds(lambda n, chi, r, a, first: compose(*[boost(rapidity=chi, axis=n),
                                                     rotation(r, a)][::1 if first else -1]),
-              axes, st.floats(0.0, 30.0), axes, st.floats(0.0, np.pi), st.booleans()))
+              unit_vectors, st.floats(0.0, 30.0), unit_vectors, st.floats(0.0, np.pi),
+              st.booleans()))
 
 
 def pair_stacks(pairs, m):
@@ -395,7 +404,7 @@ class TestPairwiseCore:
     """_wigner_rotations, the little group of N (transform, momentum) pairs."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(pairs=st.lists(st.tuples(transforms, st.tuples(axes, st.floats(0.0, 3.0))),
+    @given(pairs=st.lists(st.tuples(transforms, st.tuples(unit_vectors, st.floats(0.0, 3.0))),
                           min_size=1, max_size=6),
            m=st.floats(0.1, 10.0))
     def test_against_canonical_boost_oracle(self, pairs, m):

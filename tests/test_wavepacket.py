@@ -13,7 +13,7 @@ from relqinfo.wavepacket import (BipartitePacket, PacketSpec, SpinorPacket,
                                  gaussian_packet, noncovariance_witness,
                                  packet_error_scaling, reduced_spin,
                                  reduced_spin_pair, singlet_packet)
-from test_kernels import expected_su2
+from test_kernels import expected_su2, unit_vectors
 
 
 def small_packet(**kw):
@@ -187,9 +187,6 @@ class TestBoostCore:
 MARGINAL_GAP = 1e-14
 # the same for an error probability, half a trace norm of a marginal difference
 PE_GAP = 2 * MARGINAL_GAP
-
-unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
-    lambda v: np.linalg.norm(v) > 0.1)
 
 
 class TestBoostedMarginals:
@@ -380,9 +377,9 @@ class TestErrorScaling:
         assert len(grids) == 1
 
     def test_spin_z_pair_matches_two_gaussian_packets(self):
-        pair = wavepacket._spin_z_pair(0.15, 7, 4.5)
+        pair = wavepacket._spin_z_pair(0.15, 7)
         for s, pk in zip((1.0, -1.0), pair):
-            ref = gaussian_packet(PacketSpec(mass=1.0, spread=0.15, points=7, extent=4.5,
+            ref = gaussian_packet(PacketSpec(mass=1.0, spread=0.15, points=7,
                                              spin_axis=(0.0, 0.0, s)))
             assert pk.mass == ref.mass
             for name in ("momenta", "weights", "amplitudes"):
