@@ -3,9 +3,10 @@ subcommands with a flat config file and seeded determinism. SCENARIOS
 declares the config keys and --grid.* names each scenario reads.
 
 Exit codes: 0 success, 2 usage error (unknown scenario, bad or non-finite
-flags, or a tolerance or grid name the run does not read), 3 validation
-failure (JSON diagnostic on stdout), such as an undeclared config key, 4
-numerical acceptance failure in self-check mode.
+flags, a tolerance or grid name the run does not read, a negative seed, or an
+--out that cannot be written), 3 validation failure, such as an undeclared
+config key or a config file that cannot be read, 4 numerical acceptance
+failure in self-check mode. Errors 2 and 3 print one JSON line on stdout.
 """
 from __future__ import annotations
 
@@ -52,7 +53,10 @@ def load_config(path: str | None) -> dict:
     cfg: dict = {}
     if path is None:
         return cfg
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
+        raise ValidationError(str(exc)) from None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -284,9 +288,10 @@ SCENARIOS = {
 
 
 # ---------------------------------------------------------------------------
-# emission and validation
+# emission and validation: run builds the text, checks it, writes it once
 
-def write_csv(path: Path, columns, rows, meta: dict) -> None:
+def write_csv(columns, rows, meta: dict) -> str:
+    """The CSV text: '# key = value' metadata lines, the header, the rows."""
     import csv
     import io
 
@@ -301,19 +306,18 @@ def write_csv(path: Path, columns, rows, meta: dict) -> None:
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt(x) for x in row])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    return buf.getvalue()
 
 
-def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+def write_json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def validate_emitted(path: Path, fmt: str) -> None:
-    """Round-trip the emitted file through its schema check."""
+def _check_emitted(text: str, fmt: str) -> None:
+    """The output schema: metadata naming scenario, version and seed, and
+    for CSV a header and rows of its width with no empty cell."""
     import csv
 
-    text = path.read_text(encoding="utf-8")
     if fmt == "json":
         obj = json.loads(text)
         if not isinstance(obj, dict) or "meta" not in obj:
@@ -340,10 +344,15 @@ def validate_emitted(path: Path, fmt: str) -> None:
             raise ValidationError("emitted CSV has an empty cell")
 
 
+def validate_emitted(path: Path, fmt: str) -> None:
+    """Check a file written by run against the output schema."""
+    _check_emitted(Path(path).read_text(encoding="utf-8"), fmt)
+
+
 def run(scenario: str, config: dict, seed: int, out_path: Path, fmt: str,
         grid_overrides: dict) -> None:
-    """Execute a scenario on its declared config keys and grids and emit
-    its table or report to out_path."""
+    """Execute a scenario on its declared config keys and grids, check its
+    table or report against the output schema and write it to out_path."""
     body, keys, grids = SCENARIOS[scenario]
     params = _params(config, keys)
     params.update({g: grid_overrides.get(g, selfcheck.DEFAULT_GRIDS[g]) for g in grids})
@@ -353,22 +362,17 @@ def run(scenario: str, config: dict, seed: int, out_path: Path, fmt: str,
         raise type(exc)(str(exc), {k: params[k] for k in sorted(config)}) from exc
     meta = {"scenario": scenario, "version": __version__, "seed": seed,
             "tolerances": {}, **{k: extra[k] for k in sorted(extra)}}
-    if columns is None:
-        # object-shaped reports are JSON-native; csv mode wraps them as
-        # key,value rows with JSON-encoded values
-        if fmt == "csv":
-            rows = [[k, json.dumps(payload[k], sort_keys=True)]
-                    for k in sorted(payload)]
-            write_csv(out_path, ["key", "value"], rows, meta)
-        else:
-            write_json(out_path, {"meta": meta, "data": payload})
+    if fmt == "json":
+        table = {"data": payload} if columns is None else {"columns": columns,
+                                                           "rows": payload}
+        text = write_json({"meta": meta, **table})
     else:
-        if fmt == "json":
-            write_json(out_path, {"meta": meta, "columns": columns,
-                                  "rows": payload})
-        else:
-            write_csv(out_path, columns, payload, meta)
-    validate_emitted(out_path, fmt)
+        if columns is None:  # an object-shaped report as key,value rows of JSON
+            columns, payload = ["key", "value"], [
+                [k, json.dumps(payload[k], sort_keys=True)] for k in sorted(payload)]
+        text = write_csv(columns, payload, meta)
+    _check_emitted(text, fmt)
+    out_path.write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -431,60 +435,54 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
+    """Check every flag before any work, then run; each rejected input ends
+    here as one JSON line on stdout, with its exit code."""
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
+    diag = {"error": "usage"}
     try:
         tol_overrides, grid_overrides, rest = _extract_dotted(list(argv))
         args = parser.parse_args(rest)
-        selfcheck._tols(tol_overrides)
-        selfcheck._grids(grid_overrides)
+        try:
+            selfcheck._tols(tol_overrides), selfcheck._grids(grid_overrides)
+        except KeyError as exc:  # an unknown name or a bad value
+            raise ValidationError(exc.args[0]) from None
+        if not (args.scenario or args.selfcheck):
+            parser.error("one of --scenario and --selfcheck is required")
         if args.scenario and not args.selfcheck:
             grids = SCENARIOS[args.scenario][2]
             unread = [*(f"--tol.{k}" for k in tol_overrides),
                       *(f"--grid.{k}" for k in grid_overrides if k not in grids)]
             if unread:
                 raise ValidationError(f"{args.scenario} does not read {unread}")
-    except (KeyError, ValidationError) as exc:
-        print(json.dumps({"error": "usage", "detail": exc.args[0]}))
-        return USAGE_EXIT
-    except SystemExit as exc:
-        return USAGE_EXIT if exc.code not in (0, None) else 0
-
-    try:
+            args.out = args.out or f"{args.scenario}.{args.format}"
+        if args.seed < 0:
+            raise ValidationError(f"--seed needs a whole number >= 0, got {args.seed}")
+        if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+            raise ValidationError(f"--out needs a file in an existing directory, got {args.out!r}")
+        diag["error"] = "validation"
         config = load_config(args.config)
-    except (OSError, ValidationError) as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}))
-        return VALIDATION_EXIT
-
-    if args.selfcheck:
-        return _run_selfcheck(args, tol_overrides, grid_overrides, config)
-
-    if not args.scenario:
-        parser.print_usage(sys.stderr)
-        return USAGE_EXIT
-    out_path = Path(args.out) if args.out else Path(
-        f"{args.scenario}.{args.format}")
-    try:
-        run(args.scenario, config, args.seed, out_path, args.format,
-            grid_overrides)
+        if args.selfcheck:
+            return _run_selfcheck(args.out, tol_overrides, grid_overrides, config)
+        diag["scenario"] = args.scenario
+        run(args.scenario, config, args.seed, Path(args.out), args.format, grid_overrides)
+    except SystemExit as exc:  # argparse printed its usage error, or --help
+        return USAGE_EXIT if exc.code not in (0, None) else 0
+    except OSError as exc:  # looking up --out, or the one write to it
+        diag = {"error": "usage", "detail": f"--out: {exc}"}
     except (ValidationError, DimensionError) as exc:  # args: message[, config]
-        diag = dict(zip(("detail", "config"), exc.args))
-        print(json.dumps({"error": "validation", "scenario": args.scenario, **diag},
-                         sort_keys=True))
-        return VALIDATION_EXIT
-    print(f"wrote {out_path}")
-    return 0
+        diag.update(zip(("detail", "config"), exc.args))
+    else:
+        print(f"wrote {args.out}")
+        return 0
+    print(json.dumps(diag))
+    return USAGE_EXIT if diag["error"] == "usage" else VALIDATION_EXIT
 
 
-def _run_selfcheck(args, tol_overrides, grid_overrides, config) -> int:
-    try:
-        _params(config, {})  # the criteria read no config key
-        results = selfcheck.run_all(tol_overrides or None,
-                                    grid_overrides or None)
-    except (ValidationError, DimensionError) as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}))
-        return VALIDATION_EXIT
-    report = selfcheck.report_dict(results)
+def _run_selfcheck(out, tol_overrides, grid_overrides, config) -> int:
+    _params(config, {})  # the criteria read no config key
+    report = selfcheck.report_dict(selfcheck.run_all(tol_overrides or None,
+                                                     grid_overrides or None))
     for crit in report["criteria"]:
         failed = "; ".join(  # 'key relation [name =] bound (margin m)'
             f"{c['key']} {c['relation']} " + (f"{c['bound_name']} = " if c["bound_name"] else "")
@@ -492,8 +490,8 @@ def _run_selfcheck(args, tol_overrides, grid_overrides, config) -> int:
             for c in crit["checks"] if not c["holds"])
         status = f"FAIL[{crit['failure_class']}] {failed}" if failed else "PASS"
         print(f"{crit['name']}: {status}")
-    if args.out:
-        write_json(Path(args.out), report)
+    if out:
+        Path(out).write_text(write_json(report), encoding="utf-8")
     return 0 if report["all_passed"] else NUMERICAL_EXIT
 
 

@@ -100,6 +100,52 @@ class TestExitCodes:
         [flag] = [f for f in flags if f.startswith(("--tol.", "--grid."))]
         assert flag.split(".", 1)[1].split("=")[0] in diag["detail"]
 
+    @pytest.mark.parametrize("flags, code, error", [
+        (["--scenario", "teleport-check", "--seed", "-1"], 2, "usage"),
+        (["--scenario", "superscatter-demo", "--seed", "-1"], 2, "usage"),
+        (["--scenario", "causality-bell", "--seed", "-1"], 2, "usage"),
+        (["--scenario", "chsh", "--seed", "-1"], 2, "usage"),
+        (["--selfcheck", "--seed", "-1"], 2, "usage"),
+        (["--scenario", "chsh", "--out", "{tmp}/no-dir/o.csv"], 2, "usage"),
+        (["--scenario", "chsh", "--out", "{tmp}"], 2, "usage"),
+        (["--selfcheck", "--out", "{tmp}/no-dir/o.json"], 2, "usage"),
+        (["--selfcheck", "--out", "{tmp}"], 2, "usage"),
+        (["--scenario", "chsh", "--out", "/dev/full"], 2, "usage"),
+        (["--scenario", "chsh", "--config", "{tmp}/latin1.cfg"], 3, "validation"),
+        (["--scenario", "chsh", "--config", "{tmp}/no.cfg"], 3, "validation"),
+        (["--scenario", "unruh", "--config", "{tmp}/no-equals.cfg"], 3, "validation"),
+        (["--scenario", "chsh", "--out", "/dev/null"], 0, None),
+        (["--scenario", "chsh", "--format", "json", "--out", "/dev/null"], 0, None)])
+    def test_input_rejected_where_it_enters(self, tmp_path, capsys, monkeypatch,
+                                            flags, code, error):
+        # a rejected row writes no file and runs nothing, except /dev/full,
+        # whose one write fails after the scenario ran; /dev/null passes
+        (tmp_path / "latin1.cfg").write_bytes(b"\xff = 1\n")
+        (tmp_path / "no-equals.cfg").write_text("this line has no equals sign\n")
+        monkeypatch.chdir(tmp_path)
+        calls, run, run_all = [], cli.run, selfcheck.run_all
+        monkeypatch.setattr(cli, "run", lambda *a: calls.append(a) or run(*a))
+        monkeypatch.setattr(selfcheck, "run_all", lambda *a: calls.append(a) or run_all(*a))
+        assert cli.main([f.format(tmp=tmp_path) for f in flags]) == code
+        out, err = capsys.readouterr()
+        if error is None:
+            assert out == "wrote /dev/null\n"
+        else:
+            [line] = out.splitlines()
+            assert json.loads(line)["error"] == error
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.cfg", "no-equals.cfg"]
+        assert bool(calls) == (error is None or "/dev/full" in flags)
+
+    def test_out_dev_stdout_into_a_pipe_returns(self, tmp_path, main_in):
+        # nothing reads the pipe back, and the status line follows the data
+        assert main_in(["--scenario", "chsh", "--out", str(tmp_path / "c.csv")])[0] == 0
+        out = subprocess.run(RUN + ["--scenario", "chsh", "--out", "/dev/stdout"],
+                             stdout=subprocess.PIPE, cwd=tmp_path, env=child_env(),
+                             timeout=60)
+        assert out.returncode == 0
+        assert out.stdout == (tmp_path / "c.csv").read_bytes() + b"wrote /dev/stdout\n"
+
     def test_corrupted_constants_are_validation_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("constants.c = 0\n")
@@ -108,14 +154,6 @@ class TestExitCodes:
         assert out.returncode == 3
         diag = json.loads(out.stdout.strip().splitlines()[-1])
         assert diag["error"] == "validation" and diag["config"] == {"constants.c": 0.0}
-        assert not (tmp_path / "u.csv").exists()
-
-    def test_malformed_config_line(self, tmp_path, main_in):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("this line has no equals sign\n")
-        code, out = main_in(["--scenario", "unruh", "--config", str(cfg),
-                             "--out", str(tmp_path / "u.csv")])
-        assert code == 3 and json.loads(out)["error"] == "validation"
         assert not (tmp_path / "u.csv").exists()
 
     @pytest.mark.parametrize("scenario, line", [
