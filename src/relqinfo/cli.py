@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -372,7 +373,21 @@ def run(scenario: str, config: dict, seed: int, out_path: Path, fmt: str,
                 [k, json.dumps(payload[k], sort_keys=True)] for k in sorted(payload)]
         text = write_csv(columns, payload, meta)
     _check_emitted(text, fmt)
-    out_path.write_text(text, encoding="utf-8")
+    _write_out(out_path, text)
+
+
+def _write_out(out, text: str) -> None:
+    """Write text to the file out in one write, through sys.stdout if out is
+    the file on fd 1: opening it again would write from offset 0, over the
+    lines printed around it."""
+    try:
+        to_stdout = os.path.samestat(os.stat(out), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such file yet, or stdout has no fd
+        to_stdout = False
+    if to_stdout:
+        sys.stdout.write(text)
+    else:
+        Path(out).write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +506,7 @@ def _run_selfcheck(out, tol_overrides, grid_overrides, config) -> int:
         status = f"FAIL[{crit['failure_class']}] {failed}" if failed else "PASS"
         print(f"{crit['name']}: {status}")
     if out:
-        Path(out).write_text(write_json(report), encoding="utf-8")
+        _write_out(out, write_json(report))
     return 0 if report["all_passed"] else NUMERICAL_EXIT
 
 

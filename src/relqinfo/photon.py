@@ -9,9 +9,11 @@ lorentz.helicity_phase_batch, one call per boost in boost_packet and per
 velocity in the Doppler core), and the Doppler behavior of
 distinguishability.
 
-The packet math is batched over a leading packet axis: P packets of N
-rays are arrays of shape (P, N) (helicity amplitudes (P, N, 2)), and the
-single-packet functions call it with a batch of one.
+The packet math is batched over a leading packet axis. The single-packet
+functions run per ray, as a batch of one: the linear labels renormalize
+per ray. Packets of one helicity pair each go through the ring-moment core
+_povm_rings, which reduces every polar ring to six mass moments and
+builds no per-ray array.
 """
 from __future__ import annotations
 
@@ -143,11 +145,19 @@ def _b_components(ep: np.ndarray, em: np.ndarray) -> np.ndarray:
     return np.conjugate(b, out=b)
 
 
+def _unit_pairs(pairs) -> np.ndarray:
+    """Helicity pairs (..., 2), each divided by its norm."""
+    a = np.asarray(pairs, dtype=complex)
+    norms = np.linalg.norm(a, axis=-1, keepdims=True)
+    if not (np.isfinite(norms) & (norms > 0)).all():
+        raise ValidationError("a helicity pair needs a finite, nonzero norm")
+    return a / norms
+
+
 def _polarization_alphas(ep: np.ndarray, em: np.ndarray, polarization):
-    """Per-ray helicity amplitudes (P, N, 2) on rays with helicity vectors
-    (P, N, 3): a named polarization shared by every packet, one helicity
-    pair per packet (P, 2), normalized, or explicit amplitudes (P, N, 2),
-    passed through."""
+    """Per-ray helicity amplitudes (N, 2) on rays with helicity vectors
+    (N, 3): a named polarization, one helicity pair (2,), normalized, or
+    explicit amplitudes (N, 2), passed through."""
     rays = ep.shape[:-1]
     if isinstance(polarization, str):
         if polarization in ("plus", "minus"):
@@ -161,22 +171,15 @@ def _polarization_alphas(ep: np.ndarray, em: np.ndarray, polarization):
         b = _b_components(ep, em)[..., m, :]
         return b / np.sqrt(np.sum(np.abs(b) ** 2, axis=-1, keepdims=True))
     a = np.asarray(polarization, dtype=complex)
-    if a.shape == rays[:-1] + (2,):
-        norms = np.linalg.norm(a, axis=-1, keepdims=True)
-        if not (np.isfinite(norms) & (norms > 0)).all():
-            raise ValidationError("a helicity pair needs a finite, nonzero norm")
-        a = a / norms
-        return np.repeat(a[..., None, :], rays[-1], axis=-2)
+    if a.shape == (2,):
+        return np.repeat(_unit_pairs(a)[None], rays[0], axis=0)
     return a
 
 
-def _collimated_rays(apertures, polarization, n_theta: int, n_phi: int) -> tuple:
-    """Rays of P collimated packets (see collimated_packet), unchecked: the
-    polar angle of each ring (P, n_theta) and the azimuths (n_phi,), with
-    ray index theta_index * n_phi + phi_index; per ray, N = n_theta * n_phi
-    of them, the weights and profile (P, N), the helicity vectors eps+,
-    eps- (P, N, 3) from the ring angles, and alpha (P, N, 2).
-    `polarization` is read by _polarization_alphas."""
+def _collimated_rings(apertures, n_theta: int, n_phi: int) -> tuple:
+    """The rings of P collimated packets (see collimated_packet): the polar
+    angles (P, n_theta), the azimuths (n_phi,) and, per ring, the weight
+    and the unnormalized profile of each of its rays (P, n_theta)."""
     for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
         if not _is_count(count):
             raise ValidationError(f"{name} must be a whole number >= 1, got {count!r}")
@@ -186,20 +189,12 @@ def _collimated_rays(apertures, polarization, n_theta: int, n_phi: int) -> tuple
         raise ValidationError("aperture must lie in (0, pi/2)")
     x, wx = _gauss_legendre(n_theta)
     c0 = np.cos(apertures)[:, None]
-    cost = 0.5 * (x + 1.0) * (1.0 - c0) + c0
-    w_theta = wx * 0.5 * (1.0 - c0)
-    th = np.arccos(cost)
+    th = np.arccos(0.5 * (x + 1.0) * (1.0 - c0) + c0)
     phi = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
-    weights = np.repeat(w_theta, n_phi, axis=1) * (2.0 * np.pi / n_phi)
-
     a = apertures[:, None]
     t = np.clip((th - 0.9 * a) / (0.1 * a), 0.0, 1.0)
-    profile = np.repeat(1.0 - (3.0 * t ** 2 - 2.0 * t ** 3), n_phi, axis=1).astype(complex)
-    profile /= np.sqrt(np.sum(weights * np.abs(profile) ** 2, axis=1,
-                              keepdims=True))
-    ep, em = (e.reshape(weights.shape + (3,))
-              for e in _helicity_vectors_batch(th[..., None], phi))
-    return th, phi, weights, profile, ep, em, _polarization_alphas(ep, em, polarization)
+    return (th, phi, wx * 0.5 * (1.0 - c0) * (2.0 * np.pi / n_phi),
+            1.0 - (3.0 * t ** 2 - 2.0 * t ** 3))
 
 
 def collimated_packet(aperture: float, polarization="linear-x",
@@ -210,22 +205,26 @@ def collimated_packet(aperture: float, polarization="linear-x",
     Quadrature is Gauss-Legendre in cos(theta) times uniform phi, accurate
     well below the packet tolerances for apertures down to ~0.01 rad.
     `polarization` is 'plus', 'minus', 'linear-x', 'linear-y', one
-    helicity pair (2,) or per-ray helicity amplitudes (N, 2).
+    helicity pair (2,) or per-ray helicity amplitudes (N, 2), with ray
+    index theta_index * n_phi + phi_index.
     """
-    if not isinstance(polarization, str):
-        polarization = np.asarray(polarization, dtype=complex)[None]
-    th, phi, weights, profile, _, _, alpha = _collimated_rays(
-        [aperture], polarization, n_theta, n_phi)
-    theta = np.repeat(th[0], phi.size)
-    return PhotonPacket(theta=theta, phi=np.tile(phi, th.shape[1]), weights=weights[0],
-                        profile=profile[0], alpha=alpha[0], k0=np.ones_like(theta))
+    th, phi, w, taper = _collimated_rings([aperture], n_theta, n_phi)
+    th, weights = th[0], np.repeat(w[0], phi.size)
+    profile = np.repeat(taper[0], phi.size).astype(complex)
+    profile /= np.sqrt(np.sum(weights * np.abs(profile) ** 2))
+    ep, em = (e.reshape(-1, 3) for e in _helicity_vectors_batch(th[:, None], phi))
+    theta = np.repeat(th, phi.size)
+    return PhotonPacket(theta=theta, phi=np.tile(phi, th.size), weights=weights,
+                        profile=profile, alpha=_polarization_alphas(ep, em, polarization),
+                        k0=np.ones_like(theta))
 
 
 def _overlaps(alpha: np.ndarray, ep: np.ndarray, em: np.ndarray) -> np.ndarray:
-    """<b_m(k) | alpha> per ray and Cartesian axis m, shape (P, N, 3):
-    _b_components, conjugated in place, contracted with alpha.
-    The naive route's _cartesian_vectors is the same sum written out; the
-    two stay separate computations, so their gap can show a fault in
+    """<b_m(k) | alpha> per ray (or ring term) and Cartesian axis m, shape
+    (P, N, 3), the operands broadcast over P and N: _b_components,
+    conjugated in place, contracted with alpha. The naive route's
+    _cartesian_vectors (_ring_vectors on rings) is the same sum written out;
+    the two stay separate computations, so their gap can show a fault in
     either. (A batched (3, 2) @ (2, 1) matmul is slower than this einsum.)"""
     b = _b_components(ep, em)
     return np.einsum("pnmh,pnh->pnm", np.conjugate(b, out=b), alpha)
@@ -251,21 +250,55 @@ def _density_matrices(masses: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return vectors.swapaxes(-1, -2) @ weighted
 
 
-def _povm_batch(apertures, polarizations, n_theta: int, n_phi: int) -> tuple:
-    """POVM statistics of P collimated packets at once, one helicity basis
-    for the whole batch: the expectations of E_x, E_y, E_z (P, 3), and the
-    effective and naive matrices (P, 3, 3), hermitized and checked as
-    PolarizationMatrix checks them. The packets are checked as PhotonPacket
-    checks them; `polarizations` is one helicity pair per packet (P, 2)."""
-    _, _, weights, profile, ep, em, alpha = _collimated_rays(
-        apertures, polarizations, n_theta, n_phi)
-    masses = weights * np.abs(profile) ** 2
-    _check_packets(masses, alpha)
-    ov = _overlaps(alpha, ep, em)
-    return (_povm_expectations(masses, ov),
-            _checked_polarization(_density_matrices(masses, ov)),
-            _checked_polarization(_density_matrices(
-                masses, _cartesian_vectors(alpha, ep, em))))
+# eps+ of _helicity_vectors_batch as a sum of five terms (1, 5, 3), eps- its
+# conjugate: term j's factor is entry _THETA_TERM[j] of (1, cos, sin)(theta)
+# times entry _PHI_TERM[j] of (cos, sin, 1)(phi)
+_RING_EP = np.array([[[1, 0, 0], [0, 1, 0], [0, 1j, 0], [-1j, 0, 0], [0, 0, -1]]]) * _INV_SQRT2
+_THETA_TERM, _PHI_TERM = np.array([1, 1, 0, 0, 2]), np.array([0, 1, 0, 1, 2])
+
+
+def _ring_vectors(pairs: np.ndarray) -> np.ndarray:
+    """The naive route's term vectors (P, 5, 3) on the _RING_EP terms, from
+    v = alpha+ eps+ + alpha- eps- = A cos(phi) + B sin(phi) + C with
+    A = (cos(theta) s, i d, 0)/sqrt(2), B = (-i d, cos(theta) s, 0)/sqrt(2) and
+    C = (0, 0, -sin(theta) s)/sqrt(2), where s = alpha+ + alpha- and
+    d = alpha+ - alpha-."""
+    s = (pairs[:, 0] + pairs[:, 1]) * _INV_SQRT2
+    d = (pairs[:, 0] - pairs[:, 1]) * (1j * _INV_SQRT2)
+    u = np.zeros((len(pairs), 5, 3), dtype=complex)
+    u[:, 0, 0] = u[:, 1, 1] = s
+    u[:, 2, 1], u[:, 3, 0], u[:, 4, 2] = d, -d, -s
+    return u
+
+
+def _povm_rings(apertures, pairs, n_theta: int, n_phi: int) -> tuple:
+    """POVM statistics of P collimated packets of one helicity pair each
+    (P, 2): the expectations of E_x, E_y, E_z (P, 3) and the effective and
+    naive matrices (P, 3, 3), hermitized and checked as PolarizationMatrix
+    checks them, with the packets checked as PhotonPacket checks them.
+
+    A ring's rays share one mass, and each ray's vector is a sum over the
+    _RING_EP terms, v = sum_j f_j(theta) g_j(phi) u_j, so a packet's
+    sum_i m_i v_i v_i^dagger is U^T W conj(U): W_jk is the ring masses'
+    moment of f_j f_k (six distinct per packet) times the phi grid's mean of
+    g_j g_k, exact for every n_phi. The POVM route takes U from the terms'
+    b components (_overlaps), the naive route from A, B and C
+    (_ring_vectors), so their gap can show a fault in either."""
+    th, phi, w, taper = _collimated_rings(apertures, n_theta, n_phi)
+    pairs = _unit_pairs(pairs)
+    profile = taper / np.sqrt(np.sum(phi.size * w * taper ** 2, axis=1, keepdims=True))
+    masses = phi.size * w * profile ** 2  # per ring
+    _check_packets(masses, pairs[:, None])
+    ring = np.stack([np.ones_like(th), np.cos(th), np.sin(th)], axis=-1)
+    moments = (ring * masses[..., None]).swapaxes(1, 2) @ ring
+    azimuth = np.stack([np.cos(phi), np.sin(phi), np.ones_like(phi)])
+    means = azimuth @ azimuth.T / phi.size
+    weights = (moments[:, _THETA_TERM[:, None], _THETA_TERM]
+               * means[_PHI_TERM[:, None], _PHI_TERM])
+    effective, naive = (u.swapaxes(1, 2) @ (weights @ u.conj()) for u in (
+        _overlaps(pairs[:, None], _RING_EP, _RING_EP.conj()), _ring_vectors(pairs)))
+    return (np.diagonal(effective, axis1=1, axis2=2).real,
+            _checked_polarization(effective), _checked_polarization(naive))
 
 
 def _batch_of_one(packet: PhotonPacket) -> tuple:

@@ -312,22 +312,6 @@ def _check_bipartite(grids):
             "restoration_gap": abs(c_back - c0), "rest_concurrence_loss": 1.0 - cs[0]}
 
 
-# Criterion 11 runs its packets in batches of this many (9,600 rays at the
-# default 12x16 grid). The batch's temporaries grow with it: run alone, the
-# criterion peaks at ~42 MB resident in blocks of 50 and at ~68 MB with all
-# 500 packets in one batch. Blocks of 50 were also the fastest warm: blocks
-# of 10, 25 and 100 took 10-35% longer (median of 25 alternating runs).
-_POVM_BLOCK = 50
-
-
-def _photon_povm_blocks(apertures, polarizations, n_theta, n_phi):
-    """photon._povm_batch over consecutive blocks of _POVM_BLOCK packets."""
-    for start in range(0, len(apertures), _POVM_BLOCK):
-        block = slice(start, start + _POVM_BLOCK)
-        yield photon._povm_batch(apertures[block], polarizations[block],
-                                 n_theta, n_phi)
-
-
 def _check_photon_povm(grids):
     rng = np.random.default_rng(SEED)
     n = grids["povm_packets"]
@@ -336,14 +320,10 @@ def _check_photon_povm(grids):
     for i in range(n):  # one packet at a time: this draw order fixes the packets
         apertures[i] = rng.uniform(0.02, 0.6)
         polarizations[i] = qstate.haar_state(2, rng)
-    worst_sum, worst_eq = 0.0, 0.0
-    for expectations, effective, naive in _photon_povm_blocks(
-            apertures, polarizations, grids["povm_theta"], grids["povm_phi"]):
-        # completeness from the three POVM elements, not from tr(effective)
-        total = expectations.sum(axis=1)
-        worst_sum = max(worst_sum, float(np.abs(total - 1.0).max()))
-        worst_eq = max(worst_eq, float(np.abs(effective - naive).max()))
-    return {"max_completeness_gap": worst_sum, "max_effective_vs_naive": worst_eq}
+    expectations, effective, naive = photon._povm_rings(
+        apertures, polarizations, grids["povm_theta"], grids["povm_phi"])
+    return {"max_completeness_gap": float(np.abs(expectations.sum(axis=1) - 1.0).max()),
+            "max_effective_vs_naive": float(np.abs(effective - naive).max())}
 
 
 def _check_doppler(grids):

@@ -146,6 +146,16 @@ class TestExitCodes:
         assert out.returncode == 0
         assert out.stdout == (tmp_path / "c.csv").read_bytes() + b"wrote /dev/stdout\n"
 
+    def test_out_dev_stdout_redirected_to_a_file_keeps_the_data(self, tmp_path, main_in):
+        # the data goes through fd 1's own offset, so the status line follows it
+        assert main_in(["--scenario", "unruh", "--out", str(tmp_path / "u.csv")])[0] == 0
+        with open(tmp_path / "redirected.csv", "wb") as stdout:
+            out = subprocess.run(RUN + ["--scenario", "unruh", "--out", "/dev/stdout"],
+                                 stdout=stdout, cwd=tmp_path, env=child_env(), timeout=60)
+        assert out.returncode == 0
+        assert ((tmp_path / "redirected.csv").read_bytes()
+                == (tmp_path / "u.csv").read_bytes() + b"wrote /dev/stdout\n")
+
     def test_corrupted_constants_are_validation_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("constants.c = 0\n")

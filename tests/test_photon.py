@@ -1,4 +1,4 @@
-import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -261,50 +261,66 @@ def random_packet_draws(n, seed):
     return apertures, pairs
 
 
+def same_check_message(batched, scalar):
+    """Two check messages 'WHAT VALUE differs from 1' naming the same check,
+    with values equal up to round-off (a ring sum against a ray sum)."""
+    (what_b, value_b), (what_s, value_s) = (
+        str(e.value).removesuffix(" differs from 1").rsplit(" ", 1) for e in (batched, scalar))
+    return what_b == what_s and abs(float(value_b) - float(value_s)) < 1e-12
+
+
 class TestPacketBatch:
-    """The packet-batched core against a loop over the single-packet API."""
+    """The ring core against a loop over the per-ray single-packet API."""
 
     N_THETA, N_PHI = 6, 8
 
-    @pytest.mark.parametrize("n", [1, 7, 50, 51, 500])
-    def test_batches_and_blocks_match_scalar_loop(self, n):
+    @pytest.mark.parametrize("n_theta, n_phi, n", [
+        *((nt, nph, n) for nt, nph in [(6, 8), (12, 1), (12, 2), (12, 3), (32, 64)]
+          for n in (1, 7, 51)), (6, 8, 500)])
+    def test_ring_core_matches_scalar_loop(self, n_theta, n_phi, n):
         apertures, pairs = random_packet_draws(n, 48 + n)
-        whole = photon._povm_batch(apertures, pairs, self.N_THETA, self.N_PHI)
-        blocks = [np.concatenate(parts) for parts in zip(*selfcheck._photon_povm_blocks(
-            apertures, pairs, self.N_THETA, self.N_PHI))]
+        rings = photon._povm_rings(apertures, pairs, n_theta, n_phi)
         for i, (aperture, pair) in enumerate(zip(apertures, pairs)):
-            pk = collimated_packet(aperture, polarization=pair,
-                                   n_theta=self.N_THETA, n_phi=self.N_PHI)
+            pk = collimated_packet(aperture, polarization=pair, n_theta=n_theta, n_phi=n_phi)
             scalar = (np.array([povm_expectation(pk, ax) for ax in "xyz"]),
                       effective_density_matrix(pk).matrix,
                       naive_density_matrix(pk).matrix)
-            for batched in (whole, blocks):
-                for got, want in zip(batched, scalar):
-                    assert np.abs(got[i] - want).max() < 1e-14
+            for got, want in zip(rings, scalar):
+                assert np.abs(got[i] - want).max() < 1e-14
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(theta=st.floats(0, np.pi), phi=st.floats(0, 2 * np.pi))
+    def test_ring_terms_are_the_helicity_frame(self, theta, phi):
+        # eps+ = sum_j f_j(theta) g_j(phi) _RING_EP[j], as the core expands it
+        f = np.array([1.0, np.cos(theta), np.sin(theta)])[photon._THETA_TERM]
+        g = np.array([np.cos(phi), np.sin(phi), 1.0])[photon._PHI_TERM]
+        ep, _ = photon._helicity_vectors_batch(theta, phi)
+        assert np.abs((f * g) @ photon._RING_EP[0] - ep).max() < 1e-15
 
     @pytest.mark.parametrize("fault", ["alpha", "profile"])
-    def test_bad_packet_in_block_raises_scalar_error(self, fault):
+    def test_bad_packet_in_batch_raises_scalar_error(self, fault):
+        # the core checks ring masses (P, n_theta) and one pair per packet
         apertures, pairs = random_packet_draws(7, 49)
-        th, phi, weights, profile, _, _, alpha = photon._collimated_rays(
-            apertures, pairs, self.N_THETA, self.N_PHI)
+        packets = [collimated_packet(a, pair, self.N_THETA, self.N_PHI)
+                   for a, pair in zip(apertures, pairs)]
+        masses = np.array([pk.masses.reshape(self.N_THETA, -1).sum(axis=1) for pk in packets])
+        bad = vars(packets[3]).copy()
         if fault == "alpha":
-            alpha[3, 5] *= 1.01
+            pairs[3] *= 1.01
+            bad["alpha"] = bad["alpha"] * 1.01
         else:
-            profile[3] *= 1.01
+            masses[3] *= 1.01 ** 2
+            bad["profile"] = bad["profile"] * 1.01
         with pytest.raises(ValidationError) as scalar:
-            photon.PhotonPacket(theta=np.repeat(th[3], self.N_PHI),
-                                phi=np.tile(phi, self.N_THETA), weights=weights[3],
-                                profile=profile[3], alpha=alpha[3],
-                                k0=np.ones_like(weights[3]))
+            photon.PhotonPacket(**bad)
         with pytest.raises(ValidationError) as batched:
-            photon._check_packets(weights * np.abs(profile) ** 2, alpha)
-        assert str(batched.value) == str(scalar.value)
+            photon._check_packets(masses, pairs[:, None])
+        assert same_check_message(batched, scalar)
 
     @pytest.mark.parametrize("bad", [np.eye(3), np.diag([0.8, 0.4, -0.2])])
-    def test_bad_matrix_in_block_raises_scalar_error(self, bad):
+    def test_bad_matrix_in_batch_raises_scalar_error(self, bad):
         apertures, pairs = random_packet_draws(7, 50)
-        _, effective, _ = photon._povm_batch(apertures, pairs, self.N_THETA,
-                                             self.N_PHI)
+        _, effective, _ = photon._povm_rings(apertures, pairs, self.N_THETA, self.N_PHI)
         effective[4] = bad
         with pytest.raises(ValidationError) as scalar:
             PolarizationMatrix(bad)
@@ -312,21 +328,42 @@ class TestPacketBatch:
             photon._checked_polarization(effective)
         assert str(batched.value) == str(scalar.value)
 
-    def test_criterion_builds_one_helicity_basis_per_block(self, monkeypatch):
+    def test_criterion_makes_one_ring_core_call(self, monkeypatch):
         calls = []
-        basis = photon._helicity_vectors_batch
 
-        def counted(theta, phi):
-            calls.append(np.shape(theta))
-            return basis(theta, phi)
+        def counted(name, f):
+            def wrapper(*args):
+                calls.append((name, np.shape(args[0])))
+                return f(*args)
+            return wrapper
 
-        monkeypatch.setattr(photon, "_helicity_vectors_batch", counted)
+        for name in ("_povm_rings", "_collimated_rings", "_helicity_vectors_batch",
+                     "_check_packets", "_checked_polarization"):
+            monkeypatch.setattr(photon, name, counted(name, getattr(photon, name)))
         grids = selfcheck._grids(None)
         crit = next(c for c in selfcheck.CRITERIA if c.name == "11-photon-povm")
-        result = selfcheck.run_criterion(crit, selfcheck._tols(None), grids)
-        assert result.passed
+        assert selfcheck.run_criterion(crit, selfcheck._tols(None), grids).passed
+        # one core call, its packet checks on (500, n_theta) ring masses, both
+        # matrix stacks checked, and no helicity frame per ray
         assert grids["povm_packets"] == 500
-        assert 0 < len(calls) <= math.ceil(500 / selfcheck._POVM_BLOCK)
+        assert calls == [("_povm_rings", (500,)), ("_collimated_rings", (500,)),
+                         ("_check_packets", (500, grids["povm_theta"])),
+                         ("_checked_polarization", (500, 3, 3)),
+                         ("_checked_polarization", (500, 3, 3))]
+
+    def test_criterion_allocates_under_2_mb(self):
+        # tracemalloc peak of one warm run: 1.3 MB measured on the rings;
+        # per-ray arrays for 50 of the 500 packets alone would exceed 2 MB
+        crit = next(c for c in selfcheck.CRITERIA if c.name == "11-photon-povm")
+        tols, grids = selfcheck._tols(None), selfcheck._grids(None)
+        selfcheck.run_criterion(crit, tols, grids)
+        tracemalloc.start()
+        try:
+            assert selfcheck.run_criterion(crit, tols, grids).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 # |new - einsum| of a POVM expectation or a density-matrix entry, relative to
@@ -365,17 +402,20 @@ class TestContractions:
         assert (gap.max(axis=(1, 2)) <= CONTRACTION_GAP * scale).all()
 
 
-@pytest.mark.parametrize("route", ["_b_components", "_cartesian_vectors"])
+@pytest.mark.parametrize("route", ["_b_components", "_ring_vectors"])
 def test_criterion_11_gap_sees_a_perturbed_route(monkeypatch, route):
-    # eps+ scaled by 1 + 1e-9 on one route only (the POVM route reads it
-    # through _b_components, the naive one through _cartesian_vectors): the
-    # effective-vs-naive gap rises to that scale and criterion 11 fails on it
+    # the alpha+ part scaled by 1 + 1e-9 on one route only: the POVM route
+    # reads eps+ through _b_components, the naive one reads the pairs in
+    # _ring_vectors; the effective-vs-naive gap rises to that scale and
+    # criterion 11 fails on it
     delta = 1e-9
     unperturbed = getattr(photon, route)
-
-    def perturbed(*args):
-        *head, ep, em = args
-        return unperturbed(*head, ep * (1.0 + delta), em)
+    if route == "_b_components":
+        def perturbed(ep, em):
+            return unperturbed(ep * (1.0 + delta), em)
+    else:
+        def perturbed(pairs):
+            return unperturbed(pairs * [1.0 + delta, 1.0])
 
     monkeypatch.setattr(photon, route, perturbed)
     crit = next(c for c in selfcheck.CRITERIA if c.name == "11-photon-povm")
