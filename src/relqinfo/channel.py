@@ -72,12 +72,8 @@ class KrausSet:
                 if a.shape != (self.dim_out, self.dim_in):
                     raise DimensionError(
                         f"Kraus matrix shape {a.shape} != ({self.dim_out}, {self.dim_in})")
-        total = sum(a.conj().T @ a for branch in ops for a in branch)
-        if self.subnormalized:
-            qstate._check_psd(np.eye(self.dim_in) - hermitize(total),
-                              "sub-normalized instrument: 1 - sum A^dagger A")
-        else:
-            qstate._check_identity(total, "Kraus set is not trace-preserving")
+        _check_completeness(np.array([a for branch in ops for a in branch]),
+                            self.subnormalized)
         object.__setattr__(self, "ops", ops)
 
     @classmethod
@@ -93,6 +89,17 @@ class KrausSet:
         matrices = [np.asarray(a, dtype=complex) for a in matrices]
         return cls(dim_in=matrices[0].shape[1], dim_out=matrices[0].shape[0],
                    ops=(tuple(matrices),))
+
+
+def _check_completeness(A: np.ndarray, subnormalized: bool = False) -> None:
+    """KrausSet's check on each (K, d_out, d_in) set of a (..., K, d_out, d_in)
+    stack: sum A†A = 1, or 1 - sum A†A PSD for a sub-normalized instrument."""
+    total = (np.conj(np.swapaxes(A, -1, -2)) @ A).sum(axis=-3)
+    if subnormalized:
+        qstate._check_psd(np.eye(A.shape[-1]) - hermitize(total),
+                          "sub-normalized instrument: 1 - sum A^dagger A")
+    else:
+        qstate._check_identity(total, "Kraus set is not trace-preserving")
 
 
 @dataclass(frozen=True)
@@ -141,10 +148,16 @@ class ChoiMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.dim_in * self.dim_out,) * 2:
             raise DimensionError("Choi matrix has inconsistent shape")
-        m = hermitize(m)
-        if not np.isfinite(m).all():
-            raise ValidationError("Choi matrix has non-finite entries")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _checked_choi(m))
+
+
+def _checked_choi(m: np.ndarray) -> np.ndarray:
+    """ChoiMatrix's checks on a (..., D, D) stack: the hermitized stack, or
+    a raise for a non-finite entry."""
+    m = hermitize(m)
+    if not np.isfinite(m).all():
+        raise ValidationError("Choi matrix has non-finite entries")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +170,34 @@ def kraus_from_unitary(U: np.ndarray, apparatus_init: PureState,
     U acts on system (x) apparatus (system index slow). The apparatus starts
     in apparatus_init; outcome_partition lists, per macroscopic outcome, an
     orthonormal basis of the apparatus subspace it occupies. Entry (sigma, s)
-    of A[mu][m] is <sigma, b_mu_m| U |s, init>.
+    of A[mu][m] is <sigma, b_mu_m| U |s, init>. _kraus_from_unitaries with a
+    batch of one.
     """
+    A = _kraus_from_unitaries(np.asarray(U, dtype=complex)[None], apparatus_init,
+                              outcome_partition)[0]
+    flat = iter(A)
+    ops = tuple(tuple(next(flat) for _ in branch) for branch in outcome_partition)
+    return KrausSet(dim_in=A.shape[-1], dim_out=A.shape[-2], ops=ops)
+
+
+def _kraus_from_unitaries(U: np.ndarray, apparatus_init: PureState,
+                          outcome_partition: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """kraus_from_unitary on an (n, D, D) stack of premeasurement matrices:
+    the (n, K, d_sys, d_sys) Kraus matrices, outcome by outcome, after its
+    checks and KrausSet's completeness check on every matrix of the stack."""
     U = np.asarray(U, dtype=complex)
-    d_total = U.shape[0]
-    if U.shape != (d_total, d_total):
+    if U.ndim != 3 or U.shape[1] != U.shape[2]:
         raise DimensionError("premeasurement matrix must be square")
-    qstate._check_identity(U @ U.conj().T, "premeasurement matrix is not unitary")
+    qstate._check_identity(U @ np.conj(np.swapaxes(U, 1, 2)),
+                           "premeasurement matrix is not unitary")
     init = apparatus_init.amplitudes
-    d_app = init.size
+    d_total, d_app = U.shape[1], init.size
     if d_total % d_app:
         raise DimensionError("apparatus dimension does not divide the total")
     d_sys = d_total // d_app
 
+    if any(len(branch) == 0 for branch in outcome_partition):
+        raise ValidationError("Kraus set needs at least one matrix per outcome")
     vectors = [np.asarray(v, dtype=complex).ravel() for branch in outcome_partition
                for v in branch]
     if len(vectors) != d_app:
@@ -177,18 +205,12 @@ def kraus_from_unitary(U: np.ndarray, apparatus_init: PureState,
     V = np.array(vectors)
     qstate._check_identity(V @ V.conj().T, "partition subspaces are not orthonormal")
 
-    # |s, init> columns, U applied, then projected on <sigma, b|
-    Ut = U.reshape(d_sys, d_app, d_sys, d_app)
-    ops = []
-    for branch in outcome_partition:
-        branch_ops = []
-        for b in branch:
-            b = np.asarray(b, dtype=complex).ravel()
-            # A[sigma, s] = sum_{a, a'} conj(b_a) U[(sigma a), (s a')] init_a'
-            A = np.einsum("a,zast,t->zs", b.conj(), Ut, init)
-            branch_ops.append(A)
-        ops.append(tuple(branch_ops))
-    return KrausSet(dim_in=d_sys, dim_out=d_sys, ops=tuple(ops))
+    # |s, init> columns, U applied, then projected on <sigma, b_k|:
+    # A[n, k, sigma, s] = sum_{a, a'} conj(b_ka) U[n, (sigma a), (s a')] init_a'
+    A = np.einsum("ka,nzast,t->nkzs", V.conj(),
+                  U.reshape(-1, d_sys, d_app, d_sys, d_app), init)
+    _check_completeness(A)
+    return A
 
 
 def apply(k: KrausSet, rho) -> list:
@@ -224,45 +246,57 @@ def _outcome_states(ops, m: np.ndarray) -> list:
     return [sum(a @ m @ a.conj().T for a in branch) for branch in ops]
 
 
-def _apply_map(k_or_fn, rho: np.ndarray) -> np.ndarray:
-    if isinstance(k_or_fn, KrausSet):
-        return sum(_outcome_states(k_or_fn.ops, rho))
-    return np.asarray(k_or_fn(rho), dtype=complex)
-
-
 def choi_and_cp_check(map_or_kraus, dim_in: int | None = None) -> tuple:
     """Choi matrix of a linear map plus its complete-positivity verdict.
 
     Accepts a KrausSet or a callable rho -> rho' (dim_in then required).
     Returns (ChoiMatrix, is_cp, min_eig) where min_eig is the smallest
     eigenvalue of the trace-normalized Choi matrix; the map is CP iff
-    min_eig >= -TOL_PSD.
+    min_eig >= -TOL_PSD. A KrausSet's Choi matrix is _kraus_choi's, and
+    both kinds go through _choi_min_eigs with a batch of one.
     """
     if isinstance(map_or_kraus, KrausSet):
-        dim_in = map_or_kraus.dim_in
+        dim_in, dim_out = map_or_kraus.dim_in, map_or_kraus.dim_out
+        C = _kraus_choi(np.array([a for branch in map_or_kraus.ops for a in branch]))
     elif dim_in is None:
         raise ValueError("dim_in is required for a callable map")
-    blocks = []
-    for i in range(dim_in):
-        row = []
-        for j in range(dim_in):
-            probe = np.zeros((dim_in, dim_in), dtype=complex)
-            probe[i, j] = 1.0
-            # copy: the callable may hand back a view of the probe
-            row.append(np.array(_apply_map(map_or_kraus, probe),
-                                dtype=complex, copy=True))
-        blocks.append(row)
-    shapes = {b.shape for row in blocks for b in row}
-    if len(shapes) != 1 or len(shape := shapes.pop()) != 2 or shape[0] != shape[1]:
-        raise DimensionError("the map must return square matrices of one size")
-    dim_out = shape[0]
-    C = np.block(blocks)
-    choi = ChoiMatrix(matrix=C, dim_in=dim_in, dim_out=dim_out)
-    tr = np.trace(choi.matrix).real
-    if abs(tr) < _TOL:
+    else:
+        blocks = []
+        for i in range(dim_in):
+            row = []
+            for j in range(dim_in):
+                probe = np.zeros((dim_in, dim_in), dtype=complex)
+                probe[i, j] = 1.0
+                # copy: the callable may hand back a view of the probe
+                row.append(np.array(map_or_kraus(probe), dtype=complex, copy=True))
+            blocks.append(row)
+        shapes = {b.shape for row in blocks for b in row}
+        if len(shapes) != 1 or len(shape := shapes.pop()) != 2 or shape[0] != shape[1]:
+            raise DimensionError("the map must return square matrices of one size")
+        dim_out = shape[0]
+        C = np.block(blocks)
+    C, min_eig = _choi_min_eigs(C[None])
+    return (ChoiMatrix(matrix=C[0], dim_in=dim_in, dim_out=dim_out),
+            bool(min_eig[0] >= -qstate.TOL_PSD), float(min_eig[0]))
+
+
+def _kraus_choi(A: np.ndarray) -> np.ndarray:
+    """Choi matrices sum_k vec(A_k) vec(A_k)† of a (..., K, d_out, d_in)
+    stack of Kraus sets, shape (..., d_in d_out, d_in d_out), input index
+    slow: block (i, j) is the image of |i><j|."""
+    W = np.swapaxes(A, -1, -2).reshape(*A.shape[:-2], -1)
+    return np.swapaxes(W, -1, -2) @ W.conj()
+
+
+def _choi_min_eigs(C: np.ndarray) -> tuple:
+    """The (n, D, D) Choi stack C after ChoiMatrix's checks, and the least
+    eigenvalue of each matrix over its trace, shape (n,); the map is CP iff
+    it is >= -TOL_PSD."""
+    C = _checked_choi(C)
+    tr = np.trace(C, axis1=1, axis2=2).real
+    if not (np.abs(tr) >= _TOL).all():
         raise ValidationError("map has vanishing trace; cannot normalize Choi")
-    min_eig = float(np.linalg.eigvalsh(choi.matrix / tr).min())
-    return choi, min_eig >= -qstate.TOL_PSD, min_eig
+    return C, np.linalg.eigvalsh(C / tr[:, None, None])[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +343,16 @@ def _receiver_marginals(T: BipartiteOperation, direction: str, rng,
         probe_states = list(np.eye(d, dtype=complex)[:min(d, 4)])
         if (da, db) == (2, 2):
             probe_states += [bell_state(name) for name in ("phi+", "phi-", "psi+", "psi-")]
-        probe_states += [qstate.haar_state(d, rng) for _ in range(8)]
+        probe_states += list(qstate._haar_states(8, d, rng))
 
     pre_ops = [(name, u) for name, u in _PAULI_FAMILY if u.shape[0] == sender_dim]
     if not pre_ops:
         pre_ops = [("identity", np.eye(sender_dim, dtype=complex))]
-    pre_ops += [(f"haar_{i}", qstate.haar_unitary(sender_dim, rng))
-                for i in range(haar_probes)]
+    names = [name for name, _ in pre_ops] + [f"haar_{i}" for i in range(haar_probes)]
+    U = np.concatenate([[u for _, u in pre_ops],
+                        qstate._haar_unitaries(haar_probes, sender_dim, rng)])
 
     # every pre-op embedded at once: 1 (x) u for B->A, u (x) 1 for A->B
-    U = np.array([u for _, u in pre_ops])
     if direction == "B->A":
         ue = np.einsum("ac,pbd->pabcd", np.eye(da, dtype=complex), U)
     else:
@@ -333,7 +367,7 @@ def _receiver_marginals(T: BipartiteOperation, direction: str, rng,
     psi = (kraus[:, None] @ (ue.reshape(-1, d, d) @ V.T)).transpose(0, 3, 1, 2)
     psi = psi.reshape(*psi.shape[:3], da, db)
     trace = "kspab,kspcb->spac" if direction == "B->A" else "kspab,kspad->spbd"
-    return [name for name, _ in pre_ops], np.einsum(trace, psi, psi.conj())
+    return names, np.einsum(trace, psi, psi.conj())
 
 
 def is_semicausal(T: BipartiteOperation, direction: str = "B->A",

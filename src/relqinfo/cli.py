@@ -7,6 +7,8 @@ flags, a tolerance or grid name the run does not read, a negative seed, or an
 --out that cannot be written), 3 validation failure, such as an undeclared
 config key or a config file that cannot be read, 4 numerical acceptance
 failure in self-check mode. Errors 2 and 3 print one JSON line on stdout.
+A status line that stdout's reader has left before is lost and changes no
+exit code; data written through stdout that it misses is a failed --out.
 """
 from __future__ import annotations
 
@@ -182,9 +184,8 @@ def _scn_causality_bell(p, seed):
 
 def _scn_teleport_check(p, seed):
     draws = p["draws"]
-    rng = np.random.default_rng(seed)
-    states = np.array([qstate.haar_state(2, rng) for _ in range(draws)])
-    residuals, _, fidelities = channel._teleport_batch(states)
+    residuals, _, fidelities = channel._teleport_batch(
+        qstate._haar_states(draws, 2, np.random.default_rng(seed)))
     return None, {"draws": draws, "max_residual": float(residuals.max()),
                   "min_fidelity": float(fidelities.min())}, {}
 
@@ -384,8 +385,9 @@ def _write_out(out, text: str) -> None:
         to_stdout = os.path.samestat(os.stat(out), os.fstat(sys.stdout.fileno()))
     except (OSError, ValueError):  # no such file yet, or stdout has no fd
         to_stdout = False
-    if to_stdout:
+    if to_stdout:  # flushed here, so a reader that left fails this write
         sys.stdout.write(text)
+        sys.stdout.flush()
     else:
         Path(out).write_text(text, encoding="utf-8")
 
@@ -449,7 +451,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _status(line: str) -> None:
+    """Print a status line. If the reader of stdout has left, the line is
+    lost and the exit code stays what the run made it."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        pass
+
+
 def main(argv: list | None = None) -> int:
+    """_main, then a last flush of stdout: if its reader has left, fd 1 is
+    pointed at os.devnull, so the interpreter's own flush at exit cannot
+    fail and print its error."""
+    code = _main(argv)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
+def _main(argv: list | None) -> int:
     """Check every flag before any work, then run; each rejected input ends
     here as one JSON line on stdout, with its exit code."""
     argv = sys.argv[1:] if argv is None else argv
@@ -488,9 +513,9 @@ def main(argv: list | None = None) -> int:
     except (ValidationError, DimensionError) as exc:  # args: message[, config]
         diag.update(zip(("detail", "config"), exc.args))
     else:
-        print(f"wrote {args.out}")
+        _status(f"wrote {args.out}")
         return 0
-    print(json.dumps(diag))
+    _status(json.dumps(diag))
     return USAGE_EXIT if diag["error"] == "usage" else VALIDATION_EXIT
 
 
@@ -504,7 +529,7 @@ def _run_selfcheck(out, tol_overrides, grid_overrides, config) -> int:
             + f"{c['bound']}" + (f" (margin {c['margin']:.3g})" if "margin" in c else "")
             for c in crit["checks"] if not c["holds"])
         status = f"FAIL[{crit['failure_class']}] {failed}" if failed else "PASS"
-        print(f"{crit['name']}: {status}")
+        _status(f"{crit['name']}: {status}")
     if out:
         _write_out(out, write_json(report))
     return 0 if report["all_passed"] else NUMERICAL_EXIT

@@ -289,26 +289,55 @@ def concurrence(rho) -> float:
 # ---------------------------------------------------------------------------
 # seeded sampling helpers used by property tests and Monte-Carlo checks
 
+def _haar_states(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-random unit vectors, shape (n, dim), from one draw in the
+    order of n haar_state calls: each row's real parts, then its imaginary
+    parts."""
+    z = rng.normal(size=(n, 2, dim))
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(np.einsum("nki,nki->n", z, z))[:, None]
+
+
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit vector."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+    """Haar-random unit vector: _haar_states with a batch of one."""
+    return _haar_states(1, dim, rng)[0]
+
+
+def _haar_unitaries(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-random unitaries, shape (n, dim, dim), from one draw in the
+    order of n haar_unitary calls: QR of Ginibre matrices, with the phases
+    of R's diagonal moved into Q. The stacked QR factors each matrix alone,
+    so every unitary has the bits of its own QR."""
+    z = rng.normal(size=(n, 2, dim, dim))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    """Haar-random unitary: _haar_unitaries with a batch of one."""
+    return _haar_unitaries(1, dim, rng)[0]
 
 
-def _random_density_batch(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """n random mixed states, shape (n, dim, dim): normalized G G† with G a
-    square Ginibre matrix, all real parts drawn before the imaginary ones."""
-    g = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
-    rhos = g @ np.conj(np.swapaxes(g, 1, 2))
-    tr = np.einsum("nii->n", rhos).real
-    return rhos / tr[:, None, None]
+_DENSITY_BLOCK = 512  # states per stack: 4x4 temporaries of 131 kB each
+
+
+def _random_density_batch(n: int, dim: int, rng: np.random.Generator,
+                          reduce=None) -> np.ndarray:
+    """reduce applied to n random mixed states, normalized G G† with G a
+    square Ginibre matrix, concatenated along the first axis; without
+    reduce, the (n, dim, dim) states. All real parts are drawn before the
+    imaginary ones, into one (2, n, dim, dim) float buffer; the states are
+    built and reduced _DENSITY_BLOCK at a time, so no (n, dim, dim) complex
+    temporary is held, and each state has the same bits in any block."""
+    x = rng.normal(size=(2, n, dim, dim))
+    out = []
+    for s in range(0, n, _DENSITY_BLOCK):
+        g = x[0, s:s + _DENSITY_BLOCK] + 1j * x[1, s:s + _DENSITY_BLOCK]
+        rhos = g @ np.conj(np.swapaxes(g, 1, 2))
+        tr = np.einsum("nii->n", rhos).real
+        rhos /= tr[:, None, None]
+        out.append(rhos if reduce is None else reduce(rhos))
+    return np.concatenate(out)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:

@@ -150,7 +150,7 @@ def _check_complete_bell(grids):
 
 def _check_locc(grids):
     rng = np.random.default_rng(SEED)
-    psi = np.array([qstate.haar_state(4, rng) for _ in range(grids["locc_draws"])])
+    psi = qstate._haar_states(grids["locc_draws"], 4, rng)
     rhos = psi[:, :, None] * psi[:, None, :].conj()
     povm = channel.povm_of(channel.conditioned_basis_pvm().kraus)
     global_probs = povm.probabilities(rhos)
@@ -163,8 +163,8 @@ def _check_locc(grids):
 
 def _check_teleport(grids):
     rng = np.random.default_rng(SEED)
-    states = [qstate.haar_state(2, rng) for _ in range(grids["teleport_draws"])]
-    residuals, _, fidelities = channel._teleport_batch(np.array(states))
+    residuals, _, fidelities = channel._teleport_batch(
+        qstate._haar_states(grids["teleport_draws"], 2, rng))
     worst_fid = float(fidelities.min())
     return {"max_residual": float(residuals.max()), "min_fidelity": worst_fid,
             "fidelity_loss": 1.0 - worst_fid}
@@ -179,22 +179,19 @@ def _check_chsh(grids):
     z_product, _ = channel.chsh_optimize(product)
 
     rng = np.random.default_rng(SEED)
-    pairs = np.array([(qstate.haar_state(2, rng), qstate.haar_state(2, rng))
-                      for _ in range(50)])
+    pairs = qstate._haar_states(100, 2, rng).reshape(50, 2, 2)
     kron = (pairs[:, 0, :, None] * pairs[:, 1, None, :]).reshape(50, 4)
     products = qstate._checked_densities(qstate._pure_densities(kron))
     z_products, _ = channel._chsh_optimize_batch(products)
     worst_product = max(z_product, float(z_products.max()))
 
-    # random (state, Bloch settings) draws against the quantum bound
+    # random (state, Bloch settings) draws against the quantum bound: the
+    # states reduced to correlation matrices block by block, then the four
+    # setting batches a1, a2, b1, b2 in one draw
     n = grids["chsh_draws"]
-    T = channel._correlation_matrix(qstate._random_density_batch(n, 4, rng))
-
-    def bloch_batch(k):
-        v = rng.normal(size=(k, 3))
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-    zetas = channel._chsh_bloch(T, *(bloch_batch(n) for _ in range(4)))
+    T = qstate._random_density_batch(n, 4, rng, channel._correlation_matrix)
+    v = rng.normal(size=(4, n, 3))
+    zetas = channel._chsh_bloch(T, *(v / np.linalg.norm(v, axis=-1, keepdims=True)))
     worst_draw = float(np.abs(zetas).max())
 
     bound = np.sqrt(2.0)
@@ -206,15 +203,11 @@ def _check_chsh(grids):
 
 def _check_choi(grids):
     _, cp_t, min_eig = channel.choi_and_cp_check(lambda r: r.T, dim_in=2)
-    rng = np.random.default_rng(SEED)
-    all_cp = True
-    for _ in range(25):
-        u = qstate.haar_unitary(4, rng)
-        ks = channel.kraus_from_unitary(
-            u, qstate.PureState(np.array([1.0, 0])),
-            [[np.array([1.0, 0])], [np.array([0, 1.0])]])
-        _, cp, _ = channel.choi_and_cp_check(ks)
-        all_cp = all_cp and cp
+    kraus = channel._kraus_from_unitaries(
+        qstate._haar_unitaries(25, 4, np.random.default_rng(SEED)),
+        qstate.PureState(np.array([1.0, 0])), [[np.array([1.0, 0])], [np.array([0, 1.0])]])
+    _, min_eigs = channel._choi_min_eigs(channel._kraus_choi(kraus))
+    all_cp = bool((min_eigs >= -qstate.TOL_PSD).all())
     return {"transpose_min_eig": min_eig, "kraus_channels_cp": all_cp,
             "transpose_gap": abs(min_eig + 0.5), "transpose_not_cp": not cp_t}
 

@@ -6,6 +6,7 @@ with -s to stream them), then asserts. The same table backs the CLI
 """
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,32 @@ def test_criterion_03_runs_its_draws_as_one_batch(monkeypatch):
     calls = _count_calls(monkeypatch, channel, "simulate_locc_protocol")
     _run("03-locc-matches-global-pvm")
     assert len(calls) == 1
+
+
+def test_criterion_06_runs_its_draws_as_one_batch(monkeypatch):
+    # the transpose map is the one choi_and_cp_check call, a batch of one of
+    # the spectrum core; the 25 Kraus sets are one stack through it
+    per_draw = _count_calls(monkeypatch, channel, "kraus_from_unitary")
+    stacks, core = [], channel._choi_min_eigs
+    monkeypatch.setattr(channel, "_choi_min_eigs", lambda C: stacks.append(len(C)) or core(C))
+    _run("06-choi-cp-certification")
+    assert (per_draw, stacks) == ([], [1, 25])
+
+
+def test_criterion_05_allocates_under_6_mb():
+    # tracemalloc peak of one warm run: 4.2 MB, of which 2.56 MB is the float
+    # buffer of the 10,000 Ginibre draws; whole (n, 4, 4) complex stacks of
+    # the states and their products read 8 MB
+    crit = next(c for c in selfcheck.CRITERIA if c.name == "05-chsh-tsirelson")
+    assert _GRIDS["chsh_draws"] == 10000
+    selfcheck.run_criterion(crit, _TOLS, _GRIDS)
+    tracemalloc.start()
+    try:
+        assert selfcheck.run_criterion(crit, _TOLS, _GRIDS).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 @pytest.mark.parametrize("name", ["fig2-entropy@11", "fig2-entropy@15",

@@ -162,6 +162,27 @@ class TestChoi:
             assert cp
 
 
+    def test_stacked_core_matches_per_draw_certificates(self):
+        # criterion 06's route: one stack of Kraus sets and Choi matrices
+        # gives each draw's least eigenvalue from the scalar route, and one
+        # non-unitary matrix in the stack is still rejected
+        init, part = PureState(np.array([1.0, 0])), [[np.array([1.0, 0])], [np.array([0, 1.0])]]
+        us = qstate._haar_unitaries(25, 4, np.random.default_rng(24))
+        kraus = channel._kraus_from_unitaries(us, init, part)
+        _, min_eigs = channel._choi_min_eigs(channel._kraus_choi(kraus))
+        per_draw = [choi_and_cp_check(kraus_from_unitary(u, init, part)) for u in us]
+        assert np.array_equal(min_eigs, [eig for _, _, eig in per_draw])
+        assert all(cp for _, cp, _ in per_draw) and min_eigs.min() > -1e-14
+        # a Kraus set's Choi matrix is the image of each |i><j|, as for a map
+        ks = kraus_from_unitary(us[0], init, part)
+        by_map, _, _ = choi_and_cp_check(lambda r: sum(channel._outcome_states(ks.ops, r)),
+                                         dim_in=2)
+        assert np.abs(choi_and_cp_check(ks)[0].matrix - by_map.matrix).max() < 1e-15
+        us[11] *= 1.01
+        with pytest.raises(ValidationError, match="not unitary"):
+            channel._kraus_from_unitaries(us, init, part)
+
+
 class TestNoSignalling:
     def test_frame_order_independence(self):
         # commuting embedded sets applied in either order agree outcome by

@@ -156,6 +156,22 @@ class TestExitCodes:
         assert ((tmp_path / "redirected.csv").read_bytes()
                 == (tmp_path / "u.csv").read_bytes() + b"wrote /dev/stdout\n")
 
+    def test_reader_that_left_costs_no_traceback(self, tmp_path):
+        # stdout is a block-buffered pipe whose reader has already closed. A
+        # status line lost after a complete write exits 0; a lost data write
+        # exits 2, although its bytes fit stdout's buffer. Neither prints a
+        # traceback or the interpreter's flush error at exit.
+        env = {**child_env(), "PYTHONUNBUFFERED": ""}
+        for out, code in (("u.csv", 0), ("/dev/stdout", 2)):
+            read, write = os.pipe()
+            os.close(read)
+            with os.fdopen(write, "wb") as stdout:
+                proc = subprocess.run(RUN + ["--scenario", "unruh", "--out", out],
+                                      stdout=stdout, stderr=subprocess.PIPE, cwd=tmp_path,
+                                      env=env, timeout=60)
+            assert (proc.returncode, proc.stderr) == (code, b"")
+        assert (tmp_path / "u.csv").read_text().startswith("# scenario = unruh")
+
     def test_corrupted_constants_are_validation_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("constants.c = 0\n")

@@ -47,6 +47,46 @@ class TestDensityMatrix:
         first = qstate._random_density_batch(1, 3, np.random.default_rng(3))[0]
         assert np.array_equal(one, DensityMatrix(first).matrix)
 
+    def test_ginibre_blocks_keep_every_bit(self):
+        # three blocks of states against the whole stack built at once, and
+        # the reduced form against the reduction of those states
+        n = 2 * qstate._DENSITY_BLOCK + 76
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        rhos = qstate._random_density_batch(n, 4, rng)
+        g = ref.normal(size=(n, 4, 4)) + 1j * ref.normal(size=(n, 4, 4))
+        m = g @ np.conj(np.swapaxes(g, 1, 2))
+        assert np.array_equal(rhos, m / np.einsum("nii->n", m).real[:, None, None])
+        assert rng.bit_generator.state == ref.bit_generator.state
+        T = qstate._random_density_batch(n, 4, np.random.default_rng(8),
+                                         channel._correlation_matrix)
+        assert np.array_equal(T, channel._correlation_matrix(rhos))
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("n", [1, 7, 50])
+class TestHaarSamplers:
+    """The stacked samplers against n one-at-a-time draws from the same seed."""
+
+    def test_unitaries_are_per_draw_qr_bit_for_bit(self, n, dim):
+        rng, ref = np.random.default_rng(n + dim), np.random.default_rng(n + dim)
+        got = qstate._haar_unitaries(n, dim, rng)
+        for u in got:
+            z = ref.normal(size=(dim, dim)) + 1j * ref.normal(size=(dim, dim))
+            q, r = np.linalg.qr(z)
+            assert np.array_equal(u, q * (np.diag(r) / np.abs(np.diag(r))))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.abs(got @ np.conj(np.swapaxes(got, 1, 2)) - np.eye(dim)).max() < 1e-14
+
+    def test_states_are_per_draw_normalized(self, n, dim):
+        # a 1-D norm takes BLAS dot products; the row norms may round the
+        # last bit the other way
+        rng, ref = np.random.default_rng(n + dim), np.random.default_rng(n + dim)
+        got = qstate._haar_states(n, dim, rng)
+        for v in got:
+            w = ref.normal(size=dim) + 1j * ref.normal(size=dim)
+            assert np.abs(v - w / np.linalg.norm(w)).max() <= 4.5e-16
+        assert rng.bit_generator.state == ref.bit_generator.state
+
 
 class TestPartialTrace:
     def test_maximally_entangled_marginal(self):
