@@ -12,7 +12,9 @@ of p = gamma (1, v) at m = 1, so one formula builds both.
 The little-group math is batched, over (N,4) momentum arrays for one
 transform (wigner_su2_batch, the NumPy kernel) or over N (transform,
 momentum) pairs (_wigner_rotations), and the scalar functions call it with
-a batch of one.
+a batch of one. Its half-rapidity form comes in a per-transform piece for
+a stack of transforms (_boost_halves) and a per-point piece for a block of
+momenta (_half_rapidity), which is how the packet marginals take it.
 """
 from __future__ import annotations
 
@@ -155,22 +157,36 @@ def boost(velocity=None, *, rapidity: float | None = None,
 
     boost((0, 0, 0.6)) and boost(rapidity=atanh(0.6), axis=(0, 0, 1)) agree.
     """
-    if rapidity is not None:
-        if velocity is not None:
-            raise ValueError("give either a velocity or a rapidity, not both")
-        if not abs(float(rapidity)) <= _MAX_RAPIDITY:
-            raise ValidationError(f"rapidity must be finite with |rapidity| <= "
-                                  f"{_MAX_RAPIDITY:g}, got {rapidity}")
-        n = np.asarray(axis, dtype=float).reshape(3)
-        norm = _check_axes(n[None], "boost")[0]
-        p = np.array([np.cosh(rapidity), *(np.sinh(rapidity) * n / norm)])
-    else:
-        v = np.asarray(velocity, dtype=float).reshape(3)
-        b2 = float(v @ v)
-        if not b2 < 1.0:  # NaN-safe
-            raise ValidationError(f"speed |v| = {np.sqrt(b2)} must be < 1")
-        p = np.array([1.0, *v]) * (1.0 / np.sqrt(1.0 - b2))
+    if rapidity is None:
+        v = np.asarray(velocity, dtype=float).reshape(1, 3)
+        return LorentzTransform._checked(_velocity_boosts(v)[0])
+    if velocity is not None:
+        raise ValueError("give either a velocity or a rapidity, not both")
+    if not abs(float(rapidity)) <= _MAX_RAPIDITY:
+        raise ValidationError(f"rapidity must be finite with |rapidity| <= "
+                              f"{_MAX_RAPIDITY:g}, got {rapidity}")
+    n = np.asarray(axis, dtype=float).reshape(3)
+    norm = _check_axes(n[None], "boost")[0]
+    p = np.array([np.cosh(rapidity), *(np.sinh(rapidity) * n / norm)])
     return LorentzTransform(_canonical_boosts(p[None], 1.0)[0])
+
+
+def _velocity_boosts(V: np.ndarray) -> np.ndarray:
+    """Pure boosts by a (B,3) array of 3-velocities, shape (B,4,4): the
+    canonical boosts at m = 1 of gamma (1, v). Raises unless every speed is
+    below 1 (NaN-safe), and checks every boost as LorentzTransform does."""
+    # one (1,3) @ (3,1) product per row takes |v|^2 as v @ v does, bit for bit
+    b2 = (V[:, None, :] @ V[:, :, None])[:, 0, 0]
+    fast = ~(b2 < 1.0)
+    if fast.any():
+        raise ValidationError(f"speed |v| = {np.sqrt(b2[fast][0])} must be < 1")
+    P = np.empty((len(V), 4))
+    P[:, 0] = 1.0
+    P[:, 1:] = V
+    P *= (1.0 / np.sqrt(1.0 - b2))[:, None]
+    L = _canonical_boosts(P, 1.0)
+    _check_transforms(L)
+    return L
 
 
 # _DOT_CROSS[j] = A(e_j), with A(a) b = (a.b, a x b): row 0 of A(a) is a, and
@@ -375,24 +391,37 @@ def _su2_images(x: np.ndarray, U: np.ndarray) -> np.ndarray:
     return D
 
 
-def _half_rapidity(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
-    """(x, U) with D = +-U (x0 + i x.sigma)/|x| the SU(2) image of the
-    little-group element W(lam, p), for an (N,4) grid P of mass m: x the
-    (4,N) unnormalized quaternion rows and U = _rotation_su2(lam). No checks.
+def _boost_halves(lam: np.ndarray) -> tuple:
+    """The per-transform half of the half-rapidity form, for an (B,4,4)
+    stack: (A, U) with A = A(a) the (B,4,3) dot-cross matrices of a =
+    tanh(chi/2) n = lam_0i/(1 + lam_00) and U = _rotation_su2(lam). No checks.
 
     Half-rapidity (gyrovector) form. lam = R B with B the pure boost on
     lam's first row, and W(R B, p) = R W(B, p) for canonical boosts. With
-    a = tanh(chi/2) n = lam_0i/(1 + lam_00) for B and b = p/(m + p0) for
-    L(p), W(B, p) is the unit quaternion x = (1 + a.b, a x b)/|.|. Every
-    term is O(1), so the result is unitary to round-off at any rapidity.
+    b = p/(m + p0) for L(p) (_grid_rows), W(B, p) is the unit quaternion
+    x = (1 + a.b, a x b)/|.| (_half_rapidity), and D = +-U (x0 + i
+    x.sigma)/|x| is the SU(2) image of W(lam, p). Every term is O(1), so D
+    is unitary to round-off at any rapidity.
     """
-    # b on contiguous component rows: strided rows of P.T are 2x slower
+    return _dot_cross(lam[:, 0, 1:] / (1.0 + lam[:, :1, 0])), _rotation_su2(lam)
+
+
+def _grid_rows(P: np.ndarray, m: float) -> np.ndarray:
+    """b = p/(m + p0) of an (N,4) grid of mass m, as (3,N) component rows.
+    No checks."""
+    # contiguous component rows: strided rows of P.T are 2x slower
     b = P[:, 1:].T.copy()
     b /= m + P[:, 0]
-    # x = (a.b, a x b) + (1, 0, 0, 0), one (4,3) @ (3,N) product
-    x = _dot_cross(lam[0, 1:] / (1.0 + lam[0, 0])) @ b
-    x[0] += 1.0
-    return x, _rotation_su2(lam[None])[0]
+    return b
+
+
+def _half_rapidity(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The per-point half: the unnormalized quaternion rows x = A b + (1, 0,
+    0, 0), shape (..., 4, N), of A from _boost_halves (one (4,3) matrix or a
+    stack) and (3,N) rows b from _grid_rows (or a stack of them). No checks."""
+    x = A @ b
+    x[..., 0, :] += 1.0
+    return x
 
 
 def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
@@ -401,13 +430,14 @@ def wigner_su2_batch(lam: np.ndarray, P: np.ndarray, m: float) -> tuple:
     little-group elements W = L^{-1}(lam p) lam L(p), canonical branch
     (Re tr D >= 0, rotation angle in [0, pi]). No checks.
 
-    D = U(R) (x0 + i x.sigma)/|x| from _half_rapidity, so D is unitary to
-    round-off at any rapidity.
+    D = U(R) (x0 + i x.sigma)/|x| from _boost_halves and _half_rapidity, so
+    D is unitary to round-off at any rapidity.
     """
     lam = np.asarray(lam, dtype=float)
     P = np.asarray(P, dtype=float)
     Q = P @ lam.T
-    return Q, _su2_images(*_half_rapidity(lam, P, m))
+    [A], [U] = _boost_halves(lam[None])
+    return Q, _su2_images(_half_rapidity(A, _grid_rows(P, m)), U)
 
 
 def _wigner_rotations(L: np.ndarray, P: np.ndarray, m: float) -> tuple:
@@ -427,12 +457,9 @@ def _wigner_rotations(L: np.ndarray, P: np.ndarray, m: float) -> tuple:
     _check_transforms(L)
     _check_mass_shells(P, m)
     _check_mass_shells((L @ P[:, :, None])[:, :, 0], m)
-    # the half-rapidity form of _half_rapidity, with one a and one b per pair
-    a = L[:, 0, 1:] / (1.0 + L[:, :1, 0])
-    b = P[:, 1:] / (m + P[:, :1])
-    x = (_dot_cross(a) @ b[:, :, None])[:, :, 0].T
-    x[0] += 1.0
-    D = _su2_images(x, _rotation_su2(L))
+    # the half-rapidity form with one A and one b column per pair
+    A, U = _boost_halves(L)
+    D = _su2_images(_half_rapidity(A, _grid_rows(P, m).T[:, :, None])[:, :, 0].T, U)
     _check_identity(D @ np.swapaxes(D, 1, 2).conj(), "little-group element is not a rotation")
     # D = w - i (x, y, z).sigma
     v = -np.stack([D[:, 0, 1].imag, D[:, 0, 1].real, D[:, 0, 0].imag], axis=1)

@@ -236,14 +236,21 @@ def von_neumann_entropy(rho, base: str | int = "e") -> float:
 
     base 'e' (natural log, nats) or 2 (bits).
     """
-    ev = np.clip(_check_psd(hermitize(_as_matrix(rho)), "state"), 0.0, None)
-    ev = ev[ev > 0.0]
-    s = float(-(ev * np.log(ev)).sum())
+    s = float(_entropies(_as_matrix(rho)[None])[0])
     if base == 2 or base == "2":
         return s / np.log(2.0)
     if base == "e":
         return s
     raise ValueError(f"unsupported log base {base!r}")
+
+
+def _entropies(m: np.ndarray) -> np.ndarray:
+    """von_neumann_entropy in nats of each matrix of an (N, d, d) stack, with
+    _check_psd on the whole stack."""
+    ev = np.clip(_check_psd(hermitize(m), "state"), 0.0, None)
+    # a zero eigenvalue adds an exact 0 to its row's sum
+    log_ev = np.log(ev, out=np.zeros_like(ev), where=ev > 0.0)
+    return -(ev * log_ev).sum(axis=-1)
 
 
 def error_probability(rho1, rho2) -> float:

@@ -232,43 +232,75 @@ def _bloch_weights(packets) -> tuple:
     """(grid, c) for packets on one grid: c the real (K, 4, N) Bloch weights
     of A_n = w_n a_n a_n†, A_n = sum_mu c_mun sigma_mu with sigma_0 = 1."""
     grid = _check_shared_grid(packets)
-    a = np.stack([pk.amplitudes for pk in packets])
-    a0, a1 = a[..., 0], a[..., 1]
-    p0, p1 = a0.real ** 2 + a0.imag ** 2, a1.real ** 2 + a1.imag ** 2
-    cross = a0 * a1.conj()
-    c = np.stack([(p0 + p1) / 2, cross.real, -cross.imag, (p0 - p1) / 2], axis=1)
+    c = np.empty((len(packets), 4, len(grid.weights)))
+    # one packet's (N,) temporaries at a time, each row written in place
+    for ck, pk in zip(c, packets):
+        a0, a1 = pk.amplitudes.T
+        p0, p1 = a0.real ** 2 + a0.imag ** 2, a1.real ** 2 + a1.imag ** 2
+        cross = a0 * a1.conj()
+        np.add(p0, p1, out=ck[0])
+        ck[1] = cross.real
+        np.negative(cross.imag, out=ck[2])
+        np.subtract(p0, p1, out=ck[3])
+    c[:, ::3] /= 2
     c *= grid.weights
     return grid, c
 
 
-# _MOMENT_SANDWICH[(mu, j, k), (s, t)] = (E_j sigma_mu E_k†)[s, t], E = (1, i sigma)
-_MOMENT_SANDWICH = np.einsum("jab,mbc,kdc->mjkad", lorentz._QUATERNION, lorentz._SIGMAS4,
-                             lorentz._QUATERNION.conj()).reshape(64, 4)
+# _MOMENT_SANDWICH[(mu, jk), (s, t)] = (E_j sigma_mu E_k† + E_k sigma_mu E_j†)[s, t]
+# for each of the 10 index pairs j <= k (only once for j = k), E = (1, i sigma):
+# the products x_j x_k are symmetric, so 10 of the 16 carry all of M
+_J, _K = np.triu_indices(4)
+_SANDWICH = np.einsum("jab,mbc,kdc->mjkad", lorentz._QUATERNION, lorentz._SIGMAS4,
+                      lorentz._QUATERNION.conj())
+_MOMENT_SANDWICH = (_SANDWICH + np.swapaxes(_SANDWICH, 1, 2)
+                    * (1.0 - np.eye(4))[:, :, None, None])[:, _J, _K].reshape(40, 4)
+# grid points per block times boosts per call: a block's (B, 10, n) products
+# take 160 kB
+_BLOCK = 2048
 
 
-def _boosted_marginals(grid: SpinorPacket, c: np.ndarray, lam: LorentzTransform) -> np.ndarray:
-    """The (K, 2, 2) spin marginals after lam of the packets with Bloch
-    weights c on grid (from _bloch_weights), without D, the boosted
-    amplitudes or lam p.
+def _boosted_marginals(grid: SpinorPacket, c: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """The (B, K, 2, 2) spin marginals after each of a checked (B, 4, 4)
+    stack of Lorentz matrices of the K packets with Bloch weights c on grid
+    (from _bloch_weights), without D, the boosted amplitudes or lam p.
 
-    With D_n = U (x_n . E)/|x_n| from lorentz._half_rapidity, tau =
-    sum_n D_n A_n D_n† = U [sum_mujk M_mujk E_j sigma_mu E_k†] U† with
-    M_mujk = sum_n c_mun x_jn x_kn / |x_n|^2; D's branch sign cancels.
-    Checks each trace against 1 (NaN-safe)."""
-    x, u = lorentz._half_rapidity(lam.matrix, grid.momenta, grid.mass)
-    y = x / np.einsum("jn,jn->n", x, x)
-    m = np.empty((c.shape[0], 4, 4, 4))
-    for j in range(4):
-        m[:, :, j] = (c * y[j]) @ x.T
-    tau = hermitize(u @ (m.reshape(-1, 64) @ _MOMENT_SANDWICH).reshape(-1, 2, 2)
-                    @ u.conj().T)
-    _check_near_one(np.trace(tau, axis1=1, axis2=2).real, "packet norm^2")
+    With D_n = U (x_n . E)/|x_n| from lorentz._boost_halves and
+    _half_rapidity, tau = sum_n D_n A_n D_n† = U [sum_mujk M_mujk E_j
+    sigma_mu E_k†] U† with M_mujk = sum_n c_mun x_jn x_kn / |x_n|^2; D's
+    branch sign cancels. A and U are taken once per stack and b = p/(m +
+    p0) once per grid. M is summed over blocks of ceil(2048/B) grid points:
+    per block, x for every boost and the 10 symmetric products y_j x_k (y
+    = x/|x|^2), then one product of c with all of them. Every term is O(1)
+    at any rapidity. Checks every trace against 1 (NaN-safe)."""
+    A, u = lorentz._boost_halves(lams)
+    b = lorentz._grid_rows(grid.momenta, grid.mass)
+    n_boosts, n_packets = len(lams), c.shape[0]
+    c = c.reshape(4 * n_packets, -1)
+    step = -(-_BLOCK // max(n_boosts, 1))
+    m = np.zeros((4 * n_packets, n_boosts * 10))
+    for start in range(0, b.shape[1], step):
+        x = lorentz._half_rapidity(A, b[:, start:start + step])
+        y = x / np.einsum("bjn,bjn->bn", x, x)[:, None]
+        products = np.empty((n_boosts, 10, x.shape[2]))
+        for j, row in enumerate((0, 4, 7, 9)):
+            np.multiply(y[:, j:j + 1], x[:, j:], out=products[:, row:row + 4 - j])
+        m += c[:, start:start + step] @ products.reshape(n_boosts * 10, x.shape[2]).T
+    moments = m.reshape(n_packets, 4, n_boosts, 10).transpose(2, 0, 1, 3)
+    inner = (moments.reshape(n_boosts, n_packets, 40) @ _MOMENT_SANDWICH).reshape(
+        n_boosts, n_packets, 2, 2)
+    u = u[:, None]
+    tau = hermitize(u @ inner @ np.swapaxes(u, -1, -2).conj())
+    _check_near_one(np.trace(tau, axis1=-2, axis2=-1).real, "packet norm^2")
     return tau
 
 
-def _boost_at_angle(beta: float, theta: float) -> LorentzTransform:
-    # boost direction at angle theta from the spin axis (z), in the x-z plane
-    return boost(beta * np.array([np.sin(theta), 0.0, np.cos(theta)]))
+def _angle_boosts(betas, thetas) -> np.ndarray:
+    """The checked (B, 4, 4) stack of boosts by speeds betas at angles thetas
+    from the spin axis (z), in the x-z plane."""
+    betas, thetas = np.asarray(betas, dtype=float), np.asarray(thetas, dtype=float)
+    return lorentz._velocity_boosts(betas[:, None] * np.stack(
+        [np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1))
 
 
 def entropy_surface(delta_over_m: float, beta_list, theta_list,
@@ -276,28 +308,40 @@ def entropy_surface(delta_over_m: float, beta_list, theta_list,
     """Spin entropy (nats) of a boosted z-spin Gaussian packet.
 
     Returns rows (theta, gamma, entropy) for every (beta, theta) pair; the
-    packet rests at the origin with the given relative spread.
+    packet rests at the origin with the given relative spread. Every
+    nonzero speed is one boost of a single stack, checked before the grid
+    is built.
     """
     if len(beta_list) == 0 or len(theta_list) == 0:
         raise ValidationError("parameter lists must be nonempty")
+    thetas, betas = np.array([(theta, beta) for theta in theta_list for beta in beta_list],
+                             dtype=float).T
+    moving = betas != 0.0
+    lams = _angle_boosts(betas[moving], thetas[moving])
+    gammas = [gamma_parameter(delta_over_m, 1.0, beta) for beta in betas.tolist()]
     packet = gaussian_packet(PacketSpec(mass=1.0, spread=delta_over_m, points=points))
-    (grid, c), rest, rows = _bloch_weights([packet]), reduced_spin(packet), []
-    for theta in theta_list:
-        for beta in beta_list:
-            tau = (rest if beta == 0.0 else
-                   _boosted_marginals(grid, c, _boost_at_angle(beta, theta))[0])
-            rows.append((float(theta), gamma_parameter(delta_over_m, 1.0, beta),
-                         qstate.von_neumann_entropy(tau)))
-    return rows
+    taus = np.empty((len(betas), 2, 2), dtype=complex)
+    taus[:] = reduced_spin(packet).matrix
+    taus[moving] = _boosted_marginals(*_bloch_weights([packet]), lams)[:, 0]
+    return list(zip(thetas.tolist(), gammas, qstate._entropies(taus).tolist()))
 
 
 def _spin_z_boosts(delta_over_m, gamma_list, theta, points) -> tuple:
-    """The sorted gammas, the +z/-z spin pair at rest and the boost per gamma."""
+    """The sorted gammas, the +z/-z spin pair at rest and the checked stack
+    of boosts, one per gamma."""
     gammas = np.asarray(sorted(gamma_list), dtype=float)
     if (gammas <= 0).any():
         raise ValidationError("gamma values must be positive")
-    lams = [_boost_at_angle(beta_for_gamma(g, delta_over_m, 1.0), theta) for g in gammas]
+    lams = _angle_boosts([beta_for_gamma(g, delta_over_m, 1.0) for g in gammas],
+                         np.full(len(gammas), theta))
     return gammas, _spin_z_pair(delta_over_m, points), lams
+
+
+def _pair_errors(grid, c, lams) -> list:
+    """The error probability of the two packets' spin marginals after each
+    boost of the stack lams, from one _boosted_marginals call."""
+    tau = qstate._as_matrix(_boosted_marginals(grid, c, lams))
+    return qstate._error_probabilities(tau[:, 0], tau[:, 1]).tolist()
 
 
 def _round_trip_errors(delta_over_m, gamma_list, theta, points) -> tuple:
@@ -305,13 +349,11 @@ def _round_trip_errors(delta_over_m, gamma_list, theta, points) -> tuple:
     pair's spin marginals after the boost and after the boost and its
     inverse; the inverse acts on the kept boosted pair."""
     gammas, pair, lams = _spin_z_boosts(delta_over_m, gamma_list, theta, points)
-    grid, c = _bloch_weights(pair)
-    pes, back = [], []
-    for lam in lams:
-        pes.append(qstate.error_probability(*_boosted_marginals(grid, c, lam)))
+    pes, back = _pair_errors(*_bloch_weights(pair), lams), []
+    for lam in map(LorentzTransform._checked, lams):
         # the boosted pair lives only until its inverse marginals are taken
-        back.append(qstate.error_probability(*_boosted_marginals(
-            *_bloch_weights(_boost_shared(pair, lam)), lam.inverse())))
+        back += _pair_errors(*_bloch_weights(_boost_shared(pair, lam)),
+                             lam.inverse().matrix[None])
     return gammas, pes, back
 
 
@@ -332,8 +374,7 @@ def packet_error_scaling(delta_over_m: float, gamma_list, theta: float = np.pi /
     gamma.
     """
     gammas, pair, lams = _spin_z_boosts(delta_over_m, gamma_list, theta, points)
-    grid, c = _bloch_weights(pair)
-    pes = [qstate.error_probability(*_boosted_marginals(grid, c, lam)) for lam in lams]
+    pes = _pair_errors(*_bloch_weights(pair), lams)
     return {"gamma": gammas.tolist(),
             "pe_rest": qstate.error_probability(*map(reduced_spin, pair)),
             "pe_boosted": pes, "fitted_exponent": _fitted_exponent(gammas, pes)}
@@ -419,13 +460,13 @@ def noncovariance_witness(beta: float = 0.8, spreads: tuple = (0.1, 0.3),
     reduced spin matrix has no such law. Returns the two boosted spectra
     and their maximal absolute difference.
     """
-    lam = _boost_at_angle(beta, np.pi / 2)
+    lams = _angle_boosts([beta], [np.pi / 2])
     taus, spectra = [], []
     for spread in spreads:
         packet = gaussian_packet(PacketSpec(mass=1.0, spread=spread, points=points))
         taus.append(reduced_spin(packet))
         spectra.append(np.linalg.eigvalsh(_boosted_marginals(*_bloch_weights([packet]),
-                                                             lam)[0]))
+                                                             lams)[0, 0]))
     return {"rest_marginal_gap": float(np.abs(taus[0].matrix - taus[1].matrix).max()),
             "boosted_spectra": [s.tolist() for s in spectra],
             "spectral_gap": float(np.abs(spectra[0] - spectra[1]).max())}

@@ -341,8 +341,10 @@ class TestSelfcheckFlag:
         # one tolerance tightened in each of criteria 05, 09 and 15: each fails
         # tolerance-class, and its line and report entry name that sub-check
         # with its bound and margin; the shrunk grids keep this fast and must
-        # reach every criterion without causing a failure of their own
-        tightened = {"chsh_product": 1e-20, "inverse_restore": 1e-30, "first_law": 1e-12}
+        # reach every criterion without causing a failure of their own.
+        # Criterion 09's fitted exponent is 2 by physics, so a lower bound of
+        # 2.1 fails whatever the round-off of the grid sums
+        tightened = {"chsh_product": 1e-20, "exponent_low": 2.1, "first_law": 1e-12}
         shrunk = {"povm_packets": 20, "chsh_draws": 200, "teleport_draws": 5,
                   "locc_draws": 5, "momentum_draws": 20}
         seen, run_criterion = [], selfcheck.run_criterion

@@ -45,9 +45,22 @@ class TestConstructors:
         lam2 = boost(rapidity=np.arctanh(0.6), axis=[1, 0, 0])
         assert np.abs(lam1.matrix - lam2.matrix).max() < 1e-12
 
-    def test_superluminal_rejected(self):
-        with pytest.raises(ValidationError):
-            boost([1.0, 0, 0])
+    @pytest.mark.parametrize("v", [[1.0, 0, 0], [0.0, 0.9, 0.5], [np.nan, 0, 0]])
+    def test_superluminal_rejected(self, v):
+        # the scalar boost and any row of a stack, with one message
+        speed = r"speed \|v\| = .* must be < 1"
+        with pytest.raises(ValidationError, match=speed):
+            boost(v)
+        with pytest.raises(ValidationError, match=speed):
+            lorentz._velocity_boosts(np.array([[0.1, 0, 0], v, [0, 0, 0.2]]))
+
+    def test_velocity_stack_keeps_the_one_velocity_bits(self):
+        # every row is the canonical boost of gamma (1, v), with |v|^2 taken
+        # as v @ v takes it
+        V = np.random.default_rng(5).uniform(-0.57, 0.57, size=(500, 3))
+        for v, row in zip(V, lorentz._velocity_boosts(V)):
+            p = np.array([1.0, *v]) * (1.0 / np.sqrt(1.0 - float(v @ v)))
+            assert np.array_equal(row, lorentz._canonical_boosts(p[None], 1.0)[0])
 
     @pytest.mark.parametrize("chi", [5.0, 8.0, 10.0, 20.0, 50.0])
     def test_large_rapidity_is_exact(self, chi):

@@ -156,6 +156,33 @@ class TestEntropy:
             assert von_neumann_entropy(rho) <= np.log(4) + 1e-12
 
 
+    def test_stacked_entropies_keep_the_per_state_bits(self):
+        # the per-state formula sums the terms of the positive eigenvalues
+        # only; the stack adds an exact 0 for each of the others
+        def per_state(m):
+            ev = np.clip(np.linalg.eigvalsh(qstate.hermitize(m)), 0.0, None)
+            ev = ev[ev > 0.0]
+            return float(-(ev * np.log(ev)).sum())
+
+        rng = np.random.default_rng(14)
+        for dim in (2, 4):
+            stack = np.array([qstate.random_density_matrix(dim, rng).matrix for _ in range(20)]
+                             + [DensityMatrix.from_pure(qstate.haar_state(dim, rng)).matrix
+                                for _ in range(20)]
+                             + [np.diag(np.eye(dim)[0]), np.eye(dim) / dim])
+            entropies = qstate._entropies(stack).tolist()
+            assert entropies == [per_state(m) for m in stack]
+            assert entropies == [von_neumann_entropy(m) for m in stack]
+
+    def test_stacked_entropies_check_every_state(self):
+        stack = np.array([np.eye(2) / 2, np.diag([1.0 + 1e-6, -1e-6]), np.eye(2) / 2])
+        with pytest.raises(ValidationError, match="negative eigenvalues"):
+            qstate._entropies(stack)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            qstate._entropies(stack)
+
+
 class TestErrorProbability:
     def test_identical_states(self):
         rho = DensityMatrix.maximally_mixed(2)

@@ -172,7 +172,8 @@ class TestBoostCore:
                     for axis in ((1, 0, 0), (0, 0, -1)))
         lam = boost(rapidity=rapidity, axis=(0.3, -0.2, 0.9))
         packets = wavepacket._boost_shared([up, down], lam)
-        tau = wavepacket._boosted_marginals(*wavepacket._bloch_weights([up, down]), lam)
+        [tau] = wavepacket._boosted_marginals(*wavepacket._bloch_weights([up, down]),
+                                              lam.matrix[None])
         for pk, moments, boosted in zip((up, down), tau, packets):
             separate = boost_packet(pk, lam)
             assert np.abs(reduced_spin(separate).matrix - moments).max() <= MARGINAL_GAP
@@ -185,6 +186,9 @@ class TestBoostCore:
 # against the gram of _boost_shared's boosted amplitudes: both sum O(1) terms
 # over the grid from the same half-rapidity rows (~1e-15 measured)
 MARGINAL_GAP = 1e-14
+# |tau - tau'| per entry for one boost in a stack and alone: the same terms,
+# summed over blocks of another size
+STACK_GAP = 1e-15
 # the same for an error probability, half a trace norm of a marginal difference
 PE_GAP = 2 * MARGINAL_GAP
 
@@ -193,24 +197,31 @@ class TestBoostedMarginals:
     """_boosted_marginals: the marginals from the Bloch weights and the
     quaternion moments, against the gram of the boosted amplitudes."""
 
+    # 13**3 points exceed a block for every stack of 1-4 boosts (2048 points
+    # for one) and leave a ragged last block
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3),
-           points=st.sampled_from([1, 3]), chi=st.floats(0.0, 30.0),
-           boost_axis=unit_vectors, axes=st.tuples(unit_vectors, unit_vectors),
-           angles=st.tuples(st.floats(0.0, np.pi), st.floats(0.0, np.pi)))
-    def test_matches_gram_of_boosted_amplitudes(self, seed, k, points, chi,
-                                                boost_axis, axes, angles):
+           points=st.sampled_from([1, 3, 13]),
+           transforms=st.lists(st.tuples(
+               st.floats(0.0, 30.0), unit_vectors, unit_vectors, unit_vectors,
+               st.floats(0.0, np.pi), st.floats(0.0, np.pi)), min_size=1, max_size=4))
+    def test_matches_gram_of_boosted_amplitudes(self, seed, k, points, transforms):
         rng = np.random.default_rng(seed)
         packets = random_basis(rng, small_packet(
             mass=rng.uniform(0.3, 3.0), spread=0.3, points=points,
             mean_momentum=tuple(rng.normal(scale=0.5, size=3))), k)
-        lam = compose(rotation(axes[0], angles[0]),
-                      compose(boost(rapidity=chi, axis=boost_axis),
-                              rotation(axes[1], angles[1])))
-        tau = wavepacket._boosted_marginals(*wavepacket._bloch_weights(packets), lam)
-        oracle = [wavepacket._gram(pk.weights, pk.amplitudes)
-                  for pk in wavepacket._boost_shared(packets, lam)]
-        assert np.abs(tau - oracle).max() <= MARGINAL_GAP
+        grid, c = wavepacket._bloch_weights(packets)
+        lams = [compose(rotation(axis1, angle1),
+                        compose(boost(rapidity=chi, axis=boost_axis), rotation(axis2, angle2)))
+                for chi, boost_axis, axis1, axis2, angle1, angle2 in transforms]
+        taus = wavepacket._boosted_marginals(grid, c, np.stack([lam.matrix for lam in lams]))
+        assert taus.shape == (len(lams), k, 2, 2)
+        for lam, tau in zip(lams, taus):
+            oracle = [wavepacket._gram(pk.weights, pk.amplitudes)
+                      for pk in wavepacket._boost_shared(packets, lam)]
+            assert np.abs(tau - oracle).max() <= MARGINAL_GAP
+            alone = wavepacket._boosted_marginals(grid, c, lam.matrix[None])[0]
+            assert np.abs(tau - alone).max() <= STACK_GAP
 
     def test_nan_amplitudes_are_rejected(self):
         p = small_packet(points=3)
@@ -219,16 +230,18 @@ class TestBoostedMarginals:
         bad = SpinorPacket._checked(1.0, p.momenta, p.weights, a)
         with pytest.raises(ValidationError, match="norm"):
             wavepacket._boosted_marginals(*wavepacket._bloch_weights([p, bad]),
-                                          boost([0.3, 0, 0]))
+                                          boost([0.3, 0, 0]).matrix[None])
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (2, 3)])
     def test_nan_lorentz_matrix_is_rejected(self, entry):
-        # a boost entry, and one that only the rotation part reads
-        m = np.array(compose(rotation([0, 1.0, 0], 0.4), boost([0.3, 0, 0])).matrix)
-        m[entry] = np.nan
+        # a boost entry, and one that only the rotation part reads, in the
+        # middle of a stack of good boosts
+        lams = np.stack([compose(rotation([0, 1.0, 0], 0.4), boost([v, 0, 0])).matrix
+                         for v in (0.1, 0.3, 0.5)])
+        lams[(1, *entry)] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="norm"):
             wavepacket._boosted_marginals(*wavepacket._bloch_weights([small_packet(points=3)]),
-                                          lorentz.LorentzTransform._checked(m))
+                                          lams)
 
 
 class TestEntropySurface:
@@ -238,8 +251,7 @@ class TestEntropySurface:
         rows = entropy_surface(0.3, betas, [0.0, 1.0], points=5)
         # the rest packet is the only one built, through the constructor
         assert calls == {"kernel": 0, "boosted": 0, "post_init": 1}
-        moved = [boost_packet(small_packet(spread=0.3, points=5),
-                              wavepacket._boost_at_angle(b, th))
+        moved = [boost_packet(small_packet(spread=0.3, points=5), boost_at_angle(b, th))
                  for th in (0.0, 1.0) for b in betas[1:]]
         assert [s for _, g, s in rows if g > 0] == pytest.approx(
             [qstate.von_neumann_entropy(reduced_spin(pk)) for pk in moved], rel=0, abs=1e-12)
@@ -283,6 +295,11 @@ class TestEntropySurface:
             entropy_surface(0.2, [], [0.0])
 
 
+def boost_at_angle(beta, theta):
+    """The boost by speed beta at angle theta from z, in the x-z plane."""
+    return boost(beta * np.array([np.sin(theta), 0.0, np.cos(theta)]))
+
+
 def separate_boosts(gammas, delta, theta, points):
     """Boosted and restored error probabilities of the +z/-z pair, each
     packet boosted on its own through boost_packet and reduced_spin."""
@@ -290,7 +307,7 @@ def separate_boosts(gammas, delta, theta, points):
                 for axis in ((0, 0, 1), (0, 0, -1)))
     pes, restored = [], []
     for g in gammas:
-        lam = wavepacket._boost_at_angle(beta_for_gamma(g, delta, 1.0), theta)
+        lam = boost_at_angle(beta_for_gamma(g, delta, 1.0), theta)
         bu, bd = boost_packet(up, lam), boost_packet(down, lam)
         pes.append(qstate.error_probability(reduced_spin(bu), reduced_spin(bd)))
         inv = lam.inverse()
@@ -316,6 +333,45 @@ def count_calls(monkeypatch) -> dict:
     monkeypatch.setattr(wavepacket, "_boost_shared", counting("boosted", shared))
     monkeypatch.setattr(SpinorPacket, "__post_init__", counting("post_init", post_init))
     return calls
+
+
+SPEED = r"speed \|v\| = .* must be < 1"
+
+
+class TestSweepStacks:
+    """Each sweep checks its boosts as one stack before any grid work and
+    sends them through one _boosted_marginals call."""
+
+    @pytest.mark.parametrize("sweep, boosts", [
+        (lambda: entropy_surface(0.3, [0.0, 0.2, 0.4, 0.6], [0.0, 0.7, 1.4], points=5), 9),
+        (lambda: packet_error_scaling(0.1, [0.01, 0.02, 0.03, 0.04, 0.05], points=5), 5)])
+    def test_one_rotation_and_one_transform_check_per_sweep(self, monkeypatch, sweep, boosts):
+        calls = {"_rotation_su2": [], "_check_transforms": []}
+        for name, sizes in calls.items():
+            monkeypatch.setattr(lorentz, name, lambda L, core=getattr(lorentz, name),
+                                sizes=sizes: sizes.append(len(L)) or core(L))
+        sweep()
+        assert calls == {"_rotation_su2": [boosts], "_check_transforms": [boosts]}
+
+    def test_empty_stacks(self):
+        # no gamma, or only the rest frame: the core runs on zero boosts
+        assert packet_error_scaling(0.1, [], points=3) == {
+            "gamma": [], "pe_rest": 0.0, "pe_boosted": [], "fitted_exponent": None}
+        assert wavepacket._round_trip_errors(0.1, [], 1.0, 3)[1:] == ([], [])
+        rest = qstate.von_neumann_entropy(reduced_spin(small_packet(spread=0.3, points=3)))
+        rows = entropy_surface(0.3, [0.0], [0.0, 1.0], points=3)
+        assert rows == [(0.0, 0.0, rest), (1.0, 0.0, rest)]
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: entropy_surface(0.3, [0.2, 1.0], [0.5], points=5),
+        # gamma = delta/m is the speed of light
+        lambda: packet_error_scaling(0.1, [0.05, 0.1], points=5)])
+    def test_luminal_speed_raises_before_grid_work(self, monkeypatch, sweep):
+        grids = []
+        monkeypatch.setattr(wavepacket, "_cubic_grid", grids.append)
+        with pytest.raises(ValidationError, match=SPEED):
+            sweep()
+        assert grids == []
 
 
 class TestErrorScaling:
