@@ -180,10 +180,7 @@ def _velocity_boosts(V: np.ndarray) -> np.ndarray:
     fast = ~(b2 < 1.0)
     if fast.any():
         raise ValidationError(f"speed |v| = {np.sqrt(b2[fast][0])} must be < 1")
-    P = np.empty((len(V), 4))
-    P[:, 0] = 1.0
-    P[:, 1:] = V
-    P *= (1.0 / np.sqrt(1.0 - b2))[:, None]
+    P = np.column_stack([np.ones(len(V)), V]) * (1.0 / np.sqrt(1.0 - b2))[:, None]
     L = _canonical_boosts(P, 1.0)
     _check_transforms(L)
     return L

@@ -320,8 +320,7 @@ def entropy_surface(delta_over_m: float, beta_list, theta_list,
     lams = _angle_boosts(betas[moving], thetas[moving])
     gammas = [gamma_parameter(delta_over_m, 1.0, beta) for beta in betas.tolist()]
     packet = gaussian_packet(PacketSpec(mass=1.0, spread=delta_over_m, points=points))
-    taus = np.empty((len(betas), 2, 2), dtype=complex)
-    taus[:] = reduced_spin(packet).matrix
+    taus = np.tile(reduced_spin(packet).matrix, (len(betas), 1, 1))
     taus[moving] = _boosted_marginals(*_bloch_weights([packet]), lams)[:, 0]
     return list(zip(thetas.tolist(), gammas, qstate._entropies(taus).tolist()))
 
