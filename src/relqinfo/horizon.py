@@ -117,12 +117,23 @@ class RindlerModeState:
         return float((n + 1.0) * np.log(n + 1.0) - (n * np.log(n) if n > 0 else 0.0))
 
 
+# a thermal mode keeps at most ~_MAX_LEVELS levels: _MAX_Q is the largest
+# Boltzmann factor q whose geometric tail drops below 1e-12 within them
+_MAX_LEVELS = 10 ** 6
+_MAX_Q = 1e-12 ** (1.0 / _MAX_LEVELS)
+
+
 def rindler_mode_state(omega: float, a: float) -> RindlerModeState:
     """Build the thermal mode state, truncated where the geometric tail
-    drops below 1e-12."""
+    drops below 1e-12. Raises before any allocation when that takes more
+    than about _MAX_LEVELS levels (omega/a below ~4.4e-6), and where q =
+    e^(-2 pi omega/a) rounds to 1 and no truncation exists."""
     if omega <= 0 or a <= 0:
         raise ValidationError("mode frequency and acceleration must be positive")
     q = np.exp(-2.0 * np.pi * omega / a)
+    if not q <= _MAX_Q:  # NaN-safe
+        raise ValidationError(f"omega/a = {omega / a} needs more than {_MAX_LEVELS} "
+                              "levels to cut its thermal tail at 1e-12")
     # geometric tail beyond n_max is q^(n_max + 1)
     n_max = 0 if q == 0.0 else int(np.ceil(np.log(1e-12) / np.log(q))) + 1
     n = np.arange(n_max + 1)

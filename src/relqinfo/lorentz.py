@@ -171,15 +171,21 @@ def boost(velocity=None, *, rapidity: float | None = None,
     return LorentzTransform(_canonical_boosts(p[None], 1.0)[0])
 
 
+def _check_speeds(b2: np.ndarray) -> None:
+    """Raise unless every squared speed of a (B,) array is below 1
+    (NaN-safe), naming the first speed that is not."""
+    fast = ~(b2 < 1.0)
+    if fast.any():
+        raise ValidationError(f"speed |v| = {np.sqrt(b2[fast][0])} must be < 1")
+
+
 def _velocity_boosts(V: np.ndarray) -> np.ndarray:
     """Pure boosts by a (B,3) array of 3-velocities, shape (B,4,4): the
     canonical boosts at m = 1 of gamma (1, v). Raises unless every speed is
     below 1 (NaN-safe), and checks every boost as LorentzTransform does."""
     # one (1,3) @ (3,1) product per row takes |v|^2 as v @ v does, bit for bit
     b2 = (V[:, None, :] @ V[:, :, None])[:, 0, 0]
-    fast = ~(b2 < 1.0)
-    if fast.any():
-        raise ValidationError(f"speed |v| = {np.sqrt(b2[fast][0])} must be < 1")
+    _check_speeds(b2)
     P = np.column_stack([np.ones(len(V)), V]) * (1.0 / np.sqrt(1.0 - b2))[:, None]
     L = _canonical_boosts(P, 1.0)
     _check_transforms(L)
@@ -518,10 +524,9 @@ def aberrate(theta, phi, v: float) -> tuple:
     Returns (theta', k0'/k0) with sin(theta') = sin(theta)/[gamma(1 - v cos
     theta)], the branch fixed by the sign of cos(theta') = (cos theta - v)
     / (1 - v cos theta), and k0'/k0 = gamma (1 - v cos theta). The phi
-    angle is unchanged.
+    angle is unchanged. The speed check is boost()'s.
     """
-    if not abs(v) < 1.0:
-        raise ValidationError("speed must satisfy |v| < 1")
+    _check_speeds(np.array([v * v]))
     if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
         raise ValidationError("angles must be finite")
     g = 1.0 / np.sqrt(1.0 - v * v)

@@ -4,9 +4,8 @@ Helicity bases per propagation direction, the helicity components of
 momentum-independent polarization labels (whose longitudinal part is
 unphysical), the {E_x, E_y, E_z} polarization POVM, effective 3x3
 polarization density matrices, boosts along z (aberrated angles and
-frequencies from lorentz.aberrate; helicity phases from
-lorentz.helicity_phase_batch, one call per boost in boost_packet and per
-velocity in the Doppler core), and the Doppler behavior of
+frequencies from lorentz.aberrate; the helicity amplitudes carry over,
+since a z boost's little-group phase is 0), and the Doppler behavior of
 distinguishability.
 
 The packet math is batched over a leading packet axis. The single-packet
@@ -24,8 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._errors import DimensionError, ValidationError
-from .lorentz import (_rotation_to_khat_batch, aberrate, boost,
-                      helicity_phase_batch)
+from .lorentz import _rotation_to_khat_batch, aberrate
 from .qstate import (_check_near_one, _check_psd, _error_probabilities, _is_count,
                      hermitize)
 
@@ -119,12 +117,6 @@ class PhotonPacket:
     @property
     def masses(self) -> np.ndarray:  # per-ray probability masses w |f|^2
         return self.weights * np.abs(self.profile) ** 2
-
-    def four_momenta(self) -> np.ndarray:
-        st, ct = np.sin(self.theta), np.cos(self.theta)
-        cp, sp = np.cos(self.phi), np.sin(self.phi)
-        return np.column_stack([self.k0, self.k0 * st * cp, self.k0 * st * sp,
-                                self.k0 * ct])
 
 
 @functools.lru_cache(maxsize=8)
@@ -335,38 +327,24 @@ def naive_density_matrix(packet: PhotonPacket) -> PolarizationMatrix:
     return PolarizationMatrix(matrix=_density_matrices(masses, vectors)[0])
 
 
-def _boosted_rays(packet: PhotonPacket, v: float, xi: np.ndarray) -> tuple:
-    """The boost along +z of a packet's rays, shared by every packet on the
-    same rays: the aberrated polar angles and frequencies, the solid-angle
-    Jacobian d(cos theta')/d(cos theta) and, from the rays' helicity angles
-    xi under the boost, the phases e^(-+ i xi), (N, 2)."""
-    theta_p, ratio = aberrate(packet.theta, packet.phi, v)
-    # equal to ratio**-2, but this rounding is the one criterion 12 pins
-    jac = (1.0 - v * v) / (1.0 - v * np.cos(packet.theta)) ** 2
-    phases = np.column_stack([np.exp(-1j * xi), np.exp(1j * xi)])
-    return theta_p, packet.k0 * ratio, jac, phases
-
-
-def _boosted(packet: PhotonPacket, rays: tuple) -> PhotonPacket:
-    """The packet moved onto boosted rays from _boosted_rays; w |f|^2 per ray
-    is kept by absorbing the Jacobian."""
-    theta_p, k0_p, jac, phases = rays
-    return PhotonPacket(theta=theta_p, phi=packet.phi.copy(), weights=packet.weights * jac,
-                        profile=packet.profile / np.sqrt(jac),
-                        alpha=packet.alpha * phases, k0=k0_p)
-
-
 def boost_packet(packet: PhotonPacket, v: float) -> PhotonPacket:
-    """Boost along +z: directions aberrate, frequencies rescale, helicity
-    amplitudes pick up the little-group phases e^(-+ i xi) (identically
-    zero for z boosts), and the solid-angle Jacobian is absorbed so each
-    ray keeps its probability mass.
+    """Boost along +z: directions aberrate, frequencies rescale, and the
+    solid-angle Jacobian d(cos theta')/d(cos theta) is absorbed so each ray
+    keeps its probability mass w |f|^2.
+
+    The helicity amplitudes carry over unchanged. A z boost has U(R) = 1
+    and keeps every azimuth, so its little-group phase xi = -2 arg(c'c +
+    s's) (lorentz.helicity_phase_batch) is exactly 0 on every ray.
 
     Positive v is the receding-detector convention: a beam around +z
     widens, small tilt angles scale by sqrt((1+v)/(1-v)).
     """
-    xi = helicity_phase_batch(boost(np.array([0.0, 0.0, v])), packet.four_momenta())
-    return _boosted(packet, _boosted_rays(packet, v, xi))
+    theta_p, ratio = aberrate(packet.theta, packet.phi, v)
+    # equal to ratio**-2, but this rounding is the one criterion 12 pins
+    jac = (1.0 - v * v) / (1.0 - v * np.cos(packet.theta)) ** 2
+    return PhotonPacket(theta=theta_p, phi=packet.phi.copy(), weights=packet.weights * jac,
+                        profile=packet.profile / np.sqrt(jac), alpha=packet.alpha.copy(),
+                        k0=packet.k0 * ratio)
 
 
 def _renormalized_error(rho1: PolarizationMatrix, rho2: PolarizationMatrix) -> float:
@@ -385,23 +363,18 @@ def _doppler_ratios(aperture: float, velocities, n_theta: int = 32,
     aperture limit the ratio approaches (1+v)/(1-v). A source-frame error
     below 1e-14 cannot support a ratio and is reported as degenerate.
 
-    The two packets and the source-frame P_E are built once. Both packets
-    lie on the same rays, so each velocity boosts the rays once, with one
-    helicity-phase call, and each packet takes the shared phases onto its
-    own alpha.
+    The two packets and the source-frame P_E are built once; each velocity
+    boosts both through boost_packet.
     """
     p1 = collimated_packet(aperture, "linear-x", n_theta, n_phi)
     p2 = collimated_packet(aperture, "linear-y", n_theta, n_phi)
     pe = _renormalized_error(effective_density_matrix(p1),
                              effective_density_matrix(p2))
     degenerate = pe < 1e-14
-    k = p1.four_momenta()
     out = []
     for v in velocities:
-        xi = helicity_phase_batch(boost(np.array([0.0, 0.0, v])), k)
-        rays = _boosted_rays(p1, v, xi)
-        pe_prime = _renormalized_error(effective_density_matrix(_boosted(p1, rays)),
-                                       effective_density_matrix(_boosted(p2, rays)))
+        pe_prime = _renormalized_error(effective_density_matrix(boost_packet(p1, v)),
+                                       effective_density_matrix(boost_packet(p2, v)))
         out.append({"P_E": pe, "P_E_prime": pe_prime,
                     "ratio": None if degenerate else pe_prime / pe,
                     "degenerate": degenerate})

@@ -116,14 +116,18 @@ def _cubic_grid(spec: PacketSpec):
         step = axis[1] - axis[0]
         w1 = np.full(spec.points, step)
         w1[0] = w1[-1] = step / 2
-    p0 = np.asarray(spec.mean_momentum, dtype=float)
-    px, py, pz = np.meshgrid(axis + p0[0], axis + p0[1], axis + p0[2],
-                             indexing="ij")
-    pvec = np.stack([px.ravel(), py.ravel(), pz.ravel()], axis=1)
-    e = np.sqrt(spec.mass ** 2 + np.sum(pvec ** 2, axis=1))
-    momenta = np.column_stack([e, pvec])
+    x, y, z = (axis + c for c in np.asarray(spec.mean_momentum, dtype=float))
+    # the grid in "ij" order, written straight into the columns of momenta;
+    # |p|^2 adds the axes' squares in the order np.sum takes a row of p
+    p2 = (x ** 2)[:, None, None] + (y ** 2)[:, None] + z ** 2
+    momenta = np.empty(p2.shape + (4,))
+    momenta[..., 0] = np.sqrt(spec.mass ** 2 + p2)
+    momenta[..., 1] = x[:, None, None]
+    momenta[..., 2] = y[:, None]
+    momenta[..., 3] = z
+    momenta = momenta.reshape(-1, 4)
     cell = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).ravel()
-    return momenta, pvec, e, cell
+    return momenta, momenta[:, 1:], momenta[:, 0], cell
 
 
 def _spin_up_along(axis) -> np.ndarray:

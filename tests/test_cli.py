@@ -298,6 +298,32 @@ class TestScenarioOutputs:
             by_v[v] = ratio
         assert abs(by_v[0.5] - 3.0) < 0.06
 
+    def test_photon_doppler_speed_bound(self, tmp_path, main_in):
+        # a luminal velocity is rejected with boost()'s message; the fastest
+        # speeds below 1 are accepted
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("velocities = 0.5, 1.0\n")
+        code, out = main_in(["--scenario", "photon-doppler", "--config", str(cfg),
+                             "--out", str(tmp_path / "d.csv")])
+        assert (code, out) == (3, '{"error": "validation", "scenario": "photon-doppler", '
+                               '"detail": "speed |v| = 1.0 must be < 1", '
+                               '"config": {"velocities": [0.5, 1.0]}}\n')
+        assert not (tmp_path / "d.csv").exists()
+        cfg.write_text(f"velocities = {-(1 - 1.1e-16)!r}, {1 - 1.1e-16!r}\n")
+        assert main_in(["--scenario", "photon-doppler", "--config", str(cfg),
+                        "--out", str(tmp_path / "d.csv")])[0] == 0
+
+    def test_rindler_ratio_past_the_level_bound_names_the_config(self, tmp_path, main_in):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("omega_over_a = 0.5, 1e-300\n")
+        code, out = main_in(["--scenario", "rindler", "--config", str(cfg),
+                             "--out", str(tmp_path / "r.csv")])
+        diag = json.loads(out)
+        assert (code, diag["error"], diag["config"]) == (3, "validation",
+                                                         {"omega_over_a": [0.5, 1e-300]})
+        assert "omega/a = 1e-300" in diag["detail"]
+        assert not (tmp_path / "r.csv").exists()
+
     def test_rindler_table_columns(self, tmp_path, main_in):
         assert main_in(["--scenario", "rindler", "--out",
                        str(tmp_path / "r.csv")])[0] == 0

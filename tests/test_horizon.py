@@ -77,6 +77,12 @@ class TestRindlerMode:
         assert q ** (st.n_max + 1) < 1e-12
         assert abs(st.probabilities.sum() - 1.0) < 1e-11
 
+    @pytest.mark.parametrize("ratio", [1e-300, 1e-17, 1e-9])
+    def test_ratio_past_the_level_bound_rejected(self, ratio):
+        # q rounds to 1 at 1e-300; 1e-17 and 1e-9 need ~2.5e17 and ~4.4e9 levels
+        with pytest.raises(ValidationError, match=f"omega/a = {ratio}"):
+            rindler_mode_state(ratio, 1.0)
+
     def test_geometric_ratio(self):
         st = rindler_mode_state(1.0, 3.0)
         ratios = st.probabilities[1:6] / st.probabilities[:5]

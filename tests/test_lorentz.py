@@ -684,9 +684,10 @@ class TestAberration:
         scalar = np.array([aberrate(th, 0.0, 0.6) for th in thetas])
         assert np.array_equal(tp, scalar[:, 0]) and np.array_equal(ratio, scalar[:, 1])
 
-    def test_superluminal_rejected(self):
-        with pytest.raises(ValidationError):
-            aberrate(0.1, 0.0, 1.0)
+    @pytest.mark.parametrize("v, speed", [(1.0, "1.0"), (-1.0, "1.0"), (-1.5, "1.5")])
+    def test_superluminal_rejected(self, v, speed):
+        with pytest.raises(ValidationError, match=rf"^speed \|v\| = {speed} must be < 1$"):
+            aberrate(0.1, 0.0, v)
 
     @pytest.mark.parametrize("args", [(0.1, 0.0, np.nan), (np.nan, 0.0, 0.5),
                                       (np.array([0.1, np.inf]), 0.0, 0.5), (0.1, np.nan, 0.5)])

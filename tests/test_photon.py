@@ -195,6 +195,21 @@ class TestBoost:
         with pytest.raises(ValidationError):
             boost_packet(collimated_packet(0.1), 1.0)
 
+    @pytest.mark.parametrize("aperture, polarization", [
+        (0.05, "linear-x"), (0.8, qstate.haar_state(2, np.random.default_rng(47)))])
+    def test_alpha_is_kept_as_the_zero_helicity_phase(self, aperture, polarization):
+        # alpha carries over bit for bit, and it is alpha e^(-+ i xi) with xi
+        # from the general phase core on rays built from theta and phi
+        pk = collimated_packet(aperture, polarization, n_theta=8, n_phi=12)
+        st = np.sin(pk.theta)
+        k = np.column_stack([np.ones_like(st), st * np.cos(pk.phi), st * np.sin(pk.phi),
+                             np.cos(pk.theta)])
+        for v in (-0.9, -0.25, 0.4, 0.999):
+            alpha = boost_packet(pk, v).alpha
+            assert alpha.tobytes() == pk.alpha.tobytes()
+            xi = lorentz.helicity_phase_batch(lorentz.boost((0.0, 0.0, v)), k)
+            assert np.array_equal(alpha, pk.alpha * np.exp(np.outer(xi, [-1j, 1j])))
+
 
 class TestDopplerErrorRatio:
     def test_zero_velocity(self):
@@ -219,17 +234,6 @@ class TestDopplerErrorRatio:
         rows = photon._doppler_ratios(0.05, velocities, n_theta=16, n_phi=24)
         for v, row in zip(velocities, rows):
             assert photon._doppler_ratios(0.05, [v], n_theta=16, n_phi=24) == [row]
-
-    def test_shared_rays_match_separate_boosts(self):
-        # the rays as _doppler_ratios boosts them, with one phase call for both
-        p1 = collimated_packet(0.1, "linear-x", 12, 16)
-        p2 = collimated_packet(0.1, "plus", 12, 16)
-        xi = lorentz.helicity_phase_batch(lorentz.boost([0.0, 0.0, 0.4]), p1.four_momenta())
-        rays = photon._boosted_rays(p1, 0.4, xi)
-        for pk in (p1, p2):
-            shared, alone = photon._boosted(pk, rays), boost_packet(pk, 0.4)
-            for field in ("theta", "phi", "weights", "profile", "alpha", "k0"):
-                assert np.array_equal(getattr(shared, field), getattr(alone, field))
 
 
 class TestPolarizationMatrix:

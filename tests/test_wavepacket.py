@@ -63,6 +63,17 @@ class TestConstruction:
             with pytest.raises(error):
                 SpinorPacket(1.0, *args)
 
+    @pytest.mark.parametrize("points", [1, 3, 21])
+    def test_cubic_grid_matches_meshgrid_oracle(self, points):
+        spec = PacketSpec(mass=1.3, spread=0.2, points=points, mean_momentum=(0.3, -0.7, 1.1))
+        # the default extent of 4 spreads: each axis spans +-0.8 about the mean
+        axis = (np.linspace(-0.8, 0.8, points) if points > 1 else np.zeros(1)) + [[0.3], [-0.7], [1.1]]
+        pvec = np.stack([g.ravel() for g in np.meshgrid(*axis, indexing="ij")], axis=1)
+        e = np.sqrt(1.3 ** 2 + np.sum(pvec ** 2, axis=1))
+        got = wavepacket._cubic_grid(spec)
+        for a, b in zip(got, (np.column_stack([e, pvec]), pvec, e)):
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes()
+
     def test_grid_on_shell(self):
         p = small_packet(mean_momentum=(0.3, -0.1, 0.5))
         shell = p.momenta[:, 0] ** 2 - np.sum(p.momenta[:, 1:] ** 2, axis=1)
