@@ -128,8 +128,8 @@ def rindler_mode_state(omega: float, a: float) -> RindlerModeState:
     drops below 1e-12. Raises before any allocation when that takes more
     than about _MAX_LEVELS levels (omega/a below ~4.4e-6), and where q =
     e^(-2 pi omega/a) rounds to 1 and no truncation exists."""
-    if omega <= 0 or a <= 0:
-        raise ValidationError("mode frequency and acceleration must be positive")
+    if not (0 < omega < np.inf and 0 < a < np.inf):  # NaN-safe
+        raise ValidationError("mode frequency and acceleration must be positive and finite")
     q = np.exp(-2.0 * np.pi * omega / a)
     if not q <= _MAX_Q:  # NaN-safe
         raise ValidationError(f"omega/a = {omega / a} needs more than {_MAX_LEVELS} "

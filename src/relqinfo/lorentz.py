@@ -30,7 +30,6 @@ __all__ = [
     "FourVector",
     "LorentzTransform",
     "WignerRotation",
-    "check_mass_shell",
     "boost",
     "rotation",
     "compose",
@@ -50,7 +49,8 @@ FourVector = np.ndarray
 
 
 def _check_mass_shells(P: np.ndarray, m: float) -> None:
-    """check_mass_shell for every row of an (N,4) array."""
+    """Raise unless every row p of an (N,4) array has p0 > 0 and p.p = m**2
+    within TOL_SHELL relative to p0**2."""
     if P.ndim != 2 or P.shape[1] != 4:
         raise DimensionError(f"four-vectors must have shape (N, 4), got {P.shape}")
     p0 = P[:, 0]
@@ -68,11 +68,6 @@ def _batch_of_one(p: FourVector) -> np.ndarray:
     if p.shape != (4,):
         raise DimensionError(f"four-vector must have shape (4,), got {p.shape}")
     return p[None]
-
-
-def check_mass_shell(p: FourVector, m: float) -> None:
-    """Raise unless p*p = m**2 within TOL_SHELL (relative to p0**2) and p0 > 0."""
-    _check_mass_shells(_batch_of_one(p), m)
 
 
 _ETA_SIGNS = np.outer(np.diag(ETA), np.diag(ETA))
@@ -249,8 +244,8 @@ def _canonical_boosts(P: np.ndarray, m: float) -> np.ndarray:
 
 def _standard_boosts_massive(P: np.ndarray, m: float) -> np.ndarray:
     """Canonical rotation-free boosts of an (N,4) array of momenta of mass
-    m, shape (N,4,4), L(p) (m,0,0,0) = p. Checks m > 0, every row as
-    check_mass_shell and every boost as LorentzTransform does."""
+    m, shape (N,4,4), L(p) (m,0,0,0) = p. Checks m > 0, every row with
+    _check_mass_shells and every boost as LorentzTransform does."""
     if not m > 0:  # NaN-safe
         raise ValidationError("mass must be positive")
     P = np.asarray(P, dtype=float)
@@ -278,7 +273,7 @@ def _ray_angles(K: np.ndarray) -> tuple:
 def _standard_boosts_massless(K: np.ndarray) -> np.ndarray:
     """Null standard boosts of an (N,4) array of momenta, shape (N,4,4):
     z-boost to energy k0, then rotate the z axis onto the propagation
-    direction, so L(k) (1,0,0,1) = k. Checks every row as check_mass_shell
+    direction, so L(k) (1,0,0,1) = k. Checks every row with _check_mass_shells
     and every boost as LorentzTransform does."""
     K = np.asarray(K, dtype=float)
     _check_mass_shells(K, 0.0)
@@ -450,8 +445,8 @@ def _wigner_rotations(L: np.ndarray, P: np.ndarray, m: float) -> tuple:
     (N,2,2) on the canonical branch, as in wigner_su2_batch. A zero angle
     gets the z axis.
 
-    Checks m > 0, every L_n as LorentzTransform does, p_n and L_n p_n as
-    check_mass_shell does, and every D unitary; one bad pair raises.
+    Checks m > 0, every L_n as LorentzTransform does, p_n and L_n p_n with
+    _check_mass_shells, and every D unitary; one bad pair raises.
     """
     if not m > 0:  # NaN-safe
         raise ValidationError("mass must be positive")
@@ -486,8 +481,8 @@ def wigner_rotation(lam: LorentzTransform, p: FourVector, m: float) -> WignerRot
 
 def helicity_phase_batch(lam: LorentzTransform, ks: np.ndarray) -> np.ndarray:
     """Rotation angles xi in [-pi, pi] of E = L^{-1}(lam k) lam L(k) for an
-    (N,4) array of null momenta; k and lam k are checked as check_mass_shell
-    does.
+    (N,4) array of null momenta; k and lam k are checked with
+    _check_mass_shells.
 
     From spinors, without E. E fixes (1,0,0,1), so its SL(2,C) image is
     upper triangular with diagonal e^(-+ i xi/2), and its upper-left entry

@@ -296,12 +296,15 @@ def concurrence(rho) -> float:
 # ---------------------------------------------------------------------------
 # seeded sampling helpers used by property tests and Monte-Carlo checks
 
+def _unit_states(z: np.ndarray) -> np.ndarray:
+    """Unit vectors (n, dim) of an (n, 2, dim) buffer of real, imaginary parts."""
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(np.einsum("nki,nki->n", z, z))[:, None]
+
+
 def _haar_states(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """n Haar-random unit vectors, shape (n, dim), from one draw in the
-    order of n haar_state calls: each row's real parts, then its imaginary
-    parts."""
-    z = rng.normal(size=(n, 2, dim))
-    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(np.einsum("nki,nki->n", z, z))[:, None]
+    order of n haar_state calls."""
+    return _unit_states(rng.normal(size=(n, 2, dim)))
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:

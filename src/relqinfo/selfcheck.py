@@ -222,20 +222,22 @@ def _check_wigner(grids):
     got = lorentz._standard_boosts_massive(P, m) @ [m, 0.0, 0.0, 0.0]
     worst_massive = float(np.abs(got - P).max())
 
-    nvecs, energies = np.empty((n, 3)), np.empty(n)
+    nvecs, u = np.empty((n, 3)), np.empty(n)
     for i in range(n):  # alternating draws: this order fixes the momenta
-        nvecs[i] = rng.normal(size=3)
-        energies[i] = rng.uniform(0.1, 5.0)
+        rng.standard_normal(out=nvecs[i])
+        u[i] = rng.random()  # rng.uniform(low, high) is numpy's low + (high - low) u
+    energies = 0.1 + (5.0 - 0.1) * u
     nvecs /= np.sqrt(np.einsum("ni,ni->n", nvecs, nvecs))[:, None]
     K = np.column_stack([energies, energies[:, None] * nvecs])
     got = lorentz._standard_boosts_massless(K) @ [1.0, 0.0, 0.0, 1.0]
     worst_massless = float(np.abs(got - K).max())
 
-    axes, angles, P = np.empty((50, 3)), np.empty(50), np.empty((50, 4))
+    axes, u, P = np.empty((50, 3)), np.empty(50), np.empty((50, 4))
     for i in range(50):  # this order fixes the rotations and momenta
-        axes[i] = rng.normal(size=3)
-        angles[i] = rng.uniform(0, np.pi)
-        P[i, 1:] = rng.normal(size=3)
+        rng.standard_normal(out=axes[i])
+        u[i] = rng.random()
+        rng.standard_normal(out=P[i, 1:])
+    angles = np.pi * u  # low = 0
     P[:, 0] = np.sqrt(1.0 + np.einsum("ni,ni->n", P[:, 1:], P[:, 1:]))
     L = np.zeros((50, 4, 4))
     L[:, 0, 0] = 1.0
@@ -308,13 +310,12 @@ def _check_bipartite(grids):
 def _check_photon_povm(grids):
     rng = np.random.default_rng(SEED)
     n = grids["povm_packets"]
-    apertures = np.empty(n)
-    polarizations = np.empty((n, 2), dtype=complex)
+    u, z = np.empty(n), np.empty((n, 2, 2))
     for i in range(n):  # one packet at a time: this draw order fixes the packets
-        apertures[i] = rng.uniform(0.02, 0.6)
-        polarizations[i] = qstate.haar_state(2, rng)
+        u[i] = rng.random()  # rng.uniform(0.02, 0.6) as in criterion 07
+        rng.standard_normal(out=z[i])  # haar_state(2)'s draw
     expectations, effective, naive = photon._povm_rings(
-        apertures, polarizations, grids["povm_theta"], grids["povm_phi"])
+        0.02 + (0.6 - 0.02) * u, qstate._unit_states(z), grids["povm_theta"], grids["povm_phi"])
     return {"max_completeness_gap": float(np.abs(expectations.sum(axis=1) - 1.0).max()),
             "max_effective_vs_naive": float(np.abs(effective - naive).max())}
 

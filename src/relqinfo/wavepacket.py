@@ -15,7 +15,7 @@ import numpy as np
 
 from ._errors import DimensionError, ValidationError
 from . import kernels, lorentz, qstate
-from .lorentz import LorentzTransform, _check_mass_shells, boost
+from .lorentz import LorentzTransform, _SIGMAS4, _check_mass_shells, boost
 from .qstate import DensityMatrix, _check_near_one, hermitize
 
 __all__ = [
@@ -438,16 +438,32 @@ def reduced_spin_pair(packet: BipartitePacket) -> DensityMatrix:
     return DensityMatrix(hermitize(packet.spin_matrix))
 
 
+def _transfer_matrices(profile: SpinorPacket, lams: np.ndarray) -> np.ndarray:
+    """The (B, 4, 4) Pauli transfer matrices R_ab = tr(sigma_a E(sigma_b))/2 of
+    the channels E(tau) = sum_n mu_n D_n tau D_n† that a checked (B, 4, 4) stack
+    of boosts applies to a spin factorized from profile's mass mu_n = w_n |f_n|^2:
+    one _boosted_marginals call on the unit-trace probes 1/2 and (1 + sigma_k)/2."""
+    grid, c = _bloch_weights([profile])
+    probes = np.zeros((4, 4, c.shape[2]))
+    probes[:, 0] = probes[[1, 2, 3], [1, 2, 3]] = c[0, 0]  # mu_n / 2
+    R = np.einsum("atx,bkxt->bak", _SIGMAS4, _boosted_marginals(grid, probes, lams))
+    R[:, :, 1:] -= R[:, :, :1]  # E(sigma_k) / 2 = E((1 + sigma_k) / 2) - E(1 / 2)
+    return R.real
+
+
 def bipartite_boost_concurrence(delta_over_m: float, rapidity_list,
                                 points: int = 9) -> list:
-    """Concurrence of the boosted singlet packet per rapidity (z boosts)."""
-    packet = singlet_packet(delta_over_m, points=points)
-    rows = []
-    for chi in rapidity_list:
-        lam = boost(rapidity=float(chi), axis=(0.0, 0.0, 1.0))
-        rho = reduced_spin_pair(boost_bipartite(packet, lam))
-        rows.append((float(chi), qstate.concurrence(rho)))
-    return rows
+    """Concurrence of the boosted singlet packet per rapidity (z boosts). A boost
+    acts on a spin factorized from singlet_packet's profile as one channel, so
+    the singlet's correlations T = diag(1, -1, -1, -1) become R T R^T (R from
+    _transfer_matrices) in the state 1/4 sum_ab T_ab sigma_a (x) sigma_b."""
+    lams = np.array([boost(rapidity=float(chi), axis=(0.0, 0.0, 1.0)).matrix
+                     for chi in rapidity_list]).reshape(-1, 4, 4)
+    R = _transfer_matrices(
+        gaussian_packet(PacketSpec(mass=1.0, spread=delta_over_m, points=points)), lams)
+    T = R @ np.diag([1.0, -1.0, -1.0, -1.0]) @ np.swapaxes(R, 1, 2)
+    rhos = np.einsum("nab,aij,bkl->nikjl", T, _SIGMAS4, _SIGMAS4).reshape(-1, 4, 4) / 4
+    return [(float(chi), qstate.concurrence(rho)) for chi, rho in zip(rapidity_list, rhos)]
 
 
 # ---------------------------------------------------------------------------

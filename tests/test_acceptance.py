@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relqinfo import channel, cli, lorentz, photon, selfcheck, wavepacket
+from relqinfo import channel, cli, lorentz, photon, qstate, selfcheck, wavepacket
 
 _TOLS = selfcheck._tols(None)
 _GRIDS = selfcheck._grids(None)
@@ -113,11 +113,12 @@ def test_grid_override_must_be_a_whole_count(overrides, names):
 
 
 def _count_calls(monkeypatch, module, name):
+    """The positional arguments of each call of module.name from now on."""
     calls = []
     fn = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -175,6 +176,62 @@ def test_criterion_07_fails_when_rotations_meet_other_momenta(monkeypatch):
     crit = next(c for c in selfcheck.CRITERIA if c.name == "07-wigner-machinery")
     result = selfcheck.run_criterion(crit, _TOLS, _GRIDS)
     assert [c["key"] for c in result.checks if not c["holds"]] == ["rotation_passthrough"]
+
+
+def _made_generators(monkeypatch):
+    """Each generator np.random.default_rng makes from now on."""
+    made, make = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(make(*a)) or made[-1])
+    return made
+
+
+def test_criterion_07_draws_match_the_scalar_loops(monkeypatch):
+    # oracle: the loops of per-draw rng.normal(size=3) and rng.uniform calls;
+    # the criterion's loops take rng.standard_normal and rng.random and apply
+    # uniform's formula once, with the same bits and the same stream
+    ref = np.random.default_rng(selfcheck.SEED)
+    ref.normal(scale=0.8, size=(1000, 3))
+    nvecs, energies = np.empty((1000, 3)), np.empty(1000)
+    for i in range(1000):
+        nvecs[i] = ref.normal(size=3)
+        energies[i] = ref.uniform(0.1, 5.0)
+    axes, angles, P = np.empty((50, 3)), np.empty(50), np.empty((50, 3))
+    for i in range(50):
+        axes[i] = ref.normal(size=3)
+        angles[i] = ref.uniform(0, np.pi)
+        P[i] = ref.normal(size=3)
+    nvecs /= np.sqrt(np.einsum("ni,ni->n", nvecs, nvecs))[:, None]
+
+    made = _made_generators(monkeypatch)
+    null_boosts, rotations, pairs = (_count_calls(monkeypatch, lorentz, name) for name in (
+        "_standard_boosts_massless", "_rotation3", "_wigner_rotations"))
+    _run("07-wigner-machinery")
+    assert _GRIDS["momentum_draws"] == 1000
+    [(K,)] = null_boosts
+    assert np.array_equal(K, np.column_stack([energies, energies[:, None] * nvecs]))
+    assert [np.array_equal(a, b) for a, b in zip(rotations[0], (axes, angles))] == [True] * 2
+    assert np.array_equal(pairs[0][1][:, 1:], P)
+    assert [g.bit_generator.state for g in made] == [ref.bit_generator.state]
+
+
+def test_criterion_11_draws_match_the_scalar_loop(monkeypatch):
+    # oracle: the loop of rng.uniform and haar_state(2) calls; the criterion's
+    # loop takes rng.random and a row of normals, then normalizes all rows
+    # and applies uniform's formula once, with the same bits and stream
+    ref = np.random.default_rng(selfcheck.SEED)
+    apertures, polarizations = np.empty(500), np.empty((500, 2), dtype=complex)
+    for i in range(500):
+        apertures[i] = ref.uniform(0.02, 0.6)
+        polarizations[i] = qstate.haar_state(2, ref)
+
+    made = _made_generators(monkeypatch)
+    rings = _count_calls(monkeypatch, photon, "_povm_rings")
+    _run("11-photon-povm")
+    assert _GRIDS["povm_packets"] == 500
+    [(got_apertures, got_polarizations, *_)] = rings
+    assert np.array_equal(got_apertures, apertures)
+    assert np.array_equal(got_polarizations, polarizations)
+    assert [g.bit_generator.state for g in made] == [ref.bit_generator.state]
 
 
 def test_criterion_12_values_are_pinned():

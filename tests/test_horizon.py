@@ -83,6 +83,12 @@ class TestRindlerMode:
         with pytest.raises(ValidationError, match=f"omega/a = {ratio}"):
             rindler_mode_state(ratio, 1.0)
 
+    @pytest.mark.parametrize("omega, a", [(np.nan, 1.0), (1.0, np.nan), (1.0, np.inf),
+                                          (np.inf, 1.0), (0.0, 1.0), (1.0, -1.0)])
+    def test_nonpositive_or_nonfinite_rejected(self, omega, a):
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            rindler_mode_state(omega, a)
+
     def test_geometric_ratio(self):
         st = rindler_mode_state(1.0, 3.0)
         ratios = st.probabilities[1:6] / st.probabilities[:5]

@@ -345,7 +345,8 @@ def _nan_probes():
         "BipartitePacket": lambda: wavepacket.BipartitePacket(
             pair.first, pair.second, _nan_at(pair.amplitudes, 3)),
         "kraus_from_unitary": lambda: _kraus_from(_nan_at(np.eye(4), 5)),
-        "check_mass_shell": lambda: lorentz.check_mass_shell([1.0, np.nan, 0.0, 0.0], 1.0),
+        "_check_mass_shells": lambda: lorentz._check_mass_shells(
+            np.array([[1.0, np.nan, 0.0, 0.0]]), 1.0),
         "chsh_value": lambda: channel.chsh_value(
             DensityMatrix.maximally_mixed(4), _nan_at(SIGMA_Z, 3), SIGMA_X, SIGMA_Z, SIGMA_X),
         "PolarizationMatrix": lambda: photon.PolarizationMatrix(
@@ -374,7 +375,8 @@ _ENTRY_PROBES = {
     "TOL_TRACE": lambda d: DensityMatrix(np.diag([0.5, 0.5 + d])),
     "TOL_HERM": lambda d: DensityMatrix(np.array([[0.5, d], [0.0, 0.5]])),
     "TOL_PSD": lambda d: DensityMatrix(np.diag([1.0 + d, -d])),
-    "TOL_SHELL": lambda d: lorentz.check_mass_shell([np.sqrt(1.0 + d), 0.0, 0.0, 0.0], 1.0),
+    "TOL_SHELL": lambda d: lorentz._check_mass_shells(
+        np.array([[np.sqrt(1.0 + d), 0.0, 0.0, 0.0]]), 1.0),
     "TOL_UNITARY": lambda d: horizon.superscattering(
         np.sqrt(1.0 + d) * np.eye(4), DensityMatrix.maximally_mixed(2)),
 }

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relqinfo import cli, lorentz, qstate, selfcheck, wavepacket
+from relqinfo import cli, kernels, lorentz, qstate, selfcheck, wavepacket
 from relqinfo._errors import DimensionError, ValidationError
 from relqinfo.lorentz import boost, compose, rotation
 from relqinfo.wavepacket import (BipartitePacket, PacketSpec, SpinorPacket,
@@ -475,17 +475,52 @@ class TestBipartite:
         assert c0 > 1.0 - 1e-3
 
     def test_concurrence_decreases_with_rapidity(self, monkeypatch):
-        grams = []
-        gram = wavepacket._gram
-        monkeypatch.setattr(wavepacket, "_gram", lambda *a: grams.append(1) or gram(*a))
-        rows = bipartite_boost_concurrence(0.3, [0.0, 0.5, 1.0, 2.0], points=7)
+        # the rows come from one marginal-core call over all rapidities: no
+        # kernel call, no boosted packet and no bipartite packet
+        calls = {}
+        for owner, name in ((wavepacket, "_boosted_marginals"), (wavepacket, "_boost_shared"),
+                            (kernels, "wigner_su2_batch"), (BipartitePacket, "__post_init__")):
+            fn, calls[name] = getattr(owner, name), []
+            monkeypatch.setattr(owner, name, lambda *a, fn=fn, log=calls[name]:
+                                log.append(a) or fn(*a))
+        chis = [0.0, 0.5, 1.0, 2.0]
+        rows = bipartite_boost_concurrence(0.3, chis, points=7)
+        assert [len(lams) for _, _, lams in calls.pop("_boosted_marginals")] == [4]
+        assert calls == {"_boost_shared": [], "wigner_su2_batch": [], "__post_init__": []}
+        monkeypatch.undo()
         cs = [c for _, c in rows]
         assert cs[0] > 0.999
         assert all(b <= a + 1e-12 for a, b in zip(cs, cs[1:]))
-        # the singlet's 2, then per rapidity the boosted packet's 2 at
-        # construction, which its reduction reads back (the boosts check
-        # norms, not grams)
-        assert len(grams) == 2 + 4 * 2
+        # the same values as the boosted singlet packet's
+        pk = singlet_packet(0.3, points=7)
+        assert [chi for chi, _ in rows] == chis
+        for chi, c in rows:
+            rho = reduced_spin_pair(boost_bipartite(pk, boost(rapidity=chi, axis=(0, 0, 1.0))))
+            assert abs(c - qstate.concurrence(rho)) < 1e-14
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(block=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+           spreads=st.tuples(st.floats(0.05, 0.5), st.floats(0.05, 0.5)),
+           axis=unit_vectors, chi=st.floats(-30.0, 30.0))
+    def test_transfer_matrices_match_the_boosted_packet(self, block, spreads, axis, chi):
+        # (E_f (x) E_g) of any spin block's state, from the two profiles'
+        # transfer matrices, against boosting the bipartite packet itself
+        chi_block = np.array(block[:4]).reshape(2, 2) + 1j * np.array(block[4:]).reshape(2, 2)
+        norm = np.sqrt(np.sum(np.abs(chi_block) ** 2))
+        assume(norm > 1e-3)
+        chi_block /= norm
+        pairs = [wavepacket._spin_z_pair(spread, 5) for spread in spreads]
+        lam = boost(rapidity=chi, axis=axis)
+        want = reduced_spin_pair(boost_bipartite(BipartitePacket(*pairs, chi_block), lam))
+
+        # a two-qubit state is 1/4 sum_ab T_ab sigma_a (x) sigma_b, and the
+        # channels map its correlations T to R1 T R2^T
+        v = chi_block.ravel()
+        pauli_pairs = [np.kron(a, b) for a in lorentz._SIGMAS4 for b in lorentz._SIGMAS4]
+        T = np.array([(v.conj() @ p @ v).real for p in pauli_pairs]).reshape(4, 4)
+        [R1], [R2] = (wavepacket._transfer_matrices(pair[0], lam.matrix[None]) for pair in pairs)
+        got = np.tensordot(R1 @ T @ R2.T, np.reshape(pauli_pairs, (4, 4, 4, 4)), 2) / 4
+        assert np.abs(got - want.matrix).max() < 1e-14
 
     def test_inverse_boost_restores_concurrence(self):
         pk = singlet_packet(0.3, points=7)
