@@ -1,6 +1,8 @@
 """Scenario runner: every module exposed as reproducible, file-emitting
 subcommands with a flat config file and seeded determinism. SCENARIOS
-declares the config keys and --grid.* names each scenario reads.
+declares the config keys and --grid.* names each scenario reads. Each
+scenario body, and the self-check, imports the modules it runs, so a process
+loads only those.
 
 Exit codes: 0 success, 2 usage error (unknown scenario, bad or non-finite
 flags, a tolerance or grid name the run does not read, a negative seed, or an
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -22,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (__version__, channel, horizon, photon, qstate, selfcheck,
-               wavepacket)
+from . import __version__, horizon, qstate
 from ._errors import DimensionError, ValidationError
+from ._tables import DEFAULT_GRIDS, _grids, _tols
 
 USAGE_EXIT = 2
 VALIDATION_EXIT = 3
@@ -115,6 +118,8 @@ def _params(config: dict, keys: dict) -> dict:
 # extra_meta) for object-shaped output
 
 def _scn_fig2_entropy(p, seed):
+    from . import wavepacket
+
     dm, points = p["delta_over_m"], p["entropy_points"]
     betas = [wavepacket.beta_for_gamma(g, dm, 1.0) for g in p["gammas"]]
     rows = wavepacket.entropy_surface(dm, betas, p["thetas"], points=points)
@@ -124,6 +129,8 @@ def _scn_fig2_entropy(p, seed):
 
 
 def _scn_pe_gamma_scaling(p, seed):
+    from . import wavepacket
+
     dm = p["delta_over_m"]
     report = wavepacket.packet_error_scaling(dm, p["gammas"],
                                              points=p["scaling_points"])
@@ -134,6 +141,8 @@ def _scn_pe_gamma_scaling(p, seed):
 
 
 def _scn_bipartite_concurrence(p, seed):
+    from . import wavepacket
+
     dm, points = p["delta_over_m"], p["bipartite_points"]
     rows = wavepacket.bipartite_boost_concurrence(dm, p["rapidities"], points=points)
     return (["rapidity", "concurrence"], [[r, c] for r, c in rows],
@@ -141,6 +150,8 @@ def _scn_bipartite_concurrence(p, seed):
 
 
 def _scn_photon_doppler(p, seed):
+    from . import photon
+
     aperture = p["aperture"]
     rows = [[aperture, v, out["P_E"], out["P_E_prime"], out["ratio"]]
             for v, out in zip(p["velocities"], photon._doppler_ratios(
@@ -150,6 +161,8 @@ def _scn_photon_doppler(p, seed):
 
 
 def _scn_photon_povm(p, seed):
+    from . import photon
+
     pk = photon.collimated_packet(p["aperture"], polarization=p["polarization"],
                                   n_theta=p["photon_theta"], n_phi=p["photon_phi"])
     expectations = {ax: photon.povm_expectation(pk, ax) for ax in "xyz"}
@@ -166,6 +179,8 @@ def _scn_photon_povm(p, seed):
 
 
 def _scn_causality_bell(p, seed):
+    from . import channel
+
     probes, tol = p["haar_probes"], p["tolerance"]
     incomplete = channel.is_semicausal(channel.incomplete_bell_pvm(), "B->A", tol=tol,
                                        haar_probes=probes, seed=seed)
@@ -183,6 +198,8 @@ def _scn_causality_bell(p, seed):
 
 
 def _scn_teleport_check(p, seed):
+    from . import channel
+
     draws = p["draws"]
     residuals, _, fidelities = channel._teleport_batch(
         qstate._haar_states(draws, 2, np.random.default_rng(seed)))
@@ -191,6 +208,8 @@ def _scn_teleport_check(p, seed):
 
 
 def _scn_chsh(p, seed):
+    from . import channel
+
     psim = channel.bell_state("psi-")
     z_singlet, _ = channel.chsh_optimize(qstate.DensityMatrix.from_pure(psim))
     z_product, _ = channel.chsh_optimize(
@@ -206,6 +225,8 @@ def _scn_chsh(p, seed):
 
 
 def _scn_cluster_bound(p, seed):
+    from . import channel
+
     rows = [[m, r, channel.cluster_chsh_bound(m, r)]
             for m in p["masses"] for r in p["separations"]]
     return ["mass", "separation", "bound"], rows, {}
@@ -240,6 +261,8 @@ def _scn_blackhole_evaporate(p, seed):
 
 
 def _scn_superscatter_demo(p, seed):
+    from . import channel
+
     rng = np.random.default_rng(seed)
     s = qstate.haar_unitary(4, rng)
     rho_in = qstate.DensityMatrix.from_pure(qstate.haar_state(2, rng))
@@ -259,7 +282,7 @@ def _scn_superscatter_demo(p, seed):
 
 # name: (body, config keys with defaults, --grid.* names). A default's type
 # is its key's type (see _read); a constants.* key's nan stands for the value
-# in the chosen units. Grid defaults are selfcheck.DEFAULT_GRIDS.
+# in the chosen units. Grid defaults are DEFAULT_GRIDS.
 SCENARIOS = {
     "fig2-entropy": (_scn_fig2_entropy, {
         "delta_over_m": 0.35, "gammas": [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3],
@@ -357,7 +380,7 @@ def run(scenario: str, config: dict, seed: int, out_path: Path, fmt: str,
     table or report against the output schema and write it to out_path."""
     body, keys, grids = SCENARIOS[scenario]
     params = _params(config, keys)
-    params.update({g: grid_overrides.get(g, selfcheck.DEFAULT_GRIDS[g]) for g in grids})
+    params.update({g: grid_overrides.get(g, DEFAULT_GRIDS[g]) for g in grids})
     try:
         columns, payload, extra = body(params, seed)
     except (ValidationError, DimensionError) as exc:  # a callee cannot name the key
@@ -399,7 +422,7 @@ def _extract_dotted(argv: list) -> tuple:
     """Split --tol.NAME and --grid.NAME options from the raw argument list.
 
     Every value must be a number; a whole grid value is returned as an
-    int. main checks the names and values against selfcheck and SCENARIOS."""
+    int. main checks the names and values against the tables and SCENARIOS."""
     tols, grids, rest = {}, {}, []
     i = 0
     while i < len(argv):
@@ -429,7 +452,9 @@ def _extract_dotted(argv: list) -> tuple:
     return tols, grids, rest
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
     epilog = "config keys and --grid.* names of each scenario:\n" + "\n".join(
         f"  {name}: " + (" ".join([*keys, *(f"--grid.{g}" for g in grids)]) or "none")
         for name, (_, keys, grids) in SCENARIOS.items())
@@ -484,7 +509,7 @@ def _main(argv: list | None) -> int:
         tol_overrides, grid_overrides, rest = _extract_dotted(list(argv))
         args = parser.parse_args(rest)
         try:
-            selfcheck._tols(tol_overrides), selfcheck._grids(grid_overrides)
+            _tols(tol_overrides), _grids(grid_overrides)
         except KeyError as exc:  # an unknown name or a bad value
             raise ValidationError(exc.args[0]) from None
         if not (args.scenario or args.selfcheck):
@@ -520,6 +545,8 @@ def _main(argv: list | None) -> int:
 
 
 def _run_selfcheck(out, tol_overrides, grid_overrides, config) -> int:
+    from . import selfcheck
+
     _params(config, {})  # the criteria read no config key
     report = selfcheck.report_dict(selfcheck.run_all(tol_overrides or None,
                                                      grid_overrides or None))

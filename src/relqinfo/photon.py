@@ -20,7 +20,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from ._errors import DimensionError, ValidationError
 from .lorentz import _rotation_to_khat_batch, aberrate
@@ -123,6 +122,8 @@ class PhotonPacket:
 def _gauss_legendre(n: int) -> tuple:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
     and shared read-only by every packet built on it."""
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False

@@ -287,7 +287,9 @@ def concurrence(rho) -> float:
     m = _as_matrix(rho)
     if m.shape != (4, 4):
         raise DimensionError("concurrence is defined for 4x4 two-qubit states")
-    ev, vec = np.linalg.eigh(DensityMatrix(m).matrix)
+    if not isinstance(rho, (DensityMatrix, PureState)):  # checked already if so
+        m = DensityMatrix(m).matrix
+    ev, vec = np.linalg.eigh(m)
     root = (vec * np.sqrt(np.clip(ev, 0.0, None))) @ vec.conj().T
     lam = np.linalg.svd(_SYY @ root.conj() @ _SYY @ root, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))

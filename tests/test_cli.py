@@ -36,25 +36,41 @@ def test_every_exported_name_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-def scipy_modules_after(statement, tmp_path):
-    """The scipy modules a fresh interpreter holds after importing
-    relqinfo.cli and running statement."""
-    code = (f"import sys, relqinfo.cli; {statement}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def modules_after(statement, tmp_path):
+    """The scipy and the relqinfo modules a fresh interpreter holds after
+    importing relqinfo.cli and running statement."""
+    code = (f"import json, sys, relqinfo.cli; {statement}; print(json.dumps("
+            "{r: sorted(m for m in sys.modules if m.split('.')[0] == r)"
+            " for r in ('scipy', 'relqinfo')}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, cwd=tmp_path, env=child_env())
     assert out.returncode == 0, out.stderr
-    return out.stdout.strip().splitlines()[-1]
+    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
-    assert scipy_modules_after("pass", tmp_path) == "[]"
+# what `import relqinfo.cli` loads: the flag tables, horizon for the
+# scenario table's defaults, and what those import
+CLI_IMPORT_MODULES = ["relqinfo", "relqinfo._errors", "relqinfo._tables", "relqinfo.cli",
+                      "relqinfo.horizon", "relqinfo.qstate"]
 
 
-def test_selfcheck_loads_no_scipy(tmp_path):
+def test_cli_import_loads_no_scipy_and_the_pinned_modules(tmp_path):
+    assert modules_after("pass", tmp_path) == {"scipy": [],
+                                               "relqinfo": CLI_IMPORT_MODULES}
+
+
+def test_selfcheck_loads_no_scipy_and_every_module(tmp_path):
     statement = "assert relqinfo.cli.main(['--selfcheck', '--out', 'sc.json']) == 0"
-    assert scipy_modules_after(statement, tmp_path) == "[]"
+    assert modules_after(statement, tmp_path) == {"scipy": [], "relqinfo": sorted(
+        ["relqinfo", *(f"relqinfo.{m.name}" for m in pkgutil.iter_modules(relqinfo.__path__))])}
     assert json.loads((tmp_path / "sc.json").read_text())["all_passed"]
+
+
+def test_unruh_loads_only_what_the_cli_import_loads(tmp_path):
+    statement = "assert relqinfo.cli.main(['--scenario', 'unruh']) == 0"
+    # none of channel, lorentz, photon, wavepacket or selfcheck
+    assert modules_after(statement, tmp_path)["relqinfo"] == CLI_IMPORT_MODULES
+    assert (tmp_path / "unruh.csv").is_file()
 
 
 @pytest.fixture
@@ -77,6 +93,14 @@ class TestExitCodes:
 
     def test_missing_scenario_is_usage_error(self, main_in):
         assert main_in([])[0] == 2
+
+    def test_one_parser_serves_every_call(self, main_in):
+        cli._build_parser.cache_clear()
+        assert main_in(["--scenario", "unruh", "--out", "u.csv"]) == (0, "wrote u.csv\n")
+        assert main_in(["--scenario", "unruh", "--bogus"]) == (2, "")
+        assert main_in(["--scenario", "cluster-bound", "--format", "json"]) == (
+            0, "wrote cluster-bound.json\n")
+        assert cli._build_parser.cache_info().misses == 1
 
     @pytest.mark.parametrize("flags", [
         ["--scenario", "chsh", "--tol.doppler_ratio", "abc"],

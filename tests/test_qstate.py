@@ -294,6 +294,22 @@ class TestConcurrence:
         rho = DensityMatrix((1 - p) * np.outer(psim, psim.conj()) + p * np.eye(4) / 4)
         assert abs(concurrence(rho) - max(0.0, 1 - 1.5 * p)) < 1e-13
 
+    def test_checked_and_raw_inputs_agree_bit_for_bit(self, monkeypatch):
+        """A DensityMatrix is not checked again; a raw array is checked and
+        hermitized once, so both give the same bits."""
+        rng = np.random.default_rng(17)
+        states = [qstate.random_density_matrix(4, rng) for _ in range(20)]
+        states.append(DensityMatrix.from_pure(bell_phi_plus()))
+        raw = [concurrence(rho.matrix) for rho in states]
+        built, post_init = [], DensityMatrix.__post_init__
+        monkeypatch.setattr(DensityMatrix, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        assert [concurrence(rho) for rho in states] == raw
+        assert built == []
+        drift = 1e-15j * rng.standard_normal((4, 4))  # not Hermitian
+        noisy = states[0].matrix + drift
+        assert concurrence(noisy) == concurrence(DensityMatrix(noisy))
+
     def test_non_psd_raw_input_rejected(self):
         with pytest.raises(ValidationError):
             concurrence(np.diag([0.8, 0.5, -0.2, -0.1]))
