@@ -165,8 +165,8 @@ def _scn_photon_povm(p, seed):
 
     pk = photon.collimated_packet(p["aperture"], polarization=p["polarization"],
                                   n_theta=p["photon_theta"], n_phi=p["photon_phi"])
-    expectations = {ax: photon.povm_expectation(pk, ax) for ax in "xyz"}
     rho = photon.effective_density_matrix(pk)
+    expectations = {ax: float(rho.matrix[i, i].real) for i, ax in enumerate("xyz")}
     payload = {
         "aperture": p["aperture"],
         "polarization": p["polarization"],

@@ -8,11 +8,11 @@ frequencies from lorentz.aberrate; the helicity amplitudes carry over,
 since a z boost's little-group phase is 0), and the Doppler behavior of
 distinguishability.
 
-The packet math is batched over a leading packet axis. The single-packet
-functions run per ray, as a batch of one: the linear labels renormalize
-per ray. Packets of one helicity pair each go through the ring-moment core
-_povm_rings, which reduces every polar ring to six mass moments and
-builds no per-ray array.
+A packet is a grid of rings: polar angles, the azimuths every ring shares,
+one ray mass per ring and helicity amplitudes per ray. Every matrix comes
+from one ring core, _ring_matrices, batched over packets and over the angle
+sets (z boosts) of each: the azimuth sums run once per packet, and each
+angle set costs one product over the rings. No per-ray vector is built.
 """
 from __future__ import annotations
 
@@ -76,46 +76,44 @@ class PolarizationMatrix:
         object.__setattr__(self, "matrix", _checked_polarization(m[None])[0])
 
 
-def _check_packets(masses: np.ndarray, alpha: np.ndarray) -> None:
-    """PhotonPacket's value checks on P packets at once, ray masses w |f|^2
-    (P, N) and alpha (P, N, 2): the helicity amplitudes are unit per ray and
-    each packet's norm^2, the sum of w |f|^2 |alpha|^2 and so the trace of its
-    polarization matrices, is 1. Raises for the first packet that fails."""
+def _check_packets(masses: np.ndarray, alpha: np.ndarray, n_phi: int) -> None:
+    """PhotonPacket's value checks on P packets at once, ring masses w |f|^2
+    (P, n_theta), one per ray, and alpha (P, n_theta, n_phi, 2) or one pair
+    per packet (P, 1, 1, 2): the helicity amplitudes are unit per ray and
+    each packet's norm^2, the sum of w |f|^2 |alpha|^2 over its rays and so
+    the trace of its polarization matrices, is 1. Raises for the first
+    packet that fails."""
     pairs = np.sum(np.abs(alpha) ** 2, axis=-1)
     _check_near_one(pairs, "helicity amplitude norm^2")
-    _check_near_one(np.sum(masses * pairs, axis=-1), "packet norm^2")
+    _check_near_one(n_phi * np.sum(masses * pairs.mean(axis=-1), axis=-1), "packet norm^2")
 
 
 @dataclass(frozen=True)
 class PhotonPacket:
-    """Direction-grid one-photon packet.
+    """Direction-grid one-photon packet on rings.
 
-    theta, phi: (N,) grid directions; weights: (N,) quadrature weights;
-    profile: (N,) complex amplitude; alpha: (N,2) helicity amplitudes, unit
-    per point, with sum w |f|^2 |alpha|^2 = 1; k0: (N,) frequency scale.
+    theta: (n_theta,) polar angles of the rings; phi: (n_phi,) azimuths of
+    every ring's rays; masses: (n_theta,) probability mass w |f|^2 of each
+    ray of a ring; alpha: (n_theta, n_phi, 2) helicity amplitudes, unit per
+    ray, with sum w |f|^2 |alpha|^2 = 1 over the rays; k0: (n_theta,)
+    frequency scale.
     """
 
     theta: np.ndarray
     phi: np.ndarray
-    weights: np.ndarray
-    profile: np.ndarray
+    masses: np.ndarray
     alpha: np.ndarray
     k0: np.ndarray
 
     def __post_init__(self):
-        n = self.theta.size
-        shapes = (self.phi.shape, self.weights.shape, self.profile.shape,
-                  self.k0.shape)
-        if any(s != (n,) for s in shapes) or self.alpha.shape != (n, 2):
+        rings = self.theta.shape
+        if (len(rings) != 1 or self.phi.ndim != 1 or self.masses.shape != rings
+                or self.k0.shape != rings or self.alpha.shape != rings + self.phi.shape + (2,)):
             raise DimensionError("inconsistent packet arrays")
         if not (np.isfinite(self.theta).all() and np.isfinite(self.phi).all()
-                and (self.weights > 0).all() and (self.k0 > 0).all()):
-            raise ValidationError("rays need finite directions, positive weights and k0")
-        _check_packets(self.masses[None], self.alpha[None])
-
-    @property
-    def masses(self) -> np.ndarray:  # per-ray probability masses w |f|^2
-        return self.weights * np.abs(self.profile) ** 2
+                and (self.masses >= 0).all() and (self.k0 > 0).all()):
+            raise ValidationError("rays need finite directions, masses >= 0 and k0 > 0")
+        _check_packets(self.masses[None], self.alpha[None], self.phi.size)
 
 
 @functools.lru_cache(maxsize=8)
@@ -147,11 +145,11 @@ def _unit_pairs(pairs) -> np.ndarray:
     return a / norms
 
 
-def _polarization_alphas(ep: np.ndarray, em: np.ndarray, polarization):
-    """Per-ray helicity amplitudes (N, 2) on rays with helicity vectors
-    (N, 3): a named polarization, one helicity pair (2,), normalized, or
-    explicit amplitudes (N, 2), passed through."""
-    rays = ep.shape[:-1]
+def _polarization_alphas(theta: np.ndarray, phi: np.ndarray, polarization):
+    """Helicity amplitudes (n_theta, n_phi, 2) on the rays of rings theta
+    (n_theta,) and azimuths phi (n_phi,): a named polarization, one helicity
+    pair (2,), normalized, or explicit amplitudes, passed through."""
+    rays = theta.shape + phi.shape
     if isinstance(polarization, str):
         if polarization in ("plus", "minus"):
             a = np.zeros(rays + (2,), dtype=complex)
@@ -161,18 +159,18 @@ def _polarization_alphas(ep: np.ndarray, em: np.ndarray, polarization):
         if m is None:
             raise ValueError(f"unknown polarization {polarization!r}")
         # the transversal part of the label, renormalized per ray
-        b = _b_components(ep, em)[..., m, :]
+        b = _b_components(*_helicity_vectors_batch(theta[:, None], phi))[..., m, :]
         return b / np.sqrt(np.sum(np.abs(b) ** 2, axis=-1, keepdims=True))
     a = np.asarray(polarization, dtype=complex)
     if a.shape == (2,):
-        return np.repeat(_unit_pairs(a)[None], rays[0], axis=0)
+        return np.broadcast_to(_unit_pairs(a), rays + (2,)).copy()
     return a
 
 
 def _collimated_rings(apertures, n_theta: int, n_phi: int) -> tuple:
     """The rings of P collimated packets (see collimated_packet): the polar
-    angles (P, n_theta), the azimuths (n_phi,) and, per ring, the weight
-    and the unnormalized profile of each of its rays (P, n_theta)."""
+    angles (P, n_theta), the azimuths (n_phi,) and the mass of each ray of
+    a ring (P, n_theta), normalized over the packet's rays."""
     for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
         if not _is_count(count):
             raise ValidationError(f"{name} must be a whole number >= 1, got {count!r}")
@@ -180,14 +178,19 @@ def _collimated_rings(apertures, n_theta: int, n_phi: int) -> tuple:
     apertures = np.asarray(apertures, dtype=float)
     if not np.all((apertures > 0) & (apertures < np.pi / 2)):
         raise ValidationError("aperture must lie in (0, pi/2)")
-    x, wx = _gauss_legendre(n_theta)
     c0 = np.cos(apertures)[:, None]
+    if (c0 == 1.0).any():  # below ~1.5e-8 the rings would have no width
+        raise ValidationError(f"aperture {apertures[c0[:, 0] == 1.0][0]} is too small: "
+                              "1 - cos(aperture) rounds to 0")
+    x, wx = _gauss_legendre(n_theta)
     th = np.arccos(0.5 * (x + 1.0) * (1.0 - c0) + c0)
     phi = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
     a = apertures[:, None]
     t = np.clip((th - 0.9 * a) / (0.1 * a), 0.0, 1.0)
-    return (th, phi, wx * 0.5 * (1.0 - c0) * (2.0 * np.pi / n_phi),
-            1.0 - (3.0 * t ** 2 - 2.0 * t ** 3))
+    # the quadrature weight times the taper^2; the solid-angle factor of the
+    # weights, one per packet, cancels in the normalization
+    masses = wx * (1.0 - (3.0 * t ** 2 - 2.0 * t ** 3)) ** 2
+    return th, phi, masses / (n_phi * np.sum(masses, axis=1, keepdims=True))
 
 
 def collimated_packet(aperture: float, polarization="linear-x",
@@ -196,119 +199,110 @@ def collimated_packet(aperture: float, polarization="linear-x",
     smooth C1 edge taper over the outer 10% of the aperture.
 
     Quadrature is Gauss-Legendre in cos(theta) times uniform phi, accurate
-    well below the packet tolerances for apertures down to ~0.01 rad.
-    `polarization` is 'plus', 'minus', 'linear-x', 'linear-y', one
-    helicity pair (2,) or per-ray helicity amplitudes (N, 2), with ray
-    index theta_index * n_phi + phi_index.
+    well below the packet tolerances for apertures down to ~0.01 rad; an
+    aperture whose 1 - cos rounds to 0 is rejected. `polarization` is
+    'plus', 'minus', 'linear-x', 'linear-y', one helicity pair (2,) or
+    helicity amplitudes per ray (n_theta, n_phi, 2).
     """
-    th, phi, w, taper = _collimated_rings([aperture], n_theta, n_phi)
-    th, weights = th[0], np.repeat(w[0], phi.size)
-    profile = np.repeat(taper[0], phi.size).astype(complex)
-    profile /= np.sqrt(np.sum(weights * np.abs(profile) ** 2))
-    ep, em = (e.reshape(-1, 3) for e in _helicity_vectors_batch(th[:, None], phi))
-    theta = np.repeat(th, phi.size)
-    return PhotonPacket(theta=theta, phi=np.tile(phi, th.size), weights=weights,
-                        profile=profile, alpha=_polarization_alphas(ep, em, polarization),
-                        k0=np.ones_like(theta))
+    th, phi, masses = _collimated_rings([aperture], n_theta, n_phi)
+    return PhotonPacket(theta=th[0], phi=phi, masses=masses[0],
+                        alpha=_polarization_alphas(th[0], phi, polarization),
+                        k0=np.ones_like(th[0]))
 
 
-def _overlaps(alpha: np.ndarray, ep: np.ndarray, em: np.ndarray) -> np.ndarray:
-    """<b_m(k) | alpha> per ray (or ring term) and Cartesian axis m, shape
-    (P, N, 3), the operands broadcast over P and N: _b_components,
-    conjugated in place, contracted with alpha. The naive route's
-    _cartesian_vectors (_ring_vectors on rings) is the same sum written out;
-    the two stay separate computations, so their gap can show a fault in
-    either. (A batched (3, 2) @ (2, 1) matmul is slower than this einsum.)"""
-    b = _b_components(ep, em)
-    return np.einsum("pnmh,pnh->pnm", np.conjugate(b, out=b), alpha)
-
-
-def _povm_expectations(masses: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """sum_i w_i |f_i|^2 |<b_m(k_i), alpha_i>|^2 per packet, shape (P, 3),
-    as one (P, 1, N) @ (P, N, 3) product."""
-    squared = overlaps.real ** 2 + overlaps.imag ** 2
-    return (masses[:, None] @ squared)[:, 0]
-
-
-def _cartesian_vectors(alpha: np.ndarray, ep: np.ndarray, em: np.ndarray) -> np.ndarray:
-    """Naive polarization 3-vectors alpha_+ eps_+ + alpha_- eps_-, (P, N, 3)."""
-    return alpha[..., :1] * ep + alpha[..., 1:] * em
-
-
-def _density_matrices(masses: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """sum_i w_i |f_i|^2 v_i v_i^dagger per packet, shape (P, 3, 3), as one
-    (P, 3, N) @ (P, N, 3) product."""
-    weighted = vectors.conj()
-    weighted *= masses[..., None]
-    return vectors.swapaxes(-1, -2) @ weighted
-
-
-# eps+ of _helicity_vectors_batch as a sum of five terms (1, 5, 3), eps- its
+# eps+ of _helicity_vectors_batch as a sum of five terms (5, 3), eps- its
 # conjugate: term j's factor is entry _THETA_TERM[j] of (1, cos, sin)(theta)
-# times entry _PHI_TERM[j] of (cos, sin, 1)(phi)
-_RING_EP = np.array([[[1, 0, 0], [0, 1, 0], [0, 1j, 0], [-1j, 0, 0], [0, 0, -1]]]) * _INV_SQRT2
+# times entry _PHI_TERM[j] of (cos, sin, 1)(phi). Each term lies along one
+# Cartesian axis, row j of _TERM_AXES.
+_RING_EP = np.array([[1, 0, 0], [0, 1, 0], [0, 1j, 0], [-1j, 0, 0], [0, 0, -1]]) * _INV_SQRT2
 _THETA_TERM, _PHI_TERM = np.array([1, 1, 0, 0, 2]), np.array([0, 1, 0, 1, 2])
+_TERM_AXES = (_RING_EP != 0).astype(float)
+_AXIS_PAIRS = _TERM_AXES[:, None, :, None] * _TERM_AXES[None, :, None, :]
+
+
+def _overlaps(alpha: np.ndarray) -> np.ndarray:
+    """The POVM route's term coefficients (..., 5) from alpha (..., 2): the
+    overlap <b_m|alpha> of each _RING_EP term along its axis m, its
+    _b_components conjugated and contracted with alpha. The naive route's
+    _ring_vectors is the same sum written out; the two stay separate
+    computations, so their gap can show a fault in either."""
+    b = _b_components(_RING_EP, _RING_EP.conj())
+    return alpha @ np.conjugate(b, out=b)[_TERM_AXES == 1].T
 
 
 def _ring_vectors(pairs: np.ndarray) -> np.ndarray:
-    """The naive route's term vectors (P, 5, 3) on the _RING_EP terms, from
-    v = alpha+ eps+ + alpha- eps- = A cos(phi) + B sin(phi) + C with
+    """The naive route's term coefficients (..., 5) on the _RING_EP terms,
+    from v = alpha+ eps+ + alpha- eps- = A cos(phi) + B sin(phi) + C with
     A = (cos(theta) s, i d, 0)/sqrt(2), B = (-i d, cos(theta) s, 0)/sqrt(2) and
     C = (0, 0, -sin(theta) s)/sqrt(2), where s = alpha+ + alpha- and
     d = alpha+ - alpha-."""
-    s = (pairs[:, 0] + pairs[:, 1]) * _INV_SQRT2
-    d = (pairs[:, 0] - pairs[:, 1]) * (1j * _INV_SQRT2)
-    u = np.zeros((len(pairs), 5, 3), dtype=complex)
-    u[:, 0, 0] = u[:, 1, 1] = s
-    u[:, 2, 1], u[:, 3, 0], u[:, 4, 2] = d, -d, -s
-    return u
+    s = (pairs[..., 0] + pairs[..., 1]) * _INV_SQRT2
+    d = (pairs[..., 0] - pairs[..., 1]) * (1j * _INV_SQRT2)
+    return np.stack([s, s, d, -d, -s], axis=-1)
+
+
+def _ring_matrices(theta: np.ndarray, phi: np.ndarray, masses: np.ndarray,
+                   coefficients: np.ndarray) -> np.ndarray:
+    """sum_i m_i v_i v_i^dagger over the rays of P packets, each at V sets of
+    polar angles, (..., P, V, 3, 3) unchecked: theta (P, V, n_theta), phi
+    (n_phi,), ring masses (P, n_theta) and term coefficients c per ray
+    (..., P, n_theta, n_phi, 5) or per packet (..., P, 1, 1, 5), from
+    _overlaps or _ring_vectors (a leading axis may stack both routes).
+
+    Each ray's vector is v = sum_j f_j(theta) g_j(phi) c_j a_j, a_j the axis
+    of _RING_EP term j, so rho = sum_r m_r sum_jk f_j f_k(theta_r) Q_r[jk]
+    a_j a_k^T with the ring tensor Q_r = sum_phi (g c)(g c)^dagger, built
+    once for all V and spread over the axis pairs as a (25, 9) block. Each
+    angle set is then one (1, 25 n_theta) @ (25 n_theta, 9) product in a
+    stack, which gives each row the bits of a call with that set alone.
+    With one coefficient set per packet, Q = G c c^dagger (G the grid's
+    sums of g_j g_k, exact for every n_phi) has no ring axis: the ring-mass
+    moments are summed first, and rho = t^T (moments G) conj(t) with the
+    term vectors t_j = c_j a_j builds no (P, 25, 9) block."""
+    g = np.stack([np.cos(phi), np.sin(phi), np.ones_like(phi)], axis=-1)[:, _PHI_TERM]
+    ring = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)], axis=-1)
+    weighted = ring * masses[:, None, :, None]
+    rings, n_phi = coefficients.shape[-3:-1]
+    if rings == n_phi == 1:
+        t = coefficients[..., 0, :, None] * _TERM_AXES
+        moments = (weighted.swapaxes(-1, -2) @ ring)[..., _THETA_TERM[:, None], _THETA_TERM]
+        return t.swapaxes(-1, -2) @ ((moments * (g.T @ g)) @ t.conj())
+    gc = g * coefficients
+    q = (gc.swapaxes(-1, -2) @ gc.conj())[..., None, None] * _AXIS_PAIRS
+    moments = (weighted[..., :, None] * ring[..., None, :])[..., _THETA_TERM[:, None], _THETA_TERM]
+    rho = moments.reshape(*theta.shape[:2], 1, -1) @ q.reshape(*q.shape[:-5], 1, -1, 9)
+    return rho.reshape(*q.shape[:-5], -1, 3, 3)
 
 
 def _povm_rings(apertures, pairs, n_theta: int, n_phi: int) -> tuple:
     """POVM statistics of P collimated packets of one helicity pair each
     (P, 2): the expectations of E_x, E_y, E_z (P, 3) and the effective and
     naive matrices (P, 3, 3), hermitized and checked as PolarizationMatrix
-    checks them, with the packets checked as PhotonPacket checks them.
-
-    A ring's rays share one mass, and each ray's vector is a sum over the
-    _RING_EP terms, v = sum_j f_j(theta) g_j(phi) u_j, so a packet's
-    sum_i m_i v_i v_i^dagger is U^T W conj(U): W_jk is the ring masses'
-    moment of f_j f_k (six distinct per packet) times the phi grid's mean of
-    g_j g_k, exact for every n_phi. The POVM route takes U from the terms'
-    b components (_overlaps), the naive route from A, B and C
-    (_ring_vectors), so their gap can show a fault in either."""
-    th, phi, w, taper = _collimated_rings(apertures, n_theta, n_phi)
-    pairs = _unit_pairs(pairs)
-    profile = taper / np.sqrt(np.sum(phi.size * w * taper ** 2, axis=1, keepdims=True))
-    masses = phi.size * w * profile ** 2  # per ring
-    _check_packets(masses, pairs[:, None])
-    ring = np.stack([np.ones_like(th), np.cos(th), np.sin(th)], axis=-1)
-    moments = (ring * masses[..., None]).swapaxes(1, 2) @ ring
-    azimuth = np.stack([np.cos(phi), np.sin(phi), np.ones_like(phi)])
-    means = azimuth @ azimuth.T / phi.size
-    weights = (moments[:, _THETA_TERM[:, None], _THETA_TERM]
-               * means[_PHI_TERM[:, None], _PHI_TERM])
-    effective, naive = (u.swapaxes(1, 2) @ (weights @ u.conj()) for u in (
-        _overlaps(pairs[:, None], _RING_EP, _RING_EP.conj()), _ring_vectors(pairs)))
-    return (np.diagonal(effective, axis1=1, axis2=2).real,
-            _checked_polarization(effective), _checked_polarization(naive))
+    checks them, with the packets checked as PhotonPacket checks them. The
+    ring core's one-coefficient-set case: no per-ray array is built."""
+    th, phi, masses = _collimated_rings(apertures, n_theta, n_phi)
+    pairs = _unit_pairs(pairs)[:, None, None]
+    _check_packets(masses, pairs, phi.size)
+    routes = np.stack([_overlaps(pairs), _ring_vectors(pairs)])
+    effective, naive = (_checked_polarization(m) for m in
+                        _ring_matrices(th[:, None], phi, masses, routes)[:, :, 0])
+    return np.diagonal(effective, axis1=1, axis2=2).real, effective, naive
 
 
-def _batch_of_one(packet: PhotonPacket) -> tuple:
-    """A packet as a batch of one: masses (1, N), alpha (1, N, 2) and its
-    helicity vectors eps+, eps- (1, N, 3)."""
-    ep, em = _helicity_vectors_batch(packet.theta[None], packet.phi[None])
-    return packet.masses[None], packet.alpha[None], ep, em
+def _packet_matrix(packet: PhotonPacket, coefficients: np.ndarray) -> PolarizationMatrix:
+    """One packet's matrix from the ring core on its term coefficients."""
+    return PolarizationMatrix(matrix=_ring_matrices(
+        packet.theta[None, None], packet.phi, packet.masses[None], coefficients[None])[0, 0])
 
 
 def povm_expectation(packet: PhotonPacket, axis: str) -> float:
     """Expectation of the polarization POVM element along 'x', 'y' or 'z':
-    sum_i w_i |f_i|^2 |<b_axis(k_i), alpha_i>|^2."""
+    sum_i w_i |f_i|^2 |<b_axis(k_i), alpha_i>|^2, the diagonal entry of
+    effective_density_matrix."""
     idx = {"x": 0, "y": 1, "z": 2}.get(axis)
     if idx is None:
         raise ValueError("axis must be 'x', 'y' or 'z'")
-    masses, alpha, ep, em = _batch_of_one(packet)
-    return float(_povm_expectations(masses, _overlaps(alpha, ep, em))[0, idx])
+    return float(effective_density_matrix(packet).matrix[idx, idx].real)
 
 
 def effective_density_matrix(packet: PhotonPacket) -> PolarizationMatrix:
@@ -316,42 +310,29 @@ def effective_density_matrix(packet: PhotonPacket) -> PolarizationMatrix:
     rho_mn = sum_i w|f|^2 <b_m, alpha><alpha, b_n>. Its diagonal entries
     are the povm_expectation values, and it coincides with the naive
     Cartesian construction."""
-    masses, alpha, ep, em = _batch_of_one(packet)
-    ov = _overlaps(alpha, ep, em)
-    return PolarizationMatrix(matrix=_density_matrices(masses, ov)[0])
+    return _packet_matrix(packet, _overlaps(packet.alpha))
 
 
 def naive_density_matrix(packet: PhotonPacket) -> PolarizationMatrix:
     """Cartesian outer-product construction sum w|f|^2 alpha_m alpha_n*."""
-    masses, alpha, ep, em = _batch_of_one(packet)
-    vectors = _cartesian_vectors(alpha, ep, em)
-    return PolarizationMatrix(matrix=_density_matrices(masses, vectors)[0])
+    return _packet_matrix(packet, _ring_vectors(packet.alpha))
 
 
 def boost_packet(packet: PhotonPacket, v: float) -> PhotonPacket:
-    """Boost along +z: directions aberrate, frequencies rescale, and the
-    solid-angle Jacobian d(cos theta')/d(cos theta) is absorbed so each ray
-    keeps its probability mass w |f|^2.
+    """Boost along +z: each ring's polar angle aberrates and its frequency
+    rescales, and every ray keeps its probability mass w |f|^2 (the
+    solid-angle Jacobian is absorbed) and its helicity amplitudes.
 
-    The helicity amplitudes carry over unchanged. A z boost has U(R) = 1
-    and keeps every azimuth, so its little-group phase xi = -2 arg(c'c +
-    s's) (lorentz.helicity_phase_batch) is exactly 0 on every ray.
+    A z boost has U(R) = 1 and keeps every azimuth, so its little-group
+    phase xi = -2 arg(c'c + s's) (lorentz.helicity_phase_batch) is exactly
+    0 on every ray.
 
     Positive v is the receding-detector convention: a beam around +z
     widens, small tilt angles scale by sqrt((1+v)/(1-v)).
     """
     theta_p, ratio = aberrate(packet.theta, packet.phi, v)
-    # equal to ratio**-2, but this rounding is the one criterion 12 pins
-    jac = (1.0 - v * v) / (1.0 - v * np.cos(packet.theta)) ** 2
-    return PhotonPacket(theta=theta_p, phi=packet.phi.copy(), weights=packet.weights * jac,
-                        profile=packet.profile / np.sqrt(jac), alpha=packet.alpha.copy(),
-                        k0=packet.k0 * ratio)
-
-
-def _renormalized_error(rho1: PolarizationMatrix, rho2: PolarizationMatrix) -> float:
-    """Error probability of the two trace-renormalized matrices."""
-    return float(_error_probabilities(*(rho.matrix / np.trace(rho.matrix).real
-                                        for rho in (rho1, rho2))))
+    return PhotonPacket(theta=theta_p, phi=packet.phi, masses=packet.masses,
+                        alpha=packet.alpha, k0=packet.k0 * ratio)
 
 
 def _doppler_ratios(aperture: float, velocities, n_theta: int = 32,
@@ -364,19 +345,18 @@ def _doppler_ratios(aperture: float, velocities, n_theta: int = 32,
     aperture limit the ratio approaches (1+v)/(1-v). A source-frame error
     below 1e-14 cannot support a ratio and is reported as degenerate.
 
-    The two packets and the source-frame P_E are built once; each velocity
-    boosts both through boost_packet.
+    Each velocity boosts both packets through boost_packet, and one ring
+    core call gives the source-frame and every boosted matrix.
     """
-    p1 = collimated_packet(aperture, "linear-x", n_theta, n_phi)
-    p2 = collimated_packet(aperture, "linear-y", n_theta, n_phi)
-    pe = _renormalized_error(effective_density_matrix(p1),
-                             effective_density_matrix(p2))
+    packets = [collimated_packet(aperture, pol, n_theta, n_phi)
+               for pol in ("linear-x", "linear-y")]
+    theta = np.array([[pk.theta] + [boost_packet(pk, v).theta for v in velocities]
+                      for pk in packets])
+    rho = _ring_matrices(theta, packets[0].phi, np.stack([pk.masses for pk in packets]),
+                         _overlaps(np.stack([pk.alpha for pk in packets])))
+    rho = _checked_polarization(rho.reshape(-1, 3, 3)).reshape(rho.shape)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    pe, *pe_prime = (float(x) for x in _error_probabilities(rho[0], rho[1]))
     degenerate = pe < 1e-14
-    out = []
-    for v in velocities:
-        pe_prime = _renormalized_error(effective_density_matrix(boost_packet(p1, v)),
-                                       effective_density_matrix(boost_packet(p2, v)))
-        out.append({"P_E": pe, "P_E_prime": pe_prime,
-                    "ratio": None if degenerate else pe_prime / pe,
-                    "degenerate": degenerate})
-    return out
+    return [{"P_E": pe, "P_E_prime": pp, "ratio": None if degenerate else pp / pe,
+             "degenerate": degenerate} for pp in pe_prime]

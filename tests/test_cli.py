@@ -2,15 +2,18 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import relqinfo
-from relqinfo import cli, selfcheck
+from relqinfo import cli, photon, selfcheck
+from relqinfo._errors import ValidationError
 
 RUN = [sys.executable, "-m", "relqinfo.cli"]
 # the directory holding the package under test, absolute, so the child
@@ -336,6 +339,23 @@ class TestScenarioOutputs:
         cfg.write_text(f"velocities = {-(1 - 1.1e-16)!r}, {1 - 1.1e-16!r}\n")
         assert main_in(["--scenario", "photon-doppler", "--config", str(cfg),
                         "--out", str(tmp_path / "d.csv")])[0] == 0
+
+    @pytest.mark.parametrize("aperture", [1e-300, 1e-8])
+    def test_aperture_with_rings_of_no_width_is_rejected(self, tmp_path, main_in, aperture):
+        # 1 - cos(aperture) rounds to 0: the library call and the scenario
+        # name the aperture, before any division and without a warning
+        detail = f"aperture {aperture!r} is too small: 1 - cos(aperture) rounds to 0"
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"aperture = {aperture!r}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=re.escape(detail)):
+                photon.collimated_packet(aperture)
+            code, out = main_in(["--scenario", "photon-povm", "--config", str(cfg),
+                                 "--out", str(tmp_path / "p.json")])
+        assert (code, out) == (3, json.dumps({"error": "validation", "scenario": "photon-povm",
+                                              "detail": detail,
+                                              "config": {"aperture": aperture}}) + "\n")
 
     def test_rindler_ratio_past_the_level_bound_names_the_config(self, tmp_path, main_in):
         cfg = tmp_path / "r.cfg"

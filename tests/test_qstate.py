@@ -355,7 +355,7 @@ def _nan_probes():
         "KrausSet": lambda: channel.KrausSet.single([_nan_at(np.eye(2), 3)]),
         "Povm": lambda: channel.Povm(2, (_nan_at(np.diag([1.0, 0.0]), 3),
                                          np.diag([0.0, 1.0]))),
-        "PhotonPacket": lambda: _photon_packet(profile=_nan_at(_BEAM.profile)),
+        "PhotonPacket": lambda: _photon_packet(masses=_nan_at(_BEAM.masses)),
         "PhotonPacket-direction": lambda: _photon_packet(theta=_nan_at(_BEAM.theta)),
         "PhotonPacket-frequency": lambda: _photon_packet(k0=_nan_at(_BEAM.k0)),
         "BipartitePacket": lambda: wavepacket.BipartitePacket(
@@ -426,13 +426,14 @@ def test_boosted_packet_reduces_at_large_rapidity(rapidity):
     assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("field", ["profile", "alpha"])
-def test_edge_photon_packet_has_a_valid_effective_matrix(field):
-    edge = _photon_packet(**{field: getattr(_BEAM, field) * np.sqrt(1.0 + 0.99e-8)})
+@pytest.mark.parametrize("field, power", [("masses", 1.0), ("alpha", 0.5)])
+def test_edge_photon_packet_has_a_valid_effective_matrix(field, power):
+    # the norm^2 is linear in the masses and quadratic in alpha
+    edge = _photon_packet(**{field: getattr(_BEAM, field) * (1.0 + 0.99e-8) ** power})
     rho = photon.effective_density_matrix(edge)
     assert np.trace(rho.matrix).real > 1.0 + 0.9e-8
     with pytest.raises(ValidationError):
-        _photon_packet(**{field: getattr(_BEAM, field) * np.sqrt(1.0 + 1.01e-8)})
+        _photon_packet(**{field: getattr(_BEAM, field) * (1.0 + 1.01e-8) ** power})
 
 
 @pytest.mark.parametrize("gap, accepted", [(0.9e-10, True), (1.1e-10, False)])
