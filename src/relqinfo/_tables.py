@@ -1,13 +1,12 @@
 """The tolerances and grid sizes of the acceptance criteria: the
 --tol.NAME and --grid.NAME tables, whose grids the scenarios' --grid.*
 defaults share. The CLI checks flags against them and selfcheck reads them
-from here, so neither loads the other to do so.
+from here, so neither loads the other to do so. A math-only leaf: it also
+holds _is_count, the count check of grids, packet specs and photon rings.
 """
 from __future__ import annotations
 
 import math
-
-from .qstate import _is_count
 
 DEFAULT_TOLS = {
     "bell_advantage": 1e-9,
@@ -60,6 +59,15 @@ DEFAULT_GRIDS = {
     "locc_draws": 50,
     "momentum_draws": 1000,
 }
+
+
+def _is_count(value) -> bool:
+    """True for a finite whole number >= 1 (inf and nan are not whole)."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        return False
+    return value.is_integer() and value >= 1
 
 
 def _tols(overrides: dict | None) -> dict:

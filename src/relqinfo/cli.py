@@ -2,7 +2,9 @@
 subcommands with a flat config file and seeded determinism. SCENARIOS
 declares the config keys and --grid.* names each scenario reads. Each
 scenario body, and the self-check, imports the modules it runs, so a process
-loads only those.
+loads only those. Importing this module loads relqinfo, _errors, _tables,
+horizon and cli itself, and no numpy: numpy loads with the first body that
+needs it, so flags are checked, and bad ones turned away, before it loads.
 
 Exit codes: 0 success, 2 usage error (unknown scenario, bad or non-finite
 flags, a tolerance or grid name the run does not read, a negative seed, or an
@@ -23,9 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, horizon, qstate
+from . import __version__, horizon
 from ._errors import DimensionError, ValidationError
 from ._tables import DEFAULT_GRIDS, _grids, _tols
 
@@ -198,7 +198,9 @@ def _scn_causality_bell(p, seed):
 
 
 def _scn_teleport_check(p, seed):
-    from . import channel
+    import numpy as np
+
+    from . import channel, qstate
 
     draws = p["draws"]
     residuals, _, fidelities = channel._teleport_batch(
@@ -208,7 +210,9 @@ def _scn_teleport_check(p, seed):
 
 
 def _scn_chsh(p, seed):
-    from . import channel
+    import numpy as np
+
+    from . import channel, qstate
 
     psim = channel.bell_state("psi-")
     z_singlet, _ = channel.chsh_optimize(qstate.DensityMatrix.from_pure(psim))
@@ -249,19 +253,28 @@ def _scn_rindler(p, seed):
     return ["omega_over_a", "mean_n", "entropy"], rows, {}
 
 
+def _unit_fractions(n: int) -> list:
+    """n evenly spaced floats from 0 to 1, the bits of np.linspace(0.0, 1.0, n):
+    i * step, with the last set to 1.0."""
+    if n == 1:
+        return [0.0]
+    step = 1.0 / (n - 1)
+    return [i * step for i in range(n - 1)] + [1.0]
+
+
 def _scn_blackhole_evaporate(p, seed):
     m0, k_evap = p["M0_kg"], p["k_evap"]
     t_e = horizon.evaporation_lifetime(m0, k_evap)
-    fractions = np.linspace(0.0, 1.0, p["samples"])
-    samples = [{"t": float(f * t_e),
-                "M": horizon.evaporate(m0, f * t_e, k_evap).mass}
-               for f in fractions]
+    samples = [{"t": f * t_e, "M": horizon.evaporate(m0, f * t_e, k_evap).mass}
+               for f in _unit_fractions(p["samples"])]
     return None, {"M0_kg": m0, "t_E_s": t_e, "k_evap": k_evap,
                   "samples": samples}, {}
 
 
 def _scn_superscatter_demo(p, seed):
-    from . import channel
+    import numpy as np
+
+    from . import channel, qstate
 
     rng = np.random.default_rng(seed)
     s = qstate.haar_unitary(4, rng)
@@ -286,7 +299,7 @@ def _scn_superscatter_demo(p, seed):
 SCENARIOS = {
     "fig2-entropy": (_scn_fig2_entropy, {
         "delta_over_m": 0.35, "gammas": [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3],
-        "thetas": [0.0, np.pi / 4, np.pi / 2]}, ("entropy_points",)),
+        "thetas": [0.0, math.pi / 4, math.pi / 2]}, ("entropy_points",)),
     "pe-gamma-scaling": (_scn_pe_gamma_scaling, {
         "delta_over_m": 0.1, "gammas": [0.0125, 0.025, 0.05]}, ("scaling_points",)),
     "bipartite-concurrence": (_scn_bipartite_concurrence, {
@@ -300,7 +313,7 @@ SCENARIOS = {
     "teleport-check": (_scn_teleport_check, {"draws": 100}, ()),
     "chsh": (_scn_chsh, {"werner_p": 0.5}, ()),
     "cluster-bound": (_scn_cluster_bound, {"masses": [0.5, 1.0, 2.0],
-        "separations": [0.0, 1.0, float(np.log(4.0)), 5.0]}, ()),
+        "separations": [0.0, 1.0, math.log(4.0), 5.0]}, ()),
     "unruh": (_scn_unruh, {
         "units": ("si", "geometric"), "constants.hbar": math.nan,
         "constants.c": math.nan, "constants.k_B": math.nan,

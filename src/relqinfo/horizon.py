@@ -5,16 +5,23 @@ occupation of a single accelerated-frame mode, Schwarzschild surface
 gravity, Hawking temperature, horizon entropy, the first law, evaporation
 dynamics, and the trace-out-the-hole superscattering map. A constants
 object threads geometric (all ones) or SI units through every formula.
+
+The closed forms need only math. numpy (and qstate) load in the bodies of
+the detector response, the Rindler mode state and superscattering, which
+keep numpy's exp, expm1 and log: math's differ from them by an ulp.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._errors import DimensionError, ValidationError
-from . import qstate
-from .qstate import DensityMatrix, SubsystemSplit
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .qstate import DensityMatrix
 
 __all__ = [
     "PhysicalConstants",
@@ -69,7 +76,7 @@ def unruh_temperature(a: float, constants: PhysicalConstants = GEOMETRIC) -> flo
     accelerated detector."""
     if a <= 0:
         raise ValidationError("proper acceleration must be positive")
-    return constants.hbar * a / (2.0 * np.pi * constants.c * constants.k_B)
+    return constants.hbar * a / (2.0 * math.pi * constants.c * constants.k_B)
 
 
 def detector_response(omega_gap: float, a: float) -> float:
@@ -80,14 +87,16 @@ def detector_response(omega_gap: float, a: float) -> float:
     limit a -> 0+ at positive gap vanishes. Multiply by the squared
     coupling matrix element to get a rate.
     """
+    import numpy as np
+
     if a <= 0:
         raise ValidationError("acceleration must be positive")
     if omega_gap == 0.0:
-        return a / (4.0 * np.pi ** 2)
-    x = 2.0 * np.pi * omega_gap / a
+        return a / (4.0 * math.pi ** 2)
+    x = 2.0 * math.pi * omega_gap / a
     if x > 700.0:
         return 0.0
-    return omega_gap / (2.0 * np.pi * np.expm1(x))
+    return omega_gap / (2.0 * math.pi * np.expm1(x))
 
 
 @dataclass(frozen=True)
@@ -105,14 +114,20 @@ class RindlerModeState:
     probabilities: np.ndarray
 
     def mean_occupation(self) -> float:
-        return 1.0 / np.expm1(2.0 * np.pi * self.omega / self.a)
+        import numpy as np
+
+        return 1.0 / np.expm1(2.0 * math.pi * self.omega / self.a)
 
     def entropy(self) -> float:
+        import numpy as np
+
         p = self.probabilities[self.probabilities > 0]
         return float(-(p * np.log(p)).sum())
 
     def thermal_entropy_oracle(self) -> float:
         """Closed-form oscillator entropy (n+1) ln(n+1) - n ln(n)."""
+        import numpy as np
+
         n = self.mean_occupation()
         return float((n + 1.0) * np.log(n + 1.0) - (n * np.log(n) if n > 0 else 0.0))
 
@@ -128,9 +143,11 @@ def rindler_mode_state(omega: float, a: float) -> RindlerModeState:
     drops below 1e-12. Raises before any allocation when that takes more
     than about _MAX_LEVELS levels (omega/a below ~4.4e-6), and where q =
     e^(-2 pi omega/a) rounds to 1 and no truncation exists."""
-    if not (0 < omega < np.inf and 0 < a < np.inf):  # NaN-safe
+    import numpy as np
+
+    if not (0 < omega < math.inf and 0 < a < math.inf):  # NaN-safe
         raise ValidationError("mode frequency and acceleration must be positive and finite")
-    q = np.exp(-2.0 * np.pi * omega / a)
+    q = np.exp(-2.0 * math.pi * omega / a)
     if not q <= _MAX_Q:  # NaN-safe
         raise ValidationError(f"omega/a = {omega / a} needs more than {_MAX_LEVELS} "
                               "levels to cut its thermal tail at 1e-12")
@@ -161,13 +178,13 @@ def hawking_temperature(bh: BlackHole,
                         constants: PhysicalConstants = GEOMETRIC) -> float:
     """T = hbar kappa / (2 pi c k_B) = hbar c^3 / (8 pi G M k_B)."""
     kappa = surface_gravity(bh, constants)
-    return constants.hbar * kappa / (2.0 * np.pi * constants.c * constants.k_B)
+    return constants.hbar * kappa / (2.0 * math.pi * constants.c * constants.k_B)
 
 
 def horizon_area(bh: BlackHole, constants: PhysicalConstants = GEOMETRIC) -> float:
     """A = 16 pi (G M / c^2)^2."""
     r_s = 2.0 * constants.G * bh.M / constants.c ** 2
-    return 4.0 * np.pi * r_s ** 2
+    return 4.0 * math.pi * r_s ** 2
 
 
 def bekenstein_entropy(bh: BlackHole,
@@ -182,8 +199,8 @@ def first_law_residual(M: float, dM: float) -> float:
     if M <= 0:
         raise ValidationError("mass must be positive")
     kappa = 1.0 / (4.0 * M)
-    dA = 16.0 * np.pi * ((M + dM) ** 2 - M ** 2)
-    return float(abs(dM - kappa / (8.0 * np.pi) * dA))
+    dA = 16.0 * math.pi * ((M + dM) ** 2 - M ** 2)
+    return float(abs(dM - kappa / (8.0 * math.pi) * dA))
 
 
 def evaporation_lifetime(M0: float, k_evap: float = K_EVAP_DEFAULT) -> float:
@@ -219,6 +236,10 @@ def superscattering(S: np.ndarray, rho_in) -> DensityMatrix:
     starts in its ground state. Completely positive by construction and
     trace preserving, it carries pure states to mixed ones.
     """
+    import numpy as np
+
+    from . import qstate
+
     S = np.asarray(S, dtype=complex)
     rho = qstate._as_matrix(rho_in)
     d_total = S.shape[0]
@@ -232,12 +253,14 @@ def superscattering(S: np.ndarray, rho_in) -> DensityMatrix:
     hole0 = np.zeros((d_hole, d_hole), dtype=complex)
     hole0[0, 0] = 1.0
     full = S @ np.kron(rho, hole0) @ S.conj().T
-    return qstate.partial_trace(full, SubsystemSplit(dims=(d_in, d_hole), keep=(0,)))
+    return qstate.partial_trace(full, qstate.SubsystemSplit(dims=(d_in, d_hole), keep=(0,)))
 
 
 def superscattering_kraus(S: np.ndarray, d_in: int):
     """Kraus form of the superscattering map, A_m = <m_hole| S |0_hole>,
     suitable for channel-level complete-positivity certification."""
+    import numpy as np
+
     from .channel import KrausSet
 
     S = np.asarray(S, dtype=complex)

@@ -53,15 +53,6 @@ TOL_SHELL = 1e-10  # |p.p - m^2| / max(1, p0^2): cancels to m^2, round-off eps p
 TOL_UNITARY = 1e-10
 
 
-def _is_count(value) -> bool:
-    """True for a finite whole number >= 1 (inf and nan are not whole)."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        return False
-    return value.is_integer() and value >= 1
-
-
 def _check_near_one(values, what: str) -> None:
     """Raise, naming the first failing value, unless every trace or squared
     norm in values is within TOL_TRACE of 1."""

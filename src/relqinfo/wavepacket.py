@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import DimensionError, ValidationError
-from . import kernels, lorentz, qstate
+from . import _tables, kernels, lorentz, qstate
 from .lorentz import LorentzTransform, _SIGMAS4, _check_mass_shells, boost
 from .qstate import DensityMatrix, _check_near_one, hermitize
 
@@ -57,7 +57,7 @@ class PacketSpec:
         if self.extent < 3:
             raise ValidationError("grid extent must be at least 3 spreads")
         # points = 1 is the sharp-momentum limit (a single center sample)
-        if not qstate._is_count(self.points) or float(self.points) % 2 == 0:
+        if not _tables._is_count(self.points) or float(self.points) % 2 == 0:
             raise ValidationError(f"points per axis must be an odd count, got {self.points!r}")
         object.__setattr__(self, "points", int(float(self.points)))
 

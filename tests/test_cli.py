@@ -40,11 +40,11 @@ def test_every_exported_name_resolves(name):
 
 
 def modules_after(statement, tmp_path):
-    """The scipy and the relqinfo modules a fresh interpreter holds after
-    importing relqinfo.cli and running statement."""
+    """Whether a fresh interpreter holds numpy, and the scipy and the relqinfo
+    modules it holds, after importing relqinfo.cli and running statement."""
     code = (f"import json, sys, relqinfo.cli; {statement}; print(json.dumps("
-            "{r: sorted(m for m in sys.modules if m.split('.')[0] == r)"
-            " for r in ('scipy', 'relqinfo')}))")
+            "{'numpy': 'numpy' in sys.modules, **{r: sorted("
+            "m for m in sys.modules if m.split('.')[0] == r) for r in ('scipy', 'relqinfo')}}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, cwd=tmp_path, env=child_env())
     assert out.returncode == 0, out.stderr
@@ -52,28 +52,34 @@ def modules_after(statement, tmp_path):
 
 
 # what `import relqinfo.cli` loads: the flag tables, horizon for the
-# scenario table's defaults, and what those import
+# scenario table's defaults and the closed forms, and the error types; none
+# of them imports numpy or qstate at module level
 CLI_IMPORT_MODULES = ["relqinfo", "relqinfo._errors", "relqinfo._tables", "relqinfo.cli",
-                      "relqinfo.horizon", "relqinfo.qstate"]
+                      "relqinfo.horizon"]
 
 
 def test_cli_import_loads_no_scipy_and_the_pinned_modules(tmp_path):
-    assert modules_after("pass", tmp_path) == {"scipy": [],
+    assert modules_after("pass", tmp_path) == {"numpy": False, "scipy": [],
                                                "relqinfo": CLI_IMPORT_MODULES}
 
 
 def test_selfcheck_loads_no_scipy_and_every_module(tmp_path):
     statement = "assert relqinfo.cli.main(['--selfcheck', '--out', 'sc.json']) == 0"
-    assert modules_after(statement, tmp_path) == {"scipy": [], "relqinfo": sorted(
+    assert modules_after(statement, tmp_path) == {"numpy": True, "scipy": [], "relqinfo": sorted(
         ["relqinfo", *(f"relqinfo.{m.name}" for m in pkgutil.iter_modules(relqinfo.__path__))])}
     assert json.loads((tmp_path / "sc.json").read_text())["all_passed"]
 
 
-def test_unruh_loads_only_what_the_cli_import_loads(tmp_path):
-    statement = "assert relqinfo.cli.main(['--scenario', 'unruh']) == 0"
-    # none of channel, lorentz, photon, wavepacket or selfcheck
-    assert modules_after(statement, tmp_path)["relqinfo"] == CLI_IMPORT_MODULES
+def test_closed_forms_and_a_rejected_flag_load_only_what_the_cli_import_loads(tmp_path):
+    # no numpy, and none of qstate, channel, lorentz, photon, wavepacket or
+    # selfcheck: bad input is turned away before numpy loads
+    statement = "; ".join(f"assert relqinfo.cli.main({args}) == {code}" for args, code in [
+        (["--scenario", "unruh"], 0), (["--scenario", "blackhole-evaporate"], 0),
+        (["--bogus"], 2)])
+    assert modules_after(statement, tmp_path) == {"numpy": False, "scipy": [],
+                                                  "relqinfo": CLI_IMPORT_MODULES}
     assert (tmp_path / "unruh.csv").is_file()
+    assert (tmp_path / "blackhole-evaporate.csv").is_file()
 
 
 @pytest.fixture
@@ -312,6 +318,24 @@ class TestScenarioOutputs:
         m = horizon.evaporate(data["M0_kg"], 7 * data["t_E_s"] / 8).mass
         assert abs(m - data["M0_kg"] / 2) < 1e-9 * data["M0_kg"]
         assert len(data["samples"]) == 17
+
+    def test_blackhole_evaporate_samples_are_those_of_linspace(self, tmp_path, main_in):
+        # the fractions, sample times and masses have the bits that
+        # np.linspace(0, 1, samples) fractions give
+        from relqinfo import horizon
+        for n in range(1, 300):
+            assert cli._unit_fractions(n) == np.linspace(0.0, 1.0, n).tolist()
+        rng = np.random.default_rng(7)
+        cfg, out = tmp_path / "bh.cfg", tmp_path / "bh.json"
+        for m0, k_evap, n in zip(10 ** rng.uniform(-3, 12, 8), 10 ** rng.uniform(-12, 3, 8),
+                                 rng.integers(1, 80, 8)):
+            cfg.write_text(f"M0_kg = {float(m0)!r}\nk_evap = {float(k_evap)!r}\nsamples = {n}\n")
+            assert main_in(["--scenario", "blackhole-evaporate", "--format", "json",
+                            "--config", str(cfg), "--out", str(out)])[0] == 0
+            t_e = horizon.evaporation_lifetime(m0, k_evap)
+            assert json.loads(out.read_text())["data"]["samples"] == [
+                {"t": float(f * t_e), "M": float(horizon.evaporate(m0, f * t_e, k_evap).mass)}
+                for f in np.linspace(0.0, 1.0, n)]
 
     def test_photon_doppler_table(self, tmp_path, main_in):
         assert main_in(["--scenario", "photon-doppler", "--out",
