@@ -8,7 +8,8 @@ object threads geometric (all ones) or SI units through every formula.
 
 The closed forms need only math. numpy (and qstate) load in the bodies of
 the detector response, the Rindler mode state and superscattering, which
-keep numpy's exp, expm1 and log: math's differ from them by an ulp.
+keep numpy's exp, expm1 and log: on some arguments each differs from
+math's by one ulp.
 """
 from __future__ import annotations
 

