@@ -7,12 +7,11 @@ identity, and CHSH correlation values with their quantum bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._errors import DimensionError, ValidationError
+from ._errors import DimensionError, ValidationError, _Record
 from . import qstate
 from .qstate import DensityMatrix, PureState, hermitize
 
@@ -47,8 +46,7 @@ _TOL = 1e-12
 # ---------------------------------------------------------------------------
 # core containers
 
-@dataclass(frozen=True)
-class KrausSet:
+class KrausSet(_Record):
     """Indexed family of Kraus matrices A[outcome][internal index].
 
     ops[mu][m] is a dim_out x dim_in complex matrix. The set must resolve
@@ -56,25 +54,24 @@ class KrausSet:
     explicitly flagged as such).
     """
 
-    dim_in: int
-    dim_out: int
-    ops: tuple
-    subnormalized: bool = False
+    __slots__ = ("dim_in", "dim_out", "ops", "subnormalized")
 
-    def __post_init__(self):
+    def __init__(self, dim_in: int, dim_out: int, ops: tuple, subnormalized: bool = False):
         ops = tuple(
-            tuple(np.asarray(a, dtype=complex) for a in branch) for branch in self.ops
+            tuple(np.asarray(a, dtype=complex) for a in branch) for branch in ops
         )
         if not ops or any(not branch for branch in ops):
             raise ValidationError("Kraus set needs at least one matrix per outcome")
         for branch in ops:
             for a in branch:
-                if a.shape != (self.dim_out, self.dim_in):
+                if a.shape != (dim_out, dim_in):
                     raise DimensionError(
-                        f"Kraus matrix shape {a.shape} != ({self.dim_out}, {self.dim_in})")
-        _check_completeness(np.array([a for branch in ops for a in branch]),
-                            self.subnormalized)
+                        f"Kraus matrix shape {a.shape} != ({dim_out}, {dim_in})")
+        _check_completeness(np.array([a for branch in ops for a in branch]), subnormalized)
+        object.__setattr__(self, "dim_in", dim_in)
+        object.__setattr__(self, "dim_out", dim_out)
         object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "subnormalized", subnormalized)
 
     @classmethod
     def from_projectors(cls, projectors: Sequence[np.ndarray]) -> "KrausSet":
@@ -102,19 +99,18 @@ def _check_completeness(A: np.ndarray, subnormalized: bool = False) -> None:
         qstate._check_identity(total, "Kraus set is not trace-preserving")
 
 
-@dataclass(frozen=True)
-class Povm:
+class Povm(_Record):
     """PSD elements resolving the identity; outcome mu fires with tr(rho E_mu)."""
 
-    dim: int
-    elements: tuple
+    __slots__ = ("dim", "elements")
 
-    def __post_init__(self):
-        elements = tuple(hermitize(e) for e in self.elements)
-        if not elements or any(e.shape != (self.dim, self.dim) for e in elements):
+    def __init__(self, dim: int, elements: tuple):
+        elements = tuple(hermitize(e) for e in elements)
+        if not elements or any(e.shape != (dim, dim) for e in elements):
             raise DimensionError("POVM needs elements of shape (dim, dim)")
         qstate._check_psd(np.array(elements), "POVM element")
         qstate._check_identity(sum(elements), "POVM does not resolve the identity")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "elements", elements)
 
     def probabilities(self, rho) -> np.ndarray:
@@ -123,32 +119,31 @@ class Povm:
                          qstate._as_matrix(rho)).real
 
 
-@dataclass(frozen=True)
-class BipartiteOperation:
+class BipartiteOperation(_Record):
     """Outcome-indexed operation on a two-factor space."""
 
-    dims: tuple
-    kraus: KrausSet
+    __slots__ = ("dims", "kraus")
 
-    def __post_init__(self):
-        da, db = self.dims
-        if self.kraus.dim_in != da * db or self.kraus.dim_out != da * db:
+    def __init__(self, dims: tuple, kraus: KrausSet):
+        da, db = dims
+        if kraus.dim_in != da * db or kraus.dim_out != da * db:
             raise DimensionError("Kraus set does not act on the product space")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "kraus", kraus)
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
+class ChoiMatrix(_Record):
     """(d_in*d_out)^2 Hermitian certificate of a linear map."""
 
-    matrix: np.ndarray
-    dim_in: int
-    dim_out: int
+    __slots__ = ("matrix", "dim_in", "dim_out")
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim_in * self.dim_out,) * 2:
+    def __init__(self, matrix: np.ndarray, dim_in: int, dim_out: int):
+        m = np.asarray(matrix, dtype=complex)
+        if m.shape != (dim_in * dim_out,) * 2:
             raise DimensionError("Choi matrix has inconsistent shape")
         object.__setattr__(self, "matrix", _checked_choi(m))
+        object.__setattr__(self, "dim_in", dim_in)
+        object.__setattr__(self, "dim_out", dim_out)
 
 
 def _checked_choi(m: np.ndarray) -> np.ndarray:
@@ -302,12 +297,15 @@ def _choi_min_eigs(C: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 # causality checks
 
-@dataclass(frozen=True)
-class SemicausalVerdict:
-    semicausal: bool
-    direction: str
-    advantage: float
-    witness: dict | None
+class SemicausalVerdict(_Record):
+    __slots__ = ("semicausal", "direction", "advantage", "witness")
+
+    def __init__(self, semicausal: bool, direction: str, advantage: float,
+                 witness: dict | None):
+        object.__setattr__(self, "semicausal", semicausal)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "advantage", advantage)
+        object.__setattr__(self, "witness", witness)
 
     def to_report(self, operation_id: str, tolerance: float) -> dict:
         """JSON-ready witness report for the CLI causality subcommand."""
@@ -408,13 +406,15 @@ def is_semicausal(T: BipartiteOperation, direction: str = "B->A",
 # ---------------------------------------------------------------------------
 # LOCC simulation
 
-@dataclass(frozen=True)
-class LoccStep:
+class LoccStep(_Record):
     """One local round: the acting party and an instrument chooser that maps
     the message history (tuple of earlier outcomes) to a local KrausSet."""
 
-    party: str
-    instrument: Callable[[tuple], KrausSet]
+    __slots__ = ("party", "instrument")
+
+    def __init__(self, party: str, instrument: Callable[[tuple], KrausSet]):
+        object.__setattr__(self, "party", party)
+        object.__setattr__(self, "instrument", instrument)
 
 
 def simulate_locc_protocol(protocol: Sequence[LoccStep], rho) -> dict:

@@ -3,8 +3,9 @@ subcommands with a flat config file and seeded determinism. SCENARIOS
 declares the config keys and --grid.* names each scenario reads. Each
 scenario body, and the self-check, imports the modules it runs, so a process
 loads only those. Importing this module loads relqinfo, _errors, _tables,
-horizon and cli itself, and no numpy: numpy loads with the first body that
-needs it, so flags are checked, and bad ones turned away, before it loads.
+horizon and cli itself, and no numpy, dataclasses or inspect: numpy loads with
+the first body that needs it, so flags are checked, and bad ones turned away,
+before it loads.
 
 Exit codes: 0 success, 2 usage error (unknown scenario, bad or non-finite
 flags, a tolerance or grid name the run does not read, a negative seed, or an
@@ -17,7 +18,6 @@ exit code; data written through stdout that it misses is a failed --out.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -239,8 +239,9 @@ def _scn_cluster_bound(p, seed):
 def _scn_unruh(p, seed):
     base = horizon.GEOMETRIC if p["units"] == "geometric" else horizon.SI
     given = {k: p[f"constants.{k}"] for k in ("hbar", "c", "k_B")}
-    constants = dataclasses.replace(
-        base, **{k: v for k, v in given.items() if not math.isnan(v)})
+    constants = horizon.PhysicalConstants(**{
+        **{k: getattr(base, k) for k in horizon.PhysicalConstants.__slots__},
+        **{k: v for k, v in given.items() if not math.isnan(v)}})
     rows = [[a, horizon.unruh_temperature(a, constants)] for a in p["accelerations"]]
     return ["acceleration", "temperature"], rows, {"units": p["units"]}
 

@@ -14,10 +14,9 @@ math's by one ulp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ._errors import DimensionError, ValidationError
+from ._errors import DimensionError, ValidationError, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,18 +46,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(_Record):
     """hbar, c, G, k_B; SI (CODATA) or geometric (all ones)."""
 
-    hbar: float = 1.0545718176461565e-34  # J s
-    c: float = 299792458.0  # m / s
-    G: float = 6.6743e-11  # m^3 / (kg s^2)
-    k_B: float = 1.380649e-23  # J / K
+    __slots__ = ("hbar", "c", "G", "k_B")
 
-    def __post_init__(self):
-        if min(self.hbar, self.c, self.G, self.k_B) <= 0:
-            raise ValidationError("all physical constants must be positive")
+    def __init__(self, hbar: float = 1.0545718176461565e-34,  # J s
+                 c: float = 299792458.0,  # m / s
+                 G: float = 6.6743e-11,  # m^3 / (kg s^2)
+                 k_B: float = 1.380649e-23):  # J / K
+        if not (0 < hbar < math.inf and 0 < c < math.inf
+                and 0 < G < math.inf and 0 < k_B < math.inf):  # NaN-safe
+            raise ValidationError("all physical constants must be " + (
+                "positive" if min(hbar, c, G, k_B) <= 0 else "finite"))
+        object.__setattr__(self, "hbar", hbar)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "k_B", k_B)
 
     @property
     def planck_length_sq(self) -> float:
@@ -75,8 +79,9 @@ K_EVAP_DEFAULT = 4.9e-9
 def unruh_temperature(a: float, constants: PhysicalConstants = GEOMETRIC) -> float:
     """Thermal response temperature hbar a / (2 pi c k_B) of a uniformly
     accelerated detector."""
-    if a <= 0:
-        raise ValidationError("proper acceleration must be positive")
+    if not 0 < a < math.inf:  # NaN-safe
+        raise ValidationError("proper acceleration must be "
+                              + ("positive" if a <= 0 else "finite"))
     return constants.hbar * a / (2.0 * math.pi * constants.c * constants.k_B)
 
 
@@ -90,8 +95,8 @@ def detector_response(omega_gap: float, a: float) -> float:
     """
     import numpy as np
 
-    if a <= 0:
-        raise ValidationError("acceleration must be positive")
+    if not 0 < a < math.inf:  # NaN-safe
+        raise ValidationError("acceleration must be " + ("positive" if a <= 0 else "finite"))
     if omega_gap == 0.0:
         return a / (4.0 * math.pi ** 2)
     x = 2.0 * math.pi * omega_gap / a
@@ -100,8 +105,7 @@ def detector_response(omega_gap: float, a: float) -> float:
     return omega_gap / (2.0 * math.pi * np.expm1(x))
 
 
-@dataclass(frozen=True)
-class RindlerModeState:
+class RindlerModeState(_Record):
     """Thermal single-mode state seen by an accelerated observer.
 
     Occupation probabilities follow the geometric law
@@ -109,10 +113,13 @@ class RindlerModeState:
     n_max leaves a tail below 1e-12.
     """
 
-    omega: float
-    a: float
-    n_max: int
-    probabilities: np.ndarray
+    __slots__ = ("omega", "a", "n_max", "probabilities")
+
+    def __init__(self, omega: float, a: float, n_max: int, probabilities: np.ndarray):
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "probabilities", probabilities)
 
     def mean_occupation(self) -> float:
         import numpy as np
@@ -159,15 +166,15 @@ def rindler_mode_state(omega: float, a: float) -> RindlerModeState:
     return RindlerModeState(omega=omega, a=a, n_max=n_max, probabilities=p)
 
 
-@dataclass(frozen=True)
-class BlackHole:
+class BlackHole(_Record):
     """Schwarzschild hole of mass M (kg in SI mode, geometric otherwise)."""
 
-    M: float
+    __slots__ = ("M",)
 
-    def __post_init__(self):
-        if self.M <= 0:
-            raise ValidationError("mass must be positive")
+    def __init__(self, M: float):
+        if not 0 < M < math.inf:  # NaN-safe
+            raise ValidationError("mass must be " + ("positive" if M <= 0 else "finite"))
+        object.__setattr__(self, "M", M)
 
 
 def surface_gravity(bh: BlackHole, constants: PhysicalConstants = GEOMETRIC) -> float:
@@ -196,32 +203,51 @@ def bekenstein_entropy(bh: BlackHole,
 
 def first_law_residual(M: float, dM: float) -> float:
     """|dM - (kappa/8pi) dA| for the Schwarzschild case (Omega = Phi = 0),
-    geometric units; exact at first order, so the residual is quadratic."""
-    if M <= 0:
-        raise ValidationError("mass must be positive")
+    geometric units; exact at first order, so the residual is quadratic.
+    Raises where the area change overflows."""
+    if not 0 < M < math.inf:  # NaN-safe
+        raise ValidationError("mass must be " + ("positive" if M <= 0 else "finite"))
+    if not -math.inf < dM < math.inf:
+        raise ValidationError("mass change must be finite")
     kappa = 1.0 / (4.0 * M)
-    dA = 16.0 * math.pi * ((M + dM) ** 2 - M ** 2)
-    return float(abs(dM - kappa / (8.0 * math.pi) * dA))
+    try:
+        dA = 16.0 * math.pi * ((M + dM) ** 2 - M ** 2)
+    except OverflowError:
+        dA = math.inf
+    residual = float(abs(dM - kappa / (8.0 * math.pi) * dA))
+    if not residual < math.inf:
+        raise ValidationError(f"the area change overflows at M = {M!r}, dM = {dM!r}")
+    return residual
 
 
 def evaporation_lifetime(M0: float, k_evap: float = K_EVAP_DEFAULT) -> float:
-    """t_E = k_evap M0^3 (k_evap in s/kg^3)."""
-    if M0 <= 0 or k_evap <= 0:
-        raise ValidationError("mass and rate constant must be positive")
-    return k_evap * M0 ** 3
+    """t_E = k_evap M0^3 (k_evap in s/kg^3). Raises where t_E overflows."""
+    if not (0 < M0 < math.inf and 0 < k_evap < math.inf):  # NaN-safe
+        raise ValidationError("mass and rate constant must be " + (
+            "positive" if M0 <= 0 or k_evap <= 0 else "finite"))
+    try:
+        t_e = k_evap * M0 ** 3
+    except OverflowError:
+        t_e = math.inf
+    if not t_e < math.inf:
+        raise ValidationError(f"lifetime k_evap M0^3 overflows at M0 = {M0!r}, "
+                              f"k_evap = {k_evap!r}")
+    return t_e
 
 
-@dataclass(frozen=True)
-class EvaporationResult:
-    mass: float
-    exhausted: bool
+class EvaporationResult(_Record):
+    __slots__ = ("mass", "exhausted")
+
+    def __init__(self, mass: float, exhausted: bool):
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "exhausted", exhausted)
 
 
 def evaporate(M0: float, t: float, k_evap: float = K_EVAP_DEFAULT) -> EvaporationResult:
     """Mass after radiating for a time t: M0 (1 - t/t_E)^(1/3), the closed
     form of mass loss at rate proportional to -M^-2. Times past the
     lifetime return zero mass with the exhausted flag set."""
-    if t < 0:
+    if not t >= 0:  # NaN-safe
         raise ValidationError("time must be non-negative")
     t_e = evaporation_lifetime(M0, k_evap)
     if t >= t_e:

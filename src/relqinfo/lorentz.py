@@ -18,11 +18,9 @@ momenta (_half_rapidity), which is how the packet marginals take it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._errors import DimensionError, ValidationError
+from ._errors import DimensionError, ValidationError, _Record
 from .qstate import SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_SHELL, _check_identity
 
 __all__ = [
@@ -93,14 +91,13 @@ def _check_transforms(L: np.ndarray) -> None:
         raise ValidationError("matrix is not proper orthochronous")
 
 
-@dataclass(frozen=True)
-class LorentzTransform:
+class LorentzTransform(_Record):
     """Proper orthochronous Lorentz matrix, validated on construction."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+    def __init__(self, matrix: np.ndarray):
+        m = np.asarray(matrix, dtype=float)
         if m.shape != (4, 4):
             raise DimensionError(f"Lorentz matrix must be 4x4, got {m.shape}")
         _check_transforms(m[None])
@@ -332,15 +329,17 @@ def rotation_from_su2(u: np.ndarray) -> np.ndarray:
     return np.einsum("iab,...bc,jcd,...da->...ij", _PAULIS, u, _PAULIS, u_dagger).real / 2.0
 
 
-@dataclass(frozen=True)
-class WignerRotation:
+class WignerRotation(_Record):
     """Little-group element of a massive momentum: spatial rotation with
     its axis-angle form and SU(2) image."""
 
-    rotation: np.ndarray
-    axis: np.ndarray
-    angle: float
-    su2: np.ndarray
+    __slots__ = ("rotation", "axis", "angle", "su2")
+
+    def __init__(self, rotation: np.ndarray, axis: np.ndarray, angle: float, su2: np.ndarray):
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "su2", su2)
 
 
 # (1, i sigma_x, i sigma_y, i sigma_z): D = x0 + i (x1, x2, x3).sigma is x @ _QUATERNION

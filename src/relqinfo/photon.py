@@ -17,11 +17,10 @@ angle set costs one product over the rings. No per-ray vector is built.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import DimensionError, ValidationError
+from ._errors import DimensionError, ValidationError, _Record
 from ._tables import _is_count
 from .lorentz import _rotation_to_khat_batch, aberrate
 from .qstate import _check_near_one, _check_psd, _error_probabilities, hermitize
@@ -63,14 +62,13 @@ def _checked_polarization(matrices: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class PolarizationMatrix:
+class PolarizationMatrix(_Record):
     """Hermitian PSD 3x3 polarization matrix, trace at most 1."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix: np.ndarray):
+        m = np.asarray(matrix, dtype=complex)
         if m.shape != (3, 3):
             raise DimensionError("polarization matrix must be 3x3")
         object.__setattr__(self, "matrix", _checked_polarization(m[None])[0])
@@ -88,8 +86,7 @@ def _check_packets(masses: np.ndarray, alpha: np.ndarray, n_phi: int) -> None:
     _check_near_one(n_phi * np.sum(masses * pairs.mean(axis=-1), axis=-1), "packet norm^2")
 
 
-@dataclass(frozen=True)
-class PhotonPacket:
+class PhotonPacket(_Record):
     """Direction-grid one-photon packet on rings.
 
     theta: (n_theta,) polar angles of the rings; phi: (n_phi,) azimuths of
@@ -99,21 +96,23 @@ class PhotonPacket:
     frequency scale.
     """
 
-    theta: np.ndarray
-    phi: np.ndarray
-    masses: np.ndarray
-    alpha: np.ndarray
-    k0: np.ndarray
+    __slots__ = ("theta", "phi", "masses", "alpha", "k0")
 
-    def __post_init__(self):
-        rings = self.theta.shape
-        if (len(rings) != 1 or self.phi.ndim != 1 or self.masses.shape != rings
-                or self.k0.shape != rings or self.alpha.shape != rings + self.phi.shape + (2,)):
+    def __init__(self, theta: np.ndarray, phi: np.ndarray, masses: np.ndarray,
+                 alpha: np.ndarray, k0: np.ndarray):
+        rings = theta.shape
+        if (len(rings) != 1 or phi.ndim != 1 or masses.shape != rings
+                or k0.shape != rings or alpha.shape != rings + phi.shape + (2,)):
             raise DimensionError("inconsistent packet arrays")
-        if not (np.isfinite(self.theta).all() and np.isfinite(self.phi).all()
-                and (self.masses >= 0).all() and (self.k0 > 0).all()):
+        if not (np.isfinite(theta).all() and np.isfinite(phi).all()
+                and (masses >= 0).all() and (k0 > 0).all()):
             raise ValidationError("rays need finite directions, masses >= 0 and k0 > 0")
-        _check_packets(self.masses[None], self.alpha[None], self.phi.size)
+        _check_packets(masses[None], alpha[None], phi.size)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "k0", k0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -345,13 +344,14 @@ def _doppler_ratios(aperture: float, velocities, n_theta: int = 32,
     aperture limit the ratio approaches (1+v)/(1-v). A source-frame error
     below 1e-14 cannot support a ratio and is reported as degenerate.
 
-    Each velocity boosts both packets through boost_packet, and one ring
-    core call gives the source-frame and every boosted matrix.
+    Both packets have the same rings, so each velocity boosts one of them
+    through boost_packet, and one ring core call gives the source-frame and
+    every boosted matrix of both.
     """
     packets = [collimated_packet(aperture, pol, n_theta, n_phi)
                for pol in ("linear-x", "linear-y")]
-    theta = np.array([[pk.theta] + [boost_packet(pk, v).theta for v in velocities]
-                      for pk in packets])
+    thetas = [packets[0].theta] + [boost_packet(packets[0], v).theta for v in velocities]
+    theta = np.array([thetas, thetas])
     rho = _ring_matrices(theta, packets[0].phi, np.stack([pk.masses for pk in packets]),
                          _overlaps(np.stack([pk.alpha for pk in packets])))
     rho = _checked_polarization(rho.reshape(-1, 3, 3)).reshape(rho.shape)

@@ -7,11 +7,9 @@ two-qubit concurrence entanglement monotone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._errors import DimensionError, ValidationError
+from ._errors import DimensionError, ValidationError, _Record
 
 __all__ = [
     "TOL_HERM",
@@ -115,18 +113,17 @@ def _pure_densities(V: np.ndarray) -> np.ndarray:
     return V[:, :, None] * V[:, None, :].conj() / (n ** 2)[:, None, None]
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_Record):
     """Hermitian, PSD, unit-trace complex matrix.
 
     The stored matrix is symmetrized on construction; Hermiticity, trace
     and positivity are enforced within TOL_HERM, TOL_TRACE and TOL_PSD.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix: np.ndarray):
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"density matrix must be square, got {m.shape}")
         m = _checked_densities(m[None])[0]
@@ -143,14 +140,13 @@ class DensityMatrix:
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(_Record):
     """Normalized complex state vector."""
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).ravel()
+    def __init__(self, amplitudes: np.ndarray):
+        v = np.asarray(amplitudes, dtype=complex).ravel()
         _check_near_one(np.linalg.norm(v) ** 2, "state norm^2")
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
@@ -159,16 +155,14 @@ class PureState:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
-class SubsystemSplit:
+class SubsystemSplit(_Record):
     """Tensor factorization of a Hilbert space plus the factors to keep."""
 
-    dims: tuple
-    keep: tuple
+    __slots__ = ("dims", "keep")
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        keep = tuple(sorted(int(k) for k in self.keep))
+    def __init__(self, dims: tuple, keep: tuple):
+        dims = tuple(int(d) for d in dims)
+        keep = tuple(sorted(int(k) for k in keep))
         if any(d < 1 for d in dims):
             raise DimensionError("factor dimensions must be positive")
         if any(k < 0 or k >= len(dims) for k in keep) or len(set(keep)) != len(keep):

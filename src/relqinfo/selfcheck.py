@@ -11,12 +11,12 @@ logic-class (some sub-check fails at them too).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import channel, horizon, lorentz, photon, qstate, wavepacket
+from ._errors import _Record
 from ._tables import DEFAULT_GRIDS, DEFAULT_TOLS, _grids, _tols
 from .qstate import DensityMatrix, hermitize
 
@@ -27,22 +27,32 @@ HAWKING_T_SOLAR_KG = 1.989e30
 HAWKING_T_SOLAR_K = 6.168429716410344e-08
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    measured: dict
-    checks: list  # one report dict per sub-check (see _evaluate)
-    failure_class: str | None = None  # 'tolerance' or 'logic' when failed
+    """checks holds one report dict per sub-check (see _evaluate);
+    failure_class is 'tolerance' or 'logic' when the criterion failed."""
+
+    __slots__ = ("name", "passed", "measured", "checks", "failure_class")
+
+    def __init__(self, name: str, passed: bool, measured: dict, checks: list,
+                 failure_class: str | None = None):
+        self.name = name
+        self.passed = passed
+        self.measured = measured
+        self.checks = checks
+        self.failure_class = failure_class
 
 
-@dataclass(frozen=True)
-class Criterion:
-    name: str
-    run: Callable  # grids -> measured dict
-    # (measured key, relation, DEFAULT_TOLS name or fixed bound), or a bare
-    # measured key that must be true
-    checks: tuple
+class Criterion(_Record):
+    """run maps the grids to a measured dict; each of checks is a (measured
+    key, relation, DEFAULT_TOLS name or fixed bound), or a bare measured
+    key that must be true."""
+
+    __slots__ = ("name", "run", "checks")
+
+    def __init__(self, name: str, run: Callable, checks: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "run", run)
+        object.__setattr__(self, "checks", checks)
 
 
 # ---------------------------------------------------------------------------

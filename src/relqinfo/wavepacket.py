@@ -9,11 +9,11 @@ and bipartite packets for the boost behavior of concurrence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
-from ._errors import DimensionError, ValidationError
+from ._errors import DimensionError, ValidationError, _Record
 from . import _tables, kernels, lorentz, qstate
 from .lorentz import LorentzTransform, _SIGMAS4, _check_mass_shells, boost
 from .qstate import DensityMatrix, _check_near_one, hermitize
@@ -38,32 +38,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PacketSpec:
+class PacketSpec(_Record):
     """Gaussian packet recipe: center momentum, per-axis spread, spin
     direction, and the cubic grid (extent in units of the spread, odd
     point count so the center is sampled)."""
 
-    mass: float
-    mean_momentum: tuple = (0.0, 0.0, 0.0)
-    spread: float = 0.1
-    spin_axis: tuple = (0.0, 0.0, 1.0)
-    extent: float = 4.0
-    points: int = 15
+    __slots__ = ("mass", "mean_momentum", "spread", "spin_axis", "extent", "points")
 
-    def __post_init__(self):
-        if self.mass <= 0 or self.spread <= 0:
-            raise ValidationError("mass and spread must be positive")
-        if self.extent < 3:
-            raise ValidationError("grid extent must be at least 3 spreads")
+    def __init__(self, mass: float, mean_momentum: tuple = (0.0, 0.0, 0.0),
+                 spread: float = 0.1, spin_axis: tuple = (0.0, 0.0, 1.0),
+                 extent: float = 4.0, points: int = 15):
+        if not (0 < mass < math.inf and 0 < spread < math.inf):  # NaN-safe
+            raise ValidationError("mass and spread must be " + (
+                "positive" if mass <= 0 or spread <= 0 else "finite"))
+        if not 3 <= extent < math.inf:
+            raise ValidationError("grid extent must be at least 3 spreads"
+                                  if extent < 3 else "grid extent must be finite")
         # points = 1 is the sharp-momentum limit (a single center sample)
-        if not _tables._is_count(self.points) or float(self.points) % 2 == 0:
-            raise ValidationError(f"points per axis must be an odd count, got {self.points!r}")
-        object.__setattr__(self, "points", int(float(self.points)))
+        if not _tables._is_count(points) or float(points) % 2 == 0:
+            raise ValidationError(f"points per axis must be an odd count, got {points!r}")
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "mean_momentum", mean_momentum)
+        object.__setattr__(self, "spread", spread)
+        object.__setattr__(self, "spin_axis", spin_axis)
+        object.__setattr__(self, "extent", extent)
+        object.__setattr__(self, "points", int(float(points)))
 
 
-@dataclass(frozen=True)
-class SpinorPacket:
+class SpinorPacket(_Record):
     """Momentum-grid two-spinor packet.
 
     momenta: (N,4) on-shell four-momenta; weights: (N,) positive invariant-
@@ -71,34 +73,37 @@ class SpinorPacket:
     measure, normalized so sum_i w_i |a_i|^2 = 1.
     """
 
-    mass: float
-    momenta: np.ndarray
-    weights: np.ndarray
-    amplitudes: np.ndarray
+    __slots__ = ("mass", "momenta", "weights", "amplitudes")
 
-    def __post_init__(self):
-        p = np.asarray(self.momenta, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        a = np.asarray(self.amplitudes, dtype=complex)
+    def __init__(self, mass: float, momenta: np.ndarray, weights: np.ndarray,
+                 amplitudes: np.ndarray):
+        p = np.asarray(momenta, dtype=float)
+        w = np.asarray(weights, dtype=float)
+        a = np.asarray(amplitudes, dtype=complex)
         if p.ndim != 2 or p.shape[1] != 4 or w.shape != (p.shape[0],) \
                 or a.shape != (p.shape[0], 2):
             raise DimensionError("inconsistent grid arrays")
-        _check_mass_shells(p, self.mass)
+        _check_mass_shells(p, mass)
         if not (w > 0).all():
             raise ValidationError("weights must be positive")
         _check_near_one(self.norm_squared(w, a), "packet norm^2")
-        for name, arr in (("momenta", p), ("weights", w), ("amplitudes", a)):
+        for arr in (p, w, a):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self._store(mass, p, w, a)
 
     @classmethod
     def _checked(cls, mass, momenta, weights, amplitudes) -> "SpinorPacket":
         """Wrap read-only arrays that passed the checks already, _boost_shared
         output or _spin_z_pair's -z twin, without checking them again."""
         packet = object.__new__(cls)
-        vars(packet).update(mass=mass, momenta=momenta, weights=weights,
-                            amplitudes=amplitudes)
+        packet._store(mass, momenta, weights, amplitudes)
         return packet
+
+    def _store(self, mass, momenta, weights, amplitudes) -> None:
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "momenta", momenta)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     @staticmethod
     def norm_squared(w: np.ndarray, a: np.ndarray) -> float:
@@ -386,32 +391,30 @@ def packet_error_scaling(delta_over_m: float, gamma_list, theta: float = np.pi /
 # ---------------------------------------------------------------------------
 # bipartite packets
 
-@dataclass(frozen=True)
-class BipartitePacket:
+class BipartitePacket(_Record):
     """Two-particle packet sum_bc amplitudes[b, c] first[b] (x) second[c]:
     two SpinorPackets on one grid per particle, coupled by a complex 2x2
-    spin block."""
+    spin block. spin_matrix, the 4x4 spin-spin marginal, is computed once
+    at construction."""
 
-    first: tuple
-    second: tuple
-    amplitudes: np.ndarray
-    # 4x4 spin-spin marginal, computed once at construction
-    spin_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("first", "second", "amplitudes", "spin_matrix")
 
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if a.shape != (2, 2) or len(self.first) != 2 or len(self.second) != 2:
+    def __init__(self, first: tuple, second: tuple, amplitudes: np.ndarray):
+        a = np.asarray(amplitudes, dtype=complex)
+        if a.shape != (2, 2) or len(first) != 2 or len(second) != 2:
             raise DimensionError("a bipartite packet is a 2x2 block over two "
                                  "packets per particle")
         a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
         # the amplitude block contracted with each particle's spin Gram tensor
         # G[b, s, c, t] = sum_i w_i a^b_i[s] conj(a^c_i[t])
         g1, g2 = (_gram(_check_shared_grid(basis).weights, np.concatenate(
             [pk.amplitudes for pk in basis], axis=1)).reshape(2, 2, 2, 2)
-            for basis in (self.first, self.second))
+            for basis in (first, second))
         spin = np.einsum("bc,de,bsdu,ctev->stuv", a, a.conj(), g1, g2).reshape(4, 4)
         spin.setflags(write=False)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "spin_matrix", spin)
         _check_near_one(self.norm_squared(), "bipartite norm^2")
 

@@ -262,12 +262,15 @@ def test_every_benchmark_span_names_a_relqinfo_attribute():
 
 def test_criterion_12_builds_no_lorentz_matrix(monkeypatch):
     # a z boost's helicity phase is 0, so the photon boost only relabels
-    # rays: no phase call, no velocity boost, no null standard boost
+    # rays: no phase call, no velocity boost, no null standard boost; the
+    # two packets share their rings, so one packet is boosted per velocity
     assert not {"boost", "helicity_phase_batch"} & set(vars(photon))
     calls = [_count_calls(monkeypatch, lorentz, name) for name in (
         "helicity_phase_batch", "_velocity_boosts", "_standard_boosts_massless")]
+    boosts = _count_calls(monkeypatch, photon, "boost_packet")
     _run("12-photon-doppler-law")
     assert calls == [[], [], []]
+    assert [v for _, v in boosts] == [-0.5, -0.25, 0.25, 0.5]
 
 
 def test_criterion_04_runs_its_draws_as_one_batch(monkeypatch):

@@ -40,10 +40,11 @@ def test_every_exported_name_resolves(name):
 
 
 def modules_after(statement, tmp_path):
-    """Whether a fresh interpreter holds numpy, and the scipy and the relqinfo
-    modules it holds, after importing relqinfo.cli and running statement."""
+    """Whether a fresh interpreter holds numpy, dataclasses and inspect, and
+    the scipy and the relqinfo modules it holds, after importing relqinfo.cli
+    and running statement."""
     code = (f"import json, sys, relqinfo.cli; {statement}; print(json.dumps("
-            "{'numpy': 'numpy' in sys.modules, **{r: sorted("
+            "{**{m: m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')}, **{r: sorted("
             "m for m in sys.modules if m.split('.')[0] == r) for r in ('scipy', 'relqinfo')}}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, cwd=tmp_path, env=child_env())
@@ -53,19 +54,23 @@ def modules_after(statement, tmp_path):
 
 # what `import relqinfo.cli` loads: the flag tables, horizon for the
 # scenario table's defaults and the closed forms, and the error types; none
-# of them imports numpy or qstate at module level
+# of them imports numpy or qstate at module level, and no record class is a
+# dataclass, so neither dataclasses nor the inspect it imports loads
 CLI_IMPORT_MODULES = ["relqinfo", "relqinfo._errors", "relqinfo._tables", "relqinfo.cli",
                       "relqinfo.horizon"]
+CLI_IMPORT = {"numpy": False, "dataclasses": False, "inspect": False, "scipy": [],
+              "relqinfo": CLI_IMPORT_MODULES}
 
 
 def test_cli_import_loads_no_scipy_and_the_pinned_modules(tmp_path):
-    assert modules_after("pass", tmp_path) == {"numpy": False, "scipy": [],
-                                               "relqinfo": CLI_IMPORT_MODULES}
+    assert modules_after("pass", tmp_path) == CLI_IMPORT
 
 
 def test_selfcheck_loads_no_scipy_and_every_module(tmp_path):
     statement = "assert relqinfo.cli.main(['--selfcheck', '--out', 'sc.json']) == 0"
-    assert modules_after(statement, tmp_path) == {"numpy": True, "scipy": [], "relqinfo": sorted(
+    loaded = modules_after(statement, tmp_path)
+    del loaded["inspect"]  # numpy imports it
+    assert loaded == {"numpy": True, "dataclasses": False, "scipy": [], "relqinfo": sorted(
         ["relqinfo", *(f"relqinfo.{m.name}" for m in pkgutil.iter_modules(relqinfo.__path__))])}
     assert json.loads((tmp_path / "sc.json").read_text())["all_passed"]
 
@@ -76,8 +81,7 @@ def test_closed_forms_and_a_rejected_flag_load_only_what_the_cli_import_loads(tm
     statement = "; ".join(f"assert relqinfo.cli.main({args}) == {code}" for args, code in [
         (["--scenario", "unruh"], 0), (["--scenario", "blackhole-evaporate"], 0),
         (["--bogus"], 2)])
-    assert modules_after(statement, tmp_path) == {"numpy": False, "scipy": [],
-                                                  "relqinfo": CLI_IMPORT_MODULES}
+    assert modules_after(statement, tmp_path) == CLI_IMPORT
     assert (tmp_path / "unruh.csv").is_file()
     assert (tmp_path / "blackhole-evaporate.csv").is_file()
 

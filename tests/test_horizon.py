@@ -1,8 +1,12 @@
+import math
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from relqinfo import channel, horizon, qstate, selfcheck
+from relqinfo import channel, cli, horizon, qstate, selfcheck
 from relqinfo._errors import ValidationError
 from relqinfo.horizon import (GEOMETRIC, SI, BlackHole, PhysicalConstants,
                               bekenstein_entropy, detector_response, evaporate,
@@ -10,6 +14,7 @@ from relqinfo.horizon import (GEOMETRIC, SI, BlackHole, PhysicalConstants,
                               hawking_temperature, horizon_area,
                               rindler_mode_state, superscattering,
                               surface_gravity, unruh_temperature)
+from relqinfo.wavepacket import PacketSpec
 
 # pins recomputed from the CODATA values of horizon.SI
 UNRUH_T_AT_G = 3.973913254725219e-20      # a = 9.8 m/s^2
@@ -273,3 +278,36 @@ class TestConstants:
     def test_positive_required(self):
         with pytest.raises(ValidationError):
             PhysicalConstants(c=0.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+def _evaporate_scenario(**config):
+    # the CLI turns this raise into exit code 3 before any file is written
+    cli.run("blackhole-evaporate", config, 0, Path(os.devnull), "csv", {})
+
+
+@pytest.mark.parametrize("call, args, kwargs", [
+    (PhysicalConstants, (NAN,), {}), (PhysicalConstants, (), {"c": INF}),
+    (PhysicalConstants, (), {"G": -INF}), (PhysicalConstants, (), {"k_B": NAN}),
+    (BlackHole, (NAN,), {}), (BlackHole, (INF,), {}),
+    (PacketSpec, (NAN,), {}), (PacketSpec, (INF,), {}),
+    (PacketSpec, (1.0,), {"spread": NAN}), (PacketSpec, (1.0,), {"spread": INF}),
+    (PacketSpec, (1.0,), {"extent": NAN}), (PacketSpec, (1.0,), {"extent": INF}),
+    (unruh_temperature, (NAN,), {}), (unruh_temperature, (INF,), {}),
+    (detector_response, (1.0, NAN), {}), (detector_response, (1.0, INF), {}),
+    (first_law_residual, (NAN, 1e-3), {}), (first_law_residual, (INF, 1e-3), {}),
+    (first_law_residual, (1.0, NAN), {}), (first_law_residual, (1.0, -INF), {}),
+    # (M + dM)^2 overflows, and 16 pi times a finite area change overflows
+    (first_law_residual, (1e308, 1e-6), {}), (first_law_residual, (1e153, 1.2e154), {}),
+    (evaporation_lifetime, (NAN,), {}), (evaporation_lifetime, (INF,), {}),
+    (evaporation_lifetime, (1.0, NAN), {}), (evaporation_lifetime, (1.0, INF), {}),
+    # M0^3 overflows, and k_evap M0^3 overflows to inf
+    (evaporation_lifetime, (1e200,), {}), (evaporation_lifetime, (1e9, 1e300), {}),
+    (evaporate, (1.0, NAN), {}),
+    (_evaporate_scenario, (), {"M0_kg": 1e200}), (_evaporate_scenario, (), {"k_evap": 1e300}),
+], ids=lambda x: x.__name__ if callable(x) else None)
+def test_nonfinite_or_overflowing_input_is_rejected(call, args, kwargs):
+    with pytest.raises(ValidationError):
+        call(*args, **kwargs)

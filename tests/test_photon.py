@@ -218,13 +218,17 @@ class TestPolarizationMatrix:
             PolarizationMatrix(np.diag([0.8, 0.4, -0.2]))
 
 
+def packet_fields(packet):
+    return {name: getattr(packet, name) for name in packet.__slots__}
+
+
 @pytest.mark.parametrize("field", ["masses", "k0"])
 def test_packet_rejects_a_negative_ray_mass_or_frequency(field):
     pk = collimated_packet(0.2, n_theta=4, n_phi=8)
     bad = getattr(pk, field).copy()
     bad[0] *= -1.0
     with pytest.raises(ValidationError, match="masses >= 0 and k0 > 0"):
-        photon.PhotonPacket(**{**vars(pk), field: bad})
+        photon.PhotonPacket(**{**packet_fields(pk), field: bad})
 
 
 def random_packet_draws(n, seed):
@@ -309,7 +313,7 @@ class TestPacketBatch:
         packets = [collimated_packet(a, pair, self.N_THETA, self.N_PHI)
                    for a, pair in zip(apertures, pairs)]
         masses = np.array([pk.masses for pk in packets])
-        bad = vars(packets[3]).copy()
+        bad = packet_fields(packets[3])
         if fault == "alpha":
             pairs[3] *= 1.01
             bad["alpha"] = bad["alpha"] * 1.01

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relqinfo import channel, horizon, lorentz, photon, qstate, wavepacket
+from relqinfo import channel, horizon, lorentz, photon, qstate, selfcheck, wavepacket
+from relqinfo._errors import _Record
 from relqinfo.qstate import (SIGMA_X, SIGMA_Z, DensityMatrix, DimensionError,
                              PureState, SubsystemSplit, ValidationError,
                              concurrence, error_probability, partial_trace,
@@ -301,9 +302,9 @@ class TestConcurrence:
         states = [qstate.random_density_matrix(4, rng) for _ in range(20)]
         states.append(DensityMatrix.from_pure(bell_phi_plus()))
         raw = [concurrence(rho.matrix) for rho in states]
-        built, post_init = [], DensityMatrix.__post_init__
-        monkeypatch.setattr(DensityMatrix, "__post_init__",
-                            lambda self: built.append(1) or post_init(self))
+        built, init = [], DensityMatrix.__init__
+        monkeypatch.setattr(DensityMatrix, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
         assert [concurrence(rho) for rho in states] == raw
         assert built == []
         drift = 1e-15j * rng.standard_normal((4, 4))  # not Hermitian
@@ -330,7 +331,8 @@ _Z = np.array([1.0, 0.0])
 
 
 def _photon_packet(**changes):
-    return photon.PhotonPacket(**{**vars(_BEAM), **changes})
+    fields = {name: getattr(_BEAM, name) for name in _BEAM.__slots__}
+    return photon.PhotonPacket(**{**fields, **changes})
 
 
 def _nan_at(array, index=0):
@@ -384,6 +386,52 @@ def _nan_probes():
 def test_nan_entry_is_rejected(name):
     with pytest.raises(ValidationError):
         _nan_probes()[name]()
+
+
+def _records():
+    spec = wavepacket.PacketSpec(mass=1.0, points=3)
+    return {
+        "KrausSet": channel.KrausSet.single([np.eye(2)]),
+        "Povm": channel.Povm(2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))),
+        "BipartiteOperation": channel.BipartiteOperation(
+            (2, 2), channel.KrausSet.single([np.eye(4)])),
+        "ChoiMatrix": channel.ChoiMatrix(np.eye(4) / 2, 2, 2),
+        "SemicausalVerdict": channel.SemicausalVerdict(True, "B->A", 0.0, None),
+        "LoccStep": channel.LoccStep("A", lambda history: None),
+        "PhysicalConstants": horizon.PhysicalConstants(),
+        "RindlerModeState": horizon.rindler_mode_state(1.0, 1.0),
+        "BlackHole": horizon.BlackHole(1.0),
+        "EvaporationResult": horizon.evaporate(1.0, 0.5, 1.0),
+        "DensityMatrix": DensityMatrix.maximally_mixed(2),
+        "PureState": PureState(_Z),
+        "SubsystemSplit": SubsystemSplit((2, 2), (0,)),
+        "PacketSpec": spec,
+        "SpinorPacket": wavepacket.gaussian_packet(spec),
+        "BipartitePacket": wavepacket.singlet_packet(0.3, points=3),
+        "LorentzTransform": lorentz.boost(rapidity=0.5, axis=(0.0, 0.0, 1.0)),
+        "WignerRotation": lorentz.WignerRotation(np.eye(3), np.array([0.0, 0.0, 1.0]), 0.0,
+                                                 np.eye(2)),
+        "PolarizationMatrix": photon.PolarizationMatrix(np.eye(3) / 3),
+        "PhotonPacket": _BEAM,
+        "Criterion": selfcheck.CRITERIA[0],
+    }
+
+
+# a record class missing from the table fails with a KeyError
+@pytest.mark.parametrize("name", sorted(
+    {*_records(), *(cls.__name__ for cls in _Record.__subclasses__())}))
+def test_record_fields_cannot_be_set_or_deleted(name):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    for field in type(record).__slots__:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+        assert getattr(record, field) is value
+    with pytest.raises(AttributeError):
+        record.unknown_field = 0
 
 
 # each entry and an input whose checked error is d

@@ -261,7 +261,7 @@ class TestEntropySurface:
         calls = count_calls(monkeypatch)
         rows = entropy_surface(0.3, betas, [0.0, 1.0], points=5)
         # the rest packet is the only one built, through the constructor
-        assert calls == {"kernel": 0, "boosted": 0, "post_init": 1}
+        assert calls == {"kernel": 0, "boosted": 0, "init": 1}
         moved = [boost_packet(small_packet(spread=0.3, points=5), boost_at_angle(b, th))
                  for th in (0.0, 1.0) for b in betas[1:]]
         assert [s for _, g, s in rows if g > 0] == pytest.approx(
@@ -329,20 +329,20 @@ def separate_boosts(gammas, delta, theta, points):
 
 def count_calls(monkeypatch) -> dict:
     """Counts kernel calls, _boost_shared calls (boosted packet stacks) and
-    SpinorPacket.__post_init__ runs from now on."""
-    calls = {"kernel": 0, "boosted": 0, "post_init": 0}
+    SpinorPacket constructions (checked ones) from now on."""
+    calls = {"kernel": 0, "boosted": 0, "init": 0}
     kernel, shared = wavepacket.kernels.wigner_su2_batch, wavepacket._boost_shared
-    post_init = SpinorPacket.__post_init__
+    init = SpinorPacket.__init__
 
     def counting(key, fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls[key] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(wavepacket.kernels, "wigner_su2_batch", counting("kernel", kernel))
     monkeypatch.setattr(wavepacket, "_boost_shared", counting("boosted", shared))
-    monkeypatch.setattr(SpinorPacket, "__post_init__", counting("post_init", post_init))
+    monkeypatch.setattr(SpinorPacket, "__init__", counting("init", init))
     return calls
 
 
@@ -403,7 +403,7 @@ class TestErrorScaling:
         up, down, ref_pes, ref_restored = separate_boosts(gammas, delta, theta, 5)
         calls = count_calls(monkeypatch)
         report = packet_error_scaling(delta, gammas, theta=theta, points=5)
-        assert calls == {"kernel": 0, "boosted": 0, "post_init": 1}
+        assert calls == {"kernel": 0, "boosted": 0, "init": 1}
         assert report["pe_rest"] == qstate.error_probability(reduced_spin(up),
                                                              reduced_spin(down))
         assert report["pe_boosted"] == pytest.approx(ref_pes, rel=0, abs=PE_GAP)
@@ -440,7 +440,7 @@ class TestErrorScaling:
                          "--out", str(tmp_path / "pe.csv")]) == 0
         # the +z packet is the only one built through the constructor; the -z
         # packet shares its grid, built and checked once
-        assert calls == {"kernel": 0, "boosted": 0, "post_init": 1}
+        assert calls == {"kernel": 0, "boosted": 0, "init": 1}
         assert len(grids) == 1
 
     def test_spin_z_pair_matches_two_gaussian_packets(self):
@@ -479,14 +479,14 @@ class TestBipartite:
         # kernel call, no boosted packet and no bipartite packet
         calls = {}
         for owner, name in ((wavepacket, "_boosted_marginals"), (wavepacket, "_boost_shared"),
-                            (kernels, "wigner_su2_batch"), (BipartitePacket, "__post_init__")):
+                            (kernels, "wigner_su2_batch"), (BipartitePacket, "__init__")):
             fn, calls[name] = getattr(owner, name), []
             monkeypatch.setattr(owner, name, lambda *a, fn=fn, log=calls[name]:
                                 log.append(a) or fn(*a))
         chis = [0.0, 0.5, 1.0, 2.0]
         rows = bipartite_boost_concurrence(0.3, chis, points=7)
         assert [len(lams) for _, _, lams in calls.pop("_boosted_marginals")] == [4]
-        assert calls == {"_boost_shared": [], "wigner_su2_batch": [], "__post_init__": []}
+        assert calls == {"_boost_shared": [], "wigner_su2_batch": [], "__init__": []}
         monkeypatch.undo()
         cs = [c for _, c in rows]
         assert cs[0] > 0.999
