@@ -679,6 +679,6 @@ def settings_to_observables(settings: dict) -> tuple:
 def cluster_chsh_bound(m: float, r: float) -> float:
     """Vacuum correlation bound 1 + 4 exp(-m r) for lowest mass m and
     separation r (inverse units of each other)."""
-    if m < 0 or r < 0:
-        raise ValidationError("mass and separation must be non-negative")
+    if not (0 <= m < np.inf and 0 <= r < np.inf):  # NaN-safe
+        raise ValidationError("mass and separation must be non-negative and finite")
     return float(1.0 + 4.0 * np.exp(-m * r))

@@ -78,11 +78,15 @@ K_EVAP_DEFAULT = 4.9e-9
 
 def unruh_temperature(a: float, constants: PhysicalConstants = GEOMETRIC) -> float:
     """Thermal response temperature hbar a / (2 pi c k_B) of a uniformly
-    accelerated detector."""
+    accelerated detector. Raises where it overflows."""
     if not 0 < a < math.inf:  # NaN-safe
         raise ValidationError("proper acceleration must be "
                               + ("positive" if a <= 0 else "finite"))
-    return constants.hbar * a / (2.0 * math.pi * constants.c * constants.k_B)
+    denom = 2.0 * math.pi * constants.c * constants.k_B  # 0 where c k_B underflows
+    t = constants.hbar * a / denom if denom else math.inf
+    if not t < math.inf:
+        raise ValidationError(f"temperature hbar a / (2 pi c k_B) overflows at a = {a!r}")
+    return t
 
 
 def detector_response(omega_gap: float, a: float) -> float:

@@ -1,6 +1,6 @@
 """Photon polarization on direction grids.
 
-Helicity bases per propagation direction, the helicity components of
+Helicity frames as five ring terms, the helicity components of
 momentum-independent polarization labels (whose longitudinal part is
 unphysical), the {E_x, E_y, E_z} polarization POVM, effective 3x3
 polarization density matrices, boosts along z (aberrated angles and
@@ -22,7 +22,7 @@ import numpy as np
 
 from ._errors import DimensionError, ValidationError, _Record
 from ._tables import _is_count
-from .lorentz import _rotation_to_khat_batch, aberrate
+from .lorentz import aberrate
 from .qstate import _check_near_one, _check_psd, _error_probabilities, hermitize
 
 __all__ = [
@@ -37,17 +37,23 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
+# The helicity frame eps+ = (R e_x + i R e_y)/sqrt(2), R the standard rotation
+# carrying (0,0,1) onto (theta, phi), as five terms (5, 3), eps- its conjugate:
+# term j's factor is entry _THETA_TERM[j] of (1, cos, sin)(theta) times entry
+# _PHI_TERM[j] of (cos, sin, 1)(phi). Term j lies along one axis, row j of
+# _TERM_AXES, with entry _TERM_ENTRIES[0, j] for eps+ and [1, j] for eps-.
+_RING_EP = np.array([[1, 0, 0], [0, 1, 0], [0, 1j, 0], [-1j, 0, 0], [0, 0, -1]]) * _INV_SQRT2
+_THETA_TERM, _PHI_TERM = np.array([1, 1, 0, 0, 2]), np.array([0, 1, 0, 1, 2])
+_TERM_AXES = (_RING_EP != 0).astype(float)
+_TERM_ENTRIES = np.stack([_RING_EP[_TERM_AXES == 1], _RING_EP[_TERM_AXES == 1].conj()])
+_AXIS_PAIRS = _TERM_AXES[:, None, :, None] * _TERM_AXES[None, :, None, :]
 
-def _helicity_vectors_batch(theta: np.ndarray, phi: np.ndarray) -> tuple:
-    """Right/left circular polarization 3-vectors at the directions of theta
-    and phi broadcast together, shape S, each S + (3,): the standard rotation
-    R carrying (0,0,1) onto the direction, applied to (1, +-i, 0)/sqrt(2),
-    that is (R e_x +- i R e_y)/sqrt(2), so eps- = conj(eps+)."""
-    R = _rotation_to_khat_batch(theta, phi)
-    ep = np.empty(R.shape[:-1], dtype=complex)
-    np.multiply(R[..., 0], _INV_SQRT2, out=ep.real)
-    np.multiply(R[..., 1], _INV_SQRT2, out=ep.imag)
-    return ep, ep.conj()
+
+def _ring_factors(theta: np.ndarray, phi: np.ndarray) -> tuple:
+    """The _RING_EP factors: (1, cos, sin)(theta) (..., 3) and g_j(phi) (n_phi, 5)."""
+    ring = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)], axis=-1)
+    g = np.stack([np.cos(phi), np.sin(phi), np.ones_like(phi)], axis=-1)[:, _PHI_TERM]
+    return ring, g
 
 
 def _checked_polarization(matrices: np.ndarray) -> np.ndarray:
@@ -127,14 +133,6 @@ def _gauss_legendre(n: int) -> tuple:
     return x, w
 
 
-def _b_components(ep: np.ndarray, em: np.ndarray) -> np.ndarray:
-    """Helicity components b[..., m, +-] = <eps+-|e_m> = conj(eps+-[..., m])
-    of the transversal parts of the Cartesian polarization labels
-    m = x, y, z, from helicity vectors of shape S + (3,)."""
-    b = np.stack([ep, em], axis=-1)
-    return np.conjugate(b, out=b)
-
-
 def _unit_pairs(pairs) -> np.ndarray:
     """Helicity pairs (..., 2), each divided by its norm."""
     a = np.asarray(pairs, dtype=complex)
@@ -149,16 +147,16 @@ def _polarization_alphas(theta: np.ndarray, phi: np.ndarray, polarization):
     (n_theta,) and azimuths phi (n_phi,): a named polarization, one helicity
     pair (2,), normalized, or explicit amplitudes, passed through."""
     rays = theta.shape + phi.shape
+    if isinstance(polarization, str) and polarization in ("plus", "minus"):
+        polarization = [1, 0] if polarization == "plus" else [0, 1]
     if isinstance(polarization, str):
-        if polarization in ("plus", "minus"):
-            a = np.zeros(rays + (2,), dtype=complex)
-            a[..., 0 if polarization == "plus" else 1] = 1.0
-            return a
         m = {"linear-x": 0, "linear-y": 1}.get(polarization)
         if m is None:
             raise ValueError(f"unknown polarization {polarization!r}")
-        # the transversal part of the label, renormalized per ray
-        b = _b_components(*_helicity_vectors_batch(theta[:, None], phi))[..., m, :]
+        # the label's transversal part conj(eps+-[m]) per ray, renormalized
+        on = _TERM_AXES[:, m] == 1
+        ring, g = _ring_factors(theta, phi)
+        b = (ring[:, None, _THETA_TERM[on]] * g[:, on]) @ _TERM_ENTRIES[:, on].T.conj()
         return b / np.sqrt(np.sum(np.abs(b) ** 2, axis=-1, keepdims=True))
     a = np.asarray(polarization, dtype=complex)
     if a.shape == (2,):
@@ -209,24 +207,13 @@ def collimated_packet(aperture: float, polarization="linear-x",
                         k0=np.ones_like(th[0]))
 
 
-# eps+ of _helicity_vectors_batch as a sum of five terms (5, 3), eps- its
-# conjugate: term j's factor is entry _THETA_TERM[j] of (1, cos, sin)(theta)
-# times entry _PHI_TERM[j] of (cos, sin, 1)(phi). Each term lies along one
-# Cartesian axis, row j of _TERM_AXES.
-_RING_EP = np.array([[1, 0, 0], [0, 1, 0], [0, 1j, 0], [-1j, 0, 0], [0, 0, -1]]) * _INV_SQRT2
-_THETA_TERM, _PHI_TERM = np.array([1, 1, 0, 0, 2]), np.array([0, 1, 0, 1, 2])
-_TERM_AXES = (_RING_EP != 0).astype(float)
-_AXIS_PAIRS = _TERM_AXES[:, None, :, None] * _TERM_AXES[None, :, None, :]
-
-
 def _overlaps(alpha: np.ndarray) -> np.ndarray:
     """The POVM route's term coefficients (..., 5) from alpha (..., 2): the
-    overlap <b_m|alpha> of each _RING_EP term along its axis m, its
-    _b_components conjugated and contracted with alpha. The naive route's
-    _ring_vectors is the same sum written out; the two stay separate
-    computations, so their gap can show a fault in either."""
-    b = _b_components(_RING_EP, _RING_EP.conj())
-    return alpha @ np.conjugate(b, out=b)[_TERM_AXES == 1].T
+    overlap <b_m|alpha> = alpha+ eps+[m] + alpha- eps-[m] of each _RING_EP
+    term along its axis m. The naive route's _ring_vectors is the same sum
+    written out; the two stay separate computations, so their gap can show
+    a fault in either."""
+    return alpha @ _TERM_ENTRIES
 
 
 def _ring_vectors(pairs: np.ndarray) -> np.ndarray:
@@ -258,8 +245,7 @@ def _ring_matrices(theta: np.ndarray, phi: np.ndarray, masses: np.ndarray,
     sums of g_j g_k, exact for every n_phi) has no ring axis: the ring-mass
     moments are summed first, and rho = t^T (moments G) conj(t) with the
     term vectors t_j = c_j a_j builds no (P, 25, 9) block."""
-    g = np.stack([np.cos(phi), np.sin(phi), np.ones_like(phi)], axis=-1)[:, _PHI_TERM]
-    ring = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)], axis=-1)
+    ring, g = _ring_factors(theta, phi)
     weighted = ring * masses[:, None, :, None]
     rings, n_phi = coefficients.shape[-3:-1]
     if rings == n_phi == 1:
@@ -344,16 +330,18 @@ def _doppler_ratios(aperture: float, velocities, n_theta: int = 32,
     aperture limit the ratio approaches (1+v)/(1-v). A source-frame error
     below 1e-14 cannot support a ratio and is reported as degenerate.
 
-    Both packets have the same rings, so each velocity boosts one of them
-    through boost_packet, and one ring core call gives the source-frame and
-    every boosted matrix of both.
+    Both packets have the same rings, so one _collimated_rings call serves
+    both, with their amplitudes checked as PhotonPacket checks them. A z
+    boost changes only the rays' polar angles (see boost_packet), so each
+    velocity aberrates theta once and no packet is built; one ring core
+    call gives the source-frame and every boosted matrix of both.
     """
-    packets = [collimated_packet(aperture, pol, n_theta, n_phi)
-               for pol in ("linear-x", "linear-y")]
-    thetas = [packets[0].theta] + [boost_packet(packets[0], v).theta for v in velocities]
-    theta = np.array([thetas, thetas])
-    rho = _ring_matrices(theta, packets[0].phi, np.stack([pk.masses for pk in packets]),
-                         _overlaps(np.stack([pk.alpha for pk in packets])))
+    th, phi, masses = _collimated_rings([aperture], n_theta, n_phi)
+    alpha = np.stack([_polarization_alphas(th[0], phi, pol) for pol in ("linear-x", "linear-y")])
+    masses = np.repeat(masses, 2, axis=0)
+    _check_packets(masses, alpha, phi.size)
+    thetas = [th[0]] + [aberrate(th[0], phi, v)[0] for v in velocities]
+    rho = _ring_matrices(np.array([thetas, thetas]), phi, masses, _overlaps(alpha))
     rho = _checked_polarization(rho.reshape(-1, 3, 3)).reshape(rho.shape)
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     pe, *pe_prime = (float(x) for x in _error_probabilities(rho[0], rho[1]))

@@ -38,6 +38,12 @@ __all__ = [
 ]
 
 
+def _check_mass_and_spread(mass: float, spread: float) -> None:
+    if not (0 < mass < math.inf and 0 < spread < math.inf):  # NaN-safe
+        raise ValidationError("mass and spread must be " + (
+            "positive" if mass <= 0 or spread <= 0 else "finite"))
+
+
 class PacketSpec(_Record):
     """Gaussian packet recipe: center momentum, per-axis spread, spin
     direction, and the cubic grid (extent in units of the spread, odd
@@ -48,9 +54,7 @@ class PacketSpec(_Record):
     def __init__(self, mass: float, mean_momentum: tuple = (0.0, 0.0, 0.0),
                  spread: float = 0.1, spin_axis: tuple = (0.0, 0.0, 1.0),
                  extent: float = 4.0, points: int = 15):
-        if not (0 < mass < math.inf and 0 < spread < math.inf):  # NaN-safe
-            raise ValidationError("mass and spread must be " + (
-                "positive" if mass <= 0 or spread <= 0 else "finite"))
+        _check_mass_and_spread(mass, spread)
         if not 3 <= extent < math.inf:
             raise ValidationError("grid extent must be at least 3 spreads"
                                   if extent < 3 else "grid extent must be finite")
@@ -126,7 +130,10 @@ def _cubic_grid(spec: PacketSpec):
     # |p|^2 adds the axes' squares in the order np.sum takes a row of p
     p2 = (x ** 2)[:, None, None] + (y ** 2)[:, None] + z ** 2
     momenta = np.empty(p2.shape + (4,))
-    momenta[..., 0] = np.sqrt(spec.mass ** 2 + p2)
+    try:
+        momenta[..., 0] = np.sqrt(spec.mass ** 2 + p2)
+    except OverflowError:
+        raise ValidationError(f"mass^2 overflows at mass = {spec.mass!r}") from None
     momenta[..., 1] = x[:, None, None]
     momenta[..., 2] = y[:, None]
     momenta[..., 3] = z
@@ -178,8 +185,7 @@ def _spin_z_pair(spread: float, points: int) -> tuple:
 def gamma_parameter(delta: float, m: float, beta: float) -> float:
     """Boost-distortion scale (spread/m) (1 - sqrt(1 - beta^2)) / beta,
     with the analytic limit 0 at beta = 0."""
-    if m <= 0:
-        raise ValidationError("mass must be positive")
+    _check_mass_and_spread(m, delta)
     if not 0 <= beta < 1:
         raise ValidationError("beta must lie in [0, 1)")
     if beta == 0.0:
@@ -189,6 +195,7 @@ def gamma_parameter(delta: float, m: float, beta: float) -> float:
 
 def beta_for_gamma(gamma: float, delta: float, m: float) -> float:
     """Inverse of gamma_parameter at fixed spread and mass."""
+    _check_mass_and_spread(m, delta)
     if gamma == 0:
         return 0.0
     u = gamma * m / delta

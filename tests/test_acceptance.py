@@ -263,14 +263,17 @@ def test_every_benchmark_span_names_a_relqinfo_attribute():
 def test_criterion_12_builds_no_lorentz_matrix(monkeypatch):
     # a z boost's helicity phase is 0, so the photon boost only relabels
     # rays: no phase call, no velocity boost, no null standard boost; the
-    # two packets share their rings, so one packet is boosted per velocity
+    # two packets share their rings, so theta aberrates once per velocity
+    # and no packet is built or boosted
     assert not {"boost", "helicity_phase_batch"} & set(vars(photon))
     calls = [_count_calls(monkeypatch, lorentz, name) for name in (
         "helicity_phase_batch", "_velocity_boosts", "_standard_boosts_massless")]
-    boosts = _count_calls(monkeypatch, photon, "boost_packet")
+    packets = [_count_calls(monkeypatch, photon, name)
+               for name in ("collimated_packet", "boost_packet", "PhotonPacket")]
+    aberrations = _count_calls(monkeypatch, photon, "aberrate")
     _run("12-photon-doppler-law")
-    assert calls == [[], [], []]
-    assert [v for _, v in boosts] == [-0.5, -0.25, 0.25, 0.5]
+    assert calls == packets == [[], [], []]
+    assert [v for *_, v in aberrations] == [-0.5, -0.25, 0.25, 0.5]
 
 
 def test_criterion_04_runs_its_draws_as_one_batch(monkeypatch):

@@ -251,16 +251,24 @@ class TestExitCodes:
         assert repr(line.split(" =")[0]) in diag["detail"]
         assert not (tmp_path / "o.csv").exists()
 
-    def test_value_a_callee_rejects_names_the_config(self, tmp_path, main_in):
-        # the state check cannot name werner_p, so the error carries the config
+    @pytest.mark.parametrize("scenario, line, detail", [
+        ("chsh", "werner_p = 2", "negative eigenvalues"),
+        ("fig2-entropy", "delta_over_m = 0", "mass and spread must be positive"),
+        ("pe-gamma-scaling", "delta_over_m = 0", "mass and spread must be positive")],
+        ids=["chsh", "fig2-entropy", "pe-gamma-scaling"])
+    def test_value_a_callee_rejects_names_the_config(self, tmp_path, main_in, scenario, line,
+                                                     detail):
+        # the state check cannot name werner_p, nor the spread check
+        # delta_over_m, so the one JSON line carries the config
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("werner_p = 2\n")
-        code, out = main_in(["--scenario", "chsh", "--config", str(cfg),
+        cfg.write_text(line + "\n")
+        code, out = main_in(["--scenario", scenario, "--config", str(cfg),
                              "--out", str(tmp_path / "o.csv")])
         assert code == 3
         diag = json.loads(out)
-        assert diag["error"] == "validation" and "negative eigenvalues" in diag["detail"]
-        assert diag["config"] == {"werner_p": 2.0}
+        assert diag["error"] == "validation" and detail in diag["detail"]
+        key, value = line.split(" = ")
+        assert diag["config"] == {key: float(value)}
         assert not (tmp_path / "o.csv").exists()
 
 

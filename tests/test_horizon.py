@@ -14,7 +14,8 @@ from relqinfo.horizon import (GEOMETRIC, SI, BlackHole, PhysicalConstants,
                               hawking_temperature, horizon_area,
                               rindler_mode_state, superscattering,
                               surface_gravity, unruh_temperature)
-from relqinfo.wavepacket import PacketSpec
+from relqinfo.wavepacket import (PacketSpec, beta_for_gamma, gamma_parameter,
+                                 gaussian_packet)
 
 # pins recomputed from the CODATA values of horizon.SI
 UNRUH_T_AT_G = 3.973913254725219e-20      # a = 9.8 m/s^2
@@ -288,6 +289,14 @@ def _evaporate_scenario(**config):
     cli.run("blackhole-evaporate", config, 0, Path(os.devnull), "csv", {})
 
 
+def _unruh_scenario(**config):
+    cli.run("unruh", config, 0, Path(os.devnull), "csv", {})
+
+
+def _packet_of_mass(mass):
+    return gaussian_packet(PacketSpec(mass, points=3))
+
+
 @pytest.mark.parametrize("call, args, kwargs", [
     (PhysicalConstants, (NAN,), {}), (PhysicalConstants, (), {"c": INF}),
     (PhysicalConstants, (), {"G": -INF}), (PhysicalConstants, (), {"k_B": NAN}),
@@ -307,6 +316,14 @@ def _evaporate_scenario(**config):
     (evaporation_lifetime, (1e200,), {}), (evaporation_lifetime, (1e9, 1e300), {}),
     (evaporate, (1.0, NAN), {}),
     (_evaporate_scenario, (), {"M0_kg": 1e200}), (_evaporate_scenario, (), {"k_evap": 1e300}),
+    # hbar a overflows, and c k_B underflows to 0
+    (_unruh_scenario, (), {"units": "si", "constants.hbar": 1e300, "accelerations": 1e300}),
+    (unruh_temperature, (1.0, PhysicalConstants(c=1e-200, k_B=1e-200)), {}),
+    (gamma_parameter, (NAN, 1.0, 0.5), {}), (gamma_parameter, (0.1, INF, 0.5), {}),
+    (beta_for_gamma, (0.1, 0.0, 1.0), {}),
+    (channel.cluster_chsh_bound, (NAN, 1.0), {}), (channel.cluster_chsh_bound, (INF, 1.0), {}),
+    # the mass^2 of the energies overflows
+    (_packet_of_mass, (1e308,), {}),
 ], ids=lambda x: x.__name__ if callable(x) else None)
 def test_nonfinite_or_overflowing_input_is_rejected(call, args, kwargs):
     with pytest.raises(ValidationError):

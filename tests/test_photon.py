@@ -11,79 +11,51 @@ from relqinfo._errors import ValidationError
 from relqinfo.photon import (PolarizationMatrix, boost_packet,
                              collimated_packet, effective_density_matrix,
                              naive_density_matrix, povm_expectation)
+from test_lorentz import helicity_oracle
 
 
-class TestHelicityVectors:
-    def test_standard_direction(self):
-        ep, em = photon._helicity_vectors_batch(0.0, 0.0)
-        assert np.abs(ep - np.array([1, 1j, 0]) / np.sqrt(2)).max() < 1e-14
-        assert np.abs(em - np.array([1, -1j, 0]) / np.sqrt(2)).max() < 1e-14
-
-    def test_transversality_and_orthonormality(self):
-        rng = np.random.default_rng(41)
-        for _ in range(200):
-            th, ph = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            khat = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
-                             np.cos(th)])
-            ep, em = photon._helicity_vectors_batch(th, ph)
-            assert abs(ep @ khat) < 1e-12 and abs(em @ khat) < 1e-12
-            assert abs(np.linalg.norm(ep) - 1.0) < 1e-12
-            assert abs(ep.conj() @ em) < 1e-12
-
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 4),
-           n_theta=st.integers(1, 6), n_phi=st.integers(1, 7))
-    def test_ring_broadcast_matches_per_ray_call(self, seed, p, n_theta, n_phi):
-        # rings of rays, theta (p, n_theta, 1) against phi (n_phi,), take the
-        # trig once per ring and give the per-ray call's bits
-        rng = np.random.default_rng(seed)
-        theta = rng.uniform(0, np.pi, (p, n_theta, 1))
-        phi = rng.uniform(0, 2 * np.pi, n_phi)
-        rays = np.broadcast_arrays(theta, phi)
-        for rings, per_ray in zip(photon._helicity_vectors_batch(theta, phi),
-                                  photon._helicity_vectors_batch(*(a.ravel() for a in rays))):
-            assert rings.shape == (p, n_theta, n_phi, 3)
-            assert np.array_equal(rings.reshape(-1, 3), per_ray)
-
-    def test_x_direction_matches_rotation_oracle(self):
-        ep, _ = photon._helicity_vectors_batch(np.pi / 2, 0.0)
-        R = lorentz._rotation_to_khat_batch(np.pi / 2, 0.0)
-        assert np.abs(ep - R @ (np.array([1, 1j, 0]) / np.sqrt(2))).max() < 1e-14
+_RNG = np.random.default_rng(41)
 
 
-class TestTransversalDecomposition:
-    """The helicity components <eps+-|e_m> of the Cartesian labels, as the
-    POVM route reads them (_b_components); the longitudinal overlap khat_m
-    is the rest of each unit label."""
-
-    @staticmethod
-    def components(th, ph):
-        ep, em = photon._helicity_vectors_batch(th, ph)
-        khat = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-        return photon._b_components(ep, em), khat
-
-    def test_x_label_on_axis_beam(self):
-        b, khat = self.components(0.0, 0.0)
-        assert abs(np.sum(np.abs(b[0]) ** 2) - 1.0) < 1e-12
-        assert abs(khat[0]) < 1e-14
-
-    def test_longitudinal_label(self):
-        b, khat = self.components(np.pi / 2, 0.0)
-        assert np.abs(b[0]).max() < 1e-12
-        assert abs(abs(khat[0]) - 1.0) < 1e-12
-
-    def test_component_pattern_and_completeness(self):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            th, ph = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            b, khat = self.components(th, ph)
-            # displayed coefficient pattern (cos th cos ph +- i sin ph)/sqrt2
-            want_p = (np.cos(th) * np.cos(ph) + 1j * np.sin(ph)) / np.sqrt(2)
-            want_m = (np.cos(th) * np.cos(ph) - 1j * np.sin(ph)) / np.sqrt(2)
-            assert abs(b[0, 0] - want_p) < 1e-12
-            assert abs(b[0, 1] - want_m) < 1e-12
-            # each of the x, y, z labels: transversal weight plus longitudinal
-            assert np.abs(np.sum(np.abs(b) ** 2, axis=1) + khat ** 2 - 1.0).max() < 1e-12
+@pytest.mark.parametrize("theta, phi, labels", [
+    pytest.param([0.0], [0.0], ("linear-x", "linear-y"), id="standard-direction"),
+    # the x label is all longitudinal there: it has no helicity amplitudes
+    pytest.param([np.pi / 2], [0.0], ("linear-y",), id="x-direction"),
+    pytest.param([0.0, np.pi, *_RNG.uniform(0, np.pi, 14)],
+                 [0.0, *_RNG.uniform(0, 2 * np.pi, 11)], ("linear-x", "linear-y"), id="rings")])
+def test_ring_terms_are_the_helicity_frame(theta, phi, labels):
+    """The _RING_EP expansion, eps+ = sum_j f_j(theta) g_j(phi) _RING_EP[j],
+    against the oracle (R e_x +- i R e_y)/sqrt(2) on rings of rays: the
+    frame is transversal and orthonormal, the helicity components
+    b[..., m, +-] = <eps+-|e_m> = conj(eps+-[m]) of the x and y labels
+    follow the displayed pattern, each label's transversal weight plus its
+    longitudinal overlap khat_m^2 is 1, and the linear-x/-y amplitudes are
+    the label's components renormalized per ray."""
+    theta, phi = np.array(theta)[:, None], np.array(phi)
+    ep, em = helicity_oracle(theta, phi)
+    f = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)], axis=-1)
+    g = np.stack([np.cos(phi), np.sin(phi), np.ones_like(phi)], axis=-1)
+    f, g = f[..., photon._THETA_TERM], g[:, photon._PHI_TERM]
+    assert np.abs((f * g) @ photon._RING_EP - ep).max() < 1e-15
+    standard = (theta == 0.0) & (phi == 0.0)
+    assert np.abs(ep[standard] - np.array([1, 1j, 0]) / np.sqrt(2)).max(initial=0.0) < 1e-14
+    khat = np.stack(np.broadcast_arrays(np.sin(theta) * np.cos(phi),
+                                        np.sin(theta) * np.sin(phi), np.cos(theta)), axis=-1)
+    for e in (ep, em):
+        assert np.abs(np.sum(e * khat, axis=-1)).max() < 1e-12
+        assert np.abs(np.linalg.norm(e, axis=-1) - 1.0).max() < 1e-12
+    assert np.abs(np.sum(ep.conj() * em, axis=-1)).max() < 1e-12
+    b = np.stack([ep, em], axis=-1).conj()
+    ct, cp, sp = np.cos(theta), np.cos(phi), np.sin(phi)
+    for m, (re, im) in enumerate([(ct * cp, sp), (ct * sp, -cp)]):
+        # (cos th cos ph +- i sin ph)/sqrt2 for x, (cos th sin ph -+ i cos ph)/sqrt2 for y
+        want = np.stack([re + 1j * im, re - 1j * im], axis=-1) / np.sqrt(2)
+        assert np.abs(b[..., m, :] - want).max() < 1e-12
+    assert np.abs(np.sum(np.abs(b) ** 2, axis=-1) + khat ** 2 - 1.0).max() < 1e-12
+    for label in labels:
+        label_b = b[..., {"linear-x": 0, "linear-y": 1}[label], :]
+        want = label_b / np.linalg.norm(label_b, axis=-1, keepdims=True)
+        assert np.abs(photon._polarization_alphas(theta[:, 0], phi, label) - want).max() < 1e-14
 
 
 class TestPovmExpectation:
@@ -297,15 +269,6 @@ class TestPacketBatch:
             for got, want in zip(rings, scalar):
                 assert np.abs(got[i] - want).max() < 1e-14
 
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(theta=st.floats(0, np.pi), phi=st.floats(0, 2 * np.pi))
-    def test_ring_terms_are_the_helicity_frame(self, theta, phi):
-        # eps+ = sum_j f_j(theta) g_j(phi) _RING_EP[j], as the core expands it
-        f = np.array([1.0, np.cos(theta), np.sin(theta)])[photon._THETA_TERM]
-        g = np.array([np.cos(phi), np.sin(phi), 1.0])[photon._PHI_TERM]
-        ep, _ = photon._helicity_vectors_batch(theta, phi)
-        assert np.abs((f * g) @ photon._RING_EP - ep).max() < 1e-15
-
     @pytest.mark.parametrize("fault", ["alpha", "masses"])
     def test_bad_packet_in_batch_raises_scalar_error(self, fault):
         # the core checks ring masses (P, n_theta) and one pair per packet
@@ -346,19 +309,21 @@ class TestPacketBatch:
                 return f(*args)
             return wrapper
 
-        for name in ("_povm_rings", "_collimated_rings", "_helicity_vectors_batch",
-                     "_check_packets", "_ring_matrices", "_checked_polarization"):
+        for name in ("_povm_rings", "_collimated_rings", "_check_packets", "_ring_matrices",
+                     "_ring_factors", "_checked_polarization"):
             monkeypatch.setattr(photon, name, counted(name, getattr(photon, name)))
         grids = selfcheck._grids(None)
         crit = next(c for c in selfcheck.CRITERIA if c.name == "11-photon-povm")
         assert selfcheck.run_criterion(crit, selfcheck._tols(None), grids).passed
         # one call of the criterion's ring function, its packet checks on
-        # (500, n_theta) ring masses, one ring core call for both routes, both
-        # matrix stacks checked, and no helicity frame per ray
+        # (500, n_theta) ring masses, one ring core call for both routes, the
+        # helicity frame's factors taken once on the rings, not per ray, and
+        # both matrix stacks checked
         assert grids["povm_packets"] == 500
         assert calls == [("_povm_rings", (500,)), ("_collimated_rings", (500,)),
                          ("_check_packets", (500, grids["povm_theta"])),
                          ("_ring_matrices", (500, 1, grids["povm_theta"])),
+                         ("_ring_factors", (500, 1, grids["povm_theta"])),
                          ("_checked_polarization", (500, 3, 3)),
                          ("_checked_polarization", (500, 3, 3))]
 
@@ -377,20 +342,16 @@ class TestPacketBatch:
         assert peak < 2e6
 
 
-@pytest.mark.parametrize("route", ["_b_components", "_ring_vectors"])
+@pytest.mark.parametrize("route", ["_overlaps", "_ring_vectors"])
 def test_criterion_11_gap_sees_a_perturbed_route(monkeypatch, route):
     # the alpha+ part scaled by 1 + 1e-9 on one route only: the POVM route
-    # reads eps+ through _b_components, the naive one reads the pairs in
-    # _ring_vectors; the effective-vs-naive gap rises to that scale and
-    # criterion 11 fails on it
+    # reads the pairs in _overlaps, the naive one in _ring_vectors; the
+    # effective-vs-naive gap rises to that scale and criterion 11 fails on it
     delta = 1e-9
     unperturbed = getattr(photon, route)
-    if route == "_b_components":
-        def perturbed(ep, em):
-            return unperturbed(ep * (1.0 + delta), em)
-    else:
-        def perturbed(pairs):
-            return unperturbed(pairs * [1.0 + delta, 1.0])
+
+    def perturbed(pairs):
+        return unperturbed(pairs * [1.0 + delta, 1.0])
 
     monkeypatch.setattr(photon, route, perturbed)
     crit = next(c for c in selfcheck.CRITERIA if c.name == "11-photon-povm")
